@@ -45,7 +45,7 @@ struct CaseResult {
     /// can be separated from trajectory changes that shift the contact
     /// count.
     col_contacts: Vec<usize>,
-    /// Adaptive-dt rollback/retries per measured step. Nonzero entries
+    /// Adaptive-dt retries per measured step. Nonzero entries
     /// mean the step-health gate tripped and the step re-ran at a reduced
     /// dt — each retry repeats the implicit stage, so retry counts explain
     /// per-step wall-time outliers that are otherwise invisible in the

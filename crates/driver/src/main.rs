@@ -52,7 +52,7 @@
 //!
 //! `--assert-dt-retries N` turns the run into an instability smoke test:
 //! it exits nonzero unless the adaptive time stepper performed at least
-//! `N` rollback/retries over the run, every step's max edge stretch was
+//! `N` retries over the run, every step's max edge stretch was
 //! finite and within the configured bound, and the final state is finite.
 //! The CI gate runs one deliberately oversized-dt step through this to
 //! prove the retry path actually fires and keeps the state sane.

@@ -751,8 +751,8 @@ fn build_bifurcation(cfg: &Doc) -> Result<Built, String> {
         .collect();
 
     let config = sim_config(cfg, sec, 0.01, 0.05);
-    // recycle_cells tracks a single outlet; with two daughters it would
-    // teleport cells from only one of them, so it stays off by default
+    // `recycle_cells` tests every outlet, but the default stays off: the
+    // pinned bifurcation trajectories were recorded without recycling
     let recycle = cfg.bool_or(sec, "recycle", false);
     Ok(Built {
         sim: Simulation::new(basis, cells, Some(vessel), config),

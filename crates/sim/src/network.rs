@@ -474,4 +474,31 @@ mod tests {
             1.5 * total
         );
     }
+
+    /// `recycle_cells` tests every outlet: a cell at the end of the *second*
+    /// daughter branch is teleported to the inlet, a cell at the junction —
+    /// on the domain side of every outlet plane — stays.
+    #[test]
+    fn recycle_cells_sees_the_second_outlet() {
+        use crate::stepper::{SimConfig, Simulation};
+        use vesicle::{sphere_coeffs, Cell, CellParams};
+        let spec = y_spec();
+        let vessel = vessel_from_network(&spec, 1.0, dense_opts(), 6).unwrap();
+        let (inlet, out2) = (vessel.ports[0], vessel.ports[2]);
+        let basis = sphharm::SphBasis::new(4);
+        let cell =
+            |c: Vec3| Cell::new(&basis, sphere_coeffs(&basis, 0.2, c), CellParams::default());
+        let leaving = out2.center + out2.inward * (0.25 * out2.radius);
+        let cells = vec![cell(leaving), cell(spec.center)];
+        let mut sim = Simulation::new(basis, cells, Some(vessel), SimConfig::default());
+        assert_eq!(sim.recycle_cells(), 1);
+        let centroid = |ci: usize| sim.cells[ci].geometry(&sim.basis).centroid();
+        let target = inlet.center + inlet.inward * (1.5 * inlet.radius);
+        assert!((centroid(0) - target).norm() < 1e-9, "{:?}", centroid(0));
+        assert!(
+            (centroid(1) - spec.center).norm() < 1e-9,
+            "{:?}",
+            centroid(1)
+        );
+    }
 }

@@ -3,7 +3,7 @@
 //! and contact resolution — with wall-time split into the component
 //! categories of Figs. 4–6.
 
-use crate::domain::Vessel;
+use crate::domain::{Port, Vessel};
 use crate::timers::{timed, StepTimers};
 use collision::{
     resolve_contacts, triangulate_latlon, DetectOptions, Mobility, NcpOptions, TriMesh,
@@ -14,7 +14,7 @@ use linalg::{Mat, Vec3};
 use sphharm::SphBasis;
 use vesicle::{
     implicit_substep_chain, step_health, upsample_matrix, Cell, CellHealth, SelfInteraction,
-    StepOptions,
+    StepOptions, SurfaceGeometry,
 };
 
 /// Adaptive time-step controls: the per-cell blow-up gate and the
@@ -169,7 +169,7 @@ pub struct StepStats {
     /// controller Δt in whole-step-halving mode, the full target Δt in
     /// sub-stepping mode.
     pub dt_effective: f64,
-    /// Rolled-back attempts before this step was accepted (0 = clean).
+    /// Failed (dropped) attempts before this step was accepted (0 = clean).
     pub dt_retries: usize,
     /// Largest per-cell [`CellHealth::max_stretch`] of the accepted
     /// attempt — bounded by `DtControl::max_stretch` whenever the
@@ -233,9 +233,22 @@ pub struct Simulation {
     wall_digest: Option<u64>,
 }
 
-/// One uncommitted step attempt: everything `Simulation::step` needs to
-/// either commit (positions, minus reverted frozen cells) or report
-/// (stats, per-cell health).
+/// The part of a step that depends on the pre-step state alone, not on Δt
+/// or the frozen set: built once by [`Simulation::prepare`], read by every
+/// [`Simulation::advance`] call of that step.
+struct Background {
+    geos: Vec<SurfaceGeometry>,
+    selfops: Vec<SelfInteraction>,
+    /// Explicit velocity at each cell's points: inter-cell sum, `u_Γ`,
+    /// gravity self-mobility and background shear.
+    b_cells: Vec<Vec<Vec3>>,
+    /// The boundary-solve half of [`StepStats`] (everything stage 3 fills in).
+    stats: StepStats,
+}
+
+/// One passed, uncommitted [`Simulation::advance`] call: everything
+/// `Simulation::step` needs to either commit (positions, minus reverted
+/// frozen cells) or report (stats, per-cell health).
 struct Attempt {
     stats: StepStats,
     health: Vec<CellHealth>,
@@ -377,17 +390,18 @@ impl Simulation {
     }
 
     /// Advances one time step (the algorithm summary of §2.2) as a
-    /// **transaction**: an attempt at the controller's current Δt is
-    /// health-checked after the implicit stage (per-cell edge stretch,
-    /// volume drift, non-finite detection — see [`vesicle::CellHealth`])
-    /// and again (finiteness) after contact resolution; a violating
-    /// attempt is rolled back to the pre-step state and retried at Δt/2
-    /// with exponential backoff down to `dt_min`. At `dt_min` the
+    /// **transaction**: stages 1–3 (forces, global sums, boundary solve) run
+    /// once, then an attempt at the controller's current Δt runs the
+    /// implicit stage, is health-checked (per-cell edge stretch, volume
+    /// drift, non-finite detection — see [`vesicle::CellHealth`]), resolves
+    /// contacts and is checked for finiteness. A violating attempt wrote
+    /// nothing, so it is simply dropped and the attempt alone is retried at
+    /// Δt/2 with exponential backoff down to `dt_min`. At `dt_min` the
     /// offending cells' implicit updates are frozen for the step
     /// (graceful degradation: the run stays alive and finite). After
     /// `grow_after` consecutive clean steps the controller doubles Δt back
     /// toward the configured target. Returns the per-component timers for
-    /// this step (retried attempts' wall time included).
+    /// this step (each dropped attempt adds its stage 4–5 wall time).
     ///
     /// When `config.threads > 0` the whole step runs under a `rayon` pool
     /// override of that size; `0` leaves the ambient pool (available
@@ -419,31 +433,24 @@ impl Simulation {
             dt_now = dt_target;
         }
 
-        // pre-step snapshot for rollback: exactly the evolving state a
-        // checkpoint captures (cells are bit-exact clones of the same
-        // state the `vesicle::state` hooks serialize; the warm-start
-        // density is the only other field an attempt mutates)
-        let snapshot_cells = self.cells.clone();
-        let snapshot_warm = self.bie_warm.clone();
+        // stages 1–3 do not depend on Δt or the frozen set: once per step
+        let bg = self.prepare(&mut t);
 
         let mut frozen = vec![false; nc];
         let mut retries = 0usize;
         // freezing only ever grows the frozen set, and an attempt with a
         // cell frozen cannot re-report it, so the loop terminates after at
         // most log2(dt_target/dt_min) halvings + nc freezes
-        let (mut stats, health, new_positions, reverts) = loop {
+        let attempt = loop {
             let n_sub = if ctl.substep {
                 ((dt_target / dt_now).round() as usize).max(1)
             } else {
                 1
             };
             let dt_total = if ctl.substep { dt_target } else { dt_now };
-            match self.attempt_step(dt_total, n_sub, &frozen, ctl.enabled, &mut t) {
-                Ok(a) => break (a.stats, a.health, a.new_positions, a.reverts),
+            match self.advance(&bg, dt_total, n_sub, &frozen, ctl.enabled, &mut t) {
+                Ok(a) => break a,
                 Err(violators) => {
-                    // roll back the attempt
-                    self.cells = snapshot_cells.clone();
-                    self.bie_warm = snapshot_warm.clone();
                     retries += 1;
                     if dt_now * 0.5 >= dt_min * (1.0 - 1e-12) {
                         dt_now *= 0.5;
@@ -459,8 +466,8 @@ impl Simulation {
 
         // --- commit (Other) ---
         let (_, t_commit) = timed(|| {
-            for (ci, pos) in new_positions.iter().enumerate() {
-                if !reverts[ci] {
+            for (ci, pos) in attempt.new_positions.iter().enumerate() {
+                if !attempt.reverts[ci] {
                     self.cells[ci].set_positions(&self.basis, pos);
                 }
             }
@@ -484,8 +491,10 @@ impl Simulation {
         self.dt_state.dt = dt_now;
         self.dt_state.frozen = frozen;
 
+        let mut stats = attempt.stats;
         stats.dt_retries = retries;
         stats.frozen_cells = frozen_cells;
+        let health = attempt.health;
         stats.max_edge_stretch = health.iter().map(|h| h.max_stretch).fold(0.0f64, f64::max);
         self.last_health = health;
 
@@ -495,31 +504,35 @@ impl Simulation {
         t
     }
 
-    /// One attempted step at total step size `dt_total`, with the implicit
-    /// stage chained as `n_sub` sub-steps (`n_sub = 1` = plain backward
-    /// Euler) and `frozen` cells' implicit updates skipped. Mutates only
-    /// `self.bie_warm` (the caller's snapshot restores it on rollback);
-    /// positions are returned for the caller to commit. With `gate` set,
-    /// returns `Err(violating cell indices)` when any non-frozen cell
-    /// fails the health bounds after the implicit stage or ends non-finite
-    /// after contact resolution.
-    fn attempt_step(
-        &mut self,
-        dt_total: f64,
-        n_sub: usize,
-        frozen: &[bool],
-        gate: bool,
-        t: &mut StepTimers,
-    ) -> Result<Attempt, Vec<usize>> {
-        let dt = dt_total;
-        let ctl = self.config.dt_control;
+    /// Single-layer velocity of the packed cell sources at `trg`: FMM above
+    /// `fmm_pair_threshold` source–target pairs, direct sum below.
+    fn cell_sum(&self, mu: f64, pts: &[Vec3], src_f: &[f64], trg: &[Vec3]) -> Vec<f64> {
+        let kernel = StokesSL { mu };
+        if (pts.len() as f64) * (trg.len() as f64) > self.config.fmm_pair_threshold {
+            fmm_evaluate(
+                &kernel,
+                &StokesEquiv { mu },
+                pts,
+                src_f,
+                trg,
+                self.config.fmm,
+            )
+        } else {
+            let mut out = vec![0.0; trg.len() * 3];
+            kernels::direct_eval(&kernel, pts, src_f, trg, &mut out);
+            out
+        }
+    }
+
+    /// Stages 1–3 plus the gravity and shear terms, once per step however
+    /// many attempts follow. The only place a step touches the boundary
+    /// solver: the vessel-digest check, the `bie_warm` hand-over and the
+    /// drain of the solver's FMM time and plan counters all live here.
+    fn prepare(&mut self, t: &mut StepTimers) -> Background {
         let basis = &self.basis;
         let nc = self.cells.len();
         let n = basis.grid_size();
-        let mut stats = StepStats {
-            dt_effective: dt_total,
-            ..StepStats::default()
-        };
+        let mut stats = StepStats::default();
 
         // --- membrane forces and per-cell data (Other) ---
         // cells are independent within each stage: one slot per cell,
@@ -541,47 +554,30 @@ impl Simulation {
         t.other += t_other0;
 
         // --- inter-cell velocities via global summation (Other-FMM) ---
-        // sources: all cells' quadrature points with weighted forces
-        let (b_cells, t_ofmm) = timed(|| {
-            if nc == 0 {
-                return Vec::new();
-            }
-            let mu = self.cells[0].params.mu;
-            let mut src_pts = Vec::with_capacity(nc * n);
+        // sources, packed once for both global sums: all cells' quadrature
+        // points with weighted forces. The same points are the targets of
+        // the cell–cell sum here and of `u_Γ` below
+        let mu = self.cells.first().map_or(1.0, |c| c.params.mu);
+        let ((pts, src_f, mut b_cells), t_ofmm) = timed(|| {
+            let mut pts = Vec::with_capacity(nc * n);
             let mut src_f = Vec::with_capacity(nc * n * 3);
             for (g, f) in geos.iter().zip(&forces) {
                 for i in 0..n {
-                    src_pts.push(g.x[i]);
+                    pts.push(g.x[i]);
                     let wf = f[i] * g.w_quad[i];
                     src_f.extend_from_slice(&[wf.x, wf.y, wf.z]);
                 }
             }
-            let trg_pts = src_pts.clone();
-            let kernel = StokesSL { mu };
-            let pairs = (src_pts.len() as f64) * (trg_pts.len() as f64);
-            let total = if pairs > self.config.fmm_pair_threshold {
-                fmm_evaluate(
-                    &kernel,
-                    &StokesEquiv { mu },
-                    &src_pts,
-                    &src_f,
-                    &trg_pts,
-                    self.config.fmm,
-                )
-            } else {
-                let mut out = vec![0.0; trg_pts.len() * 3];
-                kernels::direct_eval(&kernel, &src_pts, &src_f, &trg_pts, &mut out);
-                out
-            };
+            let total = self.cell_sum(mu, &pts, &src_f, &pts);
             // subtract each cell's own plain-quadrature self sum (u_fr − u_γi);
             // one output slot per cell, committed in index order
             let b: Vec<Vec<Vec3>> = rayon::par::map_indexed(nc, |ci| {
                 let mut own = vec![0.0; n * 3];
                 direct_eval_serial(
-                    &kernel,
-                    &src_pts[ci * n..(ci + 1) * n],
+                    &StokesSL { mu },
+                    &pts[ci * n..(ci + 1) * n],
                     &src_f[ci * n * 3..(ci + 1) * n * 3],
-                    &src_pts[ci * n..(ci + 1) * n],
+                    &pts[ci * n..(ci + 1) * n],
                     &mut own,
                 );
                 let mut bi = vec![Vec3::ZERO; n];
@@ -595,10 +591,9 @@ impl Simulation {
                 }
                 bi
             });
-            b
+            (pts, src_f, b)
         });
         t.other_fmm += t_ofmm;
-        let mut b_cells = b_cells;
 
         // --- boundary solve for u_Γ (BIE-solve / BIE-FMM) ---
         if let Some(vessel) = &self.vessel {
@@ -615,62 +610,29 @@ impl Simulation {
             // data changes little between steps, so the previous solution
             // is a much better initial iterate than zero)
             let warm = self.bie_warm.take();
-            let ((bie_iters, bie_converged, bie_residual, phi_next), t_bie) = timed(|| {
-                let quad = &vessel.solver.quad;
+            let ((phi, res), t_bie) = timed(|| {
                 // u_fr on Γ from all cells (this far-field sum is charged to
                 // BIE-FMM below through the solver's own accounting for the
                 // check-point evaluation; the cell→Γ sum is Other-FMM-like
                 // but the paper groups it with the boundary solve input)
-                let mu = self.cells.first().map(|c| c.params.mu).unwrap_or(1.0);
-                let mut u_fr = vec![0.0; quad.len() * 3];
-                if nc > 0 {
-                    let mut src_pts = Vec::with_capacity(nc * n);
-                    let mut src_f = Vec::with_capacity(nc * n * 3);
-                    for (g, f) in geos.iter().zip(&forces) {
-                        for i in 0..n {
-                            src_pts.push(g.x[i]);
-                            let wf = f[i] * g.w_quad[i];
-                            src_f.extend_from_slice(&[wf.x, wf.y, wf.z]);
-                        }
-                    }
-                    let kernel = StokesSL { mu };
-                    let pairs = (src_pts.len() * quad.len()) as f64;
-                    if pairs > self.config.fmm_pair_threshold {
-                        u_fr = fmm_evaluate(
-                            &kernel,
-                            &StokesEquiv { mu },
-                            &src_pts,
-                            &src_f,
-                            &quad.points,
-                            self.config.fmm,
-                        );
-                    } else {
-                        kernels::direct_eval(&kernel, &src_pts, &src_f, &quad.points, &mut u_fr);
-                    }
-                }
+                let u_fr = self.cell_sum(mu, &pts, &src_f, &vessel.solver.quad.points);
                 // g − u_fr
                 let rhs: Vec<f64> = vessel.bc.iter().zip(&u_fr).map(|(g, u)| g - u).collect();
                 let (phi, res) = vessel.solver.solve_warm(&rhs, warm.as_deref());
                 // u_Γ at all cell points
-                if nc > 0 {
-                    let mut trg = Vec::with_capacity(nc * n);
-                    for g in &geos {
-                        trg.extend_from_slice(&g.x);
-                    }
-                    let ug = vessel.solver.eval_at(&phi, &trg);
-                    for (ci, bi) in b_cells.iter_mut().enumerate() {
-                        for i in 0..n {
-                            let gidx = ci * n + i;
-                            bi[i] += Vec3::new(ug[gidx * 3], ug[gidx * 3 + 1], ug[gidx * 3 + 2]);
-                        }
+                let ug = vessel.solver.eval_at(&phi, &pts);
+                for (ci, bi) in b_cells.iter_mut().enumerate() {
+                    for i in 0..n {
+                        let gidx = ci * n + i;
+                        bi[i] += Vec3::new(ug[gidx * 3], ug[gidx * 3 + 1], ug[gidx * 3 + 2]);
                     }
                 }
-                (res.iterations, res.converged, res.rel_residual, phi)
+                (phi, res)
             });
-            self.bie_warm = Some(phi_next);
-            stats.bie_iterations = bie_iters;
-            stats.bie_converged = bie_converged;
-            stats.bie_residual = bie_residual;
+            self.bie_warm = Some(phi);
+            stats.bie_iterations = res.iterations;
+            stats.bie_converged = res.converged;
+            stats.bie_residual = res.rel_residual;
             stats.flux_imbalance = vessel.port_flux_imbalance();
             let (builds, replans) = vessel.solver.take_eval_fmm_counters();
             stats.wall_fmm_builds = builds as usize;
@@ -716,13 +678,49 @@ impl Simulation {
             t.other += t_sh;
         }
 
+        Background {
+            geos,
+            selfops,
+            b_cells,
+            stats,
+        }
+    }
+
+    /// One attempt on a step's [`Background`] at total step size `dt_total`,
+    /// with the implicit stage chained as `n_sub` sub-steps (`n_sub = 1` =
+    /// plain backward Euler) and `frozen` cells' implicit updates skipped.
+    /// Writes nothing (positions are returned for the caller to commit), so
+    /// a failed attempt needs no undoing. With `gate` set, returns
+    /// `Err(violating cell indices)` when any non-frozen cell fails the
+    /// health bounds after the implicit stage or ends non-finite after
+    /// contact resolution.
+    fn advance(
+        &self,
+        bg: &Background,
+        dt_total: f64,
+        n_sub: usize,
+        frozen: &[bool],
+        gate: bool,
+        t: &mut StepTimers,
+    ) -> Result<Attempt, Vec<usize>> {
+        let dt = dt_total;
+        let ctl = self.config.dt_control;
+        let basis = &self.basis;
+        let nc = self.cells.len();
+        let n = basis.grid_size();
+        let (geos, selfops, b_cells) = (&bg.geos, &bg.selfops, &bg.b_cells);
+        let mut stats = StepStats {
+            dt_effective: dt_total,
+            ..bg.stats
+        };
+
         // --- locally-implicit per-cell update (Other) ---
         // frozen cells skip the update entirely (their candidate is the
         // pre-step position grid — §graceful degradation); the rest run
         // backward Euler at dt_total, chained as n_sub sub-steps when the
         // controller is in sub-stepping mode
         let (mut new_positions, t_impl) = timed(|| {
-            let positions: Vec<Vec<Vec3>> = rayon::par::map_indexed(nc, |ci| {
+            rayon::par::map_indexed(nc, |ci| {
                 if frozen[ci] {
                     return geos[ci].x.clone();
                 }
@@ -730,33 +728,24 @@ impl Simulation {
                     dt,
                     ..self.config.step
                 };
-                let (pos, _res) = implicit_substep_chain(
-                    basis,
-                    &self.cells[ci],
-                    &selfops[ci],
-                    &b_cells[ci],
-                    &opts,
-                    n_sub,
-                );
-                pos
-            });
-            positions
+                let cell = &self.cells[ci];
+                implicit_substep_chain(basis, cell, &selfops[ci], &b_cells[ci], &opts, n_sub).0
+            })
         });
         t.other += t_impl;
 
         // --- step-health gate after the implicit stage (Other) ---
         // per-cell max edge stretch vs rest length, volume drift, and
-        // non-finite detection; violations roll the whole attempt back
+        // non-finite detection; a violation fails the attempt
         let (health, t_health) = timed(|| {
-            let h: Vec<CellHealth> = rayon::par::map_indexed(nc, |ci| {
+            rayon::par::map_indexed(nc, |ci| {
                 step_health(
                     basis,
                     &self.cells[ci],
                     &new_positions[ci],
                     geos[ci].volume(),
                 )
-            });
-            h
+            })
         });
         t.other += t_health;
         if gate {
@@ -773,7 +762,7 @@ impl Simulation {
 
         // --- collision handling (COL) ---
         if !self.config.disable_collisions {
-            let (col_out, t_col) = timed(|| {
+            let ((corrected, res), t_col) = timed(|| {
                 let pu = basis.p * self.config.col_upsample;
                 let up = upsample_matrix(basis.p, pu);
                 let bu = SphBasis::new(pu);
@@ -823,7 +812,7 @@ impl Simulation {
                     }
                 }
                 let mobility = CellMobility {
-                    selfops: &selfops,
+                    selfops,
                     up: &up,
                     dt,
                     n_cells: nc,
@@ -853,7 +842,6 @@ impl Simulation {
                 });
                 (corrected, res)
             });
-            let (corrected, res) = col_out;
             stats.contacts = res.initial_contacts;
             stats.ncp_iters = res.outer_iters;
             stats.contact_free = res.resolved;
@@ -897,24 +885,14 @@ impl Simulation {
     }
 
     /// Recycles cells that reached an outlet region back into the inlet
-    /// (§5.1): a cell whose centroid passes the outlet cap plane is
-    /// teleported near the inlet, skipping the move if it would overlap
-    /// another cell.
+    /// (§5.1): a cell whose centroid passes the cap plane of any outlet,
+    /// within that port's radius of its axis, is teleported near an inlet,
+    /// skipping the move if it would overlap another cell.
     pub fn recycle_cells(&mut self) -> usize {
         let Some(vessel) = &self.vessel else { return 0 };
         let basis = &self.basis;
-        let inlets: Vec<_> = vessel
-            .ports
-            .iter()
-            .filter(|p| p.is_inlet)
-            .copied()
-            .collect();
-        let outlets: Vec<_> = vessel
-            .ports
-            .iter()
-            .filter(|p| !p.is_inlet)
-            .copied()
-            .collect();
+        let (inlets, outlets): (Vec<&Port>, Vec<&Port>) =
+            vessel.ports.iter().partition(|p| p.is_inlet);
         if inlets.is_empty() || outlets.is_empty() {
             return 0;
         }
@@ -924,10 +902,15 @@ impl Simulation {
         let mut moved = 0;
         for ci in 0..self.cells.len() {
             let c = centroids[ci];
-            let out = &outlets[0];
-            // beyond the outlet plane (inward normal points into the domain)
-            let along = (c - out.center).dot(out.inward);
-            if along < out.radius * 0.5 {
+            // beyond an outlet's cap plane (inward normal points into the
+            // domain) and inside its cylinder, so that a cell in a sibling
+            // branch behind the same plane does not match
+            let leaving = outlets.iter().any(|out| {
+                let r = c - out.center;
+                let along = r.dot(out.inward);
+                along < out.radius * 0.5 && (r - out.inward * along).norm() < out.radius
+            });
+            if leaving {
                 // near/through the cap: recycle
                 let inl = &inlets[moved % inlets.len()];
                 let target = inl.center + inl.inward * (1.5 * inl.radius);
@@ -1118,5 +1101,58 @@ mod tests {
                 assert_eq!(a.coeffs[c].data, b.coeffs[c].data);
             }
         }
+    }
+    /// The plan counters are drained once per step, in `prepare`: a
+    /// frozen-tree build paid while the step's first attempt fails must
+    /// still show in the committed row, or `--assert-fmm-rebuilds` cannot
+    /// see it.
+    #[test]
+    fn retried_first_vessel_step_reports_its_wall_fmm_build() {
+        let basis = SphBasis::new(6);
+        let line = patch::StraightLine {
+            a: Vec3::ZERO,
+            b: Vec3::new(6.0, 0.0, 0.0),
+        };
+        let opts = bie::BieOptions {
+            backend: bie::MatvecBackend::Fmm,
+            qf: 6,
+            fmm: bie::FmmOptions {
+                order: 4,
+                ..Default::default()
+            },
+            gmres: linalg::GmresOptions {
+                max_iters: 4,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let vessel = Vessel::new(patch::capsule_tube(&line, 1.0, 1, 6), 1.0, opts, 1.0, 6);
+        let center = Vec3::new(3.0, 0.0, 0.0);
+        let cells = vec![Cell::new(
+            &basis,
+            biconcave_coeffs(&basis, 0.5, center),
+            CellParams::default(),
+        )];
+        // a volume-drift bound no moving cell meets and no halving room: the
+        // first attempt fails, the second commits with the cell frozen
+        let dt = 0.01;
+        let config = SimConfig {
+            dt,
+            dt_control: DtControl {
+                dt_min: dt,
+                max_volume_drift: 1e-14,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let mut sim = Simulation::new(basis, cells, Some(vessel), config);
+        sim.step();
+        let st = sim.last_stats;
+        assert_eq!(st.dt_retries, 1, "the first attempt must fail");
+        assert_eq!((st.wall_fmm_builds, st.wall_fmm_replans), (1, 1));
+        // steady state: the tree is reused, one target replan per step
+        sim.step();
+        let st = sim.last_stats;
+        assert_eq!((st.wall_fmm_builds, st.wall_fmm_replans), (0, 1));
     }
 }

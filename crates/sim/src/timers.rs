@@ -3,7 +3,10 @@
 
 use std::time::Instant;
 
-/// Accumulated seconds per component of a simulation step.
+/// Accumulated seconds per component of a simulation step. A retried step
+/// pays the boundary solve and the global sums once; each failed attempt adds
+/// only its implicit stage and gates to `other` (and a collision pass to
+/// `col` when it got that far).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StepTimers {
     /// Collision detection + resolution (the paper's COL).

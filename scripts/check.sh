@@ -80,8 +80,8 @@ cargo run --release -q -p driver -- sedimentation --steps 1 \
 echo "== instability smoke (shear_pair, 1 oversized-dt step, retry + finite-state assert)"
 # one deliberately oversized step (10x the scenario dt) with a volume-drift
 # gate tight enough that the first attempt must fail: asserts the adaptive
-# stepper actually rolled back and retried (dt_retries >= 1), every
-# committed step's max edge stretch stayed finite and within the bound,
+# stepper actually dropped the failed attempt and retried (dt_retries >= 1),
+# every committed step's max edge stretch stayed finite and within the bound,
 # and the final coefficients are finite — i.e. the transactional
 # retry/backoff path works, not just the happy path
 cargo run --release -q -p driver -- shear_pair --steps 1 \
@@ -153,5 +153,24 @@ cargo run --release -q -p driver -- batch scenarios/farm_smoke.toml \
     --halt-after 1 --quiet
 cargo run --release -q -p driver -- batch scenarios/farm_smoke.toml \
     --assert-cache-hits 1
+
+if [ "${CHECK_FAST:-0}" != "1" ]; then
+    echo "== benchmark package (standalone build + train_retry smoke)"
+    # benchmark/ is a package of its own that reaches the simulator through
+    # the layer crates' public APIs, so a change to one of those breaks it
+    # without the workspace build noticing: build it here and run its
+    # smallest end-to-end path — the retried-step workload at --smoke sizes,
+    # correctness gate included (an incorrect run still exits 0, so the
+    # verdict is read off its result line)
+    cargo build --release --offline --manifest-path benchmark/Cargo.toml
+    BENCH_RESULT=$(cargo run --release --quiet --offline \
+        --manifest-path benchmark/Cargo.toml -- \
+        --workload train_retry --smoke --trace 0 | tail -n 1)
+    echo "$BENCH_RESULT"
+    case "$BENCH_RESULT" in
+        *'"correct": true'*) ;;
+        *) echo "ERROR: benchmark smoke run did not report a correct result"; exit 1 ;;
+    esac
+fi
 
 echo "ALL CHECKS PASSED"
