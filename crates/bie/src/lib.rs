@@ -19,7 +19,7 @@ pub mod fine;
 pub mod precond;
 pub mod solver;
 
-pub use closest::{closest_points, ClosestHit};
+pub use closest::{closest_points, ClosestHit, NearIndex};
 pub use fine::FineDiscretization;
 pub use fmm::FmmOptions;
 pub use precond::CoarseGridPrecond;

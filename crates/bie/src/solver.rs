@@ -10,7 +10,7 @@
 //! limit, which already contains the `+φ/2` jump — so the discrete operator
 //! is exactly the left-hand side of Eq. (2.5)/(3.5).
 
-use crate::closest::{closest_points, ClosestHit};
+use crate::closest::{ClosestHit, NearIndex};
 use crate::fine::FineDiscretization;
 use crate::precond::CoarseGridPrecond;
 use fmm::{Fmm, FmmOptions};
@@ -209,6 +209,8 @@ pub struct DoubleLayerSolver<K: LayerKernel, KE: Kernel + Clone + Sync + Send> {
     pub quad: SurfaceQuad,
     /// Fine discretization for near-singular integration.
     pub fine: FineDiscretization,
+    /// Near-zone search index of `surface` for [`Self::eval_at`].
+    near: NearIndex,
     kernel: K,
     eq_kernel: KE,
     /// Options in effect.
@@ -249,6 +251,7 @@ impl<K: LayerKernel, KE: Kernel + Clone + Sync + Send> DoubleLayerSolver<K, KE> 
         let quad = surface.quadrature();
         let qf = if opts.qf == 0 { surface.q } else { opts.qf };
         let fine = FineDiscretization::build(&surface, opts.eta, qf);
+        let near = NearIndex::new(&surface, &quad);
         let vd = kernel.value_dim();
 
         // check points: y − (R + i r) n, i = 0..=p (into the fluid)
@@ -293,6 +296,7 @@ impl<K: LayerKernel, KE: Kernel + Clone + Sync + Send> DoubleLayerSolver<K, KE> 
             surface,
             quad,
             fine,
+            near,
             kernel,
             eq_kernel,
             opts,
@@ -588,10 +592,17 @@ impl<K: LayerKernel, KE: Kernel + Clone + Sync + Send> DoubleLayerSolver<K, KE> 
                 .upsample_density(phi, vd, self.surface.num_patches(), self.surface.q);
         let src = self.pack_sources(&fine_density);
 
-        let hits = closest_points(&self.surface, &self.quad, targets, self.opts.near_factor);
+        let hits = self
+            .near
+            .closest_points(&self.surface, targets, self.opts.near_factor);
         // assemble the combined target list: far targets first, then p+1
         // check points per near target
         let p1 = self.opts.p_extrap + 1;
+        let check_distances = |hit: &ClosestHit| {
+            self.opts
+                .check
+                .distances(self.quad.patch_size(hit.patch as usize))
+        };
         let mut far_idx = Vec::new();
         let mut near: Vec<(usize, ClosestHit)> = Vec::new();
         for (i, h) in hits.iter().enumerate() {
@@ -601,16 +612,12 @@ impl<K: LayerKernel, KE: Kernel + Clone + Sync + Send> DoubleLayerSolver<K, KE> 
             }
         }
         let mut eval_pts: Vec<Vec3> = far_idx.iter().map(|&i| targets[i]).collect();
-        let mut near_nodes: Vec<(f64, f64)> = Vec::with_capacity(near.len()); // (R, r)
-        for &(i, hit) in &near {
-            let l_hat = self.quad.patch_size(hit.patch as usize);
-            let (big_r, r) = self.opts.check.distances(l_hat);
-            near_nodes.push((big_r, r));
+        for (_, hit) in &near {
+            let (big_r, r) = check_distances(hit);
             for k in 0..p1 {
                 let t = big_r + k as f64 * r;
                 eval_pts.push(hit.point - hit.normal * t);
             }
-            let _ = i;
         }
         let vals = self.summation(&src, &eval_pts);
 
@@ -623,7 +630,7 @@ impl<K: LayerKernel, KE: Kernel + Clone + Sync + Send> DoubleLayerSolver<K, KE> 
         // scatter below then runs in that fixed order
         let per_near: Vec<(usize, Vec<f64>)> = rayon::par::map_indexed(near.len(), |k| {
             let (i, hit) = near[k];
-            let (big_r, r) = near_nodes[k];
+            let (big_r, r) = check_distances(&hit);
             // signed distance along the inward line y − t n
             let t_x = (hit.point - targets[i]).dot(hit.normal);
             let nodes: Vec<f64> = (0..p1).map(|m| big_r + m as f64 * r).collect();

@@ -341,6 +341,12 @@ impl Aabb {
             && p.z <= self.hi.z
     }
 
+    /// Euclidean distance from `p` to the box (0 inside).
+    #[inline]
+    pub fn distance_to(self, p: Vec3) -> f64 {
+        (p - p.max(self.lo).min(self.hi)).norm()
+    }
+
     /// Whether two boxes overlap (inclusive of touching).
     #[inline]
     pub fn intersects(self, o: Aabb) -> bool {
@@ -407,6 +413,8 @@ mod tests {
         let c = b.inflated(1.0);
         assert!(c.contains(Vec3::new(0.5, 0.5, -0.5)));
         assert!(b.intersects(c));
+        assert_eq!(b.distance_to(b.center()), 0.0);
+        assert_eq!(b.distance_to(Vec3::new(3.0, 7.0, 1.0)), 5.0); // (3, 4, 0) off the corner edge
         assert!(Aabb::EMPTY.is_empty());
         assert!(!b.is_empty());
     }

@@ -9,51 +9,64 @@
 
 use linalg::{clenshaw_curtis, Aabb, Interp1d, Mat, Vec3};
 
-/// Chebyshev polynomial of the first kind `T_k(t)` evaluated by recurrence,
-/// together with its derivative.
+/// Largest supported patch order `q`: the Chebyshev tables of the
+/// evaluators live on the stack.
+const MAX_ORDER: usize = 16;
+
+/// `T_k(t)` and its first `D − 1 ≤ 2` derivatives for `k < q`, by one pass
+/// of the three-term recurrences (trigonometric-free, stable on [-1,1]).
 #[inline]
-fn chebyshev_t(k: usize, t: f64) -> (f64, f64) {
-    // T_k and T'_k via the trigonometric-free recurrence (stable on [-1,1])
-    let (mut t0, mut t1) = (1.0, t);
-    let (mut d0, mut d1) = (0.0, 1.0);
-    if k == 0 {
-        return (t0, d0);
+fn chebyshev_table<const D: usize>(q: usize, t: f64) -> [[f64; D]; MAX_ORDER] {
+    let mut tab = [[0.0; D]; MAX_ORDER];
+    tab[0][0] = 1.0;
+    if q > 1 {
+        tab[1][0] = t;
+        if D > 1 {
+            tab[1][1] = 1.0;
+        }
     }
-    for _ in 1..k {
-        let t2 = 2.0 * t * t1 - t0;
-        let d2 = 2.0 * t1 + 2.0 * t * d1 - d0;
-        t0 = t1;
-        t1 = t2;
-        d0 = d1;
-        d1 = d2;
+    for k in 2..q {
+        tab[k][0] = 2.0 * t * tab[k - 1][0] - tab[k - 2][0];
+        if D > 1 {
+            tab[k][1] = 2.0 * tab[k - 1][0] + 2.0 * t * tab[k - 1][1] - tab[k - 2][1];
+        }
+        if D > 2 {
+            tab[k][2] = 4.0 * tab[k - 1][1] + 2.0 * t * tab[k - 1][2] - tab[k - 2][2];
+        }
     }
-    (t1, d1)
+    tab
 }
 
 /// A polynomial patch of order `q` (degree `q−1` per direction), embedded in
-/// R³. Coefficients are stored per component in the tensor Chebyshev basis
-/// `T_a(u) T_b(v)`, `a, b = 0..q`, row-major in `(a, b)`.
+/// R³, in the tensor Chebyshev basis `T_a(u) T_b(v)`, `a, b = 0..q`.
 #[derive(Clone, Debug)]
 pub struct PolyPatch {
     /// Nodes per direction (order); degree is `q − 1`.
     pub q: usize,
-    /// Chebyshev coefficients: `coef[c][a * q + b]` for component `c`.
-    pub coef: [Vec<f64>; 3],
+    /// Chebyshev coefficients `[x, y, z, 0]` at `a * q + b`: the three
+    /// components side by side, so the evaluators advance them as the
+    /// lanes of one vector accumulator.
+    coef: Vec<[f64; 4]>,
 }
 
 impl PolyPatch {
-    /// Fits a patch of order `q` through samples at the `q × q` tensor
+    /// Fits a patch of order `q ≤ 16` through samples at the `q × q` tensor
     /// Clenshaw–Curtis grid (u fastest), interpolating exactly.
     pub fn fit(q: usize, samples: &[Vec3]) -> PolyPatch {
         assert_eq!(samples.len(), q * q, "PolyPatch::fit: need q² samples");
+        assert!(
+            q <= MAX_ORDER,
+            "PolyPatch::fit: order {q} above {MAX_ORDER}"
+        );
         // Build the 1-D Chebyshev Vandermonde at CC nodes and invert once.
         let nodes = clenshaw_curtis(q).nodes;
-        let vand = Mat::from_fn(q, q, |i, a| chebyshev_t(a, nodes[i]).0);
+        let tabs: Vec<_> = nodes.iter().map(|&t| chebyshev_table::<1>(q, t)).collect();
+        let vand = Mat::from_fn(q, q, |i, a| tabs[i][a][0]);
         let inv = linalg::Lu::new(&vand)
             .expect("Chebyshev Vandermonde is nonsingular")
             .inverse();
         // coefficients: C = inv * F * invᵀ per component (tensor structure)
-        let mut coef: [Vec<f64>; 3] = [vec![0.0; q * q], vec![0.0; q * q], vec![0.0; q * q]];
+        let mut coef = vec![[0.0; 4]; q * q];
         for c in 0..3 {
             // F[i][j] = samples[j * q + i][c]  (i: u index, j: v index)
             let f = Mat::from_fn(q, q, |i, j| samples[j * q + i][c]);
@@ -62,83 +75,70 @@ impl PolyPatch {
             let full = a.matmul(&inv.transpose());
             for ai in 0..q {
                 for bi in 0..q {
-                    coef[c][ai * q + bi] = full[(ai, bi)];
+                    coef[ai * q + bi][c] = full[(ai, bi)];
                 }
             }
         }
         PolyPatch { q, coef }
     }
 
-    /// Evaluates the patch position at `(u, v) ∈ [-1,1]²`.
+    /// The Chebyshev coefficients of component `c`, row-major in `(a, b)`.
+    pub fn component_coefs(&self, c: usize) -> Vec<f64> {
+        self.coef.iter().map(|k| k[c]).collect()
+    }
+
+    /// Evaluates the patch position at `(u, v) ∈ [-1,1]²` (bit-equal to
+    /// the position of [`Self::eval_jet`], without the derivative sums).
     pub fn eval(&self, u: f64, v: f64) -> Vec3 {
-        self.eval_jet(u, v).0
+        let [x] = self.jet::<1, 1>(u, v, [(0, 0)]);
+        x
     }
 
     /// Evaluates position and first derivatives `(X, X_u, X_v)`.
     pub fn eval_jet(&self, u: f64, v: f64) -> (Vec3, Vec3, Vec3) {
-        let q = self.q;
-        let tu: Vec<(f64, f64)> = (0..q).map(|a| chebyshev_t(a, u)).collect();
-        let tv: Vec<(f64, f64)> = (0..q).map(|b| chebyshev_t(b, v)).collect();
-        let mut x = Vec3::ZERO;
-        let mut xu = Vec3::ZERO;
-        let mut xv = Vec3::ZERO;
-        for c in 0..3 {
-            let mut s = 0.0;
-            let mut su = 0.0;
-            let mut sv = 0.0;
-            for a in 0..q {
-                let (ta, da) = tu[a];
-                let row = &self.coef[c][a * q..(a + 1) * q];
-                let mut inner = 0.0;
-                let mut inner_dv = 0.0;
-                for b in 0..q {
-                    let (tb, db) = tv[b];
-                    inner += row[b] * tb;
-                    inner_dv += row[b] * db;
-                }
-                s += ta * inner;
-                su += da * inner;
-                sv += ta * inner_dv;
-            }
-            x[c] = s;
-            xu[c] = su;
-            xv[c] = sv;
-        }
+        let [x, xu, xv] = self.jet::<2, 3>(u, v, [(0, 0), (1, 0), (0, 1)]);
         (x, xu, xv)
     }
 
-    /// Evaluates position, first, and second derivatives.
+    /// Evaluates position, first, and second derivatives
+    /// `(X, X_u, X_v, X_uu, X_uv, X_vv)`.
     #[allow(clippy::type_complexity)]
     pub fn eval_jet2(&self, u: f64, v: f64) -> (Vec3, Vec3, Vec3, Vec3, Vec3, Vec3) {
-        // second derivatives via Chebyshev second-derivative recurrence
-        let q = self.q;
-        let jets_u: Vec<(f64, f64, f64)> = (0..q).map(|a| chebyshev_t2(a, u)).collect();
-        let jets_v: Vec<(f64, f64, f64)> = (0..q).map(|b| chebyshev_t2(b, v)).collect();
-        let mut out = [Vec3::ZERO; 6]; // x, xu, xv, xuu, xuv, xvv
-        for c in 0..3 {
-            let mut acc = [0.0; 6];
-            for a in 0..q {
-                let (ta, da, dda) = jets_u[a];
-                let row = &self.coef[c][a * q..(a + 1) * q];
-                let (mut i0, mut i1, mut i2) = (0.0, 0.0, 0.0);
-                for b in 0..q {
-                    let (tb, db, ddb) = jets_v[b];
-                    i0 += row[b] * tb;
-                    i1 += row[b] * db;
-                    i2 += row[b] * ddb;
+        let [x, xu, xv, xuu, xuv, xvv] =
+            self.jet::<3, 6>(u, v, [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]);
+        (x, xu, xv, xuu, xuv, xvv)
+    }
+
+    /// The mixed derivatives `∂_u^i ∂_v^j X` for the listed `(i, j)`, all
+    /// below `D`: `Σ_a T_a^(i)(u) · (Σ_b c_ab T_b^(j)(v))`, every sum in
+    /// ascending index order with the three components as lanes of one
+    /// accumulator.
+    #[inline]
+    fn jet<const D: usize, const N: usize>(
+        &self,
+        u: f64,
+        v: f64,
+        orders: [(usize, usize); N],
+    ) -> [Vec3; N] {
+        let tu = chebyshev_table::<D>(self.q, u);
+        let tv = chebyshev_table::<D>(self.q, v);
+        let mut out = [[0.0; 4]; N];
+        for (ta, row) in tu.iter().zip(self.coef.chunks_exact(self.q)) {
+            let mut inner = [[0.0; 4]; D];
+            for (coef, tb) in row.iter().zip(&tv) {
+                for d in 0..D {
+                    for c in 0..4 {
+                        inner[d][c] += coef[c] * tb[d];
+                    }
                 }
-                acc[0] += ta * i0;
-                acc[1] += da * i0;
-                acc[2] += ta * i1;
-                acc[3] += dda * i0;
-                acc[4] += da * i1;
-                acc[5] += ta * i2;
             }
-            for k in 0..6 {
-                out[k][c] = acc[k];
+            for (o, &(i, j)) in out.iter_mut().zip(&orders) {
+                for c in 0..4 {
+                    o[c] += ta[i] * inner[j][c];
+                }
             }
         }
-        (out[0], out[1], out[2], out[3], out[4], out[5])
+        out.map(|o| Vec3::new(o[0], o[1], o[2]))
     }
 
     /// Outward-oriented normal direction `X_u × X_v` (not normalized).
@@ -175,9 +175,11 @@ impl PolyPatch {
         ]
     }
 
-    /// Axis-aligned bounding box from a dense sample (conservative enough
-    /// for candidate search when inflated by the caller).
+    /// Axis-aligned box of an `n × n` equispaced sample (`n ≥ 2`). Sampled,
+    /// not enclosing: the surface may bulge out of it between samples — the
+    /// box that provably contains the patch is [`Self::hull`].
     pub fn bounding_box(&self, n: usize) -> Aabb {
+        assert!(n >= 2, "PolyPatch::bounding_box: need n >= 2 samples");
         let mut b = Aabb::EMPTY;
         for j in 0..n {
             let v = -1.0 + 2.0 * j as f64 / (n - 1) as f64;
@@ -187,6 +189,41 @@ impl PolyPatch {
             }
         }
         b
+    }
+
+    /// Enclosing box read off the Chebyshev coefficients: `|T_a T_b| ≤ 1` on
+    /// the parameter square, so component `c` stays within
+    /// `c₀₀ ± Σ_{(a,b)≠(0,0)} |c_ab|`. Padded by `1e-9 Σ|c_ab|`, six orders
+    /// above the rounding of the evaluators, so every point [`Self::eval`]
+    /// can *return* lies inside as well.
+    pub fn hull(&self) -> Aabb {
+        let mut lo = Vec3::ZERO;
+        let mut hi = Vec3::ZERO;
+        for c in 0..3 {
+            let c0 = self.coef[0][c];
+            let rest: f64 = self.coef[1..].iter().map(|k| k[c].abs()).sum();
+            let pad = 1e-9 * (c0.abs() + rest);
+            lo[c] = c0 - rest - pad;
+            hi[c] = c0 + rest + pad;
+        }
+        Aabb::new(lo, hi)
+    }
+
+    /// Hulls of the `k × k` exact [`Self::subpatch`]es (`v`-major): their
+    /// union encloses the patch far more tightly than the single
+    /// [`Self::hull`], whose slack is the patch's own sagitta.
+    pub fn hull_boxes(&self, k: usize) -> Vec<Aabb> {
+        let edge = |i: usize| -1.0 + 2.0 * i as f64 / k as f64;
+        let mut boxes = Vec::with_capacity(k * k);
+        for j in 0..k {
+            for i in 0..k {
+                boxes.push(
+                    self.subpatch(edge(i), edge(i + 1), edge(j), edge(j + 1))
+                        .hull(),
+                );
+            }
+        }
+        boxes
     }
 
     /// Finds the parameter of the closest point on the patch to `x` via
@@ -261,29 +298,6 @@ impl PolyPatch {
         }
         best
     }
-}
-
-/// `T_k`, `T'_k`, `T''_k` at `t`.
-#[inline]
-fn chebyshev_t2(k: usize, t: f64) -> (f64, f64, f64) {
-    let (mut t0, mut t1) = (1.0, t);
-    let (mut d0, mut d1) = (0.0, 1.0);
-    let (mut s0, mut s1) = (0.0, 0.0);
-    if k == 0 {
-        return (t0, d0, s0);
-    }
-    for _ in 1..k {
-        let t2 = 2.0 * t * t1 - t0;
-        let d2 = 2.0 * t1 + 2.0 * t * d1 - d0;
-        let s2 = 4.0 * d1 + 2.0 * t * s1 - s0;
-        t0 = t1;
-        t1 = t2;
-        d0 = d1;
-        d1 = d2;
-        s0 = s1;
-        s1 = s2;
-    }
-    (t1, d1, s1)
 }
 
 /// Interpolation matrix from a patch's `q × q` Clenshaw–Curtis grid to an
@@ -435,6 +449,79 @@ mod tests {
         let bb = patch.bounding_box(12).inflated(1e-3);
         for &(u, v) in &[(0.1, 0.9), (-0.7, -0.7), (0.99, -0.99)] {
             assert!(bb.contains(patch.eval(u, v)));
+        }
+        // the coefficient hull encloses without inflation, and so do the
+        // subpatch hulls, which are tighter
+        let hull = patch.hull();
+        let boxes = patch.hull_boxes(4);
+        assert_eq!(boxes.len(), 16);
+        for j in 0..=40 {
+            for i in 0..=40 {
+                let p = patch.eval(-1.0 + 0.05 * i as f64, -1.0 + 0.05 * j as f64);
+                assert!(hull.contains(p));
+                assert!(boxes.iter().any(|b| b.contains(p)), "({i},{j})");
+            }
+        }
+        let volume = |b: &Aabb| b.extent().x * b.extent().y * b.extent().z;
+        assert!(boxes.iter().map(volume).sum::<f64>() < 0.5 * volume(&hull));
+    }
+
+    #[test]
+    #[should_panic(expected = "n >= 2")]
+    fn bounding_box_rejects_a_single_sample() {
+        PolyPatch::fit(4, &sample_fn(4, curved)).bounding_box(1);
+    }
+
+    /// `T_k`, `T'_k`, `T''_k` at `t`, each from a recurrence of its own
+    /// started at `k = 0`.
+    fn chebyshev_from_scratch(k: usize, t: f64) -> [f64; 3] {
+        let (mut t0, mut t1) = (1.0, t);
+        let (mut d0, mut d1) = (0.0, 1.0);
+        let (mut s0, mut s1) = (0.0, 0.0);
+        if k == 0 {
+            return [t0, d0, s0];
+        }
+        for _ in 1..k {
+            let t2 = 2.0 * t * t1 - t0;
+            let d2 = 2.0 * t1 + 2.0 * t * d1 - d0;
+            let s2 = 4.0 * d1 + 2.0 * t * s1 - s0;
+            (t0, t1, d0, d1, s0, s1) = (t1, t2, d1, d2, s1, s2);
+        }
+        [t1, d1, s1]
+    }
+
+    /// The evaluators keep the arithmetic of the plain nested loops they
+    /// replaced (one component, one row, one dependent sum at a time), bit
+    /// for bit — trajectories and their digests rest on it.
+    #[test]
+    fn jets_are_the_bits_of_the_nested_loops() {
+        for q in [2, 6, 8, 11] {
+            let patch = PolyPatch::fit(q, &sample_fn(q, curved));
+            for &(u, v) in &[(0.3, -0.77), (-1.0, 1.0), (0.0, 0.123456789), (0.999, -0.5)] {
+                let mut want = [Vec3::ZERO; 6]; // x, xu, xv, xuu, xuv, xvv
+                for c in 0..3 {
+                    for a in 0..q {
+                        let [ta, da, dda] = chebyshev_from_scratch(a, u);
+                        let (mut i0, mut i1, mut i2) = (0.0, 0.0, 0.0);
+                        for b in 0..q {
+                            let [tb, db, ddb] = chebyshev_from_scratch(b, v);
+                            i0 += patch.coef[a * q + b][c] * tb;
+                            i1 += patch.coef[a * q + b][c] * db;
+                            i2 += patch.coef[a * q + b][c] * ddb;
+                        }
+                        want[0][c] += ta * i0;
+                        want[1][c] += da * i0;
+                        want[2][c] += ta * i1;
+                        want[3][c] += dda * i0;
+                        want[4][c] += da * i1;
+                        want[5][c] += ta * i2;
+                    }
+                }
+                let (x, xu, xv, xuu, xuv, xvv) = patch.eval_jet2(u, v);
+                assert_eq!([x, xu, xv, xuu, xuv, xvv], want, "q {q} at ({u},{v})");
+                assert_eq!(patch.eval_jet(u, v), (want[0], want[1], want[2]));
+                assert_eq!(patch.eval(u, v), want[0]);
+            }
         }
     }
 }

@@ -3,7 +3,6 @@
 
 use crate::poly::PolyPatch;
 use linalg::{clenshaw_curtis, Aabb, Vec3};
-use rayon::prelude::*;
 
 /// Role of a patch in the flow problem (§5.1: inflow/outflow regions carry
 /// parabolic velocity boundary conditions; walls are no-slip).
@@ -83,12 +82,12 @@ impl BoundarySurface {
     }
 
     /// Builds the coarse quadrature discretization (tensor Clenshaw–Curtis
-    /// per patch, Eq. 3.1), in parallel over patches.
+    /// per patch, Eq. 3.1).
     pub fn quadrature(&self) -> SurfaceQuad {
         let rule = clenshaw_curtis(self.q);
         let per_patch: Vec<(Vec<Vec3>, Vec<Vec3>, Vec<f64>, f64)> = self
             .patches
-            .par_iter()
+            .iter()
             .map(|patch| {
                 let mut pts = Vec::with_capacity(self.q * self.q);
                 let mut nrm = Vec::with_capacity(self.q * self.q);
@@ -172,7 +171,7 @@ impl BoundarySurface {
     /// (the paper uses 22² = 484 equispaced points per patch).
     pub fn collision_grid(&self, m: usize) -> Vec<Vec<Vec3>> {
         self.patches
-            .par_iter()
+            .iter()
             .map(|p| {
                 let mut pts = Vec::with_capacity(m * m);
                 for j in 0..m {
@@ -190,14 +189,15 @@ impl BoundarySurface {
     /// Bounding box of the whole surface (from patch boxes).
     pub fn bounding_box(&self) -> Aabb {
         self.patches
-            .par_iter()
+            .iter()
             .map(|p| p.bounding_box(8))
             .fold(Aabb::EMPTY, Aabb::union)
     }
 
-    /// Per-patch bounding boxes sampled with `n × n` points.
+    /// Per-patch boxes of an `n × n` sample ([`PolyPatch::bounding_box`]:
+    /// sampled, not enclosing).
     pub fn patch_boxes(&self, n: usize) -> Vec<Aabb> {
-        self.patches.par_iter().map(|p| p.bounding_box(n)).collect()
+        self.patches.iter().map(|p| p.bounding_box(n)).collect()
     }
 }
 

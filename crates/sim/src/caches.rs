@@ -69,7 +69,7 @@ fn surface_digest(s: &BoundarySurface) -> u64 {
         }
         w.put_usize(patch.q);
         for c in 0..3 {
-            w.put_f64_slice(&patch.coef[c]);
+            w.put_f64_slice(&patch.component_coefs(c));
         }
     }
     fnv1a64(w.bytes())
@@ -130,8 +130,8 @@ mod tests {
         assert_eq!(cold.patches.len(), a.patches.len());
         for (pa, pc) in a.patches.iter().zip(&cold.patches) {
             for c in 0..3 {
-                let x: Vec<u64> = pa.coef[c].iter().map(|v| v.to_bits()).collect();
-                let y: Vec<u64> = pc.coef[c].iter().map(|v| v.to_bits()).collect();
+                let x: Vec<u64> = pa.component_coefs(c).iter().map(|v| v.to_bits()).collect();
+                let y: Vec<u64> = pc.component_coefs(c).iter().map(|v| v.to_bits()).collect();
                 assert_eq!(x, y, "cached refine differs from cold refine");
             }
         }

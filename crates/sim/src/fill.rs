@@ -10,7 +10,6 @@ use kernels::{direct_eval, LaplaceDL};
 use linalg::Vec3;
 use patch::BoundarySurface;
 use rand::Rng;
-use rayon::prelude::*;
 use sphharm::SphBasis;
 use vesicle::{biconcave_coeffs, rotated_coeffs, Cell, CellParams};
 
@@ -66,13 +65,10 @@ fn interior_with_wall_dist(
         .map(|(p, _)| p)
         .collect();
 
-    let wall_dist: Vec<f64> = {
-        let hits = closest_points(surface, &quad, &inside, 1e9);
-        hits.par_iter()
-            .zip(&inside)
-            .map(|(hit, _)| hit.map(|h| h.dist).unwrap_or(f64::INFINITY))
-            .collect()
-    };
+    let wall_dist: Vec<f64> = closest_points(surface, &quad, &inside, 1e9)
+        .iter()
+        .map(|hit| hit.map(|h| h.dist).unwrap_or(f64::INFINITY))
+        .collect();
     (inside, wall_dist)
 }
 
@@ -85,7 +81,7 @@ fn grow_seeds(surface: &BoundarySurface, candidates: Vec<Vec3>, o: GrowOpts) -> 
     // grow radii: limited by wall distance and half the gap to the nearest
     // neighbour (all seeds grow at the same rate, so the gap splits evenly)
     let seeds: Vec<Seed> = inside
-        .par_iter()
+        .iter()
         .enumerate()
         .filter_map(|(i, &c)| {
             let mut nearest = f64::INFINITY;
@@ -190,32 +186,28 @@ pub fn fill_seeds_packed(surface: &BoundarySurface, h: f64, margin: f64) -> Vec<
     let mut r = vec![0.0f64; n];
     let mut active = vec![true; n];
     // pairwise distances, reused every round
-    let dist: Vec<Vec<f64>> = inside
-        .par_iter()
-        .map(|&c| inside.iter().map(|&o| (o - c).norm()).collect())
-        .collect();
+    let dist: Vec<Vec<f64>> = rayon::par::map_indexed(n, |i| {
+        inside.iter().map(|&o| (o - inside[i]).norm()).collect()
+    });
     while active.iter().any(|&a| a) {
         let prev = r.clone();
-        let next: Vec<(f64, bool)> = (0..n)
-            .into_par_iter()
-            .map(|i| {
-                if !active[i] {
-                    return (prev[i], false);
+        let next: Vec<(f64, bool)> = rayon::par::map_indexed(n, |i| {
+            if !active[i] {
+                return (prev[i], false);
+            }
+            let mut lim = (wall_frac * wall_dist[i]).min(rmax_cap);
+            for j in 0..n {
+                if j != i {
+                    lim = lim.min(0.99 * (dist[i][j] - prev[j]));
                 }
-                let mut lim = (wall_frac * wall_dist[i]).min(rmax_cap);
-                for j in 0..n {
-                    if j != i {
-                        lim = lim.min(0.99 * (dist[i][j] - prev[j]));
-                    }
-                }
-                let grown = (prev[i] + dr).min(lim);
-                if grown <= prev[i] + 1e-12 * r0 {
-                    (prev[i], false) // stuck: freeze at the current radius
-                } else {
-                    (grown, true)
-                }
-            })
-            .collect();
+            }
+            let grown = (prev[i] + dr).min(lim);
+            if grown <= prev[i] + 1e-12 * r0 {
+                (prev[i], false) // stuck: freeze at the current radius
+            } else {
+                (grown, true)
+            }
+        });
         for (i, (ri, ai)) in next.into_iter().enumerate() {
             r[i] = ri;
             active[i] = ai;

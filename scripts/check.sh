@@ -155,7 +155,7 @@ cargo run --release -q -p driver -- batch scenarios/farm_smoke.toml \
     --assert-cache-hits 1
 
 if [ "${CHECK_FAST:-0}" != "1" ]; then
-    echo "== benchmark package (standalone build + train_retry smoke)"
+    echo "== benchmark package (standalone build + its tests + train_retry smoke)"
     # benchmark/ is a package of its own that reaches the simulator through
     # the layer crates' public APIs, so a change to one of those breaks it
     # without the workspace build noticing: build it here and run its
@@ -163,6 +163,10 @@ if [ "${CHECK_FAST:-0}" != "1" ]; then
     # correctness gate included (an incorrect run still exits 0, so the
     # verdict is read off its result line)
     cargo build --release --offline --manifest-path benchmark/Cargo.toml
+    # its own unit tests (~30 s, the --smoke path over all four workloads
+    # among them): a layer-crate API change that breaks them fails here,
+    # not in the next performance PR
+    cargo test --release --offline --manifest-path benchmark/Cargo.toml
     BENCH_RESULT=$(cargo run --release --quiet --offline \
         --manifest-path benchmark/Cargo.toml -- \
         --workload train_retry --smoke --trace 0 | tail -n 1)
