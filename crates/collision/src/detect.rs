@@ -31,7 +31,6 @@
 use crate::mesh::{barycentric, closest_point_on_triangle, TriMesh};
 use linalg::{Aabb, Vec3};
 use octree::{box_box_candidates_self, mean_diagonal_spacing, SpatialHash};
-use rayon::prelude::*;
 use std::collections::HashMap;
 
 /// A single vertex–triangle interaction inside a contact.
@@ -139,14 +138,10 @@ pub fn detect_contacts(
 ) -> Vec<Contact> {
     assert_eq!(meshes.len(), obj_of.len());
     // 1. space-time boxes + candidate mesh pairs
-    let boxes: Vec<Aabb> = meshes
-        .par_iter()
-        .enumerate()
-        .map(|(i, m)| match start {
-            Some(s) => m.space_time_box(&s[i], opts.delta),
-            None => m.bounding_box().inflated(opts.delta),
-        })
-        .collect();
+    let boxes: Vec<Aabb> = rayon::par::map_indexed(meshes.len(), |i| match start {
+        Some(s) => meshes[i].space_time_box(&s[i], opts.delta),
+        None => meshes[i].bounding_box().inflated(opts.delta),
+    });
     let grid = SpatialHash::new(mean_diagonal_spacing(&boxes).max(opts.delta), Vec3::ZERO);
     let mesh_pairs: Vec<(u32, u32)> = box_box_candidates_self(&boxes, &grid)
         .into_iter()
@@ -161,13 +156,14 @@ pub fn detect_contacts(
 
     // canonical order: by object pair, then (vert_mesh, vert, tri_mesh,
     // tri). Both broad phases and any parallel split then accumulate V and
-    // the gradients in the same floating-point order.
+    // the gradients in the same floating-point order (a pair is emitted
+    // once, so the keys are unique and an unstable sort is deterministic).
     let pair_objs = |p: &ContactPair| {
         let oa = obj_of[p.vert_mesh as usize];
         let ob = obj_of[p.tri_mesh as usize];
         (oa.min(ob), oa.max(ob))
     };
-    raw.par_sort_unstable_by_key(|p| (pair_objs(p), p.vert_mesh, p.vert, p.tri_mesh, p.tri));
+    raw.sort_unstable_by_key(|p| (pair_objs(p), p.vert_mesh, p.vert, p.tri_mesh, p.tri));
 
     // group into contacts by scanning runs of equal object pairs
     let mut contacts: Vec<Contact> = Vec::new();
@@ -227,6 +223,14 @@ fn try_pair(
     }
 }
 
+/// Runs `f(mesh)` for every listed mesh across the worker threads and
+/// concatenates the results in list order, so the output is the same at any
+/// thread count.
+fn per_mesh<T: Send>(meshes: &[u32], f: impl Fn(u32) -> Vec<T> + Sync) -> Vec<T> {
+    let parts = rayon::par::map_indexed(meshes.len(), |i| f(meshes[i]));
+    parts.into_iter().flatten().collect()
+}
+
 /// Output-sensitive narrow phase: one uniform grid over every mesh that
 /// appears in a candidate pair. Vertices are binned into their cell (one
 /// entry each); each triangle enumerates the cells its δ-inflated AABB
@@ -268,18 +272,16 @@ fn grid_pairs(
     // mid-transient; a mean — let alone a max — would inflate the grid
     // cell until every vertex lands in one bin and the narrow phase goes
     // quadratic)
-    let mut edges: Vec<f64> = active
-        .par_iter()
-        .flat_map_iter(|&mi| {
-            let m = &meshes[mi as usize];
-            m.tris.iter().flat_map(move |t| {
-                let a = m.verts[t[0] as usize];
-                let b = m.verts[t[1] as usize];
-                let c = m.verts[t[2] as usize];
-                [(a - b).norm(), (b - c).norm(), (c - a).norm()]
-            })
-        })
-        .collect();
+    let mut edges: Vec<f64> = per_mesh(&active, |mi| {
+        let m = &meshes[mi as usize];
+        let edges = |t: &[u32; 3]| {
+            let a = m.verts[t[0] as usize];
+            let b = m.verts[t[1] as usize];
+            let c = m.verts[t[2] as usize];
+            [(a - b).norm(), (b - c).norm(), (c - a).norm()]
+        };
+        m.tris.iter().flat_map(edges).collect()
+    });
     let median_edge = if edges.is_empty() {
         0.0
     } else {
@@ -300,21 +302,16 @@ fn grid_pairs(
         mesh: u32,
         vert: u32,
     }
-    let mut verts: Vec<VertEntry> = active
-        .par_iter()
-        .flat_map_iter(|&mi| {
-            meshes[mi as usize]
-                .verts
-                .iter()
-                .enumerate()
-                .map(move |(vi, &p)| VertEntry {
-                    cell: grid.cell_of(p),
-                    mesh: mi,
-                    vert: vi as u32,
-                })
-        })
-        .collect();
-    verts.par_sort_unstable_by_key(|e| (e.cell, e.mesh, e.vert));
+    let mut verts: Vec<VertEntry> = per_mesh(&active, |mi| {
+        let entry = |(vi, &p): (usize, &Vec3)| VertEntry {
+            cell: grid.cell_of(p),
+            mesh: mi,
+            vert: vi as u32,
+        };
+        let verts = &meshes[mi as usize].verts;
+        verts.iter().enumerate().map(entry).collect()
+    });
+    verts.sort_unstable_by_key(|e| (e.cell, e.mesh, e.vert));
     // run = the vertices of one occupied cell; `cells` looks runs up by
     // cell for the enumeration path, `runs` keeps them in cell order with
     // their cell boxes for the capped-triangle fallback below
@@ -353,97 +350,94 @@ fn grid_pairs(
     const CELL_CAP: f64 = 256.0;
 
     // per triangle: gather the vertices of every overlapped cell
-    active
-        .par_iter()
-        .flat_map_iter(|&mi| {
-            let m = &meshes[mi as usize];
-            let obj = obj_of[mi as usize];
-            let mut out = Vec::new();
-            for (ti, t) in m.tris.iter().enumerate() {
-                let (ta, tb, tc) = (
-                    m.verts[t[0] as usize],
-                    m.verts[t[1] as usize],
-                    m.verts[t[2] as usize],
-                );
-                // every broad-phase reject below uses this box, inflated a
-                // hair past δ: the extra margin absorbs the rounding of
-                // `min − δ` and of the reconstructed run boxes, so no pair
-                // whose exact test would pass (d < δ, to within an ulp)
-                // can be discarded — only try_pair decides membership, and
-                // the result set stays identical to brute force
-                let coord_scale = [ta, tb, tc]
-                    .iter()
-                    .flat_map(|p| [p.x.abs(), p.y.abs(), p.z.abs()])
-                    .fold(1.0, f64::max);
-                let eps = 1e-9 * (delta + coord_scale);
-                let b = Aabb::from_points([ta, tb, tc]).inflated(delta + eps);
-                let (x0, y0, z0) = grid.cell_of(b.lo);
-                let (x1, y1, z1) = grid.cell_of(b.hi);
-                // in f64: a blown-up triangle's box can span enough cells
-                // to overflow any integer product
-                let span = (x1 as f64 - x0 as f64 + 1.0)
-                    * (y1 as f64 - y0 as f64 + 1.0)
-                    * (z1 as f64 - z0 as f64 + 1.0);
-                let test = |v: &VertEntry, out: &mut Vec<ContactPair>| {
-                    if obj_of[v.mesh as usize] == obj {
-                        return;
-                    }
-                    // cheap reject: outside the margined box ⇒ farther
-                    // than δ from the triangle
-                    if !b.contains(meshes[v.mesh as usize].verts[v.vert as usize]) {
-                        return;
-                    }
-                    if let Some(p) = try_pair(meshes, v.mesh, v.vert, mi, ti as u32, delta) {
-                        out.push(p);
-                    }
-                };
-                if span <= CELL_CAP {
-                    for z in z0..=z1 {
-                        for y in y0..=y1 {
-                            for x in x0..=x1 {
-                                let Some(&ri) = cells.get(&(x, y, z)) else {
-                                    continue;
-                                };
-                                let run = &runs[ri as usize];
-                                for v in &verts[run.start as usize..run.end as usize] {
-                                    test(v, &mut out);
-                                }
-                            }
-                        }
-                    }
-                } else {
-                    let n = (tb - ta).cross(tc - ta);
-                    let nn = n.norm();
-                    for run in &runs {
-                        if run.hi.x < b.lo.x
-                            || run.lo.x > b.hi.x
-                            || run.hi.y < b.lo.y
-                            || run.lo.y > b.hi.y
-                            || run.hi.z < b.lo.z
-                            || run.lo.z > b.hi.z
-                        {
-                            continue;
-                        }
-                        if nn > 1e-300 {
-                            // slab reject: the whole cell is farther than δ
-                            // (plus the rounding margin) from the plane
-                            let center = (run.lo + run.hi) * 0.5;
-                            let half = 0.5 * grid.h;
-                            let dist = n.dot(center - ta).abs() / nn;
-                            let radius = half * (n.x.abs() + n.y.abs() + n.z.abs()) / nn;
-                            if dist - radius > delta + eps {
+    per_mesh(&active, |mi| {
+        let m = &meshes[mi as usize];
+        let obj = obj_of[mi as usize];
+        let mut out = Vec::new();
+        for (ti, t) in m.tris.iter().enumerate() {
+            let (ta, tb, tc) = (
+                m.verts[t[0] as usize],
+                m.verts[t[1] as usize],
+                m.verts[t[2] as usize],
+            );
+            // every broad-phase reject below uses this box, inflated a
+            // hair past δ: the extra margin absorbs the rounding of
+            // `min − δ` and of the reconstructed run boxes, so no pair
+            // whose exact test would pass (d < δ, to within an ulp)
+            // can be discarded — only try_pair decides membership, and
+            // the result set stays identical to brute force
+            let coord_scale = [ta, tb, tc]
+                .iter()
+                .flat_map(|p| [p.x.abs(), p.y.abs(), p.z.abs()])
+                .fold(1.0, f64::max);
+            let eps = 1e-9 * (delta + coord_scale);
+            let b = Aabb::from_points([ta, tb, tc]).inflated(delta + eps);
+            let (x0, y0, z0) = grid.cell_of(b.lo);
+            let (x1, y1, z1) = grid.cell_of(b.hi);
+            // in f64: a blown-up triangle's box can span enough cells
+            // to overflow any integer product
+            let span = (x1 as f64 - x0 as f64 + 1.0)
+                * (y1 as f64 - y0 as f64 + 1.0)
+                * (z1 as f64 - z0 as f64 + 1.0);
+            let test = |v: &VertEntry, out: &mut Vec<ContactPair>| {
+                if obj_of[v.mesh as usize] == obj {
+                    return;
+                }
+                // cheap reject: outside the margined box ⇒ farther
+                // than δ from the triangle
+                if !b.contains(meshes[v.mesh as usize].verts[v.vert as usize]) {
+                    return;
+                }
+                if let Some(p) = try_pair(meshes, v.mesh, v.vert, mi, ti as u32, delta) {
+                    out.push(p);
+                }
+            };
+            if span <= CELL_CAP {
+                for z in z0..=z1 {
+                    for y in y0..=y1 {
+                        for x in x0..=x1 {
+                            let Some(&ri) = cells.get(&(x, y, z)) else {
                                 continue;
+                            };
+                            let run = &runs[ri as usize];
+                            for v in &verts[run.start as usize..run.end as usize] {
+                                test(v, &mut out);
                             }
-                        }
-                        for v in &verts[run.start as usize..run.end as usize] {
-                            test(v, &mut out);
                         }
                     }
                 }
+            } else {
+                let n = (tb - ta).cross(tc - ta);
+                let nn = n.norm();
+                for run in &runs {
+                    if run.hi.x < b.lo.x
+                        || run.lo.x > b.hi.x
+                        || run.hi.y < b.lo.y
+                        || run.lo.y > b.hi.y
+                        || run.hi.z < b.lo.z
+                        || run.lo.z > b.hi.z
+                    {
+                        continue;
+                    }
+                    if nn > 1e-300 {
+                        // slab reject: the whole cell is farther than δ
+                        // (plus the rounding margin) from the plane
+                        let center = (run.lo + run.hi) * 0.5;
+                        let half = 0.5 * grid.h;
+                        let dist = n.dot(center - ta).abs() / nn;
+                        let radius = half * (n.x.abs() + n.y.abs() + n.z.abs()) / nn;
+                        if dist - radius > delta + eps {
+                            continue;
+                        }
+                    }
+                    for v in &verts[run.start as usize..run.end as usize] {
+                        test(v, &mut out);
+                    }
+                }
             }
-            out.into_iter()
-        })
-        .collect()
+        }
+        out
+    })
 }
 
 /// Reference narrow phase: every vertex of each candidate mesh pair against
@@ -453,22 +447,17 @@ fn brute_force_pairs(
     mesh_pairs: &[(u32, u32)],
     delta: f64,
 ) -> Vec<ContactPair> {
-    mesh_pairs
-        .par_iter()
-        .flat_map_iter(|&(ma, mb)| {
-            let mut out = Vec::new();
-            for (mv, mt) in [(ma, mb), (mb, ma)] {
-                for vi in 0..meshes[mv as usize].verts.len() as u32 {
-                    for ti in 0..meshes[mt as usize].tris.len() as u32 {
-                        if let Some(p) = try_pair(meshes, mv, vi, mt, ti, delta) {
-                            out.push(p);
-                        }
-                    }
+    let mut out = Vec::new();
+    for &(ma, mb) in mesh_pairs {
+        for (mv, mt) in [(ma, mb), (mb, ma)] {
+            for vi in 0..meshes[mv as usize].verts.len() as u32 {
+                for ti in 0..meshes[mt as usize].tris.len() as u32 {
+                    out.extend(try_pair(meshes, mv, vi, mt, ti, delta));
                 }
             }
-            out.into_iter()
-        })
-        .collect()
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -605,6 +594,35 @@ mod tests {
         )
     }
 
+    /// A jittered cluster of `n` spheres with centres in `[-spread, spread)³`,
+    /// deliberately overlapping.
+    fn sphere_cluster(rng: &mut StdRng, n: usize, spread: f64) -> Vec<TriMesh> {
+        (0..n)
+            .map(|_| {
+                let c = Vec3::new(
+                    rng.random_range(-spread..spread),
+                    rng.random_range(-spread..spread),
+                    rng.random_range(-spread..spread),
+                );
+                sphere(c, rng.random_range(0.5..0.8), 7, 12)
+            })
+            .collect()
+    }
+
+    /// Six healthy spheres plus one stretched by orders of magnitude (mesh 6).
+    fn cluster_with_blown_up_mesh() -> Vec<TriMesh> {
+        let mut meshes = sphere_cluster(&mut StdRng::seed_from_u64(4), 6, 1.0);
+        let base = sphere(Vec3::ZERO, 0.6, 7, 12);
+        // anisotropic blow-up: huge, thin triangles crossing the cluster
+        let verts: Vec<Vec3> = base
+            .verts
+            .iter()
+            .map(|&v| Vec3::new(v.x * 800.0, v.y * 600.0, v.z * 0.7))
+            .collect();
+        meshes.push(base.with_positions(verts));
+        meshes
+    }
+
     /// Exact bit-equality of two contact lists (values, pair sets, order).
     fn assert_contacts_identical(a: &[Contact], b: &[Contact]) {
         assert_eq!(a.len(), b.len(), "contact count differs");
@@ -627,6 +645,13 @@ mod tests {
                 );
                 assert_eq!(p.gap.to_bits(), q.gap.to_bits());
                 assert_eq!(p.weight.to_bits(), q.weight.to_bits());
+                let bits = |v: Vec3| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()];
+                assert_eq!(bits(p.dir), bits(q.dir));
+                let (pb, qb) = (p.bary, q.bary);
+                assert_eq!(
+                    bits(Vec3::new(pb.0, pb.1, pb.2)),
+                    bits(Vec3::new(qb.0, qb.1, qb.2))
+                );
             }
         }
     }
@@ -635,18 +660,8 @@ mod tests {
     fn grid_matches_brute_force_on_random_dense_packings() {
         let mut rng = StdRng::seed_from_u64(99);
         for trial in 0..5 {
-            // jittered cluster of spheres, deliberately overlapping
             let n = 8 + trial;
-            let meshes: Vec<TriMesh> = (0..n)
-                .map(|_| {
-                    let c = Vec3::new(
-                        rng.random_range(-1.2..1.2),
-                        rng.random_range(-1.2..1.2),
-                        rng.random_range(-1.2..1.2),
-                    );
-                    sphere(c, rng.random_range(0.5..0.8), 7, 12)
-                })
-                .collect();
+            let meshes = sphere_cluster(&mut rng, n, 1.2);
             let obj_of: Vec<u32> = (0..n as u32).collect();
             let delta = 0.08;
             let grid = detect_contacts(
@@ -682,28 +697,7 @@ mod tests {
         // magnitude so its triangles overflow the cell-enumeration cap and
         // take the occupied-cell-run fallback; the healthy cluster keeps
         // the grid cell size sane (median sizing)
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut meshes: Vec<TriMesh> = (0..6)
-            .map(|_| {
-                let c = Vec3::new(
-                    rng.random_range(-1.0..1.0),
-                    rng.random_range(-1.0..1.0),
-                    rng.random_range(-1.0..1.0),
-                );
-                sphere(c, rng.random_range(0.5..0.8), 7, 12)
-            })
-            .collect();
-        let monster = {
-            let base = sphere(Vec3::ZERO, 0.6, 7, 12);
-            // anisotropic blow-up: huge, thin triangles crossing the cluster
-            let verts: Vec<Vec3> = base
-                .verts
-                .iter()
-                .map(|&v| Vec3::new(v.x * 800.0, v.y * 600.0, v.z * 0.7))
-                .collect();
-            base.with_positions(verts)
-        };
-        meshes.push(monster);
+        let meshes = cluster_with_blown_up_mesh();
         let obj_of: Vec<u32> = (0..meshes.len() as u32).collect();
         let delta = 0.08;
         let grid = detect_contacts(
@@ -729,6 +723,27 @@ mod tests {
             "monster mesh produced no contacts; the fallback path is untested"
         );
         assert_contacts_identical(&grid, &brute);
+    }
+
+    #[test]
+    fn contacts_identical_at_any_thread_count() {
+        // the per-mesh loops run on the worker pool: their concatenation in
+        // mesh order plus the canonical sort must make the result
+        // independent of how the work was split
+        let fixtures = [
+            sphere_cluster(&mut StdRng::seed_from_u64(99), 12, 1.2),
+            cluster_with_blown_up_mesh(),
+        ];
+        for meshes in fixtures {
+            let obj_of: Vec<u32> = (0..meshes.len() as u32).collect();
+            let detect = || detect_contacts(&meshes, None, &obj_of, DetectOptions::new(0.08));
+            let serial = rayon::par::with_override(1, detect);
+            assert!(serial.len() >= 3, "fixture produced too few contacts");
+            for threads in [2, 4] {
+                let parallel = rayon::par::with_override(threads, detect);
+                assert_contacts_identical(&serial, &parallel);
+            }
+        }
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! The minimum-map reformulation solves `H(λ) = min(λ, Bλ + q) = 0`
 //! (componentwise) by a semismooth Newton method; each Newton system is
 //! solved matrix-free with GMRES, so only `B`-matvecs are needed — in the
-//! simulation these are sparse accumulations over shared cells, stored in a
-//! concurrent hash-map (see `assemble`).
+//! simulation `B` couples the contacts that share a cell and is assembled
+//! once per linearization into a `linalg::CsrMatrix` (see `ncp`'s
+//! `assemble_b`), whose matvec the solver is handed.
 
 use linalg::{gmres, FnOperator, GmresOptions};
 

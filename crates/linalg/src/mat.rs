@@ -461,6 +461,39 @@ mod tests {
         }
     }
 
+    /// Short-and-wide products (the cell self-operator's batched applies:
+    /// a few force columns as rows of `A` against a long `B`) land on the
+    /// register tiles for whole four-row bands and on the axpy edge for the
+    /// rest. With `alpha = 1` into a zero `C` both must give, bit for bit,
+    /// the sequential dot — signed zeros in `A` (which the edge skips)
+    /// included.
+    #[test]
+    fn short_wide_matmul_is_the_sequential_dot_bitwise() {
+        let k = 301;
+        for m in [1, 2, 3, 5] {
+            for n in [432, 544] {
+                let a = Mat::from_fn(m, k, |i, l| match (i + l) % 7 {
+                    0 => 0.0,
+                    3 => -0.0,
+                    _ => ((i * k + l) as f64 * 0.37).sin(),
+                });
+                let b = Mat::from_fn(k, n, |l, j| ((l * n + j) as f64 * 0.11).cos() * 1e-3);
+                let c = a.matmul(&b);
+                let bt = b.transpose();
+                for i in 0..m {
+                    let want = bt.matvec(a.row(i));
+                    for j in 0..n {
+                        assert_eq!(
+                            c[(i, j)].to_bits(),
+                            want[j].to_bits(),
+                            "m = {m}, n = {n}, entry ({i}, {j})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn matvec_acc_accumulates() {
         let a = Mat::identity(3);

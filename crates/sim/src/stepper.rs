@@ -13,7 +13,7 @@ use kernels::{direct_eval_serial, StokesEquiv, StokesSL};
 use linalg::{Mat, Vec3};
 use sphharm::SphBasis;
 use vesicle::{
-    implicit_substep_chain, step_health, upsample_matrix, Cell, CellHealth, SelfInteraction,
+    implicit_substep_chain, step_health, upsample_matrix_t, Cell, CellHealth, SelfInteraction,
     StepOptions, SurfaceGeometry,
 };
 
@@ -260,7 +260,8 @@ struct Attempt {
 
 struct CellMobility<'a> {
     selfops: &'a [SelfInteraction],
-    up: &'a Mat,
+    /// Transposed collision-grid upsampling matrix `Uᵀ` (coarse × fine).
+    up_t: &'a Mat,
     dt: f64,
     n_cells: usize,
     n_coarse: usize,
@@ -278,10 +279,11 @@ impl Mobility for CellMobility<'_> {
             .expect("apply_many returns one column per force column")
     }
     /// The batched path the NCP assembly drives: all contact-force columns
-    /// touching one cell are packed into matrices so the three linear
-    /// stages — Uᵀ force restriction, the self-interaction velocity
-    /// response, and the Δt·U displacement prolongation — each run as one
-    /// GEMM per linearization instead of one matvec chain per contact.
+    /// touching one cell are packed into matrices so the two dense stages
+    /// — the self-interaction velocity response and the Δt·U displacement
+    /// prolongation — each run as one GEMM per linearization instead of
+    /// one matvec chain per contact. A column's result does not depend on
+    /// its batch-mates (pinned bitwise in this module's tests).
     fn apply_many(&self, mesh: u32, forces: &[&[(u32, Vec3)]], nverts: usize) -> Vec<Vec<Vec3>> {
         let mi = mesh as usize;
         let k = forces.len();
@@ -302,7 +304,7 @@ impl Mobility for CellMobility<'_> {
                     continue;
                 }
                 for j in 0..nc {
-                    let u = self.up[(v, j)];
+                    let u = self.up_t[(j, v)];
                     if u != 0.0 {
                         coarse_f[(3 * j, col)] += u * f.x;
                         coarse_f[(3 * j + 1, col)] += u * f.y;
@@ -313,23 +315,28 @@ impl Mobility for CellMobility<'_> {
         }
         // velocity response through the cell's singular self-interaction
         let vel = self.selfops[mi].apply_many(&coarse_f);
-        // displacement at fine vertices: Δt · U · v, per component
-        let mut out = vec![vec![Vec3::ZERO; nverts]; k];
-        let mut comp = Mat::zeros(nc, k);
-        for c in 0..3 {
-            for j in 0..nc {
-                for col in 0..k {
-                    comp[(j, col)] = vel[(3 * j + c, col)];
-                }
-            }
-            let fine = self.up.matmul(&comp);
-            for (col, ocol) in out.iter_mut().enumerate() {
-                for v in 0..nf {
-                    ocol[v][c] = self.dt * fine[(v, col)];
+        // displacement at fine vertices: Δt · U · v as vᵀ · Uᵀ, one GEMM row
+        // per (component, column) — row c·K + col — so the inner loops run
+        // along the fine grid however few columns there are
+        let mut comp = Mat::zeros(3 * k, nc);
+        for j in 0..nc {
+            for c in 0..3 {
+                for (col, &v) in vel.row(3 * j + c).iter().enumerate() {
+                    comp[(c * k + col, j)] = v;
                 }
             }
         }
-        // pole vertices follow the nearest ring's mean displacement
+        let fine = comp.matmul(self.up_t);
+        let mut out = vec![vec![Vec3::ZERO; nverts]; k];
+        for (col, ocol) in out.iter_mut().enumerate() {
+            for c in 0..3 {
+                for (o, &d) in ocol.iter_mut().zip(fine.row(c * k + col)) {
+                    o[c] = self.dt * d;
+                }
+            }
+        }
+        // each pole vertex copies the displacement of one vertex of its
+        // nearest ring (the first, resp. last, fine grid vertex)
         if nverts >= nf + 2 {
             for ocol in &mut out {
                 ocol[nf] = ocol[0];
@@ -764,7 +771,7 @@ impl Simulation {
         if !self.config.disable_collisions {
             let ((corrected, res), t_col) = timed(|| {
                 let pu = basis.p * self.config.col_upsample;
-                let up = upsample_matrix(basis.p, pu);
+                let up_t = upsample_matrix_t(basis.p, pu);
                 let bu = SphBasis::new(pu);
                 let nf = bu.grid_size();
                 // build meshes at start positions; end positions from the
@@ -780,7 +787,7 @@ impl Simulation {
                         for j in 0..n {
                             comp[j] = coarse[j][c];
                         }
-                        let f = up.matvec(&comp);
+                        let f = up_t.matvec_t(&comp);
                         for v in 0..nf {
                             out[v][c] = f[v];
                         }
@@ -813,7 +820,7 @@ impl Simulation {
                 }
                 let mobility = CellMobility {
                     selfops,
-                    up: &up,
+                    up_t: &up_t,
                     dt,
                     n_cells: nc,
                     n_coarse: n,
@@ -1154,5 +1161,96 @@ mod tests {
         sim.step();
         let st = sim.last_stats;
         assert_eq!((st.wall_fmm_builds, st.wall_fmm_replans), (0, 1));
+    }
+
+    /// The NCP loop drives `CellMobility::apply_many` with however many
+    /// contact columns touch a cell. Whatever the batch size — one GEMM
+    /// edge row, or 27 rows across tiles and edge — each column must be,
+    /// bit for bit, the row-major chain it replaced: restriction by `Uᵀ`,
+    /// `SelfInteraction::apply`, `Δt·U` as sequential dots, poles copied.
+    #[test]
+    fn cell_mobility_batches_match_the_row_major_chain_bitwise() {
+        let basis = SphBasis::new(6);
+        let cells: Vec<Cell> = [Vec3::ZERO, Vec3::new(2.1, 0.3, -0.2)]
+            .into_iter()
+            .map(|c| {
+                Cell::new(
+                    &basis,
+                    biconcave_coeffs(&basis, 1.0, c),
+                    CellParams::default(),
+                )
+            })
+            .collect();
+        let selfops: Vec<SelfInteraction> =
+            cells.iter().map(|c| c.self_interaction(&basis)).collect();
+        let up_t = upsample_matrix_t(basis.p, 2 * basis.p);
+        let (nc, nf) = (up_t.rows(), up_t.cols());
+        let dt = 0.02;
+        let mobility = CellMobility {
+            selfops: &selfops,
+            up_t: &up_t,
+            dt,
+            n_cells: 2,
+            n_coarse: nc,
+            n_fine_grid: nf,
+        };
+        let nverts = nf + 2;
+        // sparse contact-force columns: a few fine vertices each, signed
+        // zeros included, plus a pole vertex (dropped by the restriction)
+        let columns: Vec<Vec<(u32, Vec3)>> = (0..9)
+            .map(|col| {
+                let mut f: Vec<(u32, Vec3)> = (0..3 + col)
+                    .map(|e| {
+                        let v = (col * 37 + e * 11) % nf;
+                        let x = ((col * 5 + e) as f64 * 0.7).sin();
+                        (v as u32, Vec3::new(x, -0.0, 0.3 - x))
+                    })
+                    .collect();
+                f.push((nf as u32 + (col % 2) as u32, Vec3::new(1.0, 2.0, 3.0)));
+                f
+            })
+            .collect();
+
+        let up = up_t.transpose();
+        let reference = |mesh: usize, force: &[(u32, Vec3)]| -> Vec<Vec3> {
+            let mut coarse = vec![0.0; 3 * nc];
+            for &(v, f) in force.iter().filter(|(v, _)| (*v as usize) < nf) {
+                for j in 0..nc {
+                    let u = up[(v as usize, j)];
+                    if u != 0.0 {
+                        coarse[3 * j] += u * f.x;
+                        coarse[3 * j + 1] += u * f.y;
+                        coarse[3 * j + 2] += u * f.z;
+                    }
+                }
+            }
+            let vel = selfops[mesh].apply(&coarse);
+            let mut out = vec![Vec3::ZERO; nverts];
+            for c in 0..3 {
+                let comp: Vec<f64> = (0..nc).map(|j| vel[3 * j + c]).collect();
+                for (v, d) in up.matvec(&comp).into_iter().enumerate() {
+                    out[v][c] = dt * d;
+                }
+            }
+            out[nf] = out[0];
+            out[nf + 1] = out[nf - 1];
+            out
+        };
+        let bits = |d: &[Vec3]| -> Vec<[u64; 3]> {
+            d.iter()
+                .map(|v| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()])
+                .collect()
+        };
+        for mesh in 0..2 {
+            let want: Vec<Vec<Vec3>> = columns.iter().map(|f| reference(mesh, f)).collect();
+            for k in [1, 9] {
+                let batch: Vec<&[(u32, Vec3)]> = columns[..k].iter().map(Vec::as_slice).collect();
+                let got = mobility.apply_many(mesh as u32, &batch, nverts);
+                assert_eq!(got.len(), k);
+                for (col, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(bits(g), bits(w), "mesh {mesh}, K = {k}, column {col}");
+                }
+            }
+        }
     }
 }

@@ -25,7 +25,7 @@ pub use cell::{
     CellHealth, CellParams, StepOptions,
 };
 pub use geometry::{surface_geometry, SurfaceGeometry};
-pub use selfop::{upsample_matrix, SelfInteraction, SelfOpOptions};
+pub use selfop::{upsample_matrix_t, SelfInteraction, SelfOpOptions};
 pub use shape::{
     biconcave_coeffs, bumpy_sphere_coeffs, rotated_coeffs, shape_from_radial, sphere_coeffs,
 };

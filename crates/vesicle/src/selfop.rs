@@ -11,11 +11,9 @@
 //! per time step, so the many applications inside the implicit solve and
 //! the LCP assembly are dense matvecs (MKL-style BLAS work in the paper).
 
-use crate::geometry::surface_geometry;
-use kernels::stokeslet_matrix;
-use linalg::{checkpoint_extrapolation_weights, Mat};
+use crate::geometry::{surface_geometry, SurfaceGeometry};
+use linalg::{checkpoint_extrapolation_weights, Mat, Vec3};
 use parking_lot::Mutex;
-use rayon::prelude::*;
 use sphharm::{SphBasis, SphCoeffs};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -45,13 +43,20 @@ impl Default for SelfOpOptions {
     }
 }
 
-/// Process-wide cache of the (geometry-independent) spectral upsampling
-/// matrices `p → p_up` (grid values to grid values, one scalar component).
-static UPSAMPLE_CACHE: Mutex<Option<HashMap<(usize, usize), Arc<Mat>>>> = Mutex::new(None);
+/// Process-wide cache of the (geometry-independent) transposed spectral
+/// upsampling matrices `p → p_up`, see [`upsample_matrix_t`].
+static UPSAMPLE_CACHE: Mutex<Option<UpsampleCache>> = Mutex::new(None);
+/// `(p, p_up)` → `Uᵀ`.
+type UpsampleCache = HashMap<(usize, usize), Arc<Mat>>;
 
-/// Returns the dense grid-to-grid spectral upsampling matrix from order `p`
-/// to order `pu` (zero-padding in coefficient space).
-pub fn upsample_matrix(p: usize, pu: usize) -> Arc<Mat> {
+/// Returns the *transpose* `Uᵀ` (`N × N_up`, coarse index major) of the
+/// dense grid-to-grid spectral upsampling matrix from order `p` to order
+/// `pu` (zero-padding in coefficient space, one scalar component).
+///
+/// Stored transposed so that every consumer runs along the contiguous fine
+/// dimension: `U x` is `Uᵀ.matvec_t(x)`, a batch `U X` is `Xᵀ · Uᵀ` with
+/// the columns of `X` as GEMM rows.
+pub fn upsample_matrix_t(p: usize, pu: usize) -> Arc<Mat> {
     let key = (p, pu);
     let mut guard = UPSAMPLE_CACHE.lock();
     let map = guard.get_or_insert_with(HashMap::new);
@@ -61,36 +66,101 @@ pub fn upsample_matrix(p: usize, pu: usize) -> Arc<Mat> {
     let bp = SphBasis::new(p);
     let bu = SphBasis::new(pu);
     let n = bp.grid_size();
-    let nu = bu.grid_size();
-    let mut m = Mat::zeros(nu, n);
-    // columns: unit impulses at coarse grid nodes
-    let cols: Vec<Vec<f64>> = (0..n)
-        .into_par_iter()
-        .map(|j| {
-            let mut e = vec![0.0; n];
-            e[j] = 1.0;
-            let c = bp.analyze(&e).resampled(pu);
-            bu.synthesize(&c, sphharm::Deriv::None)
-        })
-        .collect();
-    for (j, col) in cols.iter().enumerate() {
-        for i in 0..nu {
-            m[(i, j)] = col[i];
-        }
+    let mut m = Mat::zeros(n, bu.grid_size());
+    // rows of Uᵀ: the upsampled unit impulses at the coarse grid nodes
+    let mut e = vec![0.0; n];
+    for j in 0..n {
+        e[j] = 1.0;
+        let c = bp.analyze(&e).resampled(pu);
+        m.row_mut(j)
+            .copy_from_slice(&bu.synthesize(&c, sphharm::Deriv::None));
+        e[j] = 0.0;
     }
     let arc = Arc::new(m);
     map.insert(key, arc.clone());
     arc
 }
 
+/// Everything the kernel assembly reads: both geometries, the check
+/// distances `t_k = R + k·r` along the outward normal and their
+/// extrapolation weights `e_k`.
+struct CheckScheme {
+    geo_c: SurfaceGeometry,
+    geo_u: SurfaceGeometry,
+    t: Vec<f64>,
+    e: Vec<f64>,
+}
+
+impl CheckScheme {
+    fn new(basis: &SphBasis, bu: &SphBasis, coeffs: &[SphCoeffs; 3], opts: SelfOpOptions) -> Self {
+        // fine geometry (positions + quadrature weights)
+        let cu: [SphCoeffs; 3] = [
+            coeffs[0].resampled(bu.p),
+            coeffs[1].resampled(bu.p),
+            coeffs[2].resampled(bu.p),
+        ];
+        let geo_u = surface_geometry(bu, &cu);
+        let geo_c = surface_geometry(basis, coeffs);
+        // mean grid spacing of the fine grid: sqrt(area / N_up)
+        let h = (geo_u.area() / bu.grid_size() as f64).sqrt();
+        let big_r = opts.big_r * h;
+        let small_r = opts.small_r * h;
+        CheckScheme {
+            geo_c,
+            geo_u,
+            t: (0..=opts.p_extrap)
+                .map(|k| big_r + k as f64 * small_r)
+                .collect(),
+            e: checkpoint_extrapolation_weights(big_r, small_r, opts.p_extrap, 0.0),
+        }
+    }
+}
+
+/// Targets per SIMD block of the assembly (one AVX-512 vector of `f64`).
+const LANES: usize = 8;
+
+/// Adds to `acc` the six distinct entries (`xx xy xz yy yz zz`) of
+/// `S(c_l, y)·w` for the `LANES` check points `c_l`, operation for
+/// operation what `kernels::stokeslet_matrix` followed by `· w` computes
+/// (`c` is its `1/(8πμ)`): the entries of the operator are pinned to the
+/// bit, see "Summation-order contract" in `crates/vesicle/README.md`.
+#[inline(always)]
+fn stokeslet_lanes(
+    acc: &mut [[f64; LANES]; 6],
+    [cx, cy, cz]: &[[f64; LANES]; 3],
+    y: Vec3,
+    c: f64,
+    w: f64,
+) {
+    for l in 0..LANES {
+        let rx = cx[l] - y.x;
+        let ry = cy[l] - y.y;
+        let rz = cz[l] - y.z;
+        let r2 = rx * rx + ry * ry + rz * rz;
+        let rinv = 1.0 / r2.sqrt();
+        let rinv3 = rinv / r2;
+        // coincident points contribute a zero block (a select, so the lane
+        // loop vectorizes)
+        let (rinv, rinv3) = if r2 == 0.0 { (0.0, 0.0) } else { (rinv, rinv3) };
+        acc[0][l] += c * (rinv + rx * rx * rinv3) * w;
+        acc[1][l] += c * (0.0 + rx * ry * rinv3) * w;
+        acc[2][l] += c * (0.0 + rx * rz * rinv3) * w;
+        acc[3][l] += c * (rinv + ry * ry * rinv3) * w;
+        acc[4][l] += c * (0.0 + ry * rz * rinv3) * w;
+        acc[5][l] += c * (rinv + rz * rz * rinv3) * w;
+    }
+}
+
 /// The precomputed self-interaction operator of one cell: applies
 /// `f ↦ S_i f` (single-layer Stokes) from the coarse grid to the coarse
 /// grid. Rebuilt whenever the cell geometry changes (once per time step).
 pub struct SelfInteraction {
-    /// Kernel+extrapolation matrix: (3N × 3N_up).
-    k_mat: Mat,
-    /// Shared spectral upsampling matrix (N_up × N, per component).
-    upsample: Arc<Mat>,
+    /// Transposed kernel+extrapolation matrix `Kᵀ` (`3N_up × 3N`, source
+    /// index major): `Kᵀ[(3j+b), (3i+a)] = Σ_k e_k S_ab(c_ik, y_j) w_j`.
+    k_t: Mat,
+    /// Shared transposed spectral upsampling matrix (`N × N_up`, per
+    /// component).
+    upsample_t: Arc<Mat>,
     n: usize,
     nu: usize,
 }
@@ -105,60 +175,58 @@ impl SelfInteraction {
     ) -> SelfInteraction {
         let pu = basis.p * opts.upsample;
         let bu = SphBasis::new(pu);
-        let upsample = upsample_matrix(basis.p, pu);
-        // fine geometry (positions + quadrature weights)
-        let cu: [SphCoeffs; 3] = [
-            coeffs[0].resampled(pu),
-            coeffs[1].resampled(pu),
-            coeffs[2].resampled(pu),
-        ];
-        let geo_u = surface_geometry(&bu, &cu);
-        let geo_c = surface_geometry(basis, coeffs);
-
+        let upsample_t = upsample_matrix_t(basis.p, pu);
+        let CheckScheme { geo_c, geo_u, t, e } = CheckScheme::new(basis, &bu, coeffs, opts);
         let n = basis.grid_size();
         let nu = bu.grid_size();
-        // mean grid spacing of the fine grid: sqrt(area / N_up)
-        let h = (geo_u.area() / nu as f64).sqrt();
-        let big_r = opts.big_r * h;
-        let small_r = opts.small_r * h;
-        let p1 = opts.p_extrap + 1;
-        let ew = checkpoint_extrapolation_weights(big_r, small_r, opts.p_extrap, 0.0);
+        let p1 = t.len();
 
-        // K[(3i+a),(3j+b)] = Σ_k e_k S_ab(c_ik, y_j) w_j
-        let mut k_mat = Mat::zeros(3 * n, 3 * nu);
-        let rows: Vec<(usize, Vec<f64>)> = (0..n)
-            .into_par_iter()
-            .map(|i| {
-                let mut row = vec![0.0; 3 * 3 * nu]; // 3 rows of the matrix
-                let xi = geo_c.x[i];
-                let ni = geo_c.normal[i];
-                for k in 0..p1 {
-                    let t = big_r + k as f64 * small_r;
-                    let c = xi + ni * t; // exterior check point
-                    let e = ew[k];
-                    for j in 0..nu {
-                        let s = stokeslet_matrix(c, geo_u.x[j], mu);
-                        let w = geo_u.w_quad[j] * e;
-                        for a in 0..3 {
-                            for b in 0..3 {
-                                row[a * 3 * nu + 3 * j + b] += s[a][b] * w;
-                            }
-                        }
-                    }
+        // exterior check points c_ik = x_i + n_i t_k, per k in blocks of
+        // LANES targets, `[x, y, z]` lane arrays each (the tail block is
+        // padded; its extra lanes are computed and never stored)
+        let nb = n.div_ceil(LANES);
+        let mut chk = vec![[[0.0; LANES]; 3]; p1 * nb];
+        for (k, &tk) in t.iter().enumerate() {
+            for i in 0..n {
+                let c = geo_c.x[i] + geo_c.normal[i] * tk;
+                let block = &mut chk[k * nb + i / LANES];
+                block[0][i % LANES] = c.x;
+                block[1][i % LANES] = c.y;
+                block[2][i % LANES] = c.z;
+            }
+        }
+
+        // one source point (three rows of Kᵀ) at a time: per block of
+        // targets the six symmetric entries are summed over the check
+        // points k = 0..p in registers and stored once
+        let c = 1.0 / (8.0 * std::f64::consts::PI * mu);
+        let mut k_t = Mat::zeros(3 * nu, 3 * n);
+        let mut w = vec![0.0; p1];
+        for (j, rows) in k_t.data_mut().chunks_exact_mut(9 * n).enumerate() {
+            let y = geo_u.x[j];
+            for (wk, ek) in w.iter_mut().zip(&e) {
+                *wk = geo_u.w_quad[j] * ek;
+            }
+            let (row_x, rest) = rows.split_at_mut(3 * n);
+            let (row_y, row_z) = rest.split_at_mut(3 * n);
+            for blk in 0..nb {
+                let mut acc = [[0.0; LANES]; 6];
+                for (k, &wk) in w.iter().enumerate() {
+                    stokeslet_lanes(&mut acc, &chk[k * nb + blk], y, c, wk);
                 }
-                (i, row)
-            })
-            .collect();
-        for (i, row) in rows {
-            for a in 0..3 {
-                k_mat
-                    .row_mut(3 * i + a)
-                    .copy_from_slice(&row[a * 3 * nu..(a + 1) * 3 * nu]);
+                let [xx, xy, xz, yy, yz, zz] = acc;
+                let i0 = blk * LANES;
+                for l in 0..LANES.min(n - i0) {
+                    let i = 3 * (i0 + l);
+                    row_x[i..i + 3].copy_from_slice(&[xx[l], xy[l], xz[l]]);
+                    row_y[i..i + 3].copy_from_slice(&[xy[l], yy[l], yz[l]]);
+                    row_z[i..i + 3].copy_from_slice(&[xz[l], yz[l], zz[l]]);
+                }
             }
         }
         SelfInteraction {
-            k_mat,
-            upsample,
+            k_t,
+            upsample_t,
             n,
             nu,
         }
@@ -175,37 +243,45 @@ impl SelfInteraction {
             for i in 0..self.n {
                 comp[i] = f[3 * i + c];
             }
-            let up = self.upsample.matvec(&comp);
+            let up = self.upsample_t.matvec_t(&comp);
             for j in 0..self.nu {
                 fu[3 * j + c] = up[j];
             }
         }
-        self.k_mat.matvec(&fu)
+        self.k_t.matvec_t(&fu)
     }
 
     /// Applies `S_i` to a batch of `K` force-density columns at once
     /// (`3N × K`, each column xyz-interleaved on the coarse grid),
     /// returning the `3N × K` velocity columns. Same operator as
-    /// [`SelfInteraction::apply`], but both linear stages (spectral
-    /// upsampling and the kernel matrix) run as GEMMs over the packed
-    /// columns — this is what makes the collision pipeline's batched
-    /// per-mesh mobility applies cheap.
+    /// [`SelfInteraction::apply`], bit for bit, but both linear stages
+    /// (spectral upsampling and the kernel matrix) run as GEMMs with the
+    /// columns as rows of the left factor, so the inner loops run along
+    /// the long contiguous output dimension however small `K` is — this is
+    /// what makes the collision pipeline's batched per-mesh mobility
+    /// applies cheap.
     pub fn apply_many(&self, f_cols: &Mat) -> Mat {
         assert_eq!(f_cols.rows(), 3 * self.n, "apply_many: column height");
         let k = f_cols.cols();
-        // upsample per component: gather (N × K), GEMM, scatter (N_up × K)
-        let mut fu = Mat::zeros(3 * self.nu, k);
-        let mut comp = Mat::zeros(self.n, k);
-        for c in 0..3 {
-            for i in 0..self.n {
-                comp.row_mut(i).copy_from_slice(f_cols.row(3 * i + c));
-            }
-            let up = self.upsample.matmul(&comp);
-            for j in 0..self.nu {
-                fu.row_mut(3 * j + c).copy_from_slice(up.row(j));
+        // upsample: row c·K + col holds component c of column col
+        let mut comp = Mat::zeros(3 * k, self.n);
+        for i in 0..self.n {
+            for c in 0..3 {
+                for (col, &v) in f_cols.row(3 * i + c).iter().enumerate() {
+                    comp[(c * k + col, i)] = v;
+                }
             }
         }
-        self.k_mat.matmul(&fu)
+        let up = comp.matmul(&self.upsample_t);
+        let mut fu_t = Mat::zeros(k, 3 * self.nu);
+        for col in 0..k {
+            for c in 0..3 {
+                for (j, &v) in up.row(c * k + col).iter().enumerate() {
+                    fu_t[(col, 3 * j + c)] = v;
+                }
+            }
+        }
+        fu_t.matmul(&self.k_t).transpose()
     }
 
     /// Coarse grid size N.
@@ -217,20 +293,120 @@ impl SelfInteraction {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shape::sphere_coeffs;
-    use linalg::Vec3;
+    use crate::shape::{biconcave_coeffs, sphere_coeffs};
+    use kernels::stokeslet_matrix;
+
+    /// The row-major scalar assembly this module used before the operator
+    /// was stored transposed, kept as the bit-for-bit oracle: `K` built
+    /// entry by entry from `stokeslet_matrix`, both stages applied as
+    /// sequential dots (`Mat::matvec`).
+    struct RowMajorReference {
+        k_mat: Mat,
+        upsample: Mat,
+    }
+
+    impl RowMajorReference {
+        fn build(basis: &SphBasis, coeffs: &[SphCoeffs; 3], mu: f64, opts: SelfOpOptions) -> Self {
+            let pu = basis.p * opts.upsample;
+            let bu = SphBasis::new(pu);
+            let CheckScheme { geo_c, geo_u, t, e } = CheckScheme::new(basis, &bu, coeffs, opts);
+            let (n, nu) = (basis.grid_size(), bu.grid_size());
+            let mut k_mat = Mat::zeros(3 * n, 3 * nu);
+            for i in 0..n {
+                for (&tk, &ek) in t.iter().zip(&e) {
+                    let c = geo_c.x[i] + geo_c.normal[i] * tk;
+                    for j in 0..nu {
+                        let s = stokeslet_matrix(c, geo_u.x[j], mu);
+                        let w = geo_u.w_quad[j] * ek;
+                        for a in 0..3 {
+                            for b in 0..3 {
+                                k_mat[(3 * i + a, 3 * j + b)] += s[a][b] * w;
+                            }
+                        }
+                    }
+                }
+            }
+            RowMajorReference {
+                k_mat,
+                upsample: upsample_matrix_t(basis.p, pu).transpose(),
+            }
+        }
+
+        fn apply(&self, f: &[f64]) -> Vec<f64> {
+            let (nu, n) = (self.upsample.rows(), self.upsample.cols());
+            let mut fu = vec![0.0; 3 * nu];
+            for c in 0..3 {
+                let comp: Vec<f64> = (0..n).map(|i| f[3 * i + c]).collect();
+                for (j, v) in self.upsample.matvec(&comp).into_iter().enumerate() {
+                    fu[3 * j + c] = v;
+                }
+            }
+            self.k_mat.matvec(&fu)
+        }
+    }
+
+    fn assert_bits_eq(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(
+                g.to_bits(),
+                w.to_bits(),
+                "{what}, entry {i}: {g:e} vs {w:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn transposed_operator_matches_row_major_reference_bitwise() {
+        for (p, mu) in [(8, 1.0), (6, 0.8)] {
+            let basis = SphBasis::new(p);
+            let coeffs = if p == 8 {
+                biconcave_coeffs(&basis, 1.0, Vec3::new(0.3, -0.2, 0.1))
+            } else {
+                // N = 84 is not a multiple of LANES: the padded tail block
+                sphere_coeffs(&basis, 1.3, Vec3::ZERO)
+            };
+            let opts = SelfOpOptions::default();
+            let op = SelfInteraction::build(&basis, &coeffs, mu, opts);
+            let reference = RowMajorReference::build(&basis, &coeffs, mu, opts);
+            assert_bits_eq(
+                op.k_t.transpose().data(),
+                reference.k_mat.data(),
+                &format!("p = {p}: kernel matrix"),
+            );
+            let n = basis.grid_size();
+            // below MR, across the 4-row band, across the edge/tile boundary
+            for k in [1, 2, 3, 4, 7, 8, 9, 25] {
+                let cols = Mat::from_fn(3 * n, k, |i, c| match c {
+                    1 => 0.0,
+                    2 if i % 5 == 0 => -0.0,
+                    _ => ((i * 7 + c * 13) as f64 * 0.11).sin(),
+                });
+                let batched = op.apply_many(&cols);
+                assert_eq!((batched.rows(), batched.cols()), (3 * n, k));
+                for c in 0..k {
+                    let f: Vec<f64> = (0..3 * n).map(|i| cols[(i, c)]).collect();
+                    let want = reference.apply(&f);
+                    let what = format!("p = {p}, K = {k}, column {c}");
+                    assert_bits_eq(&op.apply(&f), &want, &format!("{what}: apply"));
+                    let got: Vec<f64> = (0..3 * n).map(|i| batched[(i, c)]).collect();
+                    assert_bits_eq(&got, &want, &format!("{what}: apply_many"));
+                }
+            }
+        }
+    }
 
     #[test]
     fn upsample_matrix_reproduces_bandlimited() {
         let (p, pu) = (6, 12);
-        let m = upsample_matrix(p, pu);
+        let m = upsample_matrix_t(p, pu);
         let bp = SphBasis::new(p);
         let bu = SphBasis::new(pu);
         let mut c = SphCoeffs::zeros(p);
         c.set_a(2, 1, 0.7);
         c.set_b(3, 2, -0.4);
         let coarse = bp.synthesize(&c, sphharm::Deriv::None);
-        let fine = m.matvec(&coarse);
+        let fine = m.matvec_t(&coarse);
         let exact = bu.synthesize(&c.resampled(pu), sphharm::Deriv::None);
         for (u, v) in fine.iter().zip(&exact) {
             assert!((u - v).abs() < 1e-10);
@@ -270,32 +446,6 @@ mod tests {
             max_err < 2.5e-3 * u_ref.norm(),
             "translating-sphere error {max_err}"
         );
-    }
-
-    #[test]
-    fn apply_many_matches_per_column_apply() {
-        let p = 8;
-        let basis = SphBasis::new(p);
-        let coeffs = sphere_coeffs(&basis, 1.0, Vec3::ZERO);
-        let op = SelfInteraction::build(&basis, &coeffs, 1.0, SelfOpOptions::default());
-        let n = basis.grid_size();
-        let k = 5;
-        let cols = Mat::from_fn(3 * n, k, |i, c| ((i * 7 + c * 13) as f64 * 0.11).sin());
-        let batched = op.apply_many(&cols);
-        assert_eq!((batched.rows(), batched.cols()), (3 * n, k));
-        for c in 0..k {
-            let f: Vec<f64> = (0..3 * n).map(|i| cols[(i, c)]).collect();
-            let single = op.apply(&f);
-            let scale: f64 = single.iter().fold(1e-30, |a, v| a.max(v.abs()));
-            for i in 0..3 * n {
-                assert!(
-                    (batched[(i, c)] - single[i]).abs() < 1e-12 * scale,
-                    "col {c} row {i}: {} vs {}",
-                    batched[(i, c)],
-                    single[i]
-                );
-            }
-        }
     }
 
     #[test]
