@@ -10,12 +10,13 @@
 //! (`Fmm::frozen` + `evaluate_at`): stresslet sources on a tube surface,
 //! moving targets in the lumen — one frozen-tree build, then a target-only
 //! replan + evaluate per call, against the fresh build-per-call cost it
-//! replaced, with a `leaf_capacity` sweep at the production order 4.
+//! replaced, with a `leaf_capacity` sweep around the library default at
+//! the production order 4 and, beside it, at order 6.
 //!
 //! Usage: `cargo run --release -p bench --bin fmm_bench [--quick]`
 //! (`--quick` runs one evaluate repetition instead of three, skips
-//! order 6, and runs a single replan row — used by `scripts/check.sh`
-//! as a smoke test).
+//! order 6, and runs a single replan row at the default capacity — used by
+//! `scripts/check.sh` as a smoke test).
 
 use bench::cloud;
 use bench::seed_fmm::SeedFmm;
@@ -254,16 +255,20 @@ fn main() {
 
     // persistent-plan section: one frozen build, target-only replans, at
     // the production wall configuration (stresslet kernel, order 4).
-    // The full run sweeps leaf_capacity around the library default to
-    // keep the chosen default honest against the replan workload.
+    // The full run sweeps leaf_capacity below and above the library
+    // default to keep it honest against the replan workload, and repeats
+    // the sweep at order 6: the number beside the README's unverified rule
+    // that the balanced capacity grows with the equivalent-surface size.
+    let default_leaf = FmmOptions::default().leaf_capacity;
     let mut replans = Vec::new();
     if quick {
-        replans.push(run_replan_case(8000, 1500, 4, 120, 1));
+        replans.push(run_replan_case(8000, 1500, 4, default_leaf, 1));
     } else {
-        for leaf in [60, 120, 240] {
-            replans.push(run_replan_case(20000, 3000, 4, leaf, reps));
+        for order in [4, 6] {
+            for leaf in [160, 400, default_leaf, 1600] {
+                replans.push(run_replan_case(20000, 3000, order, leaf, reps));
+            }
         }
-        replans.push(run_replan_case(20000, 3000, 6, 120, reps));
     }
 
     // hand-rolled JSON (no serde in the environment)

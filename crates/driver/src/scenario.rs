@@ -224,14 +224,22 @@ fn wall_col_m(col_m: usize, levels: u32) -> usize {
 /// `refined_serpentine_port_floor_improved` test; preconditioning is
 /// the open item).
 fn bie_options(cfg: &Doc, sec: &str, q: usize, refine: u32) -> Result<bie::BieOptions, String> {
-    // the PR 3-era boolean knob was replaced by `bie_backend`; the TOML
-    // layer ignores unknown keys, so reject it explicitly rather than
-    // silently running a different backend than the config asked for
-    if cfg.get(sec, "bie_fmm").is_some() {
-        return Err(format!(
-            "{sec}: `bie_fmm` was replaced by `bie_backend` \
-             (\"auto\", \"dense\", or \"fmm\")"
-        ));
+    // keys that no longer exist: the TOML layer ignores unknown keys, so
+    // reject them by name rather than silently running something other
+    // than what the config asked for
+    for (key, now) in [
+        (
+            "bie_fmm",
+            "was replaced by `bie_backend` (\"auto\", \"dense\", or \"fmm\")",
+        ),
+        (
+            "bie_fmm_leaf_capacity",
+            "was removed; the wall FMM sizes its leaves with `fmm::FmmOptions::default()`",
+        ),
+    ] {
+        if cfg.get(sec, key).is_some() {
+            return Err(format!("{sec}: `{key}` {now}"));
+        }
     }
     let refined = refine > 0;
     let check_r = cfg.f64_or(sec, "bie_check_r", if refined { 0.15 } else { 0.06 });
@@ -250,8 +258,7 @@ fn bie_options(cfg: &Doc, sec: &str, q: usize, refine: u32) -> Result<bie::BieOp
             "bie_fmm_order",
             if refined { 4 } else { fmm_default.order },
         ),
-        leaf_capacity: cfg.usize_or(sec, "bie_fmm_leaf_capacity", fmm_default.leaf_capacity),
-        max_depth: fmm_default.max_depth,
+        ..fmm_default
     };
     let backend = match cfg.str_or(sec, "bie_backend", "auto") {
         "auto" => bie::MatvecBackend::Auto,
@@ -1026,15 +1033,20 @@ mod tests {
     }
 
     #[test]
-    fn removed_bie_fmm_key_is_rejected() {
-        let mut cfg = Doc::default();
-        cfg.set(
-            "poiseuille_train",
-            "bie_fmm",
-            crate::toml::Value::Bool(true),
-        );
-        let e = build("poiseuille_train", &cfg).err().unwrap();
-        assert!(e.contains("bie_backend"), "{e}");
+    fn removed_bie_keys_are_rejected_by_name() {
+        for (key, value, names) in [
+            ("bie_fmm", crate::toml::Value::Bool(true), "bie_backend"),
+            (
+                "bie_fmm_leaf_capacity",
+                crate::toml::Value::Int(99),
+                "`bie_fmm_leaf_capacity` was removed",
+            ),
+        ] {
+            let mut cfg = Doc::default();
+            cfg.set("poiseuille_train", key, value);
+            let e = build("poiseuille_train", &cfg).err().unwrap();
+            assert!(e.contains(names), "{e}");
+        }
     }
 
     #[test]
@@ -1150,15 +1162,9 @@ mod tests {
             "bie_fmm_order",
             crate::toml::Value::Int(5),
         );
-        cfg.set(
-            "poiseuille_train",
-            "bie_fmm_leaf_capacity",
-            crate::toml::Value::Int(99),
-        );
         let built = build("poiseuille_train", &cfg).unwrap();
         let v = built.sim.vessel.as_ref().unwrap();
         assert_eq!(v.solver.opts.fmm.order, 5);
-        assert_eq!(v.solver.opts.fmm.leaf_capacity, 99);
         // defaults: unrefined scenarios keep the library default order
         let mut plain = Doc::default();
         plain.set("poiseuille_train", "order", crate::toml::Value::Int(6));

@@ -12,11 +12,11 @@
 //! reused across calls, and every per-node kernel sum goes through the
 //! vectorized [`Kernel::eval_block`] path. The M2L stage — the dominant
 //! far-field cost — is batched level by level: interactions are grouped at
-//! setup into the 316 translation-offset classes, and each class is
-//! dispatched as one dense GEMM over a gathered block of source densities
-//! (`linalg::gemm_acc`) instead of one HashMap lookup + matvec per
-//! interaction. See `crates/fmm/README.md` for the layout and the
-//! before/after numbers.
+//! setup into the 316 translation-offset classes and cut into 64-pair
+//! blocks, and a level's blocks run as one parallel pass of dense GEMMs
+//! over gathered source densities (`linalg::gemm_acc`) instead of one
+//! HashMap lookup + matvec per interaction. See `crates/fmm/README.md` for
+//! the layout and the before/after numbers.
 
 use crate::ops::{cached_operators, m2l_class, FmmOperators};
 use crate::surface::{cube_surface, RAD_INNER, RAD_OUTER};
@@ -26,7 +26,8 @@ use octree::{MortonKey, Octree, TreeOptions, MAX_DEPTH, NONE};
 use parking_lot::Mutex;
 use rayon::par;
 use std::cell::RefCell;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 /// Tuning parameters of the FMM.
 #[derive(Clone, Copy, Debug)]
@@ -34,7 +35,10 @@ pub struct FmmOptions {
     /// Equivalent-surface order (points per cube edge). 4 ≈ 3–4 digits,
     /// 6 ≈ 5–6 digits, 8 ≈ 8 digits for the kernels used here.
     pub order: usize,
-    /// Octree leaf capacity (sources + targets).
+    /// Octree leaf capacity (sources + targets). The default balances the
+    /// two halves of an order-4 evaluation on a surface cloud — P2P per
+    /// leaf grows with capacity², M2L per leaf with `n_surf²` — see "Leaf
+    /// size" in `crates/fmm/README.md` for the sweep behind it.
     pub leaf_capacity: usize,
     /// Octree depth cap.
     pub max_depth: u32,
@@ -44,7 +48,7 @@ impl Default for FmmOptions {
     fn default() -> Self {
         FmmOptions {
             order: 6,
-            leaf_capacity: 160,
+            leaf_capacity: 800,
             max_depth: 14,
         }
     }
@@ -55,11 +59,16 @@ impl Default for FmmOptions {
 /// translation operator.
 const M2L_BLOCK: usize = 64;
 
+/// Work items per parallel M2L region. A constant, never the thread count:
+/// it fixes the staging layout, and the staged rows are added into the
+/// check arena in item order, so the sums are the same bits on any number
+/// of threads.
+const M2L_BATCH: usize = 32;
+
 /// One M2L translation-offset class at one level: all same-level V-list
 /// interactions whose source anchor minus target anchor equals the class
 /// offset. Within a class every target appears at most once (the offset
-/// determines the source), which is what makes the scatter of the batched
-/// GEMM result race-free.
+/// determines the source).
 struct M2lGroup {
     /// Index into [`FmmOperators::m2l_t`].
     class: u16,
@@ -70,11 +79,39 @@ struct M2lGroup {
     src_slots: Vec<u32>,
 }
 
+/// One unit of M2L work: `len ≤ M2L_BLOCK` consecutive pairs of one group,
+/// i.e. one gather + one `gemm_acc` call.
+struct M2lItem {
+    /// Index into [`LevelPlan::groups`].
+    group: u32,
+    /// First pair of the block within the group.
+    start: u32,
+    len: u32,
+}
+
+/// Cuts every group into [`M2L_BLOCK`]-pair items, groups in order and
+/// blocks in order within a group.
+fn m2l_items(groups: &[M2lGroup]) -> Vec<M2lItem> {
+    let mut items = Vec::new();
+    for (gi, g) in groups.iter().enumerate() {
+        for start in (0..g.trg_rows.len()).step_by(M2L_BLOCK) {
+            items.push(M2lItem {
+                group: gi as u32,
+                start: start as u32,
+                len: (g.trg_rows.len() - start).min(M2L_BLOCK) as u32,
+            });
+        }
+    }
+    items
+}
+
 /// Per-level portion of the evaluation plan. Node ids in slot order are
 /// `tree.levels[level]` — not duplicated here.
 struct LevelPlan {
     /// M2L classes with at least one interaction at this level.
     groups: Vec<M2lGroup>,
+    /// The level's M2L work: every group cut into blocks, in group order.
+    items: Vec<M2lItem>,
     /// Level-local check rows that receive P2L (X-list) contributions…
     x_rows: Vec<u32>,
     /// …and the node ids they belong to, aligned with `x_rows`.
@@ -137,6 +174,10 @@ struct Arenas {
     /// Downward check values of the level currently being processed
     /// (`max_level_len · nd_chk`).
     check: Vec<f64>,
+    /// M2L staging: one `M2L_BLOCK · nd_chk` result slot per work item of
+    /// a batch (at most [`M2L_BATCH`] slots, fewer on a tree whose levels
+    /// all hold fewer items).
+    stage: Vec<f64>,
     /// Results for leaf-resident targets, in Morton target order.
     out_sorted: Vec<f64>,
     /// Results for virtual targets, grouped per [`VirtGroup`].
@@ -168,14 +209,13 @@ struct VirtGroup {
     out_range: (usize, usize),
 }
 
-/// Per-worker scratch (check values during S2M, gather/result blocks of
-/// the batched M2L, scaled densities at L2T/M2T). Thread-local so the
-/// passes allocate nothing per node in steady state.
+/// Per-worker scratch (check values during S2M, the gather block of the
+/// batched M2L, scaled densities at L2T/M2T). Thread-local so the passes
+/// allocate nothing per node in steady state.
 #[derive(Default)]
 struct Scratch {
     check: Vec<f64>,
     sblk: Vec<f64>,
-    yblk: Vec<f64>,
     dens: Vec<f64>,
     surf: Vec<Vec3>,
 }
@@ -190,6 +230,14 @@ fn fill_surface(unit: &[Vec3], center: Vec3, radius: f64, out: &mut Vec<Vec3>) {
 
 thread_local! {
     static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
+/// Whether `FMM_TIMERS=1` is set (perf diagnostics on stderr: the plan's
+/// per-level statistics at build, the per-pass and per-level times at every
+/// evaluate). Read once per process.
+fn timers_enabled() -> bool {
+    static ON: OnceLock<bool> = OnceLock::new();
+    *ON.get_or_init(|| std::env::var_os("FMM_TIMERS").is_some_and(|v| v == "1"))
 }
 
 /// A configured FMM over fixed source/target geometry.
@@ -315,11 +363,14 @@ impl<KS: Kernel, KE: Kernel> Fmm<KS, KE> {
         let sd = src_kernel.src_dim();
         let td = src_kernel.trg_dim();
         let plan = build_plan(&tree, &ops);
+        let widest = plan.levels.iter().map(|lp| lp.items.len()).max();
+        let stage_slots = widest.map_or(0, |n| n.min(M2L_BATCH));
         let arenas = Mutex::new(Arenas {
             data: vec![0.0; src.len() * sd],
             up: vec![0.0; plan.level_ofs[plan.levels.len()] * plan.nd_eq],
             dn: vec![0.0; plan.level_ofs[plan.levels.len()] * plan.nd_eq],
             check: vec![0.0; plan.max_level_len * plan.nd_chk],
+            stage: vec![0.0; stage_slots * M2L_BLOCK * plan.nd_chk],
             out_sorted: vec![0.0; trg.len() * td],
             virt_out: Vec::new(),
         });
@@ -445,19 +496,19 @@ impl<KS: Kernel, KE: Kernel> Fmm<KS, KE> {
             ar.data[pos * self.sd..(pos + 1) * self.sd].copy_from_slice(&src_data[o..o + self.sd]);
         }
 
-        // pass timers, enabled with FMM_TIMERS=1 (perf diagnostics)
-        let timers = std::env::var_os("FMM_TIMERS").is_some_and(|v| v == "1");
-        let t0 = std::time::Instant::now();
+        // pass timers, printed with FMM_TIMERS=1 (perf diagnostics)
+        let timers = timers_enabled();
+        let t0 = Instant::now();
         self.upward(&ar.data, &mut ar.up);
-        let t1 = std::time::Instant::now();
-        self.downward(&ar.data, &ar.up, &mut ar.dn, &mut ar.check);
-        let t2 = std::time::Instant::now();
+        let t1 = Instant::now();
+        self.downward(&ar.data, &ar.up, &mut ar.dn, &mut ar.check, &mut ar.stage);
+        let t2 = Instant::now();
         self.leaf_eval(&ar.data, &ar.up, &ar.dn, &mut ar.out_sorted);
         if !self.virt.is_empty() {
             self.virtual_eval(&ar.data, &ar.up, &ar.dn, &mut ar.virt_out);
         }
         if timers {
-            let t3 = std::time::Instant::now();
+            let t3 = Instant::now();
             eprintln!(
                 "fmm timers: upward {:.2} ms, downward {:.2} ms, leaves {:.2} ms",
                 (t1 - t0).as_secs_f64() * 1e3,
@@ -555,13 +606,21 @@ impl<KS: Kernel, KE: Kernel> Fmm<KS, KE> {
         }
     }
 
-    /// Downward pass, level by level from the root: batched M2L per
-    /// translation-offset class (one GEMM per class), P2L from X lists,
-    /// then the dc2de solve fused with L2L from the parent.
-    fn downward(&self, data: &[f64], up: &[f64], dn: &mut [f64], check: &mut [f64]) {
+    /// Downward pass, level by level from the root: the level's batched
+    /// M2L, P2L from X lists, then the dc2de solve fused with L2L from the
+    /// parent.
+    fn downward(
+        &self,
+        data: &[f64],
+        up: &[f64],
+        dn: &mut [f64],
+        check: &mut [f64],
+        stage: &mut [f64],
+    ) {
         let plan = &self.plan;
         let nodes = &self.tree.nodes;
         let (nd_eq, nd_chk) = (plan.nd_eq, plan.nd_chk);
+        let timers = timers_enabled();
         for level in 0..plan.levels.len() {
             let lp = &plan.levels[level];
             let level_nodes = &self.tree.levels[level];
@@ -569,44 +628,9 @@ impl<KS: Kernel, KE: Kernel> Fmm<KS, KE> {
             let check = &mut check[..nlev * nd_chk];
             check.fill(0.0);
 
-            // M2L: one batched GEMM dispatch per offset class. Within a
-            // class each target row is unique, so blocks scatter race-free.
-            for g in &lp.groups {
-                let a_t = self.ops.m2l_t[g.class as usize]
-                    .as_ref()
-                    .expect("V-list offset outside precomputed M2L set");
-                par::for_each_row_block(check, nd_chk, &g.trg_rows, M2L_BLOCK, |start, view| {
-                    SCRATCH.with(|s| {
-                        let s = &mut *s.borrow_mut();
-                        let b = view.len();
-                        s.sblk.resize(M2L_BLOCK * nd_eq, 0.0);
-                        s.yblk.resize(M2L_BLOCK * nd_chk, 0.0);
-                        // gather source densities as block rows
-                        for r in 0..b {
-                            let ss = g.src_slots[start + r] as usize;
-                            s.sblk[r * nd_eq..(r + 1) * nd_eq]
-                                .copy_from_slice(&up[ss * nd_eq..(ss + 1) * nd_eq]);
-                        }
-                        // Checkᵀ-block = h^{deg} · Equivᵀ-block · Kᵀ
-                        s.yblk[..b * nd_chk].fill(0.0);
-                        gemm_acc(
-                            b,
-                            nd_chk,
-                            nd_eq,
-                            lp.scale_m2l,
-                            &s.sblk,
-                            a_t.data(),
-                            &mut s.yblk,
-                        );
-                        for r in 0..b {
-                            let yrow = &s.yblk[r * nd_chk..(r + 1) * nd_chk];
-                            for (c, y) in view.row(r).iter_mut().zip(yrow) {
-                                *c += y;
-                            }
-                        }
-                    });
-                });
-            }
+            let t0 = Instant::now();
+            self.m2l_level(lp, up, check, stage);
+            let t1 = Instant::now();
 
             // P2L from the X list: direct source evaluation at the
             // downward check surface
@@ -636,6 +660,7 @@ impl<KS: Kernel, KE: Kernel> Fmm<KS, KE> {
                     }
                 });
             });
+            let t2 = Instant::now();
 
             // dc2de solve + L2L from the parent, writing dn in place
             let dstart = plan.level_ofs[level] * nd_eq;
@@ -669,6 +694,59 @@ impl<KS: Kernel, KE: Kernel> Fmm<KS, KE> {
                     );
                 }
             });
+            if timers {
+                eprintln!(
+                    "fmm timers: level {level}: m2l {:.2} ms, p2l {:.2} ms, dc2de+l2l {:.2} ms",
+                    (t1 - t0).as_secs_f64() * 1e3,
+                    (t2 - t1).as_secs_f64() * 1e3,
+                    t2.elapsed().as_secs_f64() * 1e3,
+                );
+            }
+        }
+    }
+
+    /// M2L of one level into its (zeroed) check rows. [`M2L_BATCH`] work
+    /// items at a time run in parallel, each gathering its sources and
+    /// multiplying into its own staging slot; the staged rows are then
+    /// added into `check` serially in item order. A row therefore receives
+    /// its classes' contributions in class order whatever the thread
+    /// count — and a parallel region is a batch of items, not one class,
+    /// so a shallow level's 47-pair classes no longer run one at a time.
+    fn m2l_level(&self, lp: &LevelPlan, up: &[f64], check: &mut [f64], stage: &mut [f64]) {
+        let (nd_eq, nd_chk) = (self.plan.nd_eq, self.plan.nd_chk);
+        let slot_len = M2L_BLOCK * nd_chk;
+        for batch in lp.items.chunks(M2L_BATCH) {
+            par::chunks_mut(&mut stage[..batch.len() * slot_len], slot_len, |k, y| {
+                let it = &batch[k];
+                let g = &lp.groups[it.group as usize];
+                let a_t = self.ops.m2l_t[g.class as usize]
+                    .as_ref()
+                    .expect("V-list offset outside precomputed M2L set");
+                let (start, b) = (it.start as usize, it.len as usize);
+                SCRATCH.with(|s| {
+                    let s = &mut *s.borrow_mut();
+                    s.sblk.resize(M2L_BLOCK * nd_eq, 0.0);
+                    // gather source densities as block rows
+                    for (r, &ss) in g.src_slots[start..start + b].iter().enumerate() {
+                        let ss = ss as usize;
+                        s.sblk[r * nd_eq..(r + 1) * nd_eq]
+                            .copy_from_slice(&up[ss * nd_eq..(ss + 1) * nd_eq]);
+                    }
+                    // Checkᵀ-block = h^{deg} · Equivᵀ-block · Kᵀ
+                    y[..b * nd_chk].fill(0.0);
+                    gemm_acc(b, nd_chk, nd_eq, lp.scale_m2l, &s.sblk, a_t.data(), y);
+                });
+            });
+            for (it, y) in batch.iter().zip(stage.chunks(slot_len)) {
+                let g = &lp.groups[it.group as usize];
+                let rows = &g.trg_rows[it.start as usize..(it.start + it.len) as usize];
+                for (&row, yrow) in rows.iter().zip(y.chunks(nd_chk)) {
+                    let row = row as usize;
+                    for (c, y) in check[row * nd_chk..(row + 1) * nd_chk].iter_mut().zip(yrow) {
+                        *c += y;
+                    }
+                }
+            }
         }
     }
 
@@ -1005,6 +1083,7 @@ fn build_plan(tree: &Octree, ops: &FmmOperators) -> EvalPlan {
             }
 
             LevelPlan {
+                items: m2l_items(&groups),
                 groups,
                 x_rows,
                 x_nodes,
@@ -1030,14 +1109,15 @@ fn build_plan(tree: &Octree, ops: &FmmOperators) -> EvalPlan {
         }
     }
 
-    if std::env::var_os("FMM_TIMERS").is_some_and(|v| v == "1") {
+    if timers_enabled() {
         for (l, lp) in levels.iter().enumerate() {
             let pairs: usize = lp.groups.iter().map(|g| g.trg_rows.len()).sum();
             eprintln!(
-                "fmm plan: level {l}: {} nodes, {} m2l groups, {} pairs, {} x-rows",
+                "fmm plan: level {l}: {} nodes, {} m2l groups, {} pairs, {} items, {} x-rows",
                 tree.levels[l].len(),
                 lp.groups.len(),
                 pairs,
+                lp.items.len(),
                 lp.x_rows.len()
             );
         }
@@ -1185,10 +1265,43 @@ mod tests {
         assert!(e < 1e-4, "relative error {e}");
     }
 
+    /// Stokes double-layer FMM against direct summation: stresslet sources
+    /// (`data` = density + unit normal per source), Stokeslet-plus-source
+    /// equivalent densities — the configuration the boundary solver uses
+    /// (stresslets carry net mass flux, hence the augmented kernel).
+    fn stokes_dl_rel_err(src: &[Vec3], data: &[f64], trg: &[Vec3], opts: FmmOptions) -> f64 {
+        let sk = StokesDL;
+        let approx = fmm_evaluate(&sk, &StokesEquiv { mu: 1.0 }, src, data, trg, opts);
+        let mut exact = vec![0.0; trg.len() * 3];
+        direct_eval(&sk, src, data, trg, &mut exact);
+        rel_err(&approx, &exact)
+    }
+
+    /// `n` points at radius `radius(rng)` around the axis of a tube of
+    /// length 4, each with a random density and its radial unit normal
+    /// (stresslet source data).
+    fn tube_cloud(
+        rng: &mut StdRng,
+        n: usize,
+        radius: impl Fn(&mut StdRng) -> f64,
+    ) -> (Vec<Vec3>, Vec<f64>) {
+        let mut pts = Vec::with_capacity(n);
+        let mut data = Vec::with_capacity(n * 6);
+        for _ in 0..n {
+            let th = rng.random_range(0.0..std::f64::consts::TAU);
+            let rr = radius(rng);
+            let z = rng.random_range(-2.0..2.0);
+            pts.push(Vec3::new(rr * th.cos(), rr * th.sin(), z));
+            for _ in 0..3 {
+                data.push(rng.random_range(-1.0..1.0));
+            }
+            data.extend_from_slice(&[th.cos(), th.sin(), 0.0]);
+        }
+        (pts, data)
+    }
+
     #[test]
     fn stokes_double_layer_matches_direct() {
-        // stresslet sources with unit normals; equivalent densities are
-        // Stokeslets — the configuration the boundary solver uses.
         let mut rng = StdRng::seed_from_u64(10);
         let src = cloud(&mut rng, 800, 1.0, Vec3::ZERO);
         let trg = cloud(&mut rng, 300, 1.0, Vec3::new(0.1, 0.0, 0.0));
@@ -1205,26 +1318,169 @@ mod tests {
             .normalized();
             data.extend_from_slice(&[n.x, n.y, n.z]);
         }
-        let sk = StokesDL;
-        // the augmented (force + source) equivalent kernel is required for
-        // stresslet sources, which carry net mass flux
-        let ek = StokesEquiv { mu: 1.0 };
-        let approx = fmm_evaluate(
-            &sk,
-            &ek,
+        let opts = FmmOptions {
+            order: 6,
+            leaf_capacity: 60,
+            max_depth: 10,
+        };
+        let e = stokes_dl_rel_err(&src, &data, &trg, opts);
+        assert!(e < 1e-4, "relative error {e}");
+    }
+
+    /// The default leaf capacity trades translations for exact pairs, so on
+    /// the wall's geometry (sources on a tube, targets just inside it) it
+    /// must be at least as accurate as the 160 it replaced — with a tree
+    /// still deep enough to translate (a one-leaf tree would pass
+    /// trivially).
+    #[test]
+    fn default_capacity_is_no_less_accurate_than_160_on_a_tube() {
+        let mut rng = StdRng::seed_from_u64(14);
+        let (src, data) = tube_cloud(&mut rng, 9000, |_| 1.0);
+        let (trg, _) = tube_cloud(&mut rng, 3000, |rng| rng.random_range(0.8..0.97));
+        let default_cap = FmmOptions::default().leaf_capacity;
+        let tree = Octree::build(
             &src,
-            &data,
             &trg,
-            FmmOptions {
-                order: 6,
-                leaf_capacity: 60,
-                max_depth: 10,
+            TreeOptions {
+                leaf_capacity: default_cap,
+                max_depth: 14,
             },
         );
-        let mut exact = vec![0.0; trg.len() * 3];
-        direct_eval(&sk, &src, &data, &trg, &mut exact);
-        let e = rel_err(&approx, &exact);
-        assert!(e < 1e-4, "relative error {e}");
+        assert!(
+            tree.nodes.iter().any(|n| !n.v_list.is_empty()),
+            "cloud too small to exercise M2L at capacity {default_cap}"
+        );
+        for order in [4, 6] {
+            let err = |leaf_capacity| {
+                let opts = FmmOptions {
+                    order,
+                    leaf_capacity,
+                    ..Default::default()
+                };
+                stokes_dl_rel_err(&src, &data, &trg, opts)
+            };
+            let (e_new, e_old) = (err(default_cap), err(160));
+            assert!(
+                e_new <= e_old,
+                "order {order}: capacity {default_cap} error {e_new} vs 160 error {e_old}"
+            );
+        }
+    }
+
+    /// The per-class M2L dispatch [`Fmm::m2l_level`] replaced, kept as its
+    /// bitwise oracle: one parallel region per offset class over 64-pair
+    /// blocks, each block adding its result rows straight into `check`.
+    fn m2l_level_per_class<KS: Kernel, KE: Kernel>(
+        fmm: &Fmm<KS, KE>,
+        lp: &LevelPlan,
+        up: &[f64],
+        check: &mut [f64],
+    ) {
+        let (nd_eq, nd_chk) = (fmm.plan.nd_eq, fmm.plan.nd_chk);
+        for g in &lp.groups {
+            let a_t = fmm.ops.m2l_t[g.class as usize].as_ref().unwrap();
+            par::for_each_row_block(check, nd_chk, &g.trg_rows, M2L_BLOCK, |start, view| {
+                let b = view.len();
+                let mut sblk = vec![0.0; M2L_BLOCK * nd_eq];
+                let mut yblk = vec![0.0; M2L_BLOCK * nd_chk];
+                for r in 0..b {
+                    let ss = g.src_slots[start + r] as usize;
+                    sblk[r * nd_eq..(r + 1) * nd_eq]
+                        .copy_from_slice(&up[ss * nd_eq..(ss + 1) * nd_eq]);
+                }
+                gemm_acc(b, nd_chk, nd_eq, lp.scale_m2l, &sblk, a_t.data(), &mut yblk);
+                for r in 0..b {
+                    let yrow = &yblk[r * nd_chk..(r + 1) * nd_chk];
+                    for (c, y) in view.row(r).iter_mut().zip(yrow) {
+                        *c += y;
+                    }
+                }
+            });
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Level-wide staged M2L against the per-class loop, bit for bit, on a
+    /// Stokes-DL surface cloud: every level of the real plan, then one
+    /// level re-cut into classes of 1, 47, 64, 65 and 130 pairs that all
+    /// hit the same rows (a short class, the refined wall's old level-4
+    /// class size, an exact block, a block plus one, two blocks plus two) —
+    /// and the same bits again on 1, 2 and 4 threads.
+    #[test]
+    fn level_wide_m2l_matches_per_class_dispatch_bitwise() {
+        let mut rng = StdRng::seed_from_u64(31);
+        let (src, data) = tube_cloud(&mut rng, 6000, |_| 1.0);
+        let (trg, _) = tube_cloud(&mut rng, 2000, |rng| rng.random_range(0.8..0.97));
+        let opts = FmmOptions {
+            order: 4,
+            leaf_capacity: 40,
+            max_depth: 10,
+        };
+        let mut fmm = Fmm::new(StokesDL, StokesEquiv { mu: 1.0 }, &src, &trg, opts);
+        let reference = fmm.evaluate(&data);
+        let up = fmm.arenas.lock().up.clone();
+        let nd_chk = fmm.plan.nd_chk;
+
+        let staged_vs_per_class = |fmm: &Fmm<StokesDL, StokesEquiv>, lp: &LevelPlan, n: usize| {
+            let mut stage = vec![0.0; M2L_BATCH * M2L_BLOCK * nd_chk];
+            let mut staged = vec![0.0; n * nd_chk];
+            fmm.m2l_level(lp, &up, &mut staged, &mut stage);
+            let mut per_class = vec![0.0; n * nd_chk];
+            m2l_level_per_class(fmm, lp, &up, &mut per_class);
+            assert!(staged.iter().any(|&v| v != 0.0) || lp.groups.is_empty());
+            assert_eq!(bits(&staged), bits(&per_class));
+            staged
+        };
+        for (level, lp) in fmm.plan.levels.iter().enumerate() {
+            staged_vs_per_class(&fmm, lp, fmm.tree.levels[level].len());
+        }
+
+        // re-cut the widest level into classes of the sizes that matter
+        let level = (0..fmm.plan.levels.len())
+            .max_by_key(|&l| fmm.tree.levels[l].len())
+            .unwrap();
+        let nlev = fmm.tree.levels[level].len();
+        assert!(nlev >= 130, "widest level has {nlev} nodes");
+        let base = fmm.plan.level_ofs[level] as u32;
+        let groups: Vec<M2lGroup> = [1usize, 47, 64, 65, 130]
+            .iter()
+            .zip(&fmm.plan.levels[level].groups)
+            .map(|(&n, real)| M2lGroup {
+                class: real.class,
+                trg_rows: (0..n as u32).collect(),
+                src_slots: (0..n as u32)
+                    .map(|i| base + (7 * i + n as u32) % nlev as u32)
+                    .collect(),
+            })
+            .collect();
+        assert_eq!(groups.len(), 5);
+        let lp = &mut fmm.plan.levels[level];
+        lp.items = m2l_items(&groups);
+        lp.groups = groups;
+        assert_eq!(
+            lp.items.iter().map(|it| it.len).collect::<Vec<_>>(),
+            [1, 47, 64, 64, 1, 64, 64, 2]
+        );
+        let recut = staged_vs_per_class(&fmm, &fmm.plan.levels[level], nlev);
+
+        // thread-count independence, of the re-cut level and of a whole
+        // evaluate on it
+        let whole = fmm.evaluate(&data);
+        assert_ne!(bits(&whole), bits(&reference));
+        for threads in [1, 2, 4] {
+            par::with_override(threads, || {
+                let again = staged_vs_per_class(&fmm, &fmm.plan.levels[level], nlev);
+                assert_eq!(bits(&again), bits(&recut), "{threads} threads");
+                assert_eq!(
+                    bits(&fmm.evaluate(&data)),
+                    bits(&whole),
+                    "{threads} threads"
+                );
+            });
+        }
     }
 
     #[test]

@@ -1123,8 +1123,11 @@ mod tests {
         let opts = bie::BieOptions {
             backend: bie::MatvecBackend::Fmm,
             qf: 6,
+            // small leaves: at the default capacity this 14-patch wall's
+            // frozen eval tree is eight adjacent leaves with no far field
             fmm: bie::FmmOptions {
                 order: 4,
+                leaf_capacity: 160,
                 ..Default::default()
             },
             gmres: linalg::GmresOptions {

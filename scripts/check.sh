@@ -155,20 +155,21 @@ cargo run --release -q -p driver -- batch scenarios/farm_smoke.toml \
     --assert-cache-hits 1
 
 if [ "${CHECK_FAST:-0}" != "1" ]; then
-    echo "== benchmark package (standalone build + its tests + two workload smokes)"
+    echo "== benchmark package (standalone build + its tests + three workload smokes)"
     # benchmark/ is a package of its own that reaches the simulator through
     # the layer crates' public APIs, so a change to one of those breaks it
     # without the workspace build noticing: build it here and run its
     # smallest end-to-end paths at --smoke sizes, correctness gate included
     # (an incorrect run still exits 0, so the verdict is read off its result
-    # line) — the retried-step workload, and the free-space suspension, the
-    # only one whose step is the cell self-operator and contact handling
+    # line) — the retried-step workload, the free-space suspension, the
+    # only one whose step is the cell self-operator and contact handling,
+    # and the refined vessel, the only one whose wall matvec is the FMM
     cargo build --release --offline --manifest-path benchmark/Cargo.toml
     # its own unit tests (~30 s, the --smoke path over all four workloads
     # among them): a layer-crate API change that breaks them fails here,
     # not in the next performance PR
     cargo test --release --offline --manifest-path benchmark/Cargo.toml
-    for WORKLOAD in train_retry suspension_contact; do
+    for WORKLOAD in train_retry suspension_contact vessel_refined; do
         BENCH_RESULT=$(cargo run --release --quiet --offline \
             --manifest-path benchmark/Cargo.toml -- \
             --workload "$WORKLOAD" --smoke --trace 0 | tail -n 1)
