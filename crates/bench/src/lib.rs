@@ -1,11 +1,11 @@
-//! Shared helpers for the benchmark harnesses that regenerate the paper's
-//! tables and figures (see DESIGN.md's experiment index).
+//! Shared helpers for the FMM microbench (`fmm_bench`, `benches/`) and
+//! the accuracy studies (`tube_accuracy`, the convergence and quadrature
+//! bins). Step timing lives in the standalone `benchmark/` package.
 
 pub mod seed_fmm;
 
 use linalg::Vec3;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Uniform random cloud in `[-1, 1]³` — the shared point sampler of the
 /// N-body benches (`benches/components.rs`, `bin/fmm_bench.rs`).
@@ -20,72 +20,6 @@ pub fn cloud(rng: &mut StdRng, n: usize) -> Vec<Vec3> {
             )
         })
         .collect()
-}
-use sim::{cells_from_seeds, fill_seeds, SimConfig, Simulation, Vessel};
-use sphharm::SphBasis;
-use vesicle::CellParams;
-
-/// Builds a confined suspension in a stenosed vessel loop with roughly the
-/// requested number of cells (the scaled-down analogue of the paper's
-/// vessel networks).
-pub fn build_vessel_suspension(
-    target_cells: usize,
-    refine: u32,
-    sph_order: usize,
-    seed: u64,
-) -> Simulation {
-    // fixed cell size; the vessel loop grows with the target count (the
-    // scaled-down analogue of the paper's domain refill: constant
-    // resolution per cell, domain scaled to the population)
-    let small_r = 1.0;
-    let h = 0.9;
-    let volume_needed = target_cells.max(2) as f64 * h * h * h * 2.2;
-    let big_r = (volume_needed
-        / (2.0 * std::f64::consts::PI * std::f64::consts::PI * small_r * small_r))
-        .max(2.4);
-    let nu = ((12.0 * big_r / 4.0) as usize).clamp(8, 48);
-    let mut surface = patch::modulated_torus(big_r, small_r, 0.2, 4, nu, 4, 8);
-    for _ in 0..refine {
-        surface = surface.refined();
-    }
-    let bie = bie::BieOptions {
-        backend: bie::MatvecBackend::Dense,
-        gmres: linalg::GmresOptions {
-            tol: 1e-4,
-            max_iters: 30,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    let vessel = Vessel::new(surface.clone(), 1.0, bie, 0.0, 10);
-    let basis = SphBasis::new(sph_order);
-    let seeds = fill_seeds(&surface, h, 0.9);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let cells = cells_from_seeds(&basis, &seeds, CellParams::default(), &mut rng);
-    let config = SimConfig {
-        dt: 0.01,
-        collision_delta: 0.04 * h,
-        gravity: Vec3::new(0.0, 0.0, -0.2),
-        ..Default::default()
-    };
-    Simulation::new(basis, cells, Some(vessel), config)
-}
-
-/// Warms process-wide caches (FMM operators, upsampling matrices) so that
-/// scaling measurements compare steady-state steps, not one-time setup.
-pub fn warm_caches() {
-    let mut sim = build_vessel_suspension(2, 0, 8, 99);
-    sim.step();
-}
-
-/// Runs `f` inside a rayon pool with `threads` workers (the substitution
-/// for MPI rank counts; see DESIGN.md).
-pub fn with_threads<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("thread pool")
-        .install(f)
 }
 
 /// Least-squares slope of log(y) against log(x) (convergence order).

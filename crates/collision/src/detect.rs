@@ -20,7 +20,7 @@
 //! the interference values are accumulated, so `V` and every gradient is
 //! bit-identical across paths, runs, and instances (the restart guarantee).
 //!
-//! Interference measure (DESIGN.md substitution): where \[17\]/\[25\] compute
+//! Interference measure (a substitution for the paper's): where \[17\]/\[25\] compute
 //! exact piecewise-linear space-time interference volumes, we use
 //! `V_k = −Σ_pairs (δ − dist)₊ · a_v` accumulated over the vertex–triangle
 //! pairs of contact `k`, with `a_v` the vertex area weight and `δ` the

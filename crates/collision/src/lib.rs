@@ -8,10 +8,10 @@
 //!   grids) and vessel patches (equispaced grids), the unifying step of §4;
 //! - [`detect`]: space-time bounding boxes + a binned uniform grid over
 //!   triangle AABBs for output-sensitive vertex–triangle candidates, and
-//!   the per-object-pair interference measure `V` with gradients (see
-//!   DESIGN.md for the documented simplification of the space-time volume
-//!   of \[17\]/\[25\]; the exhaustive reference scan stays available behind
-//!   [`detect::BroadPhase::BruteForce`]);
+//!   the per-object-pair interference measure `V` with gradients (a
+//!   simplification of the space-time volume of \[17\]/\[25\], stated in
+//!   [`detect`]'s module docs; the exhaustive reference scan stays
+//!   available behind [`detect::BroadPhase::BruteForce`]);
 //! - [`lcp`]: minimum-map Newton over GMRES;
 //! - [`ncp`]: the outer re-linearization loop with the deterministic CSR
 //!   coupling matrix `B`, batched per-mesh mobility applies

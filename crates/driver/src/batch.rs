@@ -55,8 +55,7 @@
 //! `threads` knob is pinned to 1 — job-level parallelism replaces
 //! step-level parallelism, without touching the trajectory.
 
-use crate::run::{final_checkpoint_path, RunOptions};
-use crate::session::{CacheTelemetry, Session};
+use crate::session::{final_checkpoint_path, CacheTelemetry, RunOptions, Session};
 use crate::toml::{Doc, Value};
 use rayon::par;
 use sim::Checkpoint;
@@ -388,13 +387,11 @@ fn run_job(job: &JobSpec, pin_serial: bool) -> JobOutcome {
         }
         let start = session.sim.steps;
         let opts = RunOptions {
-            scenario: job.scenario.clone(),
             steps: job.steps - start,
             checkpoint_every: job.checkpoint_every,
             keep_checkpoints: job.keep_checkpoints,
             out_dir: Some(job.out_dir.clone()),
             quiet: true,
-            fail_on_nonfinite: true,
         };
         session.run(&opts).map_err(|e| e.to_string())?;
         Ok(start)

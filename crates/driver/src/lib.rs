@@ -7,20 +7,19 @@
 //!   (the environment is offline, so no external parser crates);
 //! - [`scenario`]: the registry of named scenario builders (shear pair,
 //!   sedimentation, vessel flow, dense fill, Poiseuille cell train, random
-//!   suspension) shared by `examples/`, `sim-driver`, and `step_bench`;
-//! - [`session`]: the composable run layer — [`Session`] owns a built
-//!   scenario and steps it resumably, streaming each step through
+//!   suspension) shared by `examples/`, `sim-driver`, and the `benchmark/`
+//!   workloads;
+//! - [`session`]: the run layer — [`Session`] owns a built scenario and
+//!   steps it resumably, streaming each step ([`StepRow`]) through
 //!   pluggable [`StepSink`] observers (console table, CSV stream, cadence
-//!   checkpointer);
+//!   checkpointer); [`Session::run`] composes all three under
+//!   [`RunOptions`] and returns a [`RunReport`];
 //! - [`batch`]: the simulation farm — `sim-driver batch <manifest.toml>`
 //!   schedules many scenario jobs over the persistent worker pool with
 //!   shared immutable caches and a checkpoint-resumable queue;
 //! - [`physio`]: the physiology observer — [`PhysioSink`] streams
 //!   apparent viscosity, cell-free layer, and branch hematocrit split
-//!   (from [`sim::physio`]) as one CSV row per step;
-//! - [`mod@run`]: the pre-split record types ([`RunOptions`],
-//!   [`RunReport`], [`StepRow`]) and the [`run()`] entry point, now a thin
-//!   wrapper over [`session`].
+//!   (from [`sim::physio`]) as one CSV row per step.
 //!
 //! The `sim-driver` binary is the CLI front end:
 //!
@@ -36,16 +35,15 @@
 
 pub mod batch;
 pub mod physio;
-pub mod run;
 pub mod scenario;
 pub mod session;
 pub mod toml;
 
 pub use batch::{run_farm, FarmOptions, FarmReport, JobOutcome, JobSpec, JobStatus, Manifest};
 pub use physio::{PhysioRow, PhysioSink, PHYSIO_CSV_HEADER};
-pub use run::{final_checkpoint_path, run, RunOptions, RunReport, StepRow};
 pub use scenario::{build, registry, Built, ScenarioSpec};
 pub use session::{
-    drive, run_with, CacheTelemetry, CheckpointSink, ConsoleSink, CsvSink, Session, StepSink,
+    final_checkpoint_path, CacheTelemetry, CheckpointSink, ConsoleSink, CsvSink, RunOptions,
+    RunReport, Session, StepRow, StepSink,
 };
 pub use toml::{Doc, Value};

@@ -69,8 +69,8 @@
 //! non-finite (naming the step, cell, and coefficient); pass
 //! `--allow-nonfinite` to disable that guard and keep stepping anyway.
 
-use driver::{final_checkpoint_path, run, Doc, FarmOptions, Manifest, RunOptions};
-use sim::Checkpoint;
+use driver::{final_checkpoint_path, Doc, FarmOptions, Manifest, RunOptions, Session};
+use sim::{Checkpoint, Simulation};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -317,6 +317,24 @@ fn batch_main(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// The end-of-run check the smokes share: every cell's centroid and
+/// volume are finite. Only finiteness — a squeezed cell can transiently
+/// invert (negative signed volume) in aggressive configs, but NaN/∞ means
+/// the step itself produced garbage.
+fn cells_ended_finite(sim: &Simulation, smoke: &str) -> Result<(), String> {
+    for (ci, cell) in sim.cells.iter().enumerate() {
+        let g = cell.geometry(&sim.basis);
+        let c = g.centroid();
+        let vol = g.volume();
+        if !c.is_finite() || !vol.is_finite() {
+            return Err(format!(
+                "{smoke}: cell {ci} ended non-finite (centroid {c:?}, volume {vol})"
+            ));
+        }
+    }
+    Ok(())
+}
+
 fn main_inner() -> Result<(), String> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.first().map(String::as_str) == Some("batch") {
@@ -346,19 +364,13 @@ fn main_inner() -> Result<(), String> {
         cfg.set(&args.scenario, "threads", driver::Value::Int(n as i64));
     }
 
-    let mut built = driver::build(&args.scenario, &cfg)?;
+    let mut session = Session::build(&args.scenario, &cfg)?;
+    session.fail_on_nonfinite = !args.allow_nonfinite;
 
     if let Some(ckpt_path) = &args.restart {
         let ckpt =
             Checkpoint::load(ckpt_path).map_err(|e| format!("{}: {e}", ckpt_path.display()))?;
-        if ckpt.scenario != args.scenario {
-            return Err(format!(
-                "checkpoint is from scenario `{}`, not `{}`",
-                ckpt.scenario, args.scenario
-            ));
-        }
-        ckpt.restore_into(&mut built.sim)
-            .map_err(|e| e.to_string())?;
+        session.restore(&ckpt)?;
         if !args.sets.is_empty() {
             eprintln!(
                 "warning: --restart restores the checkpoint's configuration; \
@@ -370,7 +382,7 @@ fn main_inner() -> Result<(), String> {
             println!(
                 "restarted from {} at step {}",
                 ckpt_path.display(),
-                built.sim.steps
+                session.sim.steps
             );
         }
     }
@@ -385,15 +397,14 @@ fn main_inner() -> Result<(), String> {
         )
     };
     let opts = RunOptions {
-        scenario: args.scenario.clone(),
         steps: args.steps,
         checkpoint_every: args.checkpoint_every,
         keep_checkpoints: args.keep_checkpoints,
         out_dir: out_dir.clone(),
         quiet: args.quiet,
-        fail_on_nonfinite: !args.allow_nonfinite,
     };
-    let report = run(&mut built.sim, built.recycle, &opts).map_err(|e| e.to_string())?;
+    let report = session.run(&opts).map_err(|e| e.to_string())?;
+    let sim = &session.sim;
 
     if let Some(min_contacts) = args.assert_contacts {
         let total: usize = report.rows.iter().map(|r| r.stats.contacts).sum();
@@ -403,28 +414,17 @@ fn main_inner() -> Result<(), String> {
                 report.rows.len()
             ));
         }
-        let basis = &built.sim.basis;
-        for (ci, cell) in built.sim.cells.iter().enumerate() {
-            let vol = cell.geometry(basis).volume();
-            // finiteness only: a squeezed cell can transiently invert
-            // (negative signed volume) in aggressive configs, but NaN/∞
-            // means the step itself produced garbage
-            if !vol.is_finite() {
-                return Err(format!(
-                    "collision smoke: cell {ci} volume {vol} is not finite"
-                ));
-            }
-        }
+        cells_ended_finite(sim, "collision smoke")?;
         if !args.quiet {
             println!(
                 "collision smoke OK: {total} contacts ≥ {min_contacts}, all {} cell volumes finite",
-                built.sim.cells.len()
+                sim.cells.len()
             );
         }
     }
 
     if let Some(cap) = args.assert_bie_below {
-        if built.sim.vessel.is_none() {
+        if sim.vessel.is_none() {
             return Err("bie smoke: scenario has no vessel (no boundary solve ran)".into());
         }
         for row in &report.rows {
@@ -445,17 +445,7 @@ fn main_inner() -> Result<(), String> {
             // improvement is pinned by that test; smooth-data convergence
             // by the analytic suite in crates/bie/tests/tube.rs.
         }
-        let basis = &built.sim.basis;
-        for (ci, cell) in built.sim.cells.iter().enumerate() {
-            let g = cell.geometry(basis);
-            let c = g.centroid();
-            let vol = g.volume();
-            if !c.is_finite() || !vol.is_finite() {
-                return Err(format!(
-                    "bie smoke: cell {ci} ended non-finite (centroid {c:?}, volume {vol})"
-                ));
-            }
-        }
+        cells_ended_finite(sim, "bie smoke")?;
         if !args.quiet {
             let worst = report
                 .rows
@@ -471,13 +461,13 @@ fn main_inner() -> Result<(), String> {
             println!(
                 "bie smoke OK: max {worst} GMRES iterations < {cap}, final relative \
                  residual {resid:.2e}, all {} cells finite",
-                built.sim.cells.len()
+                sim.cells.len()
             );
         }
     }
 
     if let Some(max_builds) = args.assert_fmm_rebuilds {
-        if built.sim.vessel.is_none() {
+        if sim.vessel.is_none() {
             return Err("fmm-reuse smoke: scenario has no vessel (no wall FMM runs)".into());
         }
         let builds: usize = report.rows.iter().map(|r| r.stats.wall_fmm_builds).sum();
@@ -509,7 +499,7 @@ fn main_inner() -> Result<(), String> {
     }
 
     if let Some(tol) = args.assert_flux_balance {
-        if built.sim.vessel.is_none() {
+        if sim.vessel.is_none() {
             return Err("flux-balance smoke: scenario has no vessel (no ports to balance)".into());
         }
         let mut worst = 0.0f64;
@@ -525,23 +515,13 @@ fn main_inner() -> Result<(), String> {
             }
             worst = worst.max(imb);
         }
-        let basis = &built.sim.basis;
-        for (ci, cell) in built.sim.cells.iter().enumerate() {
-            let g = cell.geometry(basis);
-            let c = g.centroid();
-            let vol = g.volume();
-            if !c.is_finite() || !vol.is_finite() {
-                return Err(format!(
-                    "flux-balance smoke: cell {ci} ended non-finite (centroid {c:?}, volume {vol})"
-                ));
-            }
-        }
+        cells_ended_finite(sim, "flux-balance smoke")?;
         if !args.quiet {
             println!(
                 "flux-balance smoke OK: max net port flux imbalance {worst:.3e} ≤ {tol:.3e} \
                  over {} steps, all {} cells finite",
                 report.rows.len(),
-                built.sim.cells.len()
+                sim.cells.len()
             );
         }
     }
@@ -555,7 +535,7 @@ fn main_inner() -> Result<(), String> {
                 report.rows.len()
             ));
         }
-        let bound = built.sim.config.dt_control.max_stretch;
+        let bound = sim.config.dt_control.max_stretch;
         for row in &report.rows {
             let s = row.stats.max_edge_stretch;
             if !s.is_finite() || s > bound {
@@ -566,7 +546,7 @@ fn main_inner() -> Result<(), String> {
                 ));
             }
         }
-        for (ci, cell) in built.sim.cells.iter().enumerate() {
+        for (ci, cell) in sim.cells.iter().enumerate() {
             for (comp, coeffs) in cell.coeffs.iter().enumerate() {
                 if let Some(k) = coeffs.data.iter().position(|v| !v.is_finite()) {
                     return Err(format!(

@@ -11,8 +11,7 @@
 //! physiology` and the regression tests both consume the in-memory
 //! [`PhysioRow`]s; the CSV stream is for plotting.
 
-use crate::run::StepRow;
-use crate::session::StepSink;
+use crate::session::{StepRow, StepSink};
 use linalg::Vec3;
 use sim::{
     apparent_viscosity, branch_hematocrit, cell_free_layer, membrane_drag_power, tube_dimensions,

@@ -2,8 +2,8 @@
 //!
 //! A scenario is a named builder from a declarative config ([`Doc`]) to a
 //! ready-to-step [`Simulation`]. The `examples/` binaries, the `sim-driver`
-//! CLI, and the `step_bench` perf harness all construct domains through
-//! this registry, so a scenario definition lives exactly once.
+//! CLI, and the `benchmark/` workloads all construct domains through this
+//! registry, so a scenario definition lives exactly once.
 //!
 //! Builders are deterministic: all randomness comes from seeded RNGs whose
 //! seeds are config keys, which is what lets a checkpoint restart rebuild

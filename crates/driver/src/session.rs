@@ -1,10 +1,4 @@
-//! The composable run layer: scenario build / step loop / IO split.
-//!
-//! [`run::run`](crate::run::run) used to be a monolith coupling stepping,
-//! timing, CSV writing, and checkpointing; every caller (CLI, examples,
-//! `step_bench`, CI smokes) either went through the whole thing or
-//! hand-rolled its own loop. This module splits it into pieces that
-//! compose:
+//! The run layer: scenario build / step loop / IO split.
 //!
 //! - **build**: [`Session::build`] goes registry → ready-to-step
 //!   [`Simulation`] (through the process-wide shared immutable caches —
@@ -13,28 +7,149 @@
 //!   the non-finite guard) with the state it applies to;
 //! - **step loop**: [`Session::step`] is the resumable stepper — one call,
 //!   one committed step, one [`StepRow`] of per-stage timers and
-//!   [`sim::StepStats`]; [`drive`] folds it over N steps;
+//!   [`sim::StepStats`]; [`Session::drive`] folds it over N steps;
 //! - **IO sinks**: [`StepSink`] observers ([`ConsoleSink`], [`CsvSink`],
 //!   [`CheckpointSink`]) receive each row as it happens, so output
 //!   streams and checkpoints survive a kill at any step. They are
 //!   pluggable: the batch farm, the CLI, and the examples wire different
 //!   sink sets over the same loop.
 //!
-//! The pre-split `run(sim, recycle, opts)` entry point still exists and is
-//! now a thin composition over these pieces ([`run_with`]); its console
-//! lines, `trajectory.csv` bytes, and checkpoint files are pinned
-//! bit-identical to the monolith by `driver/tests/`.
+//! [`Session::run`] is the one full composition (console + streaming CSV +
+//! cadence/final checkpoints, configured by [`RunOptions`]) that the CLI
+//! and the farm's per-job runner use; its console lines, `trajectory.csv`
+//! bytes, and checkpoint files are pinned by `driver/tests/`.
 
-use crate::run::{checkpoint_path, final_checkpoint_path, RunOptions, RunReport, StepRow};
 use crate::scenario::Built;
 use crate::toml::Doc;
-use sim::{Checkpoint, Simulation};
+use sim::{Checkpoint, Simulation, StepStats, StepTimers};
 use std::io;
 use std::path::{Path, PathBuf};
 
+/// Controls for [`Session::run`].
+#[derive(Clone, Debug)]
+pub struct RunOptions {
+    /// Number of steps to take (on restart: *additional* steps).
+    pub steps: usize,
+    /// Write a checkpoint every `k` steps (0 = only the final one).
+    pub checkpoint_every: usize,
+    /// Cadence checkpoints to keep on disk (rotation): 0 = keep all,
+    /// `k` = delete all but the newest `k` (the final-state checkpoint is
+    /// never rotated). Long-horizon farm jobs use this so resumability
+    /// does not cost one file per cadence tick.
+    pub keep_checkpoints: usize,
+    /// Directory for checkpoints and CSV output; `None` disables all
+    /// file output.
+    pub out_dir: Option<PathBuf>,
+    /// Suppress the per-step progress lines.
+    pub quiet: bool,
+}
+
+impl Default for RunOptions {
+    fn default() -> Self {
+        RunOptions {
+            steps: 10,
+            checkpoint_every: 0,
+            keep_checkpoints: 0,
+            out_dir: None,
+            quiet: false,
+        }
+    }
+}
+
+/// One step's record.
+#[derive(Clone, Copy, Debug)]
+pub struct StepRow {
+    /// Step index (1-based, global across restarts).
+    pub step: usize,
+    /// Component timers for this step.
+    pub timers: StepTimers,
+    /// Solver/contact diagnostics.
+    pub stats: StepStats,
+    /// Cells recycled outlet → inlet after this step.
+    pub recycled: usize,
+}
+
+/// What a run produced.
+#[derive(Clone, Debug, Default)]
+pub struct RunReport {
+    /// Component timers summed over the executed steps.
+    pub timers: StepTimers,
+    /// Per-step records.
+    pub rows: Vec<StepRow>,
+    /// Checkpoints written, in order; the last one is the final state.
+    pub checkpoints: Vec<PathBuf>,
+}
+
+impl RunReport {
+    /// Renders the per-stage aggregate the paper's Figs. 4–6 tabulate.
+    pub fn stage_table(&self) -> String {
+        let t = &self.timers;
+        let n = self.rows.len().max(1) as f64;
+        let mut out = String::from("stage        total(s)  per-step(s)\n");
+        for (name, v) in [
+            ("COL", t.col),
+            ("BIE-solve", t.bie_solve),
+            ("BIE-FMM", t.bie_fmm),
+            ("Other-FMM", t.other_fmm),
+            ("Other", t.other),
+        ] {
+            out.push_str(&format!("{name:<11} {v:>9.3}  {:>11.4}\n", v / n));
+        }
+        out.push_str(&format!(
+            "{:<11} {:>9.3}  {:>11.4}\n",
+            "TOTAL",
+            t.total(),
+            t.total() / n
+        ));
+        out
+    }
+}
+
+/// Column header of the per-step CSV.
+const CSV_HEADER: &str =
+    "step,col_s,bie_solve_s,bie_fmm_s,other_fmm_s,other_s,total_s,gmres_iters,contacts,ncp_iters,recycled,dt_effective,dt_retries,max_edge_stretch,frozen_cells,wall_fmm_builds,wall_fmm_replans,flux_imbalance\n";
+
+impl StepRow {
+    /// One CSV line (newline-terminated) for this row.
+    fn csv_line(&self) -> String {
+        let t = self.timers;
+        format!(
+            "{},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{},{},{},{},{:.8},{},{:.4},{},{},{},{:.3e}\n",
+            self.step,
+            t.col,
+            t.bie_solve,
+            t.bie_fmm,
+            t.other_fmm,
+            t.other,
+            t.total(),
+            self.stats.bie_iterations,
+            self.stats.contacts,
+            self.stats.ncp_iters,
+            self.recycled,
+            self.stats.dt_effective,
+            self.stats.dt_retries,
+            self.stats.max_edge_stretch,
+            self.stats.frozen_cells,
+            self.stats.wall_fmm_builds,
+            self.stats.wall_fmm_replans,
+            self.stats.flux_imbalance,
+        )
+    }
+}
+
+/// Path of a cadence checkpoint at the given step counter.
+fn checkpoint_path(dir: &Path, scenario: &str, step: usize) -> PathBuf {
+    dir.join(format!("{scenario}_step{step:06}.ckpt"))
+}
+
+/// Path of the final-state checkpoint a run writes.
+pub fn final_checkpoint_path(dir: &Path, scenario: &str) -> PathBuf {
+    dir.join(format!("{scenario}_final.ckpt"))
+}
+
 /// A per-step observer plugged into the step loop.
 ///
-/// Sinks are called in the order they are passed to [`drive`]; any error
+/// Sinks are called in the order they are passed to [`Session::drive`]; any error
 /// aborts the run (the step itself is already committed — sinks observe,
 /// they do not vote).
 pub trait StepSink {
@@ -109,7 +224,7 @@ impl CsvSink {
     /// Creates (truncating) `path` and writes the column header.
     pub fn create(path: &Path) -> io::Result<CsvSink> {
         let mut file = std::fs::File::create(path)?;
-        io::Write::write_all(&mut file, crate::run::CSV_HEADER.as_bytes())?;
+        io::Write::write_all(&mut file, CSV_HEADER.as_bytes())?;
         Ok(CsvSink { file })
     }
 
@@ -206,104 +321,12 @@ fn first_nonfinite(sim: &Simulation) -> Option<(usize, usize, usize)> {
     None
 }
 
-/// One step of the step loop: advance, guard, recycle, record.
-fn step_once(sim: &mut Simulation, recycle: bool, fail_on_nonfinite: bool) -> io::Result<StepRow> {
-    let t = sim.step();
-    if fail_on_nonfinite {
-        if let Some((ci, comp, k)) = first_nonfinite(sim) {
-            return Err(io::Error::other(format!(
-                "non-finite state after step {}: cell {ci}, component {}, \
-                 coefficient {k} (rerun with --allow-nonfinite to continue anyway)",
-                sim.steps,
-                ["x", "y", "z"][comp],
-            )));
-        }
-    }
-    let recycled = if recycle { sim.recycle_cells() } else { 0 };
-    Ok(StepRow {
-        step: sim.steps,
-        timers: t,
-        stats: sim.last_stats,
-        recycled,
-    })
-}
-
-/// Folds the step loop over `steps` steps, feeding every row to each sink
-/// in order. Returns the aggregate report; `report.checkpoints` stays
-/// empty — checkpoint paths live in the [`CheckpointSink`] that wrote them
-/// (see [`run_with`] for the composition the CLI uses).
-pub fn drive(
-    sim: &mut Simulation,
-    recycle: bool,
-    steps: usize,
-    fail_on_nonfinite: bool,
-    sinks: &mut [&mut dyn StepSink],
-) -> io::Result<RunReport> {
-    for sink in sinks.iter_mut() {
-        sink.on_start(sim)?;
-    }
-    let mut report = RunReport::default();
-    for _ in 0..steps {
-        let row = step_once(sim, recycle, fail_on_nonfinite)?;
-        report.timers.accumulate(&row.timers);
-        for sink in sinks.iter_mut() {
-            sink.on_step(sim, &row)?;
-        }
-        report.rows.push(row);
-    }
-    for sink in sinks.iter_mut() {
-        sink.on_finish(sim)?;
-    }
-    Ok(report)
-}
-
-/// The full single-run composition the CLI (and the farm's per-job runner)
-/// uses: console + streaming CSV + cadence/final checkpoints over
-/// [`drive`]. Behavior (console lines, CSV bytes, checkpoint files) is
-/// pinned bit-identical to the pre-split `run` monolith.
-pub fn run_with(sim: &mut Simulation, recycle: bool, opts: &RunOptions) -> io::Result<RunReport> {
-    if let Some(dir) = &opts.out_dir {
-        std::fs::create_dir_all(dir)?;
-    }
-    let mut console = (!opts.quiet).then(|| ConsoleSink::new(opts.scenario.clone(), opts.steps));
-    let mut csv = match &opts.out_dir {
-        Some(dir) => Some(CsvSink::create(
-            &dir.join(CsvSink::trajectory_name(sim.steps)),
-        )?),
-        None => None,
-    };
-    let mut ckpt = opts.out_dir.as_ref().map(|dir| {
-        CheckpointSink::new(
-            dir,
-            opts.scenario.clone(),
-            opts.checkpoint_every,
-            opts.keep_checkpoints,
-        )
-    });
-    let mut sinks: Vec<&mut dyn StepSink> = Vec::with_capacity(3);
-    if let Some(s) = console.as_mut() {
-        sinks.push(s);
-    }
-    if let Some(s) = csv.as_mut() {
-        sinks.push(s);
-    }
-    if let Some(s) = ckpt.as_mut() {
-        sinks.push(s);
-    }
-    let mut report = drive(sim, recycle, opts.steps, opts.fail_on_nonfinite, &mut sinks)?;
-    if let Some(c) = ckpt {
-        report.checkpoints = c.written;
-    }
-    Ok(report)
-}
-
 /// An owned scenario run: the simulation plus the per-step policy and the
 /// name that ties its checkpoints back to the registry.
 ///
-/// Where [`crate::build`] returns the raw parts, a `Session` is the
-/// steppable unit the farm schedules and the examples iterate:
 /// [`Session::step`] advances one step at a time (resumable — call it
-/// whenever), [`Session::run`] composes the full sink set.
+/// whenever), [`Session::drive`] folds it over any sink set, and
+/// [`Session::run`] composes the full console/CSV/checkpoint set.
 pub struct Session {
     /// Registry name (stored in checkpoints so a restart can rebuild).
     pub scenario: String,
@@ -311,7 +334,11 @@ pub struct Session {
     pub sim: Simulation,
     /// Recycle outlet cells into the inlet after each step.
     pub recycle: bool,
-    /// Abort on non-finite cell coefficients (see [`RunOptions`]).
+    /// Abort the run (with an error naming the step, cell, and
+    /// coefficient) the moment any cell's shape coefficients go
+    /// non-finite. On by default: a NaN that survives the adaptive
+    /// stepper's own gates means the simulation state is garbage and every
+    /// later step wastes time.
     pub fail_on_nonfinite: bool,
 }
 
@@ -344,38 +371,96 @@ impl Session {
         ckpt.restore_into(&mut self.sim).map_err(|e| e.to_string())
     }
 
-    /// Takes one committed step and returns its record. Resumable: the
-    /// step counter (and the CSV/ckpt numbering derived from it) carries
-    /// across calls, checkpoint restores, and process restarts.
+    /// Takes one committed step — advance, guard, recycle — and returns
+    /// its record. Resumable: the step counter (and the CSV/ckpt numbering
+    /// derived from it) carries across calls, checkpoint restores, and
+    /// process restarts.
     pub fn step(&mut self) -> io::Result<StepRow> {
-        step_once(&mut self.sim, self.recycle, self.fail_on_nonfinite)
+        let sim = &mut self.sim;
+        let t = sim.step();
+        if self.fail_on_nonfinite {
+            if let Some((ci, comp, k)) = first_nonfinite(sim) {
+                return Err(io::Error::other(format!(
+                    "non-finite state after step {}: cell {ci}, component {}, \
+                     coefficient {k} (rerun with --allow-nonfinite to continue anyway)",
+                    sim.steps,
+                    ["x", "y", "z"][comp],
+                )));
+            }
+        }
+        let recycled = if self.recycle { sim.recycle_cells() } else { 0 };
+        Ok(StepRow {
+            step: sim.steps,
+            timers: t,
+            stats: sim.last_stats,
+            recycled,
+        })
     }
 
-    /// Runs `steps` steps through the given sinks (see [`drive`]).
+    /// Runs `steps` steps, feeding every row to each sink in order.
+    /// Returns the aggregate report; `report.checkpoints` stays empty —
+    /// checkpoint paths live in the [`CheckpointSink`] that wrote them.
     pub fn drive(
         &mut self,
         steps: usize,
         sinks: &mut [&mut dyn StepSink],
     ) -> io::Result<RunReport> {
-        drive(
-            &mut self.sim,
-            self.recycle,
-            steps,
-            self.fail_on_nonfinite,
-            sinks,
-        )
+        for sink in sinks.iter_mut() {
+            sink.on_start(&self.sim)?;
+        }
+        let mut report = RunReport::default();
+        for _ in 0..steps {
+            let row = self.step()?;
+            report.timers.accumulate(&row.timers);
+            for sink in sinks.iter_mut() {
+                sink.on_step(&self.sim, &row)?;
+            }
+            report.rows.push(row);
+        }
+        for sink in sinks.iter_mut() {
+            sink.on_finish(&self.sim)?;
+        }
+        Ok(report)
     }
 
-    /// Runs with the full console/CSV/checkpoint sink set (see
-    /// [`run_with`]). `opts.scenario` is ignored in favor of the
-    /// session's own name.
+    /// Runs `opts.steps` steps through the full sink set: console lines
+    /// (unless `opts.quiet`), and under `opts.out_dir` a streaming
+    /// `trajectory.csv` plus cadence and final checkpoints named after the
+    /// session's scenario.
     pub fn run(&mut self, opts: &RunOptions) -> io::Result<RunReport> {
-        let opts = RunOptions {
-            scenario: self.scenario.clone(),
-            fail_on_nonfinite: self.fail_on_nonfinite,
-            ..opts.clone()
+        if let Some(dir) = &opts.out_dir {
+            std::fs::create_dir_all(dir)?;
+        }
+        let mut console = (!opts.quiet).then(|| ConsoleSink::new(&self.scenario, opts.steps));
+        let mut csv = match &opts.out_dir {
+            Some(dir) => Some(CsvSink::create(
+                &dir.join(CsvSink::trajectory_name(self.sim.steps)),
+            )?),
+            None => None,
         };
-        run_with(&mut self.sim, self.recycle, &opts)
+        let mut ckpt = opts.out_dir.as_ref().map(|dir| {
+            CheckpointSink::new(
+                dir,
+                &self.scenario,
+                opts.checkpoint_every,
+                opts.keep_checkpoints,
+            )
+        });
+        let mut sinks: Vec<&mut dyn StepSink> = Vec::with_capacity(3);
+        if let Some(s) = console.as_mut() {
+            sinks.push(s);
+        }
+        if let Some(s) = csv.as_mut() {
+            sinks.push(s);
+        }
+        if let Some(s) = ckpt.as_mut() {
+            sinks.push(s);
+        }
+        let mut report = self.drive(opts.steps, &mut sinks)?;
+        if let Some(c) = ckpt {
+            report.checkpoints = c.written;
+        }
+        Ok(report)
     }
 }
 
@@ -480,6 +565,64 @@ mod tests {
         assert_eq!(rec.finished, 1);
         assert_eq!(rec.steps, vec![2, 3], "global step counter must carry");
         assert_eq!(s.sim.steps, 3);
+    }
+
+    #[test]
+    fn stage_table_and_csv_render() {
+        let t = StepTimers {
+            col: 0.5,
+            bie_solve: 0.25,
+            ..Default::default()
+        };
+        let row = StepRow {
+            step: 1,
+            timers: t,
+            stats: StepStats {
+                bie_iterations: 12,
+                contacts: 3,
+                dt_effective: 0.005,
+                dt_retries: 2,
+                max_edge_stretch: 1.25,
+                frozen_cells: 1,
+                wall_fmm_builds: 1,
+                wall_fmm_replans: 4,
+                flux_imbalance: 2.5e-13,
+                ..Default::default()
+            },
+            recycled: 1,
+        };
+        let mut report = RunReport::default();
+        report.timers.accumulate(&t);
+        report.rows.push(row);
+        let table = report.stage_table();
+        assert!(table.contains("COL") && table.contains("0.500"), "{table}");
+
+        let path = std::env::temp_dir().join(format!("session_csv_{}.csv", std::process::id()));
+        {
+            let mut csv = CsvSink::create(&path).unwrap();
+            csv.on_step(&tiny_session().sim, &row).unwrap();
+        }
+        let csv = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert!(csv.lines().count() == 2);
+        assert!(csv.contains(",12,3,"), "{csv}");
+        // the adaptive-dt diagnostics are first-class columns
+        let header = csv.lines().next().unwrap();
+        for col in [
+            "dt_effective",
+            "dt_retries",
+            "max_edge_stretch",
+            "frozen_cells",
+            "wall_fmm_builds",
+            "wall_fmm_replans",
+            "flux_imbalance",
+        ] {
+            assert!(header.contains(col), "missing column {col}: {header}");
+        }
+        assert!(
+            csv.contains(",0.00500000,2,1.2500,1,1,4,2.500e-13"),
+            "{csv}"
+        );
     }
 
     #[test]

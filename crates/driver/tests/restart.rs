@@ -255,16 +255,15 @@ fn run_loop_checkpoints_on_cadence_and_restarts() {
     let cfg = small_shear_pair_cfg();
     let dir = std::env::temp_dir().join(format!("driver_cadence_{}", std::process::id()));
 
-    let mut built = driver::build("shear_pair", &cfg).unwrap();
+    let mut session = driver::Session::build("shear_pair", &cfg).unwrap();
     let opts = driver::RunOptions {
-        scenario: "shear_pair".into(),
         steps: 4,
         checkpoint_every: 2,
         out_dir: Some(dir.clone()),
         quiet: true,
         ..Default::default()
     };
-    let report = driver::run(&mut built.sim, built.recycle, &opts).unwrap();
+    let report = session.run(&opts).unwrap();
     // cadence checkpoints at steps 2 and 4, plus the final one
     assert_eq!(report.checkpoints.len(), 3, "{:?}", report.checkpoints);
     assert!(dir.join("trajectory.csv").exists());
@@ -278,7 +277,7 @@ fn run_loop_checkpoints_on_cadence_and_restarts() {
     mid.restore_into(&mut resumed).unwrap();
     resumed.step();
     resumed.step();
-    let full_bits: Vec<u64> = built.sim.cells[0].coeffs[0]
+    let full_bits: Vec<u64> = session.sim.cells[0].coeffs[0]
         .data
         .iter()
         .map(|v| v.to_bits())

@@ -13,7 +13,19 @@ fn scenarios_dir() -> PathBuf {
 
 /// TOML files in `scenarios/` that are deliberately not named after one
 /// registry scenario (multi-section configs for other harnesses).
-const NON_SCENARIO_CONFIGS: &[&str] = &["step_bench", "physiology"];
+const NON_SCENARIO_CONFIGS: &[&str] = &["physiology"];
+
+#[test]
+fn every_non_scenario_exception_exists() {
+    for stem in NON_SCENARIO_CONFIGS {
+        let path = scenarios_dir().join(format!("{stem}.toml"));
+        assert!(
+            path.is_file(),
+            "NON_SCENARIO_CONFIGS lists `{stem}`, but {} does not exist",
+            path.display()
+        );
+    }
+}
 
 #[test]
 fn every_registry_scenario_has_a_parseable_toml() {

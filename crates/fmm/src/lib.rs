@@ -1,7 +1,7 @@
 //! # fmm — kernel-independent fast multipole method
 //!
-//! The PVFMM substitute (DESIGN.md substitution table): a shared-memory,
-//! rayon-parallel, kernel-independent FMM in the style of Ying, Biros &
+//! The PVFMM substitute: a shared-memory, thread-parallel (`rayon::par`),
+//! kernel-independent FMM in the style of Ying, Biros &
 //! Zorin / Malhotra & Biros, used for every global far-field summation in
 //! the platform — the free-space velocity `u_fr` (Eq. 2.4), the
 //! double-layer matvec inside each GMRES iteration of the boundary solve

@@ -6,8 +6,8 @@
 //! points, sort everything by key, and pair up entries that land in the same
 //! cell.
 //!
-//! Two deliberate deviations from the paper, both documented in DESIGN.md:
-//! the parallel distributed HykSort is replaced by `rayon`'s parallel sort,
+//! Two deliberate deviations from the paper: the parallel distributed
+//! HykSort is replaced by a sequential in-memory sort (`sort_unstable`),
 //! and instead of *sampling* each box with equispaced samples we enumerate
 //! exactly the grid cells the box overlaps (same effect as sampling at grid
 //! resolution, with no risk of missed cells). Hash aliasing can only create
@@ -16,7 +16,6 @@
 
 use crate::morton::morton_encode;
 use linalg::{Aabb, Vec3};
-use rayon::prelude::*;
 
 /// A uniform grid over space with spacing `h`, used to generate sort keys.
 #[derive(Clone, Copy, Debug)]
@@ -98,11 +97,11 @@ pub fn box_point_candidates(boxes: &[Aabb], pts: &[Vec3], grid: &SpatialHash) ->
         id: u32,
         is_box: bool,
     }
-    // emit entries in parallel per box / per point chunk
+    // one entry per overlapped cell of each box, then one per point
     let mut entries: Vec<Entry> = boxes
-        .par_iter()
+        .iter()
         .enumerate()
-        .flat_map_iter(|(i, b)| {
+        .flat_map(|(i, b)| {
             let mut keys = Vec::new();
             grid.keys_of_box(*b, &mut keys);
             keys.into_iter().map(move |key| Entry {
@@ -112,17 +111,12 @@ pub fn box_point_candidates(boxes: &[Aabb], pts: &[Vec3], grid: &SpatialHash) ->
             })
         })
         .collect();
-    entries.extend(
-        pts.par_iter()
-            .enumerate()
-            .map(|(i, &p)| Entry {
-                key: grid.key_of_point(p),
-                id: i as u32,
-                is_box: false,
-            })
-            .collect::<Vec<_>>(),
-    );
-    entries.par_sort_unstable_by_key(|e| (e.key, e.is_box));
+    entries.extend(pts.iter().enumerate().map(|(i, &p)| Entry {
+        key: grid.key_of_point(p),
+        id: i as u32,
+        is_box: false,
+    }));
+    entries.sort_unstable_by_key(|e| (e.key, e.is_box));
 
     // pair up within runs of equal keys (points come before boxes is not
     // guaranteed; we scan each run and cross both groups)
@@ -134,8 +128,8 @@ pub fn box_point_candidates(boxes: &[Aabb], pts: &[Vec3], grid: &SpatialHash) ->
             start = i;
         }
     }
-    runs.par_iter()
-        .flat_map_iter(|&(a, b)| {
+    runs.iter()
+        .flat_map(|&(a, b)| {
             let run = &entries[a..b];
             let pts_in: Vec<u32> = run.iter().filter(|e| !e.is_box).map(|e| e.id).collect();
             let boxes_in: Vec<u32> = run.iter().filter(|e| e.is_box).map(|e| e.id).collect();
@@ -156,7 +150,7 @@ pub fn box_point_candidates(boxes: &[Aabb], pts: &[Vec3], grid: &SpatialHash) ->
 /// [`box_box_candidates_self`] instead when both sets are the same.
 pub fn box_box_candidates(a: &[Aabb], b: &[Aabb], grid: &SpatialHash) -> Vec<(u32, u32)> {
     let mut pairs = raw_box_pairs(a, b, grid, false);
-    pairs.par_sort_unstable();
+    pairs.sort_unstable();
     pairs.dedup();
     pairs
 }
@@ -165,7 +159,7 @@ pub fn box_box_candidates(a: &[Aabb], b: &[Aabb], grid: &SpatialHash) -> Vec<(u3
 /// once with `i < j`.
 pub fn box_box_candidates_self(boxes: &[Aabb], grid: &SpatialHash) -> Vec<(u32, u32)> {
     let mut pairs = raw_box_pairs(boxes, boxes, grid, true);
-    pairs.par_sort_unstable();
+    pairs.sort_unstable();
     pairs.dedup();
     pairs
 }
@@ -178,9 +172,9 @@ fn raw_box_pairs(a: &[Aabb], b: &[Aabb], grid: &SpatialHash, self_mode: bool) ->
         from_a: bool,
     }
     let mut entries: Vec<Entry> = a
-        .par_iter()
+        .iter()
         .enumerate()
-        .flat_map_iter(|(i, bx)| {
+        .flat_map(|(i, bx)| {
             let mut keys = Vec::new();
             grid.keys_of_box(*bx, &mut keys);
             keys.into_iter().map(move |key| Entry {
@@ -192,9 +186,9 @@ fn raw_box_pairs(a: &[Aabb], b: &[Aabb], grid: &SpatialHash, self_mode: bool) ->
         .collect();
     if !self_mode {
         let more: Vec<Entry> = b
-            .par_iter()
+            .iter()
             .enumerate()
-            .flat_map_iter(|(i, bx)| {
+            .flat_map(|(i, bx)| {
                 let mut keys = Vec::new();
                 grid.keys_of_box(*bx, &mut keys);
                 keys.into_iter().map(move |key| Entry {
@@ -206,7 +200,7 @@ fn raw_box_pairs(a: &[Aabb], b: &[Aabb], grid: &SpatialHash, self_mode: bool) ->
             .collect();
         entries.extend(more);
     }
-    entries.par_sort_unstable_by_key(|e| e.key);
+    entries.sort_unstable_by_key(|e| e.key);
 
     let mut runs: Vec<(usize, usize)> = Vec::new();
     let mut start = 0;
@@ -216,8 +210,8 @@ fn raw_box_pairs(a: &[Aabb], b: &[Aabb], grid: &SpatialHash, self_mode: bool) ->
             start = i;
         }
     }
-    runs.par_iter()
-        .flat_map_iter(|&(s, e)| {
+    runs.iter()
+        .flat_map(|&(s, e)| {
             let run = &entries[s..e];
             let mut out = Vec::new();
             if self_mode {

@@ -5,10 +5,10 @@
 //! - [`Octree`]: an adaptive, 2:1-balanced linear octree with the classic
 //!   adaptive-FMM interaction lists (U, V, W, X). This is the tree layer of
 //!   the PVFMM substitute (`fmm` crate).
-//! - [`SpatialHash`] + the sort-based candidate searches: the parallel
-//!   near-pair detection of §3.3 (near-singular quadrature zones) and §4
-//!   (collision candidates), with `rayon`'s parallel sort standing in for
-//!   the distributed HykSort of the paper.
+//! - [`SpatialHash`] + the sort-based candidate searches: the near-pair
+//!   detection of §3.3 (near-singular quadrature zones) and §4 (collision
+//!   candidates), with a sequential in-memory sort standing in for the
+//!   distributed HykSort of the paper.
 
 pub mod hashgrid;
 pub mod morton;

@@ -17,7 +17,6 @@
 
 use crate::morton::{point_morton, MortonKey, MAX_DEPTH};
 use linalg::{Aabb, Vec3};
-use rayon::prelude::*;
 use std::collections::HashMap;
 
 /// Sentinel for "no node".
@@ -152,18 +151,12 @@ impl Octree {
         let center = bbox.center();
 
         // Morton codes at max resolution + argsort
-        let mut src_codes: Vec<u64> = src
-            .par_iter()
-            .map(|&p| point_morton(p, center, half))
-            .collect();
-        let mut trg_codes: Vec<u64> = trg
-            .par_iter()
-            .map(|&p| point_morton(p, center, half))
-            .collect();
+        let mut src_codes: Vec<u64> = src.iter().map(|&p| point_morton(p, center, half)).collect();
+        let mut trg_codes: Vec<u64> = trg.iter().map(|&p| point_morton(p, center, half)).collect();
         let mut src_order: Vec<u32> = (0..src.len() as u32).collect();
         let mut trg_order: Vec<u32> = (0..trg.len() as u32).collect();
-        src_order.par_sort_unstable_by_key(|&i| src_codes[i as usize]);
-        trg_order.par_sort_unstable_by_key(|&i| trg_codes[i as usize]);
+        src_order.sort_unstable_by_key(|&i| src_codes[i as usize]);
+        trg_order.sort_unstable_by_key(|&i| trg_codes[i as usize]);
         // reorder codes into sorted order for range splitting
         src_codes = src_order.iter().map(|&i| src_codes[i as usize]).collect();
         trg_codes = trg_order.iter().map(|&i| trg_codes[i as usize]).collect();
@@ -382,9 +375,8 @@ impl Octree {
             self.key_to_node.insert(n.key, i as u32);
         }
 
-        // colleagues + V lists (any node), computed in parallel per node
+        // colleagues + V lists (any node)
         let cols_v: Vec<(Vec<u32>, Vec<u32>)> = (0..self.nodes.len())
-            .into_par_iter()
             .map(|i| {
                 let node = &self.nodes[i];
                 let mut colleagues = Vec::new();
@@ -417,7 +409,6 @@ impl Octree {
 
         // U and W lists for leaves
         let uw: Vec<(usize, Vec<u32>, Vec<u32>)> = (0..self.nodes.len())
-            .into_par_iter()
             .filter(|&i| self.nodes[i].is_leaf)
             .map(|i| {
                 let (u, w) = self.compute_u_w(i as u32);

@@ -2,7 +2,7 @@
 //!
 //! The paper's vessel networks come from medical quad meshes (Figs. 1, 8);
 //! those are not available, so this module generates closed patch-based
-//! surfaces procedurally (DESIGN.md substitution table). All generators
+//! surfaces procedurally. All generators
 //! produce smooth maps sampled at Clenshaw–Curtis nodes and fitted with
 //! [`PolyPatch`]es, so every downstream code path (quadrature, closest
 //! point, near-singular evaluation, collision meshes, refinement) is
@@ -244,8 +244,7 @@ fn frame(c: &dyn Centerline, s: f64) -> (Vec3, Vec3, Vec3) {
 /// (at `s = 0`, port 0) and [`PatchKind::Outlet`] (at `s = 1`, port 1).
 ///
 /// The caps join the tube with tangent continuity (C¹); the curvature jump
-/// at the seam is the accepted geometric simplification documented in
-/// DESIGN.md.
+/// at the seam is an accepted geometric simplification.
 pub fn capsule_tube(c: &dyn Centerline, r: f64, n_s: usize, q: usize) -> BoundarySurface {
     let mut patches = Vec::new();
     let mut kinds = Vec::new();

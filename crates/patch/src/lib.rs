@@ -9,7 +9,7 @@
 //! - Newton-with-backtracking closest-point search (§3.3 step d),
 //! - the coarse quadrature discretization of §3.1,
 //! - procedural closed vessel geometries replacing the paper's medical quad
-//!   meshes (see DESIGN.md substitution table),
+//!   meshes (see [`geom`]),
 //! - VTK/OBJ export for visualization.
 
 pub mod geom;

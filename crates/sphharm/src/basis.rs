@@ -14,7 +14,6 @@
 //! the trapezoidal rule in longitude.
 
 use linalg::quad::gauss_legendre;
-use rayon::prelude::*;
 use std::f64::consts::PI;
 
 /// Which derivative of the basis to synthesize.
@@ -443,18 +442,13 @@ impl SphBasis {
     }
 
     /// Analyzes a 3-component (xyz-interleaved) vector field; returns one
-    /// coefficient set per component. Runs the three transforms in parallel.
+    /// coefficient set per component.
     pub fn analyze_vec3(&self, f: &[f64]) -> [SphCoeffs; 3] {
         assert_eq!(f.len(), 3 * self.grid_size());
-        let comps: Vec<SphCoeffs> = (0..3)
-            .into_par_iter()
-            .map(|k| {
-                let scalar: Vec<f64> = (0..self.grid_size()).map(|i| f[3 * i + k]).collect();
-                self.analyze(&scalar)
-            })
-            .collect();
-        let mut it = comps.into_iter();
-        [it.next().unwrap(), it.next().unwrap(), it.next().unwrap()]
+        std::array::from_fn(|k| {
+            let scalar: Vec<f64> = (0..self.grid_size()).map(|i| f[3 * i + k]).collect();
+            self.analyze(&scalar)
+        })
     }
 }
 

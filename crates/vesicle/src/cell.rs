@@ -2,8 +2,8 @@
 //! step of §2.2.
 //!
 //! Membranes are inextensible with no in-plane shear rigidity; bending
-//! follows the Canham–Helfrich model (§2.1). Two documented substitutions
-//! (DESIGN.md): the exact Lagrange-multiplier tension solve of \[48\] is
+//! follows the Canham–Helfrich model (§2.1). Two substitutions for the
+//! paper's scheme: the exact Lagrange-multiplier tension solve of \[48\] is
 //! replaced by a stiff area-dilation penalty `σ = k_a (J − 1)` against the
 //! reference metric (conserves area to `O(1/k_a)`), and the self-interaction
 //! quadrature uses the check-point scheme of `selfop`.

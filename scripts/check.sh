@@ -39,7 +39,7 @@ cargo build --release --workspace
 echo "== cargo doc (warning-free gate, library crates)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
     -p linalg -p kernels -p octree -p sphharm -p patch -p collision \
-    -p fmm -p vesicle -p bie -p forest -p sim -p bench -p driver
+    -p fmm -p vesicle -p bie -p sim -p bench -p driver
 
 if [ "${CHECK_FAST:-0}" != "1" ]; then
     echo "== cargo test -q"

@@ -1,162 +1,9 @@
 //! Offline stand-in for `rayon`.
 //!
-//! The iterator *facade* (`par_iter`, `into_par_iter`, `par_chunks_mut`,
-//! `par_sort_unstable*`) is sequential: the methods return the ordinary
-//! `std` iterators, so arbitrary combinator chains compile and behave
-//! exactly like their serial counterparts.
-//!
-//! Real data parallelism is provided by [`par`]: scoped `std::thread`
-//! workers pulling indices from an atomic counter. Hot paths (the FMM
-//! evaluation engine, direct N-body) call these helpers explicitly.
+//! Only the data-parallel helpers in [`par`] are provided: a persistent
+//! pool of parked worker threads pulling indices from an atomic counter.
+//! Hot paths (the FMM evaluation engine, direct N-body, the step's
+//! per-cell stages) call these helpers explicitly; serial code uses plain
+//! `std` iterators.
 
 pub mod par;
-
-pub mod prelude {
-    pub use crate::{
-        IntoParallelIterator, IntoParallelRefIterator, IntoParallelRefMutIterator,
-        ParallelIteratorExt, ParallelSlice, ParallelSliceMut,
-    };
-}
-
-/// Rayon-only combinators mapped onto their serial `std` equivalents.
-pub trait ParallelIteratorExt: Iterator + Sized {
-    /// rayon's `flat_map_iter` == serial `flat_map`.
-    #[inline]
-    fn flat_map_iter<U: IntoIterator, F: FnMut(Self::Item) -> U>(
-        self,
-        f: F,
-    ) -> std::iter::FlatMap<Self, U, F> {
-        self.flat_map(f)
-    }
-}
-
-impl<I: Iterator> ParallelIteratorExt for I {}
-
-/// Sequential facade for `rayon::iter::IntoParallelIterator`.
-pub trait IntoParallelIterator {
-    type Iter: Iterator;
-    fn into_par_iter(self) -> Self::Iter;
-}
-
-impl<C: IntoIterator> IntoParallelIterator for C {
-    type Iter = C::IntoIter;
-    #[inline]
-    fn into_par_iter(self) -> Self::Iter {
-        self.into_iter()
-    }
-}
-
-/// Sequential facade for `rayon::iter::IntoParallelRefIterator`.
-pub trait IntoParallelRefIterator<'a> {
-    type Iter: Iterator;
-    fn par_iter(&'a self) -> Self::Iter;
-}
-
-impl<'a, C: ?Sized + 'a> IntoParallelRefIterator<'a> for C
-where
-    &'a C: IntoIterator,
-{
-    type Iter = <&'a C as IntoIterator>::IntoIter;
-    #[inline]
-    fn par_iter(&'a self) -> Self::Iter {
-        self.into_iter()
-    }
-}
-
-/// Sequential facade for `rayon::iter::IntoParallelRefMutIterator`.
-pub trait IntoParallelRefMutIterator<'a> {
-    type Iter: Iterator;
-    fn par_iter_mut(&'a mut self) -> Self::Iter;
-}
-
-impl<'a, C: ?Sized + 'a> IntoParallelRefMutIterator<'a> for C
-where
-    &'a mut C: IntoIterator,
-{
-    type Iter = <&'a mut C as IntoIterator>::IntoIter;
-    #[inline]
-    fn par_iter_mut(&'a mut self) -> Self::Iter {
-        self.into_iter()
-    }
-}
-
-/// Sequential facade for `rayon::slice::ParallelSlice`.
-pub trait ParallelSlice<T> {
-    fn par_chunks(&self, chunk_size: usize) -> std::slice::Chunks<'_, T>;
-}
-
-impl<T> ParallelSlice<T> for [T] {
-    #[inline]
-    fn par_chunks(&self, chunk_size: usize) -> std::slice::Chunks<'_, T> {
-        self.chunks(chunk_size)
-    }
-}
-
-/// Sequential facade for `rayon::slice::ParallelSliceMut`.
-pub trait ParallelSliceMut<T> {
-    fn par_chunks_mut(&mut self, chunk_size: usize) -> std::slice::ChunksMut<'_, T>;
-    fn par_sort_unstable(&mut self)
-    where
-        T: Ord;
-    fn par_sort_unstable_by_key<K: Ord, F: FnMut(&T) -> K>(&mut self, f: F);
-}
-
-impl<T> ParallelSliceMut<T> for [T] {
-    #[inline]
-    fn par_chunks_mut(&mut self, chunk_size: usize) -> std::slice::ChunksMut<'_, T> {
-        self.chunks_mut(chunk_size)
-    }
-    #[inline]
-    fn par_sort_unstable(&mut self)
-    where
-        T: Ord,
-    {
-        self.sort_unstable();
-    }
-    #[inline]
-    fn par_sort_unstable_by_key<K: Ord, F: FnMut(&T) -> K>(&mut self, f: F) {
-        self.sort_unstable_by_key(f);
-    }
-}
-
-/// Number of worker threads [`par`] uses (`available_parallelism`, capped
-/// by the `RAYON_NUM_THREADS` environment variable if set).
-pub fn current_num_threads() -> usize {
-    par::num_threads()
-}
-
-/// Stand-in for `rayon::ThreadPoolBuilder`: `build().install(f)` runs `f`
-/// with the [`par`] worker count overridden (process-wide, not scoped to a
-/// pool — adequate for the scaling binaries that use it).
-#[derive(Default)]
-pub struct ThreadPoolBuilder {
-    num_threads: usize,
-}
-
-impl ThreadPoolBuilder {
-    pub fn new() -> Self {
-        ThreadPoolBuilder { num_threads: 0 }
-    }
-
-    pub fn num_threads(mut self, n: usize) -> Self {
-        self.num_threads = n;
-        self
-    }
-
-    pub fn build(self) -> Result<ThreadPool, std::convert::Infallible> {
-        Ok(ThreadPool {
-            num_threads: self.num_threads,
-        })
-    }
-}
-
-/// See [`ThreadPoolBuilder`].
-pub struct ThreadPool {
-    num_threads: usize,
-}
-
-impl ThreadPool {
-    pub fn install<T: Send>(&self, f: impl FnOnce() -> T + Send) -> T {
-        par::with_override(self.num_threads, f)
-    }
-}

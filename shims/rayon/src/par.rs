@@ -17,7 +17,8 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// Runs `f` with the worker count forced to `n` (0 = no override).
-/// Process-wide, not reentrant — used by `ThreadPool::install`.
+/// Process-wide, not reentrant — used by `SimConfig::threads` and the
+/// farm's job-parallel width.
 pub fn with_override<T>(n: usize, f: impl FnOnce() -> T) -> T {
     let prev = OVERRIDE.swap(n, Ordering::SeqCst);
     let out = f();
