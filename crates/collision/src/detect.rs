@@ -150,7 +150,7 @@ pub fn detect_contacts(
 
     // 2. vertex–triangle pairs among the meshes with candidate partners
     let mut raw: Vec<ContactPair> = match opts.broad_phase {
-        BroadPhase::Grid => grid_pairs(meshes, &mesh_pairs, obj_of, opts.delta),
+        BroadPhase::Grid => grid_pairs(meshes, &boxes, &mesh_pairs, obj_of, opts.delta),
         BroadPhase::BruteForce => brute_force_pairs(meshes, &mesh_pairs, opts.delta),
     };
 
@@ -244,6 +244,15 @@ fn per_mesh<T: Send>(meshes: &[u32], f: impl Fn(u32) -> Vec<T> + Sync) -> Vec<T>
 /// exact closest-point test, so the result set is identical to
 /// [`BroadPhase::BruteForce`]'s.
 ///
+/// Before any of that, a triangle whose margined box meets no space-time
+/// box (`boxes`, step 1's) of an active mesh of another object is skipped
+/// outright — most of a suspension's triangles face away from every
+/// neighbour. The skip is conservative: an emitted pair's vertex lies
+/// inside the triangle's margined box (the containment test) and inside
+/// its own mesh's box (which bounds that mesh's vertices), so the two boxes
+/// meet; the closed-interval test sees exactly that, with no rounding in
+/// between.
+///
 /// Cell size is `δ + max(median edge, δ)` — the median edge length,
 /// floored at δ so over-resolved meshes cannot shrink cells below the
 /// interaction distance: the meshes mix
@@ -255,6 +264,7 @@ fn per_mesh<T: Send>(meshes: &[u32], f: impl Fn(u32) -> Vec<T> + Sync) -> Vec<T>
 /// stays matched to the healthy geometry.
 fn grid_pairs(
     meshes: &[TriMesh],
+    boxes: &[Aabb],
     mesh_pairs: &[(u32, u32)],
     obj_of: &[u32],
     delta: f64,
@@ -353,6 +363,11 @@ fn grid_pairs(
     per_mesh(&active, |mi| {
         let m = &meshes[mi as usize];
         let obj = obj_of[mi as usize];
+        let foreign: Vec<Aabb> = active
+            .iter()
+            .filter(|&&o| obj_of[o as usize] != obj)
+            .map(|&o| boxes[o as usize])
+            .collect();
         let mut out = Vec::new();
         for (ti, t) in m.tris.iter().enumerate() {
             let (ta, tb, tc) = (
@@ -372,6 +387,9 @@ fn grid_pairs(
                 .fold(1.0, f64::max);
             let eps = 1e-9 * (delta + coord_scale);
             let b = Aabb::from_points([ta, tb, tc]).inflated(delta + eps);
+            if !foreign.iter().any(|&o| o.intersects(b)) {
+                continue;
+            }
             let (x0, y0, z0) = grid.cell_of(b.lo);
             let (x1, y1, z1) = grid.cell_of(b.hi);
             // in f64: a blown-up triangle's box can span enough cells
@@ -744,6 +762,150 @@ mod tests {
                 assert_contacts_identical(&serial, &parallel);
             }
         }
+    }
+
+    /// An oblate lat–long spheroid (semi-axes `r`, `r`, `rz`) centred at `c`,
+    /// its axis tilted by `tilt` about x and then turned by `turn` about z.
+    fn spheroid(c: Vec3, r: f64, rz: f64, tilt: f64, turn: f64) -> TriMesh {
+        let (nlat, nlon) = (11, 20);
+        let rot = |v: Vec3| {
+            let v = Vec3::new(
+                v.x,
+                v.y * tilt.cos() - v.z * tilt.sin(),
+                v.y * tilt.sin() + v.z * tilt.cos(),
+            );
+            c + Vec3::new(
+                v.x * turn.cos() - v.y * turn.sin(),
+                v.x * turn.sin() + v.y * turn.cos(),
+                v.z,
+            )
+        };
+        let mut grid = Vec::new();
+        for i in 0..nlat {
+            let th = std::f64::consts::PI * (i as f64 + 0.5) / nlat as f64;
+            for j in 0..nlon {
+                let ph = 2.0 * std::f64::consts::PI * j as f64 / nlon as f64;
+                grid.push(rot(Vec3::new(
+                    r * th.sin() * ph.cos(),
+                    r * th.sin() * ph.sin(),
+                    rz * th.cos(),
+                )));
+            }
+        }
+        let north = rot(Vec3::new(0.0, 0.0, rz));
+        let south = rot(Vec3::new(0.0, 0.0, -rz));
+        triangulate_latlon(&grid, nlat, nlon, north, south)
+    }
+
+    /// The grid against brute force and across thread counts, bit for bit.
+    fn assert_grid_matches_brute_force(
+        meshes: &[TriMesh],
+        start: Option<&[Vec<Vec3>]>,
+        delta: f64,
+    ) -> Vec<Contact> {
+        let obj_of: Vec<u32> = (0..meshes.len() as u32).collect();
+        let run = |broad_phase| {
+            detect_contacts(meshes, start, &obj_of, DetectOptions { delta, broad_phase })
+        };
+        let brute = run(BroadPhase::BruteForce);
+        for threads in [1, 2, 4] {
+            let grid = rayon::par::with_override(threads, || run(BroadPhase::Grid));
+            assert_contacts_identical(&grid, &brute);
+        }
+        brute
+    }
+
+    /// The suspension's geometry: a 3 × 3 × 3 lattice of unit oblate
+    /// spheroids at spacing 2.02, jittered and randomly oriented, δ = 0.12 —
+    /// most triangles face away from every neighbour and take the
+    /// per-triangle box reject. Once static, once with space-time boxes
+    /// (start ≠ end) that are wider than the end meshes.
+    #[test]
+    fn grid_matches_brute_force_on_a_spheroid_lattice() {
+        let mut rng = StdRng::seed_from_u64(27);
+        let mut meshes = Vec::new();
+        for z in 0..3 {
+            for y in 0..3 {
+                for x in 0..3 {
+                    let jitter = Vec3::new(
+                        rng.random_range(-0.006..0.006),
+                        rng.random_range(-0.006..0.006),
+                        rng.random_range(-0.006..0.006),
+                    );
+                    let c = Vec3::new(x as f64, y as f64, z as f64) * 2.02 + jitter;
+                    let tilt = rng.random_range(0.0..std::f64::consts::PI);
+                    let turn = rng.random_range(0.0..std::f64::consts::TAU);
+                    meshes.push(spheroid(c, 1.0, 0.45, tilt, turn));
+                }
+            }
+        }
+        let delta = 0.12;
+        let still = assert_grid_matches_brute_force(&meshes, None, delta);
+        assert!(
+            still.len() >= 3,
+            "lattice produced {} contacts",
+            still.len()
+        );
+        let start: Vec<Vec<Vec3>> = meshes
+            .iter()
+            .map(|m| {
+                let shift = Vec3::new(
+                    rng.random_range(-0.1..0.1),
+                    rng.random_range(-0.1..0.1),
+                    rng.random_range(-0.1..0.1),
+                );
+                m.verts.iter().map(|&v| v + shift).collect()
+            })
+            .collect();
+        let moving = assert_grid_matches_brute_force(&meshes, Some(&start), delta);
+        assert!(
+            moving.len() >= 3,
+            "lattice produced {} contacts",
+            moving.len()
+        );
+    }
+
+    /// The reject's boundary. A unit square's corner vertex (1, 1, 0) is the
+    /// extreme point of its box. One triangle sits in the plane
+    /// x = 1 + δ(1 − 10⁻⁹), so that corner is just inside δ of it; another
+    /// has a vertex just inside δ of the corner of the square's δ-inflated
+    /// box, on its diagonal.
+    #[test]
+    fn triangles_at_the_box_reject_boundary_match_brute_force() {
+        let delta = 0.1;
+        let x = 1.0 + delta * (1.0 - 1e-9);
+        let near_vertex = TriMesh::new(
+            vec![
+                Vec3::new(x, 0.5, -0.5),
+                Vec3::new(x, 1.5, -0.5),
+                Vec3::new(x, 1.0, 0.8),
+            ],
+            vec![[0, 1, 2]],
+        );
+        let corner = Vec3::new(1.0 + delta, 1.0 + delta, delta);
+        let d = Vec3::splat(delta * (1.0 - 1e-9) / 3f64.sqrt());
+        let near_box = TriMesh::new(
+            vec![
+                corner + d,
+                corner + d + Vec3::new(0.5, 0.0, 0.0),
+                corner + d + Vec3::new(0.0, 0.5, 0.5),
+            ],
+            vec![[0, 1, 2]],
+        );
+        // each triangle alone with the square, so no third box can let it
+        // through the reject
+        let contacts =
+            assert_grid_matches_brute_force(&[flat_square(0.0, 0.0), near_vertex], None, delta);
+        assert_eq!(
+            contacts.len(),
+            1,
+            "the corner vertex is within δ of triangle 1"
+        );
+        assert!(contacts[0]
+            .pairs
+            .iter()
+            .any(|p| (p.vert_mesh, p.vert, p.tri_mesh) == (0, 24, 1)));
+        assert_grid_matches_brute_force(&[flat_square(0.0, 0.0), near_box], None, delta);
     }
 
     #[test]

@@ -157,12 +157,12 @@ impl Svd {
                 continue;
             }
             let mut uj_b = 0.0;
-            for i in 0..b.len() {
-                uj_b += self.u[(i, j)] * b[i];
+            for (i, &bi) in b.iter().enumerate() {
+                uj_b += self.u[(i, j)] * bi;
             }
             let c = uj_b / self.sigma[j];
-            for i in 0..n {
-                x[i] += c * self.v[(i, j)];
+            for (i, xi) in x.iter_mut().enumerate() {
+                *xi += c * self.v[(i, j)];
             }
         }
         x

@@ -85,29 +85,6 @@ impl BoundarySurface {
     /// per patch, Eq. 3.1).
     pub fn quadrature(&self) -> SurfaceQuad {
         let rule = clenshaw_curtis(self.q);
-        let per_patch: Vec<(Vec<Vec3>, Vec<Vec3>, Vec<f64>, f64)> = self
-            .patches
-            .iter()
-            .map(|patch| {
-                let mut pts = Vec::with_capacity(self.q * self.q);
-                let mut nrm = Vec::with_capacity(self.q * self.q);
-                let mut wts = Vec::with_capacity(self.q * self.q);
-                let mut area = 0.0;
-                for (j, &v) in rule.nodes.iter().enumerate() {
-                    for (i, &u) in rule.nodes.iter().enumerate() {
-                        let (x, xu, xv) = patch.eval_jet(u, v);
-                        let nr = xu.cross(xv);
-                        let jac = nr.norm();
-                        let w = rule.weights[i] * rule.weights[j] * jac;
-                        pts.push(x);
-                        nrm.push(nr.normalized());
-                        wts.push(w);
-                        area += w;
-                    }
-                }
-                (pts, nrm, wts, area)
-            })
-            .collect();
         let mut quad = SurfaceQuad {
             q: self.q,
             points: Vec::new(),
@@ -116,12 +93,21 @@ impl BoundarySurface {
             patch_of: Vec::new(),
             patch_area: Vec::new(),
         };
-        for (pi, (pts, nrm, wts, area)) in per_patch.into_iter().enumerate() {
-            quad.patch_of
-                .extend(std::iter::repeat_n(pi as u32, pts.len()));
-            quad.points.extend(pts);
-            quad.normals.extend(nrm);
-            quad.weights.extend(wts);
+        for (pi, patch) in self.patches.iter().enumerate() {
+            let mut area = 0.0;
+            for (j, &v) in rule.nodes.iter().enumerate() {
+                for (i, &u) in rule.nodes.iter().enumerate() {
+                    let (x, xu, xv) = patch.eval_jet(u, v);
+                    let nr = xu.cross(xv);
+                    let jac = nr.norm();
+                    let w = rule.weights[i] * rule.weights[j] * jac;
+                    quad.points.push(x);
+                    quad.normals.push(nr.normalized());
+                    quad.weights.push(w);
+                    quad.patch_of.push(pi as u32);
+                    area += w;
+                }
+            }
             quad.patch_area.push(area);
         }
         quad

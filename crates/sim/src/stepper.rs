@@ -231,6 +231,12 @@ pub struct Simulation {
     /// swaps the vessel or retunes the solver), the cached evaluation plan
     /// is invalidated so the next step rebuilds against the new wall.
     wall_digest: Option<u64>,
+    /// The previous step's per-cell self-interaction operators: derived
+    /// state, like the wall FMM plan. [`Simulation::prepare`] re-assembles
+    /// each cell's `Kᵀ` into its existing buffer, so it never holds more
+    /// than one operator per cell. Not serialized — the first step
+    /// after a restore rebuilds every entry from the cells.
+    selfops: Vec<SelfInteraction>,
 }
 
 /// The part of a step that depends on the pre-step state alone, not on Δt
@@ -372,6 +378,7 @@ impl Simulation {
             },
             last_health: Vec::new(),
             wall_digest: None,
+            selfops: Vec::new(),
         }
     }
 
@@ -471,6 +478,9 @@ impl Simulation {
             }
         };
 
+        // the operators are next step's buffers
+        self.selfops = bg.selfops;
+
         // --- commit (Other) ---
         let (_, t_commit) = timed(|| {
             for (ci, pos) in attempt.new_positions.iter().enumerate() {
@@ -554,8 +564,19 @@ impl Simulation {
                 }
                 f
             });
-            let selfops: Vec<SelfInteraction> =
-                rayon::par::map_indexed(nc, |ci| self.cells[ci].self_interaction(basis));
+            // each operator re-assembled into last step's buffer for the
+            // cell; cells beyond that (the first step, or after cells were
+            // added) get a fresh one
+            let mut selfops = std::mem::take(&mut self.selfops);
+            selfops.truncate(nc);
+            let cells = &self.cells;
+            rayon::par::chunks_mut(&mut selfops, 1, |ci, op| {
+                cells[ci].rebuild_self_interaction(basis, &mut op[0]);
+            });
+            let kept = selfops.len();
+            selfops.extend(rayon::par::map_indexed(nc - kept, |k| {
+                cells[kept + k].self_interaction(basis)
+            }));
             (geos, forces, selfops)
         });
         t.other += t_other0;
@@ -569,9 +590,9 @@ impl Simulation {
             let mut pts = Vec::with_capacity(nc * n);
             let mut src_f = Vec::with_capacity(nc * n * 3);
             for (g, f) in geos.iter().zip(&forces) {
-                for i in 0..n {
-                    pts.push(g.x[i]);
-                    let wf = f[i] * g.w_quad[i];
+                for ((&x, &fi), &w) in g.x.iter().zip(f).zip(&g.w_quad) {
+                    pts.push(x);
+                    let wf = fi * w;
                     src_f.extend_from_slice(&[wf.x, wf.y, wf.z]);
                 }
             }
@@ -628,10 +649,9 @@ impl Simulation {
                 let (phi, res) = vessel.solver.solve_warm(&rhs, warm.as_deref());
                 // u_Γ at all cell points
                 let ug = vessel.solver.eval_at(&phi, &pts);
-                for (ci, bi) in b_cells.iter_mut().enumerate() {
-                    for i in 0..n {
-                        let gidx = ci * n + i;
-                        bi[i] += Vec3::new(ug[gidx * 3], ug[gidx * 3 + 1], ug[gidx * 3 + 2]);
+                for (bi, ug) in b_cells.iter_mut().zip(ug.chunks_exact(3 * n)) {
+                    for (b, u) in bi.iter_mut().zip(ug.chunks_exact(3)) {
+                        *b += Vec3::new(u[0], u[1], u[2]);
                     }
                 }
                 (phi, res)
@@ -676,9 +696,9 @@ impl Simulation {
         // --- background flow (Other) ---
         if self.config.shear_rate != 0.0 {
             let (_, t_sh) = timed(|| {
-                for (ci, g) in geos.iter().enumerate() {
-                    for i in 0..n {
-                        b_cells[ci][i] += Vec3::new(self.config.shear_rate * g.x[i].z, 0.0, 0.0);
+                for (bi, g) in b_cells.iter_mut().zip(&geos) {
+                    for (b, x) in bi.iter_mut().zip(&g.x) {
+                        *b += Vec3::new(self.config.shear_rate * x.z, 0.0, 0.0);
                     }
                 }
             });
@@ -774,12 +794,6 @@ impl Simulation {
                 let up_t = upsample_matrix_t(basis.p, pu);
                 let bu = SphBasis::new(pu);
                 let nf = bu.grid_size();
-                // build meshes at start positions; end positions from the
-                // implicit update
-                let mut meshes: Vec<TriMesh> = Vec::new();
-                let mut start: Vec<Vec<Vec3>> = Vec::new();
-                let mut end: Vec<Vec<Vec3>> = Vec::new();
-                let mut obj_of: Vec<u32> = Vec::new();
                 let fine_positions = |coarse: &[Vec3]| -> Vec<Vec3> {
                     let mut out = vec![Vec3::ZERO; nf];
                     let mut comp = vec![0.0; n];
@@ -794,9 +808,11 @@ impl Simulation {
                     }
                     out
                 };
-                for (ci, cell) in self.cells.iter().enumerate() {
+                // build meshes at start positions; end positions from the
+                // implicit update. One slot per cell, unzipped in index order
+                let per_cell = rayon::par::map_indexed(nc, |ci| {
                     let (pts0, nlat, nlon, n0, s0) =
-                        cell.collision_points(basis, self.config.col_upsample);
+                        self.cells[ci].collision_points(basis, self.config.col_upsample);
                     let mesh = triangulate_latlon(&pts0, nlat, nlon, n0, s0);
                     let mut e = fine_positions(&new_positions[ci]);
                     // poles at end: reuse ring ends
@@ -805,11 +821,17 @@ impl Simulation {
                     let mut s = pts0;
                     s.push(n0);
                     s.push(s0);
+                    (mesh, s, e)
+                });
+                let mut meshes: Vec<TriMesh> = Vec::with_capacity(nc);
+                let mut start: Vec<Vec<Vec3>> = Vec::with_capacity(nc);
+                let mut end: Vec<Vec<Vec3>> = Vec::with_capacity(nc);
+                for (mesh, s, e) in per_cell {
                     meshes.push(mesh);
                     start.push(s);
                     end.push(e);
-                    obj_of.push(ci as u32);
                 }
+                let mut obj_of: Vec<u32> = (0..nc as u32).collect();
                 if let Some(vessel) = &self.vessel {
                     for m in &vessel.meshes {
                         start.push(m.verts.clone());

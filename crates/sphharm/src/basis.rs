@@ -168,6 +168,10 @@ pub struct SphBasis {
     pub glw: Vec<f64>,
     /// Longitude angles φ_j = 2π j / nlon.
     pub phi: Vec<f64>,
+    /// `cos_mphi[m·nlon + j]` = cos(m·φ_j), `m = 0..=p`.
+    cos_mphi: Vec<f64>,
+    /// Matching table of sin(m·φ_j).
+    sin_mphi: Vec<f64>,
     /// `q[m][(n−m)·nlat + i]` = Q_n^m(cos θ_i).
     q: Vec<Vec<f64>>,
     /// Matching table of dQ_n^m/dθ.
@@ -176,9 +180,12 @@ pub struct SphBasis {
     d2q: Vec<Vec<f64>>,
 }
 
+/// `Q_n^m`, `dQ_n^m/dθ` and `d²Q_n^m/dθ²`, each indexed like [`SphBasis::q`].
+type LegendreTables = (Vec<Vec<f64>>, Vec<Vec<f64>>, Vec<Vec<f64>>);
+
 /// Computes `Q_n^m(x)` for fixed `x` and all `m ≤ n ≤ p`, plus first and
-/// second θ-derivatives. Returns three tables indexed like [`SphBasis::q`].
-fn legendre_tables(p: usize, xs: &[f64]) -> (Vec<Vec<f64>>, Vec<Vec<f64>>, Vec<Vec<f64>>) {
+/// second θ-derivatives.
+fn legendre_tables(p: usize, xs: &[f64]) -> LegendreTables {
     let nlat = xs.len();
     let mut q: Vec<Vec<f64>> = (0..=p).map(|m| vec![0.0; (p + 1 - m) * nlat]).collect();
     for (i, &x) in xs.iter().enumerate() {
@@ -262,6 +269,15 @@ impl SphBasis {
             .map(|j| 2.0 * PI * j as f64 / nlon as f64)
             .collect();
         let (q, dq, d2q) = legendre_tables(p, &xs);
+        // `(m as f64 * φ_j).cos()` / `.sin()`: the exact expression, so a
+        // table entry is bitwise the value an inline evaluation would give
+        let fourier = |f: fn(f64) -> f64| -> Vec<f64> {
+            (0..=p)
+                .flat_map(|m| phi.iter().map(move |&ph| f(m as f64 * ph)))
+                .collect()
+        };
+        let cos_mphi = fourier(f64::cos);
+        let sin_mphi = fourier(f64::sin);
         SphBasis {
             p,
             nlat,
@@ -269,6 +285,8 @@ impl SphBasis {
             theta,
             glw,
             phi,
+            cos_mphi,
+            sin_mphi,
             q,
             dq,
             d2q,
@@ -304,12 +322,13 @@ impl SphBasis {
         for i in 0..self.nlat {
             let row = &f[i * nlon..(i + 1) * nlon];
             for m in 0..=self.p {
+                let cos_m = &self.cos_mphi[m * nlon..(m + 1) * nlon];
+                let sin_m = &self.sin_mphi[m * nlon..(m + 1) * nlon];
                 let mut ca = 0.0;
                 let mut cb = 0.0;
-                for (j, &v) in row.iter().enumerate() {
-                    let ang = m as f64 * self.phi[j];
-                    ca += v * ang.cos();
-                    cb += v * ang.sin();
+                for ((&v, &cm), &sm) in row.iter().zip(cos_m).zip(sin_m) {
+                    ca += v * cm;
+                    cb += v * sm;
                 }
                 am[m * self.nlat + i] = ca * 2.0 * PI / nlon as f64;
                 bm[m * self.nlat + i] = cb * 2.0 * PI / nlon as f64;
@@ -398,14 +417,12 @@ impl SphBasis {
                     if a == 0.0 && b == 0.0 {
                         continue;
                     }
-                    let ang = m as f64 * self.phi[j];
+                    let (cm, sm) = (self.cos_mphi[m * nlon + j], self.sin_mphi[m * nlon + j]);
                     let mf = m as f64;
                     v += match d {
-                        Deriv::None | Deriv::Dtheta | Deriv::Dtheta2 => {
-                            a * ang.cos() + b * ang.sin()
-                        }
-                        Deriv::Dphi | Deriv::DthetaDphi => mf * (-a * ang.sin() + b * ang.cos()),
-                        Deriv::Dphi2 => -mf * mf * (a * ang.cos() + b * ang.sin()),
+                        Deriv::None | Deriv::Dtheta | Deriv::Dtheta2 => a * cm + b * sm,
+                        Deriv::Dphi | Deriv::DthetaDphi => mf * (-a * sm + b * cm),
+                        Deriv::Dphi2 => -mf * mf * (a * cm + b * sm),
                     };
                 }
                 out[self.grid_index(i, j)] = v;
@@ -457,6 +474,167 @@ mod tests {
     use super::*;
     use rand::prelude::*;
     use rand::rngs::StdRng;
+
+    const ALL_DERIVS: [Deriv; 6] = [
+        Deriv::None,
+        Deriv::Dtheta,
+        Deriv::Dphi,
+        Deriv::Dtheta2,
+        Deriv::Dphi2,
+        Deriv::DthetaDphi,
+    ];
+
+    /// [`SphBasis::analyze`] with `cos(mφ_j)` / `sin(mφ_j)` evaluated in the
+    /// inner loop instead of read from the tables: the bit-for-bit oracle.
+    fn analyze_inline_trig(b: &SphBasis, f: &[f64]) -> SphCoeffs {
+        let mut out = SphCoeffs::zeros(b.p);
+        let nlon = b.nlon;
+        let mut am = vec![0.0; (b.p + 1) * b.nlat];
+        let mut bm = vec![0.0; (b.p + 1) * b.nlat];
+        for i in 0..b.nlat {
+            let row = &f[i * nlon..(i + 1) * nlon];
+            for m in 0..=b.p {
+                let mut ca = 0.0;
+                let mut cb = 0.0;
+                for (j, &v) in row.iter().enumerate() {
+                    let ang = m as f64 * b.phi[j];
+                    ca += v * ang.cos();
+                    cb += v * ang.sin();
+                }
+                am[m * b.nlat + i] = ca * 2.0 * PI / nlon as f64;
+                bm[m * b.nlat + i] = cb * 2.0 * PI / nlon as f64;
+            }
+        }
+        for m in 0..=b.p {
+            let norm = if m == 0 {
+                1.0
+            } else {
+                std::f64::consts::SQRT_2
+            };
+            for n in m..=b.p {
+                let mut ac = 0.0;
+                let mut bc = 0.0;
+                for i in 0..b.nlat {
+                    let qv = b.q[m][(n - m) * b.nlat + i] * b.glw[i];
+                    ac += qv * am[m * b.nlat + i];
+                    bc += qv * bm[m * b.nlat + i];
+                }
+                if m == 0 {
+                    *out.a_mut(n, 0) = ac * norm;
+                } else if 2 * m == b.nlon {
+                    *out.a_mut(n, m) = 0.5 * ac * norm;
+                    *out.b_mut(n, m) = 0.0;
+                } else {
+                    *out.a_mut(n, m) = ac * norm;
+                    *out.b_mut(n, m) = bc * norm;
+                }
+            }
+        }
+        out
+    }
+
+    /// [`SphBasis::synthesize`] with the trigonometric factors evaluated in
+    /// the inner loop: the bit-for-bit oracle.
+    fn synthesize_inline_trig(b: &SphBasis, c: &SphCoeffs, d: Deriv) -> Vec<f64> {
+        let (nlat, nlon) = (b.nlat, b.nlon);
+        let mut out = vec![0.0; b.grid_size()];
+        let table = |m: usize| -> &Vec<f64> {
+            match d {
+                Deriv::None | Deriv::Dphi | Deriv::Dphi2 => &b.q[m],
+                Deriv::Dtheta | Deriv::DthetaDphi => &b.dq[m],
+                Deriv::Dtheta2 => &b.d2q[m],
+            }
+        };
+        let mut ga = vec![0.0; (b.p + 1) * nlat];
+        let mut gb = vec![0.0; (b.p + 1) * nlat];
+        for m in 0..=b.p {
+            let norm = if m == 0 {
+                1.0
+            } else {
+                std::f64::consts::SQRT_2
+            };
+            let tab = table(m);
+            for n in m..=b.p {
+                let (an, bn) = if m == 0 {
+                    (c.a(n, 0), 0.0)
+                } else {
+                    (c.a(n, m), c.b(n, m))
+                };
+                if an == 0.0 && bn == 0.0 {
+                    continue;
+                }
+                for i in 0..nlat {
+                    let qv = tab[(n - m) * nlat + i] * norm;
+                    ga[m * nlat + i] += qv * an;
+                    gb[m * nlat + i] += qv * bn;
+                }
+            }
+        }
+        for i in 0..nlat {
+            for j in 0..nlon {
+                let mut v = 0.0;
+                for m in 0..=b.p {
+                    let (a, bb) = (ga[m * nlat + i], gb[m * nlat + i]);
+                    if a == 0.0 && bb == 0.0 {
+                        continue;
+                    }
+                    let ang = m as f64 * b.phi[j];
+                    let mf = m as f64;
+                    v += match d {
+                        Deriv::None | Deriv::Dtheta | Deriv::Dtheta2 => {
+                            a * ang.cos() + bb * ang.sin()
+                        }
+                        Deriv::Dphi | Deriv::DthetaDphi => mf * (-a * ang.sin() + bb * ang.cos()),
+                        Deriv::Dphi2 => -mf * mf * (a * ang.cos() + bb * ang.sin()),
+                    };
+                }
+                out[b.grid_index(i, j)] = v;
+            }
+        }
+        out
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The Fourier tables hold exactly what the inline `cos`/`sin` calls
+    /// return, so every transform is unchanged to the bit — including
+    /// p = 1 (the `nlon = max(2p, 4)` clamp) and the Nyquist mode m = nlon/2
+    /// of every p ≥ 2.
+    #[test]
+    fn tabulated_transforms_match_inline_trig_bitwise() {
+        let mut rng = StdRng::seed_from_u64(11);
+        for p in [1, 2, 6, 8, 16] {
+            let basis = SphBasis::new(p);
+            for _ in 0..3 {
+                let grid: Vec<f64> = (0..basis.grid_size())
+                    .map(|_| rng.random_range(-1.0..1.0))
+                    .collect();
+                assert_eq!(
+                    bits(&basis.analyze(&grid).data),
+                    bits(&analyze_inline_trig(&basis, &grid).data),
+                    "p = {p}: analyze"
+                );
+                let mut c = SphCoeffs::zeros(p);
+                for v in &mut c.data {
+                    *v = rng.random_range(-1.0..1.0);
+                }
+                // a zero (n, m) block exercises the skip of empty modes
+                if p >= 2 {
+                    c.set_a(2, 1, 0.0);
+                    c.set_b(2, 1, 0.0);
+                }
+                for d in ALL_DERIVS {
+                    assert_eq!(
+                        bits(&basis.synthesize(&c, d)),
+                        bits(&synthesize_inline_trig(&basis, &c, d)),
+                        "p = {p}: synthesize {d:?}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn roundtrip_bandlimited_random() {

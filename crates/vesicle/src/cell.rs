@@ -138,6 +138,12 @@ impl Cell {
         SelfInteraction::build(basis, &self.coeffs, self.params.mu, self.params.selfop)
     }
 
+    /// Re-assembles `op` for the current geometry in place (see
+    /// [`SelfInteraction::rebuild`]); bitwise [`Cell::self_interaction`].
+    pub fn rebuild_self_interaction(&self, basis: &SphBasis, op: &mut SelfInteraction) {
+        op.rebuild(basis, &self.coeffs, self.params.mu, self.params.selfop);
+    }
+
     /// Membrane force density `f = f_b + f_σ` on the grid.
     ///
     /// Bending (Canham–Helfrich): `f_b = −κ_b [Δ_γ H + 2H(H² − K)] n` in

@@ -153,7 +153,9 @@ fn stokeslet_lanes(
 
 /// The precomputed self-interaction operator of one cell: applies
 /// `f ↦ S_i f` (single-layer Stokes) from the coarse grid to the coarse
-/// grid. Rebuilt whenever the cell geometry changes (once per time step).
+/// grid. Rebuilt whenever the cell geometry changes (once per time step),
+/// in place by [`SelfInteraction::rebuild`] where the caller keeps the
+/// previous operator.
 pub struct SelfInteraction {
     /// Transposed kernel+extrapolation matrix `Kᵀ` (`3N_up × 3N`, source
     /// index major): `Kᵀ[(3j+b), (3i+a)] = Σ_k e_k S_ab(c_ik, y_j) w_j`.
@@ -173,13 +175,41 @@ impl SelfInteraction {
         mu: f64,
         opts: SelfOpOptions,
     ) -> SelfInteraction {
+        let mut op = SelfInteraction {
+            k_t: Mat::zeros(0, 0),
+            upsample_t: upsample_matrix_t(basis.p, basis.p * opts.upsample),
+            n: 0,
+            nu: 0,
+        };
+        op.rebuild(basis, coeffs, mu, opts);
+        op
+    }
+
+    /// Re-assembles the operator for new position coefficients into this
+    /// operator's own `Kᵀ` buffer — bitwise what [`SelfInteraction::build`]
+    /// returns. The assembly writes every entry, so the buffer is reused
+    /// without zeroing; it is reallocated only when the shape (`p` or the
+    /// upsampling factor) changed, after the old one is freed.
+    pub fn rebuild(
+        &mut self,
+        basis: &SphBasis,
+        coeffs: &[SphCoeffs; 3],
+        mu: f64,
+        opts: SelfOpOptions,
+    ) {
         let pu = basis.p * opts.upsample;
         let bu = SphBasis::new(pu);
-        let upsample_t = upsample_matrix_t(basis.p, pu);
         let CheckScheme { geo_c, geo_u, t, e } = CheckScheme::new(basis, &bu, coeffs, opts);
         let n = basis.grid_size();
         let nu = bu.grid_size();
         let p1 = t.len();
+        if (self.n, self.nu) != (n, nu) {
+            // free the old buffer first: never two `Kᵀ` for one cell
+            self.k_t = Mat::zeros(0, 0);
+            self.k_t = Mat::zeros(3 * nu, 3 * n);
+            self.upsample_t = upsample_matrix_t(basis.p, pu);
+            (self.n, self.nu) = (n, nu);
+        }
 
         // exterior check points c_ik = x_i + n_i t_k, per k in blocks of
         // LANES targets, `[x, y, z]` lane arrays each (the tail block is
@@ -200,9 +230,8 @@ impl SelfInteraction {
         // targets the six symmetric entries are summed over the check
         // points k = 0..p in registers and stored once
         let c = 1.0 / (8.0 * std::f64::consts::PI * mu);
-        let mut k_t = Mat::zeros(3 * nu, 3 * n);
         let mut w = vec![0.0; p1];
-        for (j, rows) in k_t.data_mut().chunks_exact_mut(9 * n).enumerate() {
+        for (j, rows) in self.k_t.data_mut().chunks_exact_mut(9 * n).enumerate() {
             let y = geo_u.x[j];
             for (wk, ek) in w.iter_mut().zip(&e) {
                 *wk = geo_u.w_quad[j] * ek;
@@ -223,12 +252,6 @@ impl SelfInteraction {
                     row_z[i..i + 3].copy_from_slice(&[xz[l], yz[l], zz[l]]);
                 }
             }
-        }
-        SelfInteraction {
-            k_t,
-            upsample_t,
-            n,
-            nu,
         }
     }
 
@@ -391,6 +414,54 @@ mod tests {
                     assert_bits_eq(&op.apply(&f), &want, &format!("{what}: apply"));
                     let got: Vec<f64> = (0..3 * n).map(|i| batched[(i, c)]).collect();
                     assert_bits_eq(&got, &want, &format!("{what}: apply_many"));
+                }
+            }
+        }
+    }
+
+    /// `rebuild` over a buffer last used for another cell (same `p`: the
+    /// buffer is reused, not zeroed) or for another `p` (reallocated) is, bit
+    /// for bit, a fresh `build`: in `Kᵀ`, `apply` and `apply_many`.
+    #[test]
+    fn operator_rebuilt_in_place_matches_a_fresh_build_bitwise() {
+        let opts = SelfOpOptions::default();
+        let basis = SphBasis::new(6);
+        let coeffs = biconcave_coeffs(&basis, 1.0, Vec3::new(0.2, -0.1, 0.3));
+        let fresh = SelfInteraction::build(&basis, &coeffs, 0.9, opts);
+
+        let mut same_p = SelfInteraction::build(
+            &basis,
+            &sphere_coeffs(&basis, 1.4, Vec3::new(1.0, 0.0, 0.0)),
+            1.0,
+            opts,
+        );
+        let buffer = same_p.k_t.data().as_ptr();
+        same_p.rebuild(&basis, &coeffs, 0.9, opts);
+        assert_eq!(same_p.k_t.data().as_ptr(), buffer, "same shape reuses");
+
+        let coarse = SphBasis::new(4);
+        let mut other_p =
+            SelfInteraction::build(&coarse, &sphere_coeffs(&coarse, 1.0, Vec3::ZERO), 1.0, opts);
+        other_p.rebuild(&basis, &coeffs, 0.9, opts);
+
+        let n = basis.grid_size();
+        for (op, what) in [(&same_p, "same p"), (&other_p, "other p")] {
+            assert_eq!(op.grid_size(), n);
+            assert_bits_eq(op.k_t.data(), fresh.k_t.data(), &format!("{what}: Kᵀ"));
+            for k in [1, 3, 9] {
+                let cols = Mat::from_fn(3 * n, k, |i, c| ((i * 3 + c * 17) as f64 * 0.13).cos());
+                assert_bits_eq(
+                    op.apply_many(&cols).data(),
+                    fresh.apply_many(&cols).data(),
+                    &format!("{what}, K = {k}: apply_many"),
+                );
+                for c in 0..k {
+                    let f: Vec<f64> = (0..3 * n).map(|i| cols[(i, c)]).collect();
+                    assert_bits_eq(
+                        &op.apply(&f),
+                        &fresh.apply(&f),
+                        &format!("{what}, K = {k}, column {c}: apply"),
+                    );
                 }
             }
         }

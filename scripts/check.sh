@@ -165,6 +165,10 @@ if [ "${CHECK_FAST:-0}" != "1" ]; then
     # only one whose step is the cell self-operator and contact handling,
     # and the refined vessel, the only one whose wall matvec is the FMM
     cargo build --release --offline --manifest-path benchmark/Cargo.toml
+    # clippy over it, tests included, with no warning allowed (the package
+    # had none when it joined the gate, so it has no floor of its own)
+    cargo clippy --release --offline --manifest-path benchmark/Cargo.toml \
+        --all-targets -- -D warnings
     # its own unit tests (~30 s, the --smoke path over all four workloads
     # among them): a layer-crate API change that breaks them fails here,
     # not in the next performance PR
