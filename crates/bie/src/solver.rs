@@ -113,14 +113,13 @@ pub enum MatvecBackend {
 
 impl MatvecBackend {
     /// Patch count from which `Auto` routes the GMRES matvec through the
-    /// FMM. Measured on the registry-scale capsule tube (q = qf = 8,
-    /// η = 1, p = 5; full table in `crates/bie/README.md`): per-matvec
-    /// dense vs FMM is 0.20 s vs 2.5 s at 22 patches, 3.1 s vs 5.4 s at
-    /// 88, 24.4 s vs 11.6 s at 352 — the dense O(P²) curve crosses the
-    /// FMM's O(P) near ~150 patches. 128 sits just under that: the
-    /// unrefined registry vessels (14–96 patches) stay dense (and
-    /// bit-identical to the pre-backend code), while every refined vessel
-    /// (≥ 4× the patches per level) goes FMM.
+    /// FMM. The per-matvec crossover on the registry-scale capsule tube is
+    /// tabulated in `crates/bie/README.md` ("Matvec backends & when FMM
+    /// wins"): with the current FMM leaves, dense and FMM tie at ~88
+    /// patches. The constant stays at 128 so the unrefined registry
+    /// vessels (14–96 patches) stay dense (and bit-identical to the
+    /// pre-backend code); every refined vessel (≥ 4× the patches per
+    /// level) goes FMM.
     pub const FMM_CROSSOVER_PATCHES: usize = 128;
 
     /// Resolves the backend choice for a surface with `num_patches`

@@ -18,6 +18,16 @@
 //! handed to [`Mobility::apply_many`] in one call, so an implementation can
 //! pack them into matrices and run its linear stages as GEMMs (the
 //! simulation's cell mobility does exactly that).
+//!
+//! The loop exits at its fixed point: a linearization whose LCP returns
+//! `λ ≡ 0` moves nothing, so the next one would see the same positions and
+//! repeat it bit for bit; the verdict is then read off that iteration's own
+//! detection (positions have not changed since), which is exactly what the
+//! final check after running on to `max_outer` would have returned. Such a
+//! stall — the LCP's line search rejecting every step with contacts still
+//! open — reads in a run's `trajectory.csv` as an `ncp_iters` below the cap
+//! on a contact step whose `StepStats::contact_free` is false. Between
+//! iterations only the meshes the previous one moved are re-formed.
 
 use crate::detect::{detect_contacts, Contact, DetectOptions};
 use crate::lcp::{solve_lcp, LcpOptions};
@@ -98,7 +108,7 @@ pub struct NcpResult {
     /// Contacts active at the first detection (collision statistics for the
     /// scaling tables: "#collision/#RBCs").
     pub initial_contacts: usize,
-    /// Outer iterations used.
+    /// Outer iterations run (the loop stops early at a fixed point).
     pub outer_iters: usize,
     /// Whether a contact-free state was reached.
     pub resolved: bool,
@@ -219,9 +229,40 @@ fn assemble_b(m: usize, data: &[ContactData], by_mesh: &MeshProbes) -> CsrMatrix
     CsrMatrix::from_sorted_triplets(m, m, &triplets)
 }
 
+/// The contact-free verdict on one detection: no contact interferes beyond
+/// roundoff.
+fn contact_free(detected: &[Contact]) -> bool {
+    detected.iter().all(|c| c.value >= -1e-12)
+}
+
+/// Re-forms the current end-of-step mesh of every mesh flagged in `moved`
+/// (clearing the flag) from `end_positions`; the others are kept as they
+/// are, since their positions did not change.
+fn refresh_moved(
+    meshes: &[TriMesh],
+    end_positions: &[Vec<Vec3>],
+    current: &mut [TriMesh],
+    moved: &mut [bool],
+) {
+    let ids: Vec<usize> = (0..moved.len()).filter(|&mi| moved[mi]).collect();
+    let fresh = rayon::par::map_indexed(ids.len(), |k| {
+        meshes[ids[k]].with_positions(end_positions[ids[k]].clone())
+    });
+    for (mi, mesh) in ids.into_iter().zip(fresh) {
+        current[mi] = mesh;
+        moved[mi] = false;
+    }
+}
+
 /// Resolves interference: updates `end_positions` (one `Vec<Vec3>` per
 /// mesh) in place so that all meshes are separated by at least δ, moving
 /// only non-rigid meshes through their mobility.
+///
+/// The loop ends at the first of: no contact left (resolved), a
+/// linearization whose LCP returns `λ ≡ 0` (a fixed point: nothing moved,
+/// so every further iteration would repeat this one bit for bit, and the
+/// verdict is read off this iteration's own detection), or `max_outer`
+/// iterations (then one final detection gives the verdict).
 pub fn resolve_contacts(
     meshes: &[TriMesh],
     end_positions: &mut [Vec<Vec3>],
@@ -239,25 +280,26 @@ pub fn resolve_contacts(
         .collect();
     let mut lambda_total = 0.0;
     let mut initial_contacts = 0;
-    let mut resolved = false;
+    let mut verdict = None;
     let mut outer = 0;
+    // current end-of-step meshes (one slot per mesh, index order); an
+    // iteration re-forms only the meshes the previous one moved
+    let end_ref = &end_positions[..];
+    let mut current: Vec<TriMesh> =
+        rayon::par::map_indexed(nm, |mi| meshes[mi].with_positions(end_ref[mi].clone()));
+    let mut moved = vec![false; nm];
 
     for it in 0..opts.max_outer {
         outer = it + 1;
-        // current end-of-step meshes (one slot per mesh, index order)
-        let end_ref = &end_positions[..];
-        let current: Vec<TriMesh> =
-            rayon::par::map_indexed(nm, |mi| meshes[mi].with_positions(end_ref[mi].clone()));
-        let contacts: Vec<Contact> =
-            detect_contacts(&current, Some(start_positions), obj_of, opts.detect)
-                .into_iter()
-                .filter(|c| c.value < 0.0)
-                .collect();
+        refresh_moved(meshes, end_positions, &mut current, &mut moved);
+        let detected = detect_contacts(&current, Some(start_positions), obj_of, opts.detect);
+        let clear = contact_free(&detected);
+        let contacts: Vec<Contact> = detected.into_iter().filter(|c| c.value < 0.0).collect();
         if it == 0 {
             initial_contacts = contacts.len();
         }
         if contacts.is_empty() {
-            resolved = true;
+            verdict = Some(true);
             break;
         }
         let m = contacts.len();
@@ -273,6 +315,11 @@ pub fn resolve_contacts(
         let apply_b = |x: &[f64], y: &mut [f64]| b.matvec_into(x, y);
         let res = solve_lcp(m, apply_b, &q, &opts.lcp);
         lambda_total += res.lambda.iter().sum::<f64>();
+        if res.lambda.iter().all(|&lam| lam == 0.0) {
+            // fixed point: positions stay as this iteration detected them
+            verdict = Some(clear);
+            break;
+        }
 
         // apply Δx = Σ_k λ_k M ∇V_k to the end positions
         for (k, d) in data.iter().enumerate() {
@@ -281,6 +328,7 @@ pub fn resolve_contacts(
                 continue;
             }
             for (slot, &mi) in d.meshes.iter().enumerate() {
+                moved[mi as usize] = true;
                 let pos = &mut end_positions[mi as usize];
                 let disp = &d.disps[slot];
                 let dtot = &mut displacements[mi as usize];
@@ -292,17 +340,16 @@ pub fn resolve_contacts(
         }
     }
 
-    if !resolved {
-        // final check
-        let current: Vec<TriMesh> = meshes
-            .iter()
-            .zip(end_positions.iter())
-            .map(|(m, pos)| m.with_positions(pos.clone()))
-            .collect();
-        resolved = detect_contacts(&current, Some(start_positions), obj_of, opts.detect)
-            .iter()
-            .all(|c| c.value >= -1e-12);
-    }
+    let resolved = verdict.unwrap_or_else(|| {
+        // cap reached while still moving: final check
+        refresh_moved(meshes, end_positions, &mut current, &mut moved);
+        contact_free(&detect_contacts(
+            &current,
+            Some(start_positions),
+            obj_of,
+            opts.detect,
+        ))
+    });
 
     NcpResult {
         displacements,
@@ -318,6 +365,7 @@ mod tests {
     use super::*;
     use crate::mesh::triangulate_grid;
     use std::collections::HashMap;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn flat_square(z: f64) -> TriMesh {
         let m = 5;
@@ -502,6 +550,107 @@ mod tests {
                 "B[{j},{k}] differs: csr {} vs reference {v}",
                 dense[j * m + k]
             );
+        }
+    }
+
+    /// A linearization whose LCP returns `λ ≡ 0` ends the loop. The result
+    /// is bit-equal to a run capped at that iteration, and — positions,
+    /// displacements, multiplier sum, verdict — to a run capped one
+    /// iteration earlier, whose verdict comes from the final detection.
+    #[test]
+    fn fixed_point_exit_matches_running_on() {
+        /// Moves each mesh like `IdentityMobility` on its first
+        /// `apply_many`, and not at all afterwards.
+        struct MovesOnce {
+            inner: IdentityMobility,
+            spent: Vec<AtomicBool>,
+        }
+        impl Mobility for MovesOnce {
+            fn is_rigid(&self, mesh: u32) -> bool {
+                self.inner.is_rigid(mesh)
+            }
+            fn apply(&self, mesh: u32, force: &[(u32, Vec3)], nverts: usize) -> Vec<Vec3> {
+                self.apply_many(mesh, &[force], nverts).pop().unwrap()
+            }
+            fn apply_many(
+                &self,
+                mesh: u32,
+                forces: &[&[(u32, Vec3)]],
+                nverts: usize,
+            ) -> Vec<Vec<Vec3>> {
+                if self.spent[mesh as usize].swap(true, Ordering::SeqCst) {
+                    return vec![vec![Vec3::ZERO; nverts]; forces.len()];
+                }
+                forces
+                    .iter()
+                    .map(|f| self.inner.apply(mesh, f, nverts))
+                    .collect()
+            }
+        }
+
+        let meshes: Vec<TriMesh> = (0..3).map(|i| flat_square(0.05 * i as f64)).collect();
+        let start: Vec<Vec<Vec3>> = meshes.iter().map(|m| m.verts.clone()).collect();
+        let identity = |scale| IdentityMobility {
+            scale,
+            rigid: vec![false; 3],
+        };
+        fn resolve(
+            meshes: &[TriMesh],
+            start: &[Vec<Vec3>],
+            mobility: &impl Mobility,
+            max_outer: usize,
+        ) -> (Vec<Vec<Vec3>>, NcpResult) {
+            let opts = NcpOptions {
+                detect: DetectOptions::new(0.08),
+                max_outer,
+                ..Default::default()
+            };
+            let mut end = start.to_vec();
+            let res = resolve_contacts(meshes, &mut end, start, &[0, 1, 2], mobility, &opts);
+            (end, res)
+        }
+        let bits = |v: &[Vec<Vec3>]| -> Vec<[u64; 3]> {
+            v.iter()
+                .flatten()
+                .map(|p| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()])
+                .collect()
+        };
+        let same_outcome = |a: &(Vec<Vec<Vec3>>, NcpResult), b: &(Vec<Vec<Vec3>>, NcpResult)| {
+            assert_eq!(bits(&a.0), bits(&b.0), "end positions");
+            assert_eq!(bits(&a.1.displacements), bits(&b.1.displacements));
+            assert_eq!(a.1.lambda_total.to_bits(), b.1.lambda_total.to_bits());
+            assert_eq!(a.1.resolved, b.1.resolved);
+        };
+
+        // (stall iteration, one run per cap: default, at the stall, before it)
+        for stall in [1, 2] {
+            let runs: Vec<(Vec<Vec<Vec3>>, NcpResult)> = [10, stall, stall - 1]
+                .into_iter()
+                .map(|max_outer| {
+                    if stall == 1 {
+                        resolve(&meshes, &start, &identity(0.0), max_outer)
+                    } else {
+                        let moves_once = MovesOnce {
+                            inner: identity(1.0),
+                            spent: (0..3).map(|_| AtomicBool::new(false)).collect(),
+                        };
+                        resolve(&meshes, &start, &moves_once, max_outer)
+                    }
+                })
+                .collect();
+            let (stalled, at_cap, before) = (&runs[0], &runs[1], &runs[2]);
+            assert_eq!(stalled.1.outer_iters, stall, "stall {stall}: exit");
+            assert_eq!(at_cap.1.outer_iters, stall);
+            assert_eq!(before.1.outer_iters, stall - 1);
+            assert!(!stalled.1.resolved, "stall {stall}: contacts must remain");
+            assert_eq!(
+                stalled.1.lambda_total > 0.0,
+                stall > 1,
+                "moved iff stall > 1"
+            );
+            same_outcome(stalled, at_cap);
+            assert_eq!(stalled.1.initial_contacts, at_cap.1.initial_contacts);
+            same_outcome(stalled, before);
         }
     }
 

@@ -233,7 +233,7 @@ pub struct Simulation {
     wall_digest: Option<u64>,
     /// The previous step's per-cell self-interaction operators: derived
     /// state, like the wall FMM plan. [`Simulation::prepare`] re-assembles
-    /// each cell's `Kᵀ` into its existing buffer, so it never holds more
+    /// each cell's operator into its existing buffer, so it never holds more
     /// than one operator per cell. Not serialized — the first step
     /// after a restore rebuilds every entry from the cells.
     selfops: Vec<SelfInteraction>,

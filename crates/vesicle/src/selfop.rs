@@ -157,9 +157,12 @@ fn stokeslet_lanes(
 /// in place by [`SelfInteraction::rebuild`] where the caller keeps the
 /// previous operator.
 pub struct SelfInteraction {
-    /// Transposed kernel+extrapolation matrix `Kᵀ` (`3N_up × 3N`, source
-    /// index major): `Kᵀ[(3j+b), (3i+a)] = Σ_k e_k S_ab(c_ik, y_j) w_j`.
-    k_t: Mat,
+    /// The six distinct entries of every symmetric 3×3 block of the
+    /// kernel-and-extrapolation matrix
+    /// `K[(3i+a), (3j+b)] = Σ_k e_k S_ab(c_ik, y_j) w_j`, source point
+    /// major: row `6j + e` (`e` = `xx xy xz yy yz zz`) holds entry `e` of
+    /// the blocks of source `j` for all `N` targets `i`.
+    blocks: Vec<f64>,
     /// Shared transposed spectral upsampling matrix (`N × N_up`, per
     /// component).
     upsample_t: Arc<Mat>,
@@ -176,7 +179,7 @@ impl SelfInteraction {
         opts: SelfOpOptions,
     ) -> SelfInteraction {
         let mut op = SelfInteraction {
-            k_t: Mat::zeros(0, 0),
+            blocks: Vec::new(),
             upsample_t: upsample_matrix_t(basis.p, basis.p * opts.upsample),
             n: 0,
             nu: 0,
@@ -186,7 +189,7 @@ impl SelfInteraction {
     }
 
     /// Re-assembles the operator for new position coefficients into this
-    /// operator's own `Kᵀ` buffer — bitwise what [`SelfInteraction::build`]
+    /// operator's own buffer — bitwise what [`SelfInteraction::build`]
     /// returns. The assembly writes every entry, so the buffer is reused
     /// without zeroing; it is reallocated only when the shape (`p` or the
     /// upsampling factor) changed, after the old one is freed.
@@ -204,9 +207,9 @@ impl SelfInteraction {
         let nu = bu.grid_size();
         let p1 = t.len();
         if (self.n, self.nu) != (n, nu) {
-            // free the old buffer first: never two `Kᵀ` for one cell
-            self.k_t = Mat::zeros(0, 0);
-            self.k_t = Mat::zeros(3 * nu, 3 * n);
+            // free the old buffer first: never two operators for one cell
+            self.blocks = Vec::new();
+            self.blocks = vec![0.0; 6 * n * nu];
             self.upsample_t = upsample_matrix_t(basis.p, pu);
             (self.n, self.nu) = (n, nu);
         }
@@ -226,30 +229,72 @@ impl SelfInteraction {
             }
         }
 
-        // one source point (three rows of Kᵀ) at a time: per block of
-        // targets the six symmetric entries are summed over the check
-        // points k = 0..p in registers and stored once
+        // one source point (six rows) at a time: per block of targets the
+        // six entries are summed over the check points k = 0..p in
+        // registers and stored once, one lane array per row
         let c = 1.0 / (8.0 * std::f64::consts::PI * mu);
         let mut w = vec![0.0; p1];
-        for (j, rows) in self.k_t.data_mut().chunks_exact_mut(9 * n).enumerate() {
+        for (j, rows) in self.blocks.chunks_exact_mut(6 * n).enumerate() {
             let y = geo_u.x[j];
             for (wk, ek) in w.iter_mut().zip(&e) {
                 *wk = geo_u.w_quad[j] * ek;
             }
-            let (row_x, rest) = rows.split_at_mut(3 * n);
-            let (row_y, row_z) = rest.split_at_mut(3 * n);
             for blk in 0..nb {
                 let mut acc = [[0.0; LANES]; 6];
                 for (k, &wk) in w.iter().enumerate() {
                     stokeslet_lanes(&mut acc, &chk[k * nb + blk], y, c, wk);
                 }
-                let [xx, xy, xz, yy, yz, zz] = acc;
                 let i0 = blk * LANES;
-                for l in 0..LANES.min(n - i0) {
-                    let i = 3 * (i0 + l);
-                    row_x[i..i + 3].copy_from_slice(&[xx[l], xy[l], xz[l]]);
-                    row_y[i..i + 3].copy_from_slice(&[xy[l], yy[l], yz[l]]);
-                    row_z[i..i + 3].copy_from_slice(&[xz[l], yz[l], zz[l]]);
+                let len = LANES.min(n - i0);
+                for (row, lanes) in rows.chunks_exact_mut(n).zip(&acc) {
+                    row[i0..i0 + len].copy_from_slice(&lanes[..len]);
+                }
+            }
+        }
+    }
+
+    /// Adds the kernel stage `K u` to `out` for `k` upsampled columns: `up`
+    /// is `3k × N_up` (row `c·k + col` holds component `c` of column `col`
+    /// on the fine grid), `out` holds per column its three component planes
+    /// of `N` targets. One pass over the operator for any `K`: per source point,
+    /// its six rows serve every column. Each output entry adds the terms of
+    /// source entry `3j+b` in ascending order, skipping a zero multiplier —
+    /// see "Summation-order contract" in `crates/vesicle/README.md`.
+    fn apply_blocks(&self, up: &[f64], k: usize, out: &mut [f64]) {
+        let (n, nu) = (self.n, self.nu);
+        assert_eq!(up.len(), 3 * k * nu);
+        assert_eq!(out.len(), 3 * k * n);
+        for (j, rows) in self.blocks.chunks_exact(6 * n).enumerate() {
+            let (xx, rows) = rows.split_at(n);
+            let (xy, rows) = rows.split_at(n);
+            let (xz, rows) = rows.split_at(n);
+            let (yy, rows) = rows.split_at(n);
+            let (yz, zz) = rows.split_at(n);
+            for (col, planes) in out.chunks_exact_mut(3 * n).enumerate() {
+                let f = [0, 1, 2].map(|b| up[(b * k + col) * nu + j]);
+                let (ox, planes) = planes.split_at_mut(n);
+                let (oy, oz) = planes.split_at_mut(n);
+                if f.iter().all(|&fb| fb != 0.0) {
+                    // all three terms, in b order, in one pass
+                    let [fx, fy, fz] = f;
+                    for i in 0..n {
+                        ox[i] = ox[i] + xx[i] * fx + xy[i] * fy + xz[i] * fz;
+                        oy[i] = oy[i] + xy[i] * fx + yy[i] * fy + yz[i] * fz;
+                        oz[i] = oz[i] + xz[i] * fx + yz[i] * fy + zz[i] * fz;
+                    }
+                } else {
+                    // the block's column b, for each nonzero component
+                    let cols = [[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]];
+                    for (fb, [sx, sy, sz]) in f.into_iter().zip(cols) {
+                        if fb == 0.0 {
+                            continue;
+                        }
+                        for i in 0..n {
+                            ox[i] += sx[i] * fb;
+                            oy[i] += sy[i] * fb;
+                            oz[i] += sz[i] * fb;
+                        }
+                    }
                 }
             }
         }
@@ -258,37 +303,37 @@ impl SelfInteraction {
     /// Applies `S_i` to a force density on the coarse grid (xyz-interleaved,
     /// `3N` entries), returning the velocity on the coarse grid.
     pub fn apply(&self, f: &[f64]) -> Vec<f64> {
-        assert_eq!(f.len(), 3 * self.n);
+        let (n, nu) = (self.n, self.nu);
+        assert_eq!(f.len(), 3 * n);
         // upsample per component
-        let mut fu = vec![0.0; 3 * self.nu];
-        let mut comp = vec![0.0; self.n];
-        for c in 0..3 {
-            for i in 0..self.n {
+        let mut up = vec![0.0; 3 * nu];
+        let mut comp = vec![0.0; n];
+        for (c, row) in up.chunks_exact_mut(nu).enumerate() {
+            for i in 0..n {
                 comp[i] = f[3 * i + c];
             }
-            let up = self.upsample_t.matvec_t(&comp);
-            for j in 0..self.nu {
-                fu[3 * j + c] = up[j];
-            }
+            row.copy_from_slice(&self.upsample_t.matvec_t(&comp));
         }
-        self.k_t.matvec_t(&fu)
+        let mut planes = vec![0.0; 3 * n];
+        self.apply_blocks(&up, 1, &mut planes);
+        (0..3 * n).map(|r| planes[(r % 3) * n + r / 3]).collect()
     }
 
     /// Applies `S_i` to a batch of `K` force-density columns at once
     /// (`3N × K`, each column xyz-interleaved on the coarse grid),
     /// returning the `3N × K` velocity columns. Same operator as
-    /// [`SelfInteraction::apply`], bit for bit, but both linear stages
-    /// (spectral upsampling and the kernel matrix) run as GEMMs with the
-    /// columns as rows of the left factor, so the inner loops run along
-    /// the long contiguous output dimension however small `K` is — this is
+    /// [`SelfInteraction::apply`], bit for bit: the spectral upsampling
+    /// runs as one GEMM with the columns as rows of the left factor, and
+    /// the kernel stage reads the operator once for all columns — this is
     /// what makes the collision pipeline's batched per-mesh mobility
     /// applies cheap.
     pub fn apply_many(&self, f_cols: &Mat) -> Mat {
-        assert_eq!(f_cols.rows(), 3 * self.n, "apply_many: column height");
+        let n = self.n;
+        assert_eq!(f_cols.rows(), 3 * n, "apply_many: column height");
         let k = f_cols.cols();
         // upsample: row c·K + col holds component c of column col
-        let mut comp = Mat::zeros(3 * k, self.n);
-        for i in 0..self.n {
+        let mut comp = Mat::zeros(3 * k, n);
+        for i in 0..n {
             for c in 0..3 {
                 for (col, &v) in f_cols.row(3 * i + c).iter().enumerate() {
                     comp[(c * k + col, i)] = v;
@@ -296,15 +341,9 @@ impl SelfInteraction {
             }
         }
         let up = comp.matmul(&self.upsample_t);
-        let mut fu_t = Mat::zeros(k, 3 * self.nu);
-        for col in 0..k {
-            for c in 0..3 {
-                for (j, &v) in up.row(c * k + col).iter().enumerate() {
-                    fu_t[(col, 3 * j + c)] = v;
-                }
-            }
-        }
-        fu_t.matmul(&self.k_t).transpose()
+        let mut planes = vec![0.0; 3 * n * k];
+        self.apply_blocks(up.data(), k, &mut planes);
+        Mat::from_fn(3 * n, k, |r, col| planes[(3 * col + r % 3) * n + r / 3])
     }
 
     /// Coarse grid size N.
@@ -320,8 +359,8 @@ mod tests {
     use kernels::stokeslet_matrix;
 
     /// The row-major scalar assembly this module used before the operator
-    /// was stored transposed, kept as the bit-for-bit oracle: `K` built
-    /// entry by entry from `stokeslet_matrix`, both stages applied as
+    /// was stored by symmetric blocks, kept as the bit-for-bit oracle: `K`
+    /// built entry by entry from `stokeslet_matrix`, both stages applied as
     /// sequential dots (`Mat::matvec`).
     struct RowMajorReference {
         k_mat: Mat,
@@ -379,8 +418,30 @@ mod tests {
         }
     }
 
+    /// `K` (`3N × 3N_up`) expanded from the six stored entries per block.
+    fn expanded(op: &SelfInteraction) -> Mat {
+        const ENTRY: [[usize; 3]; 3] = [[0, 1, 2], [1, 3, 4], [2, 4, 5]];
+        let n = op.n;
+        Mat::from_fn(3 * n, 3 * op.nu, |r, s| {
+            op.blocks[(6 * (s / 3) + ENTRY[r % 3][s % 3]) * n + r / 3]
+        })
+    }
+
+    /// `K` force-density columns cycling through four kinds: generic, all
+    /// zero, generic with `−0.0` entries, and purely along x (whose
+    /// upsampled y and z components are exactly 0, so the kernel skips
+    /// them per component).
+    fn test_columns(n: usize, k: usize) -> Mat {
+        Mat::from_fn(3 * n, k, |i, c| match c % 4 {
+            1 => 0.0,
+            2 if i % 5 == 0 => -0.0,
+            3 if i % 3 != 0 => 0.0,
+            _ => ((i * 7 + c * 13) as f64 * 0.11).sin(),
+        })
+    }
+
     #[test]
-    fn transposed_operator_matches_row_major_reference_bitwise() {
+    fn symmetric_blocks_match_row_major_reference_bitwise() {
         for (p, mu) in [(8, 1.0), (6, 0.8)] {
             let basis = SphBasis::new(p);
             let coeffs = if p == 8 {
@@ -393,18 +454,15 @@ mod tests {
             let op = SelfInteraction::build(&basis, &coeffs, mu, opts);
             let reference = RowMajorReference::build(&basis, &coeffs, mu, opts);
             assert_bits_eq(
-                op.k_t.transpose().data(),
+                expanded(&op).data(),
                 reference.k_mat.data(),
                 &format!("p = {p}: kernel matrix"),
             );
             let n = basis.grid_size();
-            // below MR, across the 4-row band, across the edge/tile boundary
-            for k in [1, 2, 3, 4, 7, 8, 9, 25] {
-                let cols = Mat::from_fn(3 * n, k, |i, c| match c {
-                    1 => 0.0,
-                    2 if i % 5 == 0 => -0.0,
-                    _ => ((i * 7 + c * 13) as f64 * 0.11).sin(),
-                });
+            // the upsampling GEMM's 3K rows: edge rows only, edge rows
+            // beside a four-row tile band, whole bands
+            for k in [1, 2, 3, 4, 5, 7, 8, 9, 25] {
+                let cols = test_columns(n, k);
                 let batched = op.apply_many(&cols);
                 assert_eq!((batched.rows(), batched.cols()), (3 * n, k));
                 for c in 0..k {
@@ -421,7 +479,8 @@ mod tests {
 
     /// `rebuild` over a buffer last used for another cell (same `p`: the
     /// buffer is reused, not zeroed) or for another `p` (reallocated) is, bit
-    /// for bit, a fresh `build`: in `Kᵀ`, `apply` and `apply_many`.
+    /// for bit, a fresh `build`: in the stored blocks, `apply` and
+    /// `apply_many`.
     #[test]
     fn operator_rebuilt_in_place_matches_a_fresh_build_bitwise() {
         let opts = SelfOpOptions::default();
@@ -435,19 +494,21 @@ mod tests {
             1.0,
             opts,
         );
-        let buffer = same_p.k_t.data().as_ptr();
+        let buffer = same_p.blocks.as_ptr();
         same_p.rebuild(&basis, &coeffs, 0.9, opts);
-        assert_eq!(same_p.k_t.data().as_ptr(), buffer, "same shape reuses");
+        assert_eq!(same_p.blocks.as_ptr(), buffer, "same shape reuses");
 
         let coarse = SphBasis::new(4);
         let mut other_p =
             SelfInteraction::build(&coarse, &sphere_coeffs(&coarse, 1.0, Vec3::ZERO), 1.0, opts);
+        let coarse_len = other_p.blocks.len();
         other_p.rebuild(&basis, &coeffs, 0.9, opts);
+        assert_ne!(other_p.blocks.len(), coarse_len, "other shape reallocates");
 
         let n = basis.grid_size();
         for (op, what) in [(&same_p, "same p"), (&other_p, "other p")] {
             assert_eq!(op.grid_size(), n);
-            assert_bits_eq(op.k_t.data(), fresh.k_t.data(), &format!("{what}: Kᵀ"));
+            assert_bits_eq(&op.blocks, &fresh.blocks, &format!("{what}: blocks"));
             for k in [1, 3, 9] {
                 let cols = Mat::from_fn(3 * n, k, |i, c| ((i * 3 + c * 17) as f64 * 0.13).cos());
                 assert_bits_eq(

@@ -56,6 +56,10 @@ if [ "${CHECK_FAST:-0}" != "1" ]; then
         echo "       (if tests were intentionally consolidated, lower scripts/test_floor.txt in the same PR)"
         exit 1
     fi
+    echo "== criterion benches (compile only)"
+    # no other step builds crates/bench/benches: an API change in a layer
+    # crate must not leave them broken
+    cargo check --release --offline --benches -p bench
 fi
 
 echo "== fmm smoke bench (order 4, ~2 s)"
