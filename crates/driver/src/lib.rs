@@ -6,9 +6,15 @@
 //! - [`toml`]: a hand-rolled parser for the TOML subset scenario files use
 //!   (the environment is offline, so no external parser crates);
 //! - [`scenario`]: the registry of named scenario builders (shear pair,
-//!   sedimentation, vessel flow, dense fill, Poiseuille cell train, random
-//!   suspension) shared by `examples/`, `sim-driver`, and the `benchmark/`
-//!   workloads;
+//!   sedimentation, vessel flow, dense fill, packed dense fill, Poiseuille
+//!   cell train, random suspension, bifurcation, vessel ladder) shared by
+//!   `examples/`, `sim-driver`, and the `benchmark/` workloads. Each
+//!   builder composes four shared parts — a tube vessel (coarse surface,
+//!   `wall_refine`, boundary-solver options), the §5.1 fill, a checked
+//!   cell train and the step-configuration tail — and reads every key of
+//!   its config section once, recording the key with its default. A
+//!   mistyped value, or a key of the section the build did not read, is an
+//!   error;
 //! - [`session`]: the run layer — [`Session`] owns a built scenario and
 //!   steps it resumably, streaming each step ([`StepRow`]) through
 //!   pluggable [`StepSink`] observers (console table, CSV stream, cadence

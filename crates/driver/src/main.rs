@@ -22,7 +22,9 @@
 //! `N` shared-cache hits / resumed jobs.
 //!
 //! `--set` writes into the scenario's config section, overriding the file;
-//! e.g. `sim-driver shear_pair --set order=8 --set dt=0.01`.
+//! e.g. `sim-driver shear_pair --set order=8 --set dt=0.01`. The section is
+//! read strictly: a key the scenario does not read, or a value of the
+//! wrong type, is an error.
 //!
 //! `--threads N` pins every parallel stage of the step to `N` workers
 //! (shorthand for `--set threads=N`; default 0 = available parallelism).

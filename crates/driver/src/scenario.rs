@@ -5,23 +5,29 @@
 //! CLI, and the `benchmark/` workloads all construct domains through this
 //! registry, so a scenario definition lives exactly once.
 //!
+//! A builder composes four shared parts — the tube vessel
+//! (`straight_tube`, `tube_vessel`), the fill (`fill`), the cell train
+//! (`Train`) and the tail (`tail`) — and reads its keys from the
+//! config section named after it (e.g. `[shear_pair]`) through `Keys`,
+//! which records each key with its default. A key of the section that the
+//! scenario does not read, or a value of the wrong type, is an error.
+//! Unknown scenarios list the registry in the error.
+//!
 //! Builders are deterministic: all randomness comes from seeded RNGs whose
 //! seeds are config keys, which is what lets a checkpoint restart rebuild
 //! the identical domain (verified via [`sim::vessel_digest`]).
-//!
-//! Every scenario reads its keys from the config section named after it
-//! (e.g. `[shear_pair]`); unknown scenarios list the registry in the error.
 
-use crate::toml::Doc;
+use crate::toml::{Doc, Value};
 use linalg::{GmresOptions, Vec3};
-use patch::{capsule_tube, modulated_torus, Serpentine, StraightLine};
+use patch::{capsule_tube, modulated_torus, BoundarySurface, Serpentine, StraightLine};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sim::{
     cells_from_seeds, fill_seeds, fill_seeds_packed, refined_surface, vessel_from_network,
     DtControl, NetworkSpec, SegmentSpec, SimConfig, Simulation, Vessel,
 };
-use sphharm::SphBasis;
+use sphharm::{SphBasis, SphCoeffs};
+use std::f64::consts::PI;
 use vesicle::{biconcave_coeffs, rotated_coeffs, sphere_coeffs, Cell, CellParams};
 
 /// A registered scenario.
@@ -30,8 +36,8 @@ pub struct ScenarioSpec {
     pub name: &'static str,
     /// One-line description for `sim-driver list`.
     pub summary: &'static str,
-    /// Builder from config to a ready simulation.
-    pub build: fn(&Doc) -> Result<Built, String>,
+    /// Builder from the scenario's config section to a ready simulation.
+    pub(crate) build: fn(&mut Keys) -> Result<Built, String>,
 }
 
 /// A built scenario: the simulation plus its per-step policy.
@@ -99,17 +105,134 @@ pub fn registry() -> &'static [ScenarioSpec] {
     ]
 }
 
-/// Looks up and builds a scenario by name.
+/// Looks up and builds a scenario by name, then rejects any key of its
+/// section that the build did not read.
 pub fn build(name: &str, cfg: &Doc) -> Result<Built, String> {
     let spec = registry().iter().find(|s| s.name == name).ok_or_else(|| {
         let names: Vec<&str> = registry().iter().map(|s| s.name).collect();
         format!("unknown scenario `{name}`; available: {}", names.join(", "))
     })?;
-    (spec.build)(cfg)
+    let (built, mut keys) = spec.record(cfg);
+    if built.is_err() {
+        // a failed build stopped reading early: the scenario's keys are
+        // those it read before failing and those a default build reads, so
+        // a typo is reported as such, not as what its default broke
+        keys.read.extend(spec.record(&Doc::default()).1.read);
+    }
+    let known: Vec<&str> = keys.read.iter().map(|(key, _)| *key).collect();
+    match cfg.keys(name).into_iter().find(|key| !known.contains(key)) {
+        None => built,
+        // keys that no longer exist name what replaced them
+        Some(key @ "bie_fmm") => Err(format!(
+            "{name}: `{key}` was replaced by `bie_backend` (\"auto\", \"dense\", or \"fmm\")"
+        )),
+        Some(key @ "bie_fmm_leaf_capacity") => Err(format!(
+            "{name}: `{key}` was removed; the wall FMM sizes its leaves with `fmm::FmmOptions::default()`"
+        )),
+        Some(key) => Err(format!(
+            "{name}: unknown key `{key}`; {name} reads {}",
+            known.join(", ")
+        )),
+    }
 }
 
-/// Shared config plumbing: `SimConfig` from the scenario's section with
-/// per-scenario defaults for `dt` and `collision_delta`.
+impl ScenarioSpec {
+    /// Runs the builder on `cfg`, returning what it built and the keys it read.
+    fn record<'a>(&self, cfg: &'a Doc) -> (Result<Built, String>, Keys<'a>) {
+        let mut keys = Keys {
+            doc: cfg,
+            sec: self.name,
+            read: Vec::new(),
+        };
+        ((self.build)(&mut keys), keys)
+    }
+}
+
+/// Typed reads from one scenario's config section, each recorded with the
+/// default it was read with. A given value of the wrong type is an error
+/// naming the section, the key, the expected type and the value.
+pub(crate) struct Keys<'a> {
+    doc: &'a Doc,
+    sec: &'static str,
+    read: Vec<(&'static str, Value)>,
+}
+
+impl Keys<'_> {
+    fn read<T>(
+        &mut self,
+        key: &'static str,
+        default: Value,
+        expected: &str,
+        view: impl Fn(&Value) -> Option<T>,
+    ) -> Result<T, String> {
+        let given = self.doc.get(self.sec, key);
+        let value = view(given.unwrap_or(&default));
+        self.read.push((key, default));
+        value.ok_or_else(|| {
+            let given = given.expect("a default fits its own type");
+            format!("{}: `{key}` expects {expected}, got {given:?}", self.sec)
+        })
+    }
+
+    fn f64(&mut self, key: &'static str, default: f64) -> Result<f64, String> {
+        self.read(key, Value::Float(default), "a number", Value::as_f64)
+    }
+
+    fn usize(&mut self, key: &'static str, default: usize) -> Result<usize, String> {
+        let expected = "a non-negative integer";
+        self.read(key, Value::Int(default as i64), expected, Value::as_usize)
+    }
+
+    /// A count that must be at least 1.
+    fn count(&mut self, key: &'static str, default: usize) -> Result<usize, String> {
+        match self.usize(key, default)? {
+            0 => Err(format!("{}: {key} must be ≥ 1", self.sec)),
+            n => Ok(n),
+        }
+    }
+
+    fn bool(&mut self, key: &'static str, default: bool) -> Result<bool, String> {
+        self.read(key, Value::Bool(default), "true or false", |v| match v {
+            Value::Bool(b) => Some(*b),
+            _ => None,
+        })
+    }
+
+    /// The index of the given string in `options` (default: the first).
+    fn choice(&mut self, key: &'static str, options: &[&str]) -> Result<usize, String> {
+        let (doc, sec) = (self.doc, self.sec);
+        let index = |v: &Value| match v {
+            Value::Str(s) => options.iter().position(|o| o == s),
+            _ => None,
+        };
+        let default = Value::Str(options[0].into());
+        self.read(key, default, "", index).map_err(|_| {
+            let given = doc.get(sec, key).expect("the default is an option");
+            format!(
+                "{sec}: unknown {key} {given:?} (expected {})",
+                options.join(", ")
+            )
+        })
+    }
+
+    fn vec3(&mut self, key: &'static str, default: Vec3) -> Result<Vec3, String> {
+        let d = Value::Array([default.x, default.y, default.z].map(Value::Float).to_vec());
+        self.read(key, d, "an array of 3 numbers", |v| match v {
+            Value::Array(a) if a.len() == 3 => {
+                Some(Vec3::new(a[0].as_f64()?, a[1].as_f64()?, a[2].as_f64()?))
+            }
+            _ => None,
+        })
+    }
+}
+
+/// The tail of every scenario: the simulation from the scenario's parts
+/// and the `SimConfig` read from its section with the scenario's `step`
+/// defaults — `dt`, `collision_delta`, `shear_rate` and, for scenarios
+/// driven by gravity, `gravity_z`, the z component of the default
+/// `gravity`, which an explicit `gravity = [x, y, z]` overrides. `recycle` is the default
+/// of the `recycle` key, `None` where the scenario has no outlet to
+/// recycle cells through (the key is then not read).
 ///
 /// Adaptive time-step knobs (all optional; see [`sim::DtControl`]):
 /// `dt_adaptive` (default true), `dt_min` (default 0 = dt/16),
@@ -119,65 +242,101 @@ pub fn build(name: &str, cfg: &Doc) -> Result<Built, String> {
 /// parallel stage of `Simulation::step` to that many workers. Trajectories
 /// are bit-identical at any thread count; the knob only trades wall time,
 /// so it is also settable from the CLI via `sim-driver --threads`.
-fn sim_config(cfg: &Doc, sec: &str, dt: f64, collision_delta: f64) -> SimConfig {
-    let gravity = match cfg.get(sec, "gravity") {
-        Some(crate::toml::Value::Array(v)) if v.len() == 3 => Vec3::new(
-            v[0].as_f64().unwrap_or(0.0),
-            v[1].as_f64().unwrap_or(0.0),
-            v[2].as_f64().unwrap_or(0.0),
-        ),
-        _ => Vec3::ZERO,
+fn tail(
+    k: &mut Keys,
+    basis: SphBasis,
+    cells: Vec<Cell>,
+    vessel: Option<Vessel>,
+    recycle: Option<bool>,
+    step: (f64, f64, f64, Option<f64>),
+) -> Result<Built, String> {
+    let (dt, collision_delta, shear_rate, gravity_z) = step;
+    let recycle = match recycle {
+        Some(r) => k.bool("recycle", r)?,
+        None => false,
+    };
+    let gravity = match gravity_z {
+        Some(z) => Vec3::new(0.0, 0.0, k.f64("gravity_z", z)?),
+        None => Vec3::ZERO,
     };
     let dtc = DtControl::default();
-    let dt_control = DtControl {
-        enabled: cfg.bool_or(sec, "dt_adaptive", dtc.enabled),
-        dt_min: cfg.f64_or(sec, "dt_min", dtc.dt_min),
-        grow_after: cfg.usize_or(sec, "dt_grow_after", dtc.grow_after),
-        substep: cfg.bool_or(sec, "substep", dtc.substep),
-        max_stretch: cfg.f64_or(sec, "dt_max_stretch", dtc.max_stretch),
-        max_volume_drift: cfg.f64_or(sec, "dt_max_vol_drift", dtc.max_volume_drift),
+    let config = SimConfig {
+        dt: k.f64("dt", dt)?,
+        collision_delta: k.f64("collision_delta", collision_delta)?,
+        shear_rate: k.f64("shear_rate", shear_rate)?,
+        gravity: k.vec3("gravity", gravity)?,
+        disable_collisions: k.bool("disable_collisions", false)?,
+        dt_control: DtControl {
+            enabled: k.bool("dt_adaptive", dtc.enabled)?,
+            dt_min: k.f64("dt_min", dtc.dt_min)?,
+            grow_after: k.usize("dt_grow_after", dtc.grow_after)?,
+            substep: k.bool("substep", dtc.substep)?,
+            max_stretch: k.f64("dt_max_stretch", dtc.max_stretch)?,
+            max_volume_drift: k.f64("dt_max_vol_drift", dtc.max_volume_drift)?,
+        },
+        threads: k.usize("threads", 0)?,
+        ..Default::default()
     };
-    SimConfig {
-        dt: cfg.f64_or(sec, "dt", dt),
-        collision_delta: cfg.f64_or(sec, "collision_delta", collision_delta),
-        shear_rate: cfg.f64_or(sec, "shear_rate", 0.0),
-        gravity,
-        disable_collisions: cfg.bool_or(sec, "disable_collisions", false),
-        dt_control,
-        threads: cfg.usize_or(sec, "threads", 0),
+    Ok(Built {
+        sim: Simulation::new(basis, cells, vessel, config),
+        recycle,
+    })
+}
+
+fn cell_params(k: &mut Keys, kappa_b: f64, k_area: f64) -> Result<CellParams, String> {
+    Ok(CellParams {
+        kappa_b: k.f64("kappa_b", kappa_b)?,
+        k_area: k.f64("k_area", k_area)?,
         ..Default::default()
-    }
+    })
 }
 
-fn cell_params(cfg: &Doc, sec: &str, kappa_b: f64, k_area: f64) -> CellParams {
-    CellParams {
-        kappa_b: cfg.f64_or(sec, "kappa_b", kappa_b),
-        k_area: cfg.f64_or(sec, "k_area", k_area),
-        ..Default::default()
-    }
+/// The coarse straight tube: a capsule of `radius` along the line from the
+/// origin to `b`, with the scenario's `tube_segments` and `patch_order`
+/// defaults.
+fn straight_tube(
+    k: &mut Keys,
+    b: Vec3,
+    radius: f64,
+    segments: usize,
+    q: usize,
+) -> Result<BoundarySurface, String> {
+    let line = StraightLine { a: Vec3::ZERO, b };
+    let segments = k.usize("tube_segments", segments)?;
+    let q = k.usize("patch_order", q)?;
+    Ok(capsule_tube(&line, radius, segments, q))
 }
 
-/// Reads the `wall_refine` knob of a vessel scenario: the number of
-/// [`patch::BoundarySurface::refine`] levels applied to the vessel surface
-/// (`default` = the scenario's registry level; each level splits every
-/// patch in 4). Most scenarios default to the coarse layout (0);
-/// `vessel_flow` — the headline confined-flow run — defaults to 1 now that
-/// the persistent wall FMM makes the refined operator affordable per step.
-fn wall_refine(cfg: &Doc, sec: &str, default: usize) -> u32 {
-    cfg.usize_or(sec, "wall_refine", default) as u32
-}
-
-/// Collision-mesh sampling per patch under refinement: halve `col_m` per
+/// The tube-vessel part: the coarse surface refined `wall_refine` levels
+/// ([`patch::BoundarySurface::refine`]; each level splits every patch in
+/// 4), with inflow peak `peak` (0 = no inflow). The scenario's `refine`
+/// default is 0, the coarse layout, except for `vessel_flow` — the
+/// headline confined-flow run — which defaults to 1 now that the
+/// persistent wall FMM makes the refined operator affordable per step.
+///
+/// Collision-mesh sampling per patch under refinement: `col_m` halves per
 /// level (floor 3) so the *total* wall collision-vertex count stays
 /// roughly constant — refinement sharpens the boundary operator, not the
 /// contact mesh, and carrying `col_m²` vertices on 4× the patches per
 /// level would blow up the COL broad phase for nothing.
-fn wall_col_m(col_m: usize, levels: u32) -> usize {
-    if levels == 0 {
-        col_m
-    } else {
-        (col_m >> levels).max(3)
-    }
+fn tube_vessel(
+    k: &mut Keys,
+    coarse: &BoundarySurface,
+    refine: usize,
+    peak: f64,
+    col_m: usize,
+) -> Result<Vessel, String> {
+    let refine = k.usize("wall_refine", refine)? as u32;
+    // refinement goes through the process-wide shared cache (sim::caches):
+    // farm jobs and checkpoint-restore rebuilds of the same geometry reuse
+    // one immutable refined copy instead of re-fitting 4^levels patches
+    let surface = refined_surface(coarse, refine);
+    let opts = bie_options(k, coarse.q, refine)?;
+    let col_m = match k.usize("col_m", col_m)? {
+        c if refine == 0 => c,
+        c => (c >> refine).max(3),
+    };
+    Ok(Vessel::new((*surface).clone(), 1.0, opts, peak, col_m))
 }
 
 /// Boundary-solver options shared by the vessel scenarios.
@@ -223,27 +382,10 @@ fn wall_col_m(col_m: usize, levels: u32) -> usize {
 /// record lives on `sim::domain`'s
 /// `refined_serpentine_port_floor_improved` test; preconditioning is
 /// the open item).
-fn bie_options(cfg: &Doc, sec: &str, q: usize, refine: u32) -> Result<bie::BieOptions, String> {
-    // keys that no longer exist: the TOML layer ignores unknown keys, so
-    // reject them by name rather than silently running something other
-    // than what the config asked for
-    for (key, now) in [
-        (
-            "bie_fmm",
-            "was replaced by `bie_backend` (\"auto\", \"dense\", or \"fmm\")",
-        ),
-        (
-            "bie_fmm_leaf_capacity",
-            "was removed; the wall FMM sizes its leaves with `fmm::FmmOptions::default()`",
-        ),
-    ] {
-        if cfg.get(sec, key).is_some() {
-            return Err(format!("{sec}: `{key}` {now}"));
-        }
-    }
+fn bie_options(k: &mut Keys, q: usize, refine: u32) -> Result<bie::BieOptions, String> {
     let refined = refine > 0;
-    let check_r = cfg.f64_or(sec, "bie_check_r", if refined { 0.15 } else { 0.06 });
-    let qf = cfg.usize_or(sec, "bie_qf", if refined { q + 4 } else { 0 });
+    let check_r = k.f64("bie_check_r", if refined { 0.15 } else { 0.06 })?;
+    let qf = k.usize("bie_qf", if refined { q + 4 } else { 0 })?;
     // matvec/eval FMM tuning. The refined path defaults to order 4: the
     // quadrature floor sits near 1e-3, so the ~4e-4 operator error of
     // order 6 buys nothing over order 4's (see the per-order ladder in
@@ -251,244 +393,218 @@ fn bie_options(cfg: &Doc, sec: &str, q: usize, refine: u32) -> Result<bie::BieOp
     // roughly halve the M2L work per solve. Unrefined solves keep the
     // library default (order 6), whose extra digits are free at those
     // patch counts because they run dense anyway.
-    let fmm_default = bie::FmmOptions::default();
-    let fmm = bie::FmmOptions {
-        order: cfg.usize_or(
-            sec,
-            "bie_fmm_order",
-            if refined { 4 } else { fmm_default.order },
-        ),
-        ..fmm_default
-    };
-    let backend = match cfg.str_or(sec, "bie_backend", "auto") {
-        "auto" => bie::MatvecBackend::Auto,
-        "dense" => bie::MatvecBackend::Dense,
-        "fmm" => bie::MatvecBackend::Fmm,
-        other => {
-            return Err(format!(
-                "{sec}: unknown bie_backend `{other}` (expected auto, dense, or fmm)"
-            ))
-        }
-    };
+    let mut fmm = bie::FmmOptions::default();
+    fmm.order = k.usize("bie_fmm_order", if refined { 4 } else { fmm.order })?;
+    use bie::MatvecBackend::{Auto, Dense, Fmm};
+    let backend = [Auto, Dense, Fmm][k.choice("bie_backend", &["auto", "dense", "fmm"])?];
     Ok(bie::BieOptions {
         backend,
         qf,
         fmm,
         gmres: GmresOptions {
-            tol: cfg.f64_or(sec, "bie_tol", if refined { 2e-3 } else { 1e-5 }),
-            max_iters: cfg.usize_or(sec, "bie_max_iters", 30),
+            tol: k.f64("bie_tol", if refined { 2e-3 } else { 1e-5 })?,
+            max_iters: k.usize("bie_max_iters", 30)?,
             // vessel rhs from near-wall cells carries content beyond the
             // quadrature's resolution, flooring the residual; stop the
             // iteration when it stops improving instead of burning the cap
-            stall_ratio: cfg.f64_or(sec, "bie_stall", 0.9),
+            stall_ratio: k.f64("bie_stall", 0.9)?,
             // short cycles so the cross-cycle (true-residual) stagnation
             // check engages: the Arnoldi estimate alone cannot see the
             // floor from a warm start
-            restart: cfg.usize_or(sec, "bie_restart", 10),
+            restart: k.usize("bie_restart", 10)?,
             ..Default::default()
         },
         check: bie::CheckSpec::Linear {
             big_r: check_r,
             small_r: check_r,
         },
-        p_extrap: cfg.usize_or(sec, "bie_p_extrap", 5),
-        precond: cfg.bool_or(sec, "bie_precond", false),
+        p_extrap: k.usize("bie_p_extrap", 5)?,
+        precond: k.bool("bie_precond", false)?,
         ..Default::default()
     })
+}
+
+/// The fill part (§5.1): cells grown from a seed lattice of spacing
+/// `fill_h` through the coarse vessel, with the scenario's defaults for
+/// `fill_h`, `fill_margin` and `seed`. Where the scenario is `packable`,
+/// `fill_packed = true` switches to the BCC double-lattice filler with
+/// individual freeze growth (~1.5× the cubic fill's packing); elsewhere
+/// the key is not read.
+///
+/// Cells are seeded from the *unrefined* surface: refinement reproduces
+/// the same geometry, but keeping the seed lattice's accept/reject tests on
+/// the coarse patch layout makes the initial packing bit-identical across
+/// `wall_refine` levels (so accuracy/cost comparisons share one initial
+/// condition).
+fn fill(
+    k: &mut Keys,
+    coarse: &BoundarySurface,
+    basis: &SphBasis,
+    h: f64,
+    margin: f64,
+    seed: usize,
+    packable: bool,
+) -> Result<Vec<Cell>, String> {
+    let bcc = packable && k.bool("fill_packed", false)?;
+    let fill = if bcc { fill_seeds_packed } else { fill_seeds };
+    let seeds = fill(coarse, k.f64("fill_h", h)?, k.f64("fill_margin", margin)?);
+    if seeds.is_empty() {
+        return Err(format!("{}: no cells fit (raise fill_h)", k.sec));
+    }
+    let mut rng = StdRng::seed_from_u64(k.usize("seed", seed)? as u64);
+    let params = cell_params(k, 0.01, 1.0)?;
+    Ok(cells_from_seeds(basis, &seeds, params, &mut rng))
+}
+
+/// A uniform offset in `[-amount, amount)³`, drawn x, y, z from `rng`.
+/// `amount = 0` is a valid unjittered run and draws nothing (the shim's
+/// `random_range` rejects empty ranges).
+fn jitter(rng: &mut StdRng, amount: f64) -> Vec3 {
+    if amount > 0.0 {
+        let mut draw = || rng.random_range(-amount..amount);
+        Vec3::new(draw(), draw(), draw())
+    } else {
+        Vec3::ZERO
+    }
+}
+
+/// A cell shape: coefficients of a cell of radius `r` centred at a point.
+type Shape = fn(&SphBasis, f64, Vec3) -> [SphCoeffs; 3];
+
+/// The cell-train part: `n_cells` cells of radius `cell_radius` in single
+/// file, `spacing` apart.
+struct Train {
+    n: usize,
+    r: f64,
+    spacing: f64,
+}
+
+impl Train {
+    /// Reads the train; `spacing` maps the cell radius to its default.
+    fn read(k: &mut Keys, n: usize, r: f64, spacing: fn(f64) -> f64) -> Result<Train, String> {
+        let n = k.count("n_cells", n)?;
+        let r = k.f64("cell_radius", r)?;
+        let spacing = k.f64("spacing", spacing(r))?;
+        Ok(Train { n, r, spacing })
+    }
+
+    /// The cells, cell `i` centred at `start + i·spacing·dir`, once they
+    /// are checked against the vessel: `fit = (narrow, room)` — the cells
+    /// must fit its narrowest radius `narrow` (less any offset off the
+    /// axis), the train's span the `room` it leaves along the axis.
+    fn cells(
+        &self,
+        k: &mut Keys,
+        basis: &SphBasis,
+        (narrow, room): (f64, f64),
+        start: Vec3,
+        dir: Vec3,
+        mut shape: impl FnMut(&SphBasis, f64, Vec3) -> [SphCoeffs; 3],
+    ) -> Result<Vec<Cell>, String> {
+        let (sec, r) = (k.sec, self.r);
+        let span = self.spacing * (self.n - 1) as f64 + 2.0 * r;
+        if r >= narrow {
+            return Err(format!(
+                "{sec}: cell_radius {r} does not fit radius {narrow}"
+            ));
+        }
+        if span > room {
+            return Err(format!("{sec}: train span {span:.2} exceeds room {room}"));
+        }
+        let params = cell_params(k, 0.01, 1.0)?;
+        let step = dir * self.spacing;
+        let centre = |i: usize| start + step * i as f64;
+        let cell = |i| Cell::new(basis, shape(basis, r, centre(i)), params);
+        Ok((0..self.n).map(cell).collect())
+    }
+
+    /// The train centred along the +x axis of a straight tube of `length`
+    /// and radius `tube_r`, `radial_offset` off the axis.
+    fn centred(
+        &self,
+        k: &mut Keys,
+        basis: &SphBasis,
+        length: f64,
+        tube_r: f64,
+        shape: Shape,
+    ) -> Result<Vec<Cell>, String> {
+        let offset = k.f64("radial_offset", 0.0)?;
+        let x0 = 0.5 * (length - self.spacing * (self.n - 1) as f64);
+        let (start, dir) = (Vec3::new(x0, 0.0, offset), Vec3::new(1.0, 0.0, 0.0));
+        self.cells(k, basis, (tube_r - offset.abs(), length), start, dir, shape)
+    }
 }
 
 /// Two cells offset in z inside the linear shear `u = [γ̇ z, 0, 0]`; the
 /// upper cell overtakes the lower one with contact handling keeping them
 /// apart (ported from `examples/src/shear_pair.rs`).
-fn build_shear_pair(cfg: &Doc) -> Result<Built, String> {
-    let sec = "shear_pair";
-    let p = cfg.usize_or(sec, "order", 12);
-    let basis = SphBasis::new(p);
-    let params = cell_params(cfg, sec, 0.02, 2.0);
-    let sep = cfg.f64_or(sec, "separation_x", 1.4);
-    let off = cfg.f64_or(sec, "offset_z", 0.25);
-    let radius = cfg.f64_or(sec, "cell_radius", 1.0);
+fn build_shear_pair(k: &mut Keys) -> Result<Built, String> {
+    let basis = SphBasis::new(k.usize("order", 12)?);
+    let params = cell_params(k, 0.02, 2.0)?;
+    let sep = k.f64("separation_x", 1.4)?;
+    let off = k.f64("offset_z", 0.25)?;
+    let radius = k.f64("cell_radius", 1.0)?;
+    let cell = |c| Cell::new(&basis, biconcave_coeffs(&basis, radius, c), params);
     let cells = vec![
-        Cell::new(
-            &basis,
-            biconcave_coeffs(&basis, radius, Vec3::new(-sep, 0.0, off)),
-            params,
-        ),
-        Cell::new(
-            &basis,
-            biconcave_coeffs(&basis, radius, Vec3::new(sep, 0.0, -off)),
-            params,
-        ),
+        cell(Vec3::new(-sep, 0.0, off)),
+        cell(Vec3::new(sep, 0.0, -off)),
     ];
-    let mut config = sim_config(cfg, sec, 0.02, 0.05);
-    config.shear_rate = cfg.f64_or(sec, "shear_rate", 1.0);
-    Ok(Built {
-        sim: Simulation::new(basis, cells, None, config),
-        recycle: false,
-    })
+    tail(k, basis, cells, None, None, (0.02, 0.05, 1.0, None))
 }
 
 /// A closed vertical capsule filled with cells settling under gravity
 /// (ported from `examples/src/sedimentation.rs`).
-fn build_sedimentation(cfg: &Doc) -> Result<Built, String> {
-    let sec = "sedimentation";
-    let length = cfg.f64_or(sec, "tube_length", 6.0);
-    let radius = cfg.f64_or(sec, "tube_radius", 1.6);
-    let line = StraightLine {
-        a: Vec3::ZERO,
-        b: Vec3::new(0.0, 0.0, length),
-    };
-    let refine = wall_refine(cfg, sec, 0);
-    let q = cfg.usize_or(sec, "patch_order", 8);
-    // cells are seeded from the *unrefined* surface: refinement reproduces
-    // the same geometry, but keeping the seed lattice's accept/reject tests
-    // on the coarse patch layout makes the initial packing bit-identical
-    // across wall_refine levels (so accuracy/cost comparisons share one
-    // initial condition)
-    let coarse = capsule_tube(&line, radius, cfg.usize_or(sec, "tube_segments", 3), q);
-    // refinement goes through the process-wide shared cache (sim::caches):
-    // farm jobs and checkpoint-restore rebuilds of the same geometry reuse
-    // one immutable refined copy instead of re-fitting 4^levels patches
-    let surface = refined_surface(&coarse, refine);
-    let vessel = Vessel::new(
-        (*surface).clone(),
-        1.0,
-        bie_options(cfg, sec, q, refine)?,
-        0.0,
-        wall_col_m(cfg.usize_or(sec, "col_m", 10), refine),
-    );
-
-    let basis = SphBasis::new(cfg.usize_or(sec, "order", 8));
-    let fill = if cfg.bool_or(sec, "fill_packed", false) {
-        fill_seeds_packed
-    } else {
-        fill_seeds
-    };
-    let seeds = fill(
-        &coarse,
-        cfg.f64_or(sec, "fill_h", 0.95),
-        cfg.f64_or(sec, "fill_margin", 0.95),
-    );
-    if seeds.is_empty() {
-        return Err("sedimentation: vessel too small for any cells (raise fill_h)".into());
-    }
-    let mut rng = StdRng::seed_from_u64(cfg.usize_or(sec, "seed", 7) as u64);
-    let params = cell_params(cfg, sec, 0.01, 1.0);
-    let cells = cells_from_seeds(&basis, &seeds, params, &mut rng);
-
-    let mut config = sim_config(cfg, sec, 0.02, 0.06);
-    if cfg.get(sec, "gravity").is_none() {
-        config.gravity = Vec3::new(0.0, 0.0, cfg.f64_or(sec, "gravity_z", -4.0));
-    }
-    Ok(Built {
-        sim: Simulation::new(basis, cells, Some(vessel), config),
-        recycle: false,
-    })
+fn build_sedimentation(k: &mut Keys) -> Result<Built, String> {
+    let length = k.f64("tube_length", 6.0)?;
+    let radius = k.f64("tube_radius", 1.6)?;
+    let coarse = straight_tube(k, Vec3::new(0.0, 0.0, length), radius, 3, 8)?;
+    let vessel = tube_vessel(k, &coarse, 0, 0.0, 10)?;
+    let basis = SphBasis::new(k.usize("order", 8)?);
+    let cells = fill(k, &coarse, &basis, 0.95, 0.95, 7, true)?;
+    let step = (0.02, 0.06, 0.0, Some(-4.0));
+    tail(k, basis, cells, Some(vessel), None, step)
 }
 
 /// Serpentine vessel with parabolic inflow/outflow, cell recycling active —
 /// the headline confined-flow setup (ported from
 /// `examples/src/vessel_flow.rs`).
-fn build_vessel_flow(cfg: &Doc) -> Result<Built, String> {
-    let sec = "vessel_flow";
+fn build_vessel_flow(k: &mut Keys) -> Result<Built, String> {
     let c = Serpentine {
-        length: cfg.f64_or(sec, "length", 8.0),
-        amp: cfg.f64_or(sec, "amp", 0.7),
-        windings: cfg.f64_or(sec, "windings", 1.0),
+        length: k.f64("length", 8.0)?,
+        amp: k.f64("amp", 0.7)?,
+        windings: k.f64("windings", 1.0)?,
     };
-    let refine = wall_refine(cfg, sec, 1);
-    let q = cfg.usize_or(sec, "patch_order", 8);
-    // seeded from the unrefined surface; see build_sedimentation
-    let coarse = capsule_tube(
-        &c,
-        cfg.f64_or(sec, "tube_radius", 1.1),
-        cfg.usize_or(sec, "tube_segments", 5),
-        q,
-    );
-    let surface = refined_surface(&coarse, refine);
-    let peak = cfg.f64_or(sec, "peak_speed", 1.0);
-    let vessel = Vessel::new(
-        (*surface).clone(),
-        1.0,
-        bie_options(cfg, sec, q, refine)?,
-        peak,
-        wall_col_m(cfg.usize_or(sec, "col_m", 10), refine),
-    );
-
-    let basis = SphBasis::new(cfg.usize_or(sec, "order", 8));
-    let seeds = fill_seeds(
-        &coarse,
-        cfg.f64_or(sec, "fill_h", 1.1),
-        cfg.f64_or(sec, "fill_margin", 0.9),
-    );
-    if seeds.is_empty() {
-        return Err("vessel_flow: no cells fit (raise fill_h)".into());
-    }
-    let mut rng = StdRng::seed_from_u64(cfg.usize_or(sec, "seed", 11) as u64);
-    let cells = cells_from_seeds(&basis, &seeds, cell_params(cfg, sec, 0.01, 1.0), &mut rng);
-
-    let config = sim_config(cfg, sec, 0.01, 0.05);
-    let recycle = cfg.bool_or(sec, "recycle", true);
-    Ok(Built {
-        sim: Simulation::new(basis, cells, Some(vessel), config),
-        recycle,
-    })
+    let radius = k.f64("tube_radius", 1.1)?;
+    let q = k.usize("patch_order", 8)?;
+    let coarse = capsule_tube(&c, radius, k.usize("tube_segments", 5)?, q);
+    let peak = k.f64("peak_speed", 1.0)?;
+    let vessel = tube_vessel(k, &coarse, 1, peak, 10)?;
+    let basis = SphBasis::new(k.usize("order", 8)?);
+    let cells = fill(k, &coarse, &basis, 1.1, 0.9, 11, false)?;
+    let step = (0.01, 0.05, 0.0, None);
+    tail(k, basis, cells, Some(vessel), Some(true), step)
 }
 
 /// A modulated torus (stenosed loop) densely packed with cells — the
 /// vessel-filling stress test of Fig. 8 turned into a steppable run
 /// (ported from `examples/src/fill_vessel.rs`; the torus has no ports, so
 /// the flow is driven purely by gravity / cell interactions).
-fn build_dense_fill(cfg: &Doc) -> Result<Built, String> {
-    let sec = "dense_fill";
-    let refine = wall_refine(cfg, sec, 0);
-    let q = cfg.usize_or(sec, "patch_order", 8);
-    // seeded from the unrefined surface; see build_sedimentation
+fn build_dense_fill(k: &mut Keys) -> Result<Built, String> {
+    let q = k.usize("patch_order", 8)?;
     let coarse = modulated_torus(
-        cfg.f64_or(sec, "big_r", 4.0),
-        cfg.f64_or(sec, "small_r", 1.0),
-        cfg.f64_or(sec, "amp", 0.25),
-        cfg.usize_or(sec, "lobes", 4) as u32,
-        cfg.usize_or(sec, "nu", 16),
-        cfg.usize_or(sec, "nv", 6),
+        k.f64("big_r", 4.0)?,
+        k.f64("small_r", 1.0)?,
+        k.f64("amp", 0.25)?,
+        k.usize("lobes", 4)? as u32,
+        k.usize("nu", 16)?,
+        k.usize("nv", 6)?,
         q,
     );
-    let surface = refined_surface(&coarse, refine);
-    let vessel = Vessel::new(
-        (*surface).clone(),
-        1.0,
-        bie_options(cfg, sec, q, refine)?,
-        0.0,
-        wall_col_m(cfg.usize_or(sec, "col_m", 10), refine),
-    );
-
-    let basis = SphBasis::new(cfg.usize_or(sec, "order", 8));
-    // `fill_packed = true` switches to the BCC double-lattice filler with
-    // individual freeze growth (~1.5× the cubic fill's packing)
-    let fill = if cfg.bool_or(sec, "fill_packed", false) {
-        fill_seeds_packed
-    } else {
-        fill_seeds
-    };
-    let seeds = fill(
-        &coarse,
-        cfg.f64_or(sec, "fill_h", 0.7),
-        cfg.f64_or(sec, "fill_margin", 0.95),
-    );
-    if seeds.is_empty() {
-        return Err("dense_fill: no cells fit (raise fill_h)".into());
-    }
-    let mut rng = StdRng::seed_from_u64(cfg.usize_or(sec, "seed", 3) as u64);
-    let cells = cells_from_seeds(&basis, &seeds, cell_params(cfg, sec, 0.01, 1.0), &mut rng);
-
-    let mut config = sim_config(cfg, sec, 0.01, 0.05);
-    if cfg.get(sec, "gravity").is_none() {
-        config.gravity = Vec3::new(0.0, 0.0, cfg.f64_or(sec, "gravity_z", -1.0));
-    }
-    Ok(Built {
-        sim: Simulation::new(basis, cells, Some(vessel), config),
-        recycle: false,
-    })
+    let vessel = tube_vessel(k, &coarse, 0, 0.0, 10)?;
+    let basis = SphBasis::new(k.usize("order", 8)?);
+    let cells = fill(k, &coarse, &basis, 0.7, 0.95, 3, true)?;
+    let step = (0.01, 0.05, 0.0, Some(-1.0));
+    tail(k, basis, cells, Some(vessel), None, step)
 }
 
 /// The high-hematocrit stability workload: a rouleau column — biconcave
@@ -504,141 +620,45 @@ fn build_dense_fill(cfg: &Doc) -> Result<Built, String> {
 /// diverging implicit update used to poison the whole trajectory, and the
 /// reason this scenario exists: it runs under the adaptive-Δt gate
 /// (enabled by default) as the standing stability acceptance test.
-fn build_dense_fill_packed(cfg: &Doc) -> Result<Built, String> {
-    let sec = "dense_fill_packed";
-    let n_cells = cfg.usize_or(sec, "n_cells", 14);
-    if n_cells == 0 {
-        return Err("dense_fill_packed: n_cells must be ≥ 1".into());
-    }
-    let cell_r = cfg.f64_or(sec, "cell_radius", 1.0);
-    let tube_r = cfg.f64_or(sec, "tube_radius", 1.12 * cell_r);
-    if cell_r >= tube_r {
-        return Err(format!(
-            "dense_fill_packed: cell_radius {cell_r} does not fit tube_radius {tube_r}"
-        ));
-    }
+fn build_dense_fill_packed(k: &mut Keys) -> Result<Built, String> {
     // face-to-face spacing: cell axial full thickness is ≈ 0.63·r, so the
     // default 0.88·r leaves ≈ 0.25·r between facing rims — clear of the
     // collision δ at rest, closed by gravity within a few steps
-    let spacing = cfg.f64_or(sec, "spacing", 0.88 * cell_r);
-    let margin = cfg.f64_or(sec, "end_margin", 0.55 * cell_r);
-    let length = 2.0 * margin + spacing * (n_cells - 1) as f64;
-    let line = StraightLine {
-        a: Vec3::ZERO,
-        b: Vec3::new(0.0, 0.0, length),
-    };
-    let refine = wall_refine(cfg, sec, 0);
-    let q = cfg.usize_or(sec, "patch_order", 6);
-    let segments = cfg.usize_or(
-        sec,
-        "tube_segments",
-        ((length / 2.0).ceil() as usize).max(2),
-    );
-    let coarse = capsule_tube(&line, tube_r, segments, q);
-    let surface = refined_surface(&coarse, refine);
-    let vessel = Vessel::new(
-        (*surface).clone(),
-        1.0,
-        bie_options(cfg, sec, q, refine)?,
-        0.0,
-        wall_col_m(cfg.usize_or(sec, "col_m", 8), refine),
-    );
-
-    let basis = SphBasis::new(cfg.usize_or(sec, "order", 6));
-    let params = cell_params(cfg, sec, 0.01, 1.0);
+    let train = Train::read(k, 14, 1.0, |r| 0.88 * r)?;
+    let tube_r = k.f64("tube_radius", 1.12 * train.r)?;
+    let margin = k.f64("end_margin", 0.55 * train.r)?;
+    let length = 2.0 * margin + train.spacing * (train.n - 1) as f64;
+    let segments = ((length / 2.0).ceil() as usize).max(2);
+    let coarse = straight_tube(k, Vec3::new(0.0, 0.0, length), tube_r, segments, 6)?;
+    let vessel = tube_vessel(k, &coarse, 0, 0.0, 8)?;
+    let basis = SphBasis::new(k.usize("order", 6)?);
     // deterministic sub-collision-δ jitter so the column is not perfectly
     // axisymmetric (a perfect rouleau settles degenerately)
-    let jitter = cfg.f64_or(sec, "jitter", 0.03 * cell_r);
-    let mut rng = StdRng::seed_from_u64(cfg.usize_or(sec, "seed", 5) as u64);
-    let cells: Vec<Cell> = (0..n_cells)
-        .map(|i| {
-            let wob = if jitter > 0.0 {
-                Vec3::new(
-                    rng.random_range(-jitter..jitter),
-                    rng.random_range(-jitter..jitter),
-                    rng.random_range(-jitter..jitter),
-                )
-            } else {
-                Vec3::ZERO
-            };
-            let center = Vec3::new(0.0, 0.0, margin + spacing * i as f64) + wob;
-            Cell::new(&basis, biconcave_coeffs(&basis, cell_r, center), params)
-        })
-        .collect();
-
-    let mut config = sim_config(cfg, sec, 0.01, 0.05);
-    if cfg.get(sec, "gravity").is_none() {
-        config.gravity = Vec3::new(0.0, 0.0, cfg.f64_or(sec, "gravity_z", -3.0));
-    }
-    Ok(Built {
-        sim: Simulation::new(basis, cells, Some(vessel), config),
-        recycle: false,
-    })
+    let amount = k.f64("jitter", 0.03 * train.r)?;
+    let mut rng = StdRng::seed_from_u64(k.usize("seed", 5)? as u64);
+    let (start, dir) = (Vec3::new(0.0, 0.0, margin), Vec3::new(0.0, 0.0, 1.0));
+    // the tube is sized to the column, so only the radius can fail to fit
+    let fit = (tube_r, f64::INFINITY);
+    let cells = train.cells(k, &basis, fit, start, dir, |basis, r, c| {
+        biconcave_coeffs(basis, r, c + jitter(&mut rng, amount))
+    })?;
+    let step = (0.01, 0.05, 0.0, Some(-3.0));
+    tail(k, basis, cells, Some(vessel), None, step)
 }
 
 /// A single-file train of biconcave cells in a straight tube, advected by
 /// parabolic (Poiseuille) inflow — the axisymmetric margination baseline.
-fn build_poiseuille_train(cfg: &Doc) -> Result<Built, String> {
-    let sec = "poiseuille_train";
-    let length = cfg.f64_or(sec, "tube_length", 8.0);
-    let tube_r = cfg.f64_or(sec, "tube_radius", 1.2);
-    let line = StraightLine {
-        a: Vec3::ZERO,
-        b: Vec3::new(length, 0.0, 0.0),
-    };
-    let refine = wall_refine(cfg, sec, 0);
-    let q = cfg.usize_or(sec, "patch_order", 8);
-    let coarse = capsule_tube(&line, tube_r, cfg.usize_or(sec, "tube_segments", 4), q);
-    let surface = refined_surface(&coarse, refine);
-    let peak = cfg.f64_or(sec, "peak_speed", 1.5);
-    let vessel = Vessel::new(
-        (*surface).clone(),
-        1.0,
-        bie_options(cfg, sec, q, refine)?,
-        peak,
-        wall_col_m(cfg.usize_or(sec, "col_m", 10), refine),
-    );
-
-    let basis = SphBasis::new(cfg.usize_or(sec, "order", 8));
-    let n_cells = cfg.usize_or(sec, "n_cells", 4);
-    if n_cells == 0 {
-        return Err("poiseuille_train: n_cells must be ≥ 1".into());
-    }
-    let cell_r = cfg.f64_or(sec, "cell_radius", 0.5);
-    if cell_r >= tube_r {
-        return Err(format!(
-            "poiseuille_train: cell_radius {cell_r} does not fit tube_radius {tube_r}"
-        ));
-    }
-    let spacing = cfg.f64_or(sec, "spacing", 1.5);
-    let span = spacing * (n_cells - 1) as f64 + 2.0 * cell_r;
-    if span > length {
-        return Err(format!(
-            "poiseuille_train: train span {span:.2} (n_cells·spacing + cell) exceeds tube_length {length}"
-        ));
-    }
-    let offset = cfg.f64_or(sec, "radial_offset", 0.0);
-    if offset.abs() + cell_r >= tube_r {
-        return Err(format!(
-            "poiseuille_train: radial_offset {offset} pushes cells into the wall"
-        ));
-    }
-    let params = cell_params(cfg, sec, 0.01, 1.0);
-    // train centered in the tube, marching along +x
-    let x0 = 0.5 * (length - spacing * (n_cells.saturating_sub(1)) as f64);
-    let cells: Vec<Cell> = (0..n_cells)
-        .map(|i| {
-            let center = Vec3::new(x0 + spacing * i as f64, 0.0, offset);
-            Cell::new(&basis, biconcave_coeffs(&basis, cell_r, center), params)
-        })
-        .collect();
-
-    let config = sim_config(cfg, sec, 0.01, 0.05);
-    let recycle = cfg.bool_or(sec, "recycle", true);
-    Ok(Built {
-        sim: Simulation::new(basis, cells, Some(vessel), config),
-        recycle,
-    })
+fn build_poiseuille_train(k: &mut Keys) -> Result<Built, String> {
+    let length = k.f64("tube_length", 8.0)?;
+    let tube_r = k.f64("tube_radius", 1.2)?;
+    let coarse = straight_tube(k, Vec3::new(length, 0.0, 0.0), tube_r, 4, 8)?;
+    let peak = k.f64("peak_speed", 1.5)?;
+    let vessel = tube_vessel(k, &coarse, 0, peak, 10)?;
+    let basis = SphBasis::new(k.usize("order", 8)?);
+    let train = Train::read(k, 4, 0.5, |_| 1.5)?;
+    let cells = train.centred(k, &basis, length, tube_r, biconcave_coeffs)?;
+    let step = (0.01, 0.05, 0.0, None);
+    tail(k, basis, cells, Some(vessel), Some(true), step)
 }
 
 /// A Y-bifurcation: one parent branch splitting into two daughters, built
@@ -659,9 +679,10 @@ fn build_poiseuille_train(cfg: &Doc) -> Result<Built, String> {
 /// `wall_refine` is rejected: refinement would re-fit the blended
 /// junction from the *coarse* patch polynomials instead of the exact
 /// surface; raise `per_face` to resolve the junction instead.
-fn build_bifurcation(cfg: &Doc) -> Result<Built, String> {
-    let sec = "bifurcation";
-    if cfg.get(sec, "wall_refine").is_some() {
+fn build_bifurcation(k: &mut Keys) -> Result<Built, String> {
+    if k.doc.get(k.sec, "wall_refine").is_some() {
+        // read, so the reason below is the error, not an unknown key
+        k.read.push(("wall_refine", Value::Int(0)));
         return Err(
             "bifurcation: wall_refine is not supported on network vessels \
              (refinement would re-fit the junction blend from coarse patch \
@@ -669,16 +690,16 @@ fn build_bifurcation(cfg: &Doc) -> Result<Built, String> {
                 .into(),
         );
     }
-    let parent_r = cfg.f64_or(sec, "parent_radius", 0.5);
-    let parent_l = cfg.f64_or(sec, "parent_length", 1.6);
-    let daughter_r = cfg.f64_or(sec, "daughter_radius", 0.4);
-    let daughter_l = cfg.f64_or(sec, "daughter_length", 1.5);
-    let angle = cfg.f64_or(sec, "daughter_angle_deg", 31.0).to_radians();
-    let flux = cfg.f64_or(sec, "flux", 1.0);
+    let parent_r = k.f64("parent_radius", 0.5)?;
+    let parent_l = k.f64("parent_length", 1.6)?;
+    let daughter_r = k.f64("daughter_radius", 0.4)?;
+    let daughter_l = k.f64("daughter_length", 1.5)?;
+    let angle = k.f64("daughter_angle_deg", 31.0)?.to_radians();
+    let flux = k.f64("flux", 1.0)?;
     if !flux.is_finite() || flux <= 0.0 {
         return Err(format!("bifurcation: flux must be > 0, got {flux}"));
     }
-    let split = cfg.f64_or(sec, "flux_split", 0.55);
+    let split = k.f64("flux_split", 0.55)?;
     if !(split > 0.0 && split < 1.0) {
         return Err(format!(
             "bifurcation: flux_split must be in (0, 1), got {split}"
@@ -712,59 +733,26 @@ fn build_bifurcation(cfg: &Doc) -> Result<Built, String> {
                 flux: -(1.0 - split) * flux,
             },
         ],
-        smoothing: cfg.f64_or(sec, "smoothing", 0.3 * daughter_r.min(parent_r)),
-        per_face: cfg.usize_or(sec, "per_face", 2),
-        q: cfg.usize_or(sec, "patch_order", 8),
+        smoothing: k.f64("smoothing", 0.3 * daughter_r.min(parent_r))?,
+        per_face: k.usize("per_face", 2)?,
+        q: k.usize("patch_order", 8)?,
     };
-    let vessel = vessel_from_network(
-        &spec,
-        1.0,
-        bie_options(cfg, sec, spec.q, 0)?,
-        cfg.usize_or(sec, "col_m", 6),
-    )
-    .map_err(|e| format!("bifurcation: {e}"))?;
-
-    let basis = SphBasis::new(cfg.usize_or(sec, "order", 6));
-    let n_cells = cfg.usize_or(sec, "n_cells", 2);
-    if n_cells == 0 {
-        return Err("bifurcation: n_cells must be ≥ 1".into());
-    }
-    let cell_r = cfg.f64_or(sec, "cell_radius", 0.15);
-    if cell_r >= daughter_r.min(parent_r) {
-        return Err(format!(
-            "bifurcation: cell_radius {cell_r} does not fit the narrowest branch \
-             (radius {})",
-            daughter_r.min(parent_r)
-        ));
-    }
-    let spacing = cfg.f64_or(sec, "spacing", 3.0 * cell_r);
+    let opts = bie_options(k, spec.q, 0)?;
+    let vessel = vessel_from_network(&spec, 1.0, opts, k.usize("col_m", 6)?)
+        .map_err(|e| format!("bifurcation: {e}"))?;
+    let basis = SphBasis::new(k.usize("order", 6)?);
+    let train = Train::read(k, 2, 0.15, |r| 3.0 * r)?;
     // train along the parent axis, marching -x toward the junction; the
-    // lead cell starts mid-branch, the tail stays clear of the inlet cap
-    let x_far = parent_l - 2.0 * cell_r;
-    let x_near = x_far - spacing * (n_cells - 1) as f64;
-    if x_near < cell_r {
-        return Err(format!(
-            "bifurcation: train span {:.2} (n_cells·spacing + caps) exceeds \
-             parent_length {parent_l}",
-            spacing * (n_cells - 1) as f64 + 3.0 * cell_r
-        ));
-    }
-    let params = cell_params(cfg, sec, 0.01, 1.0);
-    let cells: Vec<Cell> = (0..n_cells)
-        .map(|i| {
-            let center = Vec3::new(x_far - spacing * i as f64, 0.0, 0.0);
-            Cell::new(&basis, biconcave_coeffs(&basis, cell_r, center), params)
-        })
-        .collect();
-
-    let config = sim_config(cfg, sec, 0.01, 0.05);
+    // lead cell starts mid-branch, the tail stays a radius clear of the
+    // inlet cap, which leaves the train the parent length less that radius
+    let fit = (daughter_r.min(parent_r), parent_l - train.r);
+    let start = Vec3::new(parent_l - 2.0 * train.r, 0.0, 0.0);
+    let back = Vec3::new(-1.0, 0.0, 0.0);
+    let cells = train.cells(k, &basis, fit, start, back, biconcave_coeffs)?;
     // `recycle_cells` tests every outlet, but the default stays off: the
     // pinned bifurcation trajectories were recorded without recycling
-    let recycle = cfg.bool_or(sec, "recycle", false);
-    Ok(Built {
-        sim: Simulation::new(basis, cells, Some(vessel), config),
-        recycle,
-    })
+    let step = (0.01, 0.05, 0.0, None);
+    tail(k, basis, cells, Some(vessel), Some(false), step)
 }
 
 /// One rung of the tube-diameter ladder behind the apparent-viscosity
@@ -775,66 +763,24 @@ fn build_bifurcation(cfg: &Doc) -> Result<Built, String> {
 /// [`sim::Vessel::new`] has flux `peak · π r² / 2`, so the inflow peak is
 /// derived as `2·flux / (π·tube_radius²)` unless `peak_speed` overrides
 /// it explicitly.
-fn build_vessel_ladder(cfg: &Doc) -> Result<Built, String> {
-    let sec = "vessel_ladder";
-    let length = cfg.f64_or(sec, "tube_length", 6.0);
-    let tube_r = cfg.f64_or(sec, "tube_radius", 0.8);
+fn build_vessel_ladder(k: &mut Keys) -> Result<Built, String> {
+    let length = k.f64("tube_length", 6.0)?;
+    let tube_r = k.f64("tube_radius", 0.8)?;
     if !(tube_r > 0.0 && length > 2.0 * tube_r) {
         return Err(format!(
             "vessel_ladder: need tube_length > 2·tube_radius > 0, got \
              length {length}, radius {tube_r}"
         ));
     }
-    let flux = cfg.f64_or(sec, "flux", 1.0);
+    let flux = k.f64("flux", 1.0)?;
     if !flux.is_finite() || flux <= 0.0 {
         return Err(format!("vessel_ladder: flux must be > 0, got {flux}"));
     }
-    let peak = cfg.f64_or(
-        sec,
-        "peak_speed",
-        2.0 * flux / (std::f64::consts::PI * tube_r * tube_r),
-    );
-    let line = StraightLine {
-        a: Vec3::ZERO,
-        b: Vec3::new(length, 0.0, 0.0),
-    };
-    let refine = wall_refine(cfg, sec, 0);
-    let q = cfg.usize_or(sec, "patch_order", 8);
-    let coarse = capsule_tube(&line, tube_r, cfg.usize_or(sec, "tube_segments", 3), q);
-    let surface = refined_surface(&coarse, refine);
-    let vessel = Vessel::new(
-        (*surface).clone(),
-        1.0,
-        bie_options(cfg, sec, q, refine)?,
-        peak,
-        wall_col_m(cfg.usize_or(sec, "col_m", 10), refine),
-    );
-
-    let basis = SphBasis::new(cfg.usize_or(sec, "order", 6));
-    let n_cells = cfg.usize_or(sec, "n_cells", 3);
-    if n_cells == 0 {
-        return Err("vessel_ladder: n_cells must be ≥ 1".into());
-    }
-    let cell_r = cfg.f64_or(sec, "cell_radius", 0.4);
-    if cell_r >= tube_r {
-        return Err(format!(
-            "vessel_ladder: cell_radius {cell_r} does not fit tube_radius {tube_r}"
-        ));
-    }
-    let spacing = cfg.f64_or(sec, "spacing", 1.4);
-    let span = spacing * (n_cells - 1) as f64 + 2.0 * cell_r;
-    if span > length {
-        return Err(format!(
-            "vessel_ladder: train span {span:.2} (n_cells·spacing + cell) exceeds \
-             tube_length {length}"
-        ));
-    }
-    let offset = cfg.f64_or(sec, "radial_offset", 0.0);
-    if offset.abs() + cell_r >= tube_r {
-        return Err(format!(
-            "vessel_ladder: radial_offset {offset} pushes cells into the wall"
-        ));
-    }
+    let peak = k.f64("peak_speed", 2.0 * flux / (PI * tube_r * tube_r))?;
+    let coarse = straight_tube(k, Vec3::new(length, 0.0, 0.0), tube_r, 3, 8)?;
+    let vessel = tube_vessel(k, &coarse, 0, peak, 10)?;
+    let basis = SphBasis::new(k.usize("order", 6)?);
+    let train = Train::read(k, 3, 0.4, |_| 1.4)?;
     // `shape = "sphere"` swaps the train for near-force-free spheres: the
     // discrete biconcave shape is *not* an equilibrium of the discretized
     // membrane energy, so it releases stored elastic energy for many steps
@@ -844,92 +790,51 @@ fn build_vessel_ladder(cfg: &Doc) -> Result<Built, String> {
     // work vanishes under the volume-conserving motion the stepper
     // enforces, so sphere rungs measure the genuine drag excess from
     // step 1 (the physiology regression tests and bench run this mode).
-    let shape = cfg.str_or(sec, "shape", "biconcave");
-    if shape != "biconcave" && shape != "sphere" {
-        return Err(format!(
-            "vessel_ladder: unknown shape `{shape}` (expected biconcave or sphere)"
-        ));
-    }
-    let params = cell_params(cfg, sec, 0.01, 1.0);
-    let x0 = 0.5 * (length - spacing * (n_cells.saturating_sub(1)) as f64);
-    let cells: Vec<Cell> = (0..n_cells)
-        .map(|i| {
-            let center = Vec3::new(x0 + spacing * i as f64, 0.0, offset);
-            let coeffs = if shape == "sphere" {
-                sphere_coeffs(&basis, cell_r, center)
-            } else {
-                biconcave_coeffs(&basis, cell_r, center)
-            };
-            Cell::new(&basis, coeffs, params)
-        })
-        .collect();
-
-    let config = sim_config(cfg, sec, 0.01, 0.05);
-    let recycle = cfg.bool_or(sec, "recycle", true);
-    Ok(Built {
-        sim: Simulation::new(basis, cells, Some(vessel), config),
-        recycle,
-    })
+    let shapes: [Shape; 2] = [biconcave_coeffs, sphere_coeffs];
+    let shape = shapes[k.choice("shape", &["biconcave", "sphere"])?];
+    let cells = train.centred(k, &basis, length, tube_r, shape)?;
+    let step = (0.01, 0.05, 0.0, None);
+    tail(k, basis, cells, Some(vessel), Some(true), step)
 }
 
 /// Randomly oriented cells on a jittered cubic lattice in free space,
 /// sheared by the background flow — the unconfined dense-suspension
 /// rheology workload.
-fn build_random_suspension(cfg: &Doc) -> Result<Built, String> {
-    let sec = "random_suspension";
-    let basis = SphBasis::new(cfg.usize_or(sec, "order", 8));
-    let n_side = cfg.usize_or(sec, "n_side", 2);
-    if n_side == 0 {
-        return Err("random_suspension: n_side must be ≥ 1".into());
-    }
-    let spacing = cfg.f64_or(sec, "spacing", 2.6);
-    let jitter = cfg.f64_or(sec, "jitter", 0.25);
-    if jitter < 0.0 {
+fn build_random_suspension(k: &mut Keys) -> Result<Built, String> {
+    let basis = SphBasis::new(k.usize("order", 8)?);
+    let n_side = k.count("n_side", 2)?;
+    let spacing = k.f64("spacing", 2.6)?;
+    let amount = k.f64("jitter", 0.25)?;
+    if amount < 0.0 {
         return Err(format!(
-            "random_suspension: jitter must be ≥ 0, got {jitter}"
+            "random_suspension: jitter must be ≥ 0, got {amount}"
         ));
     }
-    let cell_r = cfg.f64_or(sec, "cell_radius", 1.0);
-    if jitter * 2.0 + 2.0 * cell_r > spacing {
+    let cell_r = k.f64("cell_radius", 1.0)?;
+    if amount * 2.0 + 2.0 * cell_r > spacing {
         return Err(format!(
-            "random_suspension: spacing {spacing} too small for cell_radius {cell_r} + jitter {jitter}"
+            "random_suspension: spacing {spacing} too small for cell_radius {cell_r} + jitter {amount}"
         ));
     }
-    let params = cell_params(cfg, sec, 0.02, 1.0);
-    let mut rng = StdRng::seed_from_u64(cfg.usize_or(sec, "seed", 13) as u64);
+    let params = cell_params(k, 0.02, 1.0)?;
+    let mut rng = StdRng::seed_from_u64(k.usize("seed", 13)? as u64);
     let half = 0.5 * spacing * (n_side - 1) as f64;
     let mut cells = Vec::with_capacity(n_side * n_side * n_side);
-    for k in 0..n_side {
-        for j in 0..n_side {
-            for i in 0..n_side {
+    for iz in 0..n_side {
+        for iy in 0..n_side {
+            for ix in 0..n_side {
                 let lattice = Vec3::new(
-                    i as f64 * spacing - half,
-                    j as f64 * spacing - half,
-                    k as f64 * spacing - half,
+                    ix as f64 * spacing - half,
+                    iy as f64 * spacing - half,
+                    iz as f64 * spacing - half,
                 );
-                // jitter = 0 is a valid perfect-lattice run; the shim's
-                // random_range rejects empty ranges
-                let wob = if jitter > 0.0 {
-                    Vec3::new(
-                        rng.random_range(-jitter..jitter),
-                        rng.random_range(-jitter..jitter),
-                        rng.random_range(-jitter..jitter),
-                    )
-                } else {
-                    Vec3::ZERO
-                };
-                let coeffs = biconcave_coeffs(&basis, cell_r, lattice + wob);
+                let coeffs = biconcave_coeffs(&basis, cell_r, lattice + jitter(&mut rng, amount));
                 let rot = rotated_coeffs(&basis, &coeffs, &mut rng);
                 cells.push(Cell::new(&basis, rot, params));
             }
         }
     }
-    let mut config = sim_config(cfg, sec, 0.01, 0.05);
-    config.shear_rate = cfg.f64_or(sec, "shear_rate", 0.5);
-    Ok(Built {
-        sim: Simulation::new(basis, cells, None, config),
-        recycle: false,
-    })
+    tail(k, basis, cells, None, None, (0.01, 0.05, 0.5, None))
 }
 
 #[cfg(test)]
@@ -991,6 +896,145 @@ mod tests {
         assert!(vf < 0.74, "overlapping packing? vf = {vf}");
         assert!(built.sim.vessel.is_some());
         assert!(built.sim.config.dt_control.enabled);
+    }
+
+    #[test]
+    fn unknown_keys_are_rejected_with_the_keys_the_scenario_reads() {
+        let mut cfg = Doc::default();
+        cfg.set("shear_pair", "order", Value::Int(6));
+        cfg.set("shear_pair", "ordr", Value::Int(6));
+        let e = build("shear_pair", &cfg).err().unwrap();
+        assert!(e.starts_with("shear_pair: unknown key `ordr`"), "{e}");
+        for key in ["order", "separation_x", "kappa_b", "dt_min", "threads"] {
+            assert!(e.contains(key), "{e} does not list `{key}`");
+        }
+        // only the scenario's own section is checked
+        let mut cfg = Doc::default();
+        cfg.set("shear_pair", "order", Value::Int(6));
+        cfg.set("workload", "ordr", Value::Int(6));
+        cfg.set("perturb", "offset_z", Value::Float(0.02));
+        assert!(build("shear_pair", &cfg).is_ok());
+        // a key of another scenario is unknown here
+        let mut cfg = Doc::default();
+        cfg.set("shear_pair", "order", Value::Int(6));
+        cfg.set("shear_pair", "gravity_z", Value::Float(-1.0));
+        let e = build("shear_pair", &cfg).err().unwrap();
+        assert!(e.contains("unknown key `gravity_z`"), "{e}");
+        // vessel_flow shares the fill part but not its packed variant
+        let mut cfg = Doc::default();
+        cfg.set("vessel_flow", "tube_segments", Value::Int(1));
+        cfg.set("vessel_flow", "fill_packed", Value::Bool(false));
+        let e = build("vessel_flow", &cfg).err().unwrap();
+        assert!(e.contains("unknown key `fill_packed`"), "{e}");
+    }
+
+    #[test]
+    fn mistyped_values_are_rejected_with_the_expected_type() {
+        let short = Value::Array(vec![Value::Float(0.0), Value::Float(-1.0)]);
+        for (key, value, expected) in [
+            ("order", Value::Str("six".into()), "a non-negative integer"),
+            ("order", Value::Float(6.5), "a non-negative integer"),
+            ("order", Value::Int(-6), "a non-negative integer"),
+            ("dt", Value::Str("fast".into()), "a number"),
+            ("dt_adaptive", Value::Int(1), "true or false"),
+            ("gravity", short, "an array of 3 numbers"),
+        ] {
+            let mut cfg = Doc::default();
+            cfg.set("shear_pair", key, value.clone());
+            if key != "order" {
+                cfg.set("shear_pair", "order", Value::Int(6));
+            }
+            let e = build("shear_pair", &cfg).err().unwrap();
+            let want = format!("shear_pair: `{key}` expects {expected}, got {value:?}");
+            assert_eq!(e, want);
+        }
+        // whole-number floats still read as integers, integers as numbers
+        let mut cfg = Doc::default();
+        cfg.set("shear_pair", "order", Value::Float(6.0));
+        cfg.set("shear_pair", "dt", Value::Int(1));
+        let built = build("shear_pair", &cfg).unwrap();
+        assert_eq!((built.sim.basis.p, built.sim.config.dt), (6, 1.0));
+        // a string outside the choices names them
+        let mut cfg = Doc::default();
+        cfg.set("vessel_ladder", "shape", Value::Str("cube".into()));
+        let e = build("vessel_ladder", &cfg).err().unwrap();
+        assert!(
+            e.contains("unknown shape") && e.contains("biconcave, sphere"),
+            "{e}"
+        );
+    }
+
+    /// Every key scenario `name` reads, in read order, with the default it
+    /// uses: the record of a build from an empty config.
+    fn defaults(name: &str) -> Vec<(&'static str, Value)> {
+        let spec = registry().iter().find(|s| s.name == name).unwrap();
+        let doc = Doc::default();
+        let (built, keys) = spec.record(&doc);
+        built.unwrap_or_else(|e| panic!("{name}: {e}"));
+        keys.read
+    }
+
+    #[test]
+    fn a_typo_is_reported_ahead_of_the_build_error_its_default_causes() {
+        // the typo leaves tube_radius at its default 1.2, which the cell
+        // radius does not fit
+        let mut cfg = Doc::default();
+        cfg.set("poiseuille_train", "tube_radus", Value::Float(2.0));
+        cfg.set("poiseuille_train", "cell_radius", Value::Float(1.5));
+        let e = build("poiseuille_train", &cfg).err().unwrap();
+        assert!(
+            e.starts_with("poiseuille_train: unknown key `tube_radus`"),
+            "{e}"
+        );
+        // keys read after the failure point are still known: with the
+        // typo fixed, the error is the misfit itself
+        cfg = Doc::default();
+        cfg.set("poiseuille_train", "cell_radius", Value::Float(1.5));
+        cfg.set("poiseuille_train", "recycle", Value::Bool(false));
+        let e = build("poiseuille_train", &cfg).err().unwrap();
+        assert!(e.contains("cell_radius 1.5 does not fit"), "{e}");
+    }
+
+    /// Every sample config builds, and every scalar it sets equals (to 1e-12
+    /// relative) the default the registry reads that key with: a sample TOML
+    /// writes the registry scenario out, it does not define another one.
+    #[test]
+    fn sample_configs_restate_the_registry_defaults() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
+        for spec in registry() {
+            let path = dir.join(format!("{}.toml", spec.name));
+            let doc = Doc::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+            build(spec.name, &doc).unwrap_or_else(|e| panic!("{}.toml: {e}", spec.name));
+            let defaults = defaults(spec.name);
+            for key in doc.keys(spec.name) {
+                let given = doc.get(spec.name, key).unwrap();
+                let (_, default) = defaults
+                    .iter()
+                    .find(|(k, _)| *k == key)
+                    .unwrap_or_else(|| panic!("{}: `{key}` built but was not read", spec.name));
+                let same = match (given.as_f64(), default.as_f64()) {
+                    (Some(a), Some(b)) => (a - b).abs() <= 1e-12 * a.abs().max(b.abs()),
+                    _ => given == default,
+                };
+                assert!(
+                    same,
+                    "{}.toml sets {key} = {given:?}; the registry default is {default:?}",
+                    spec.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_key_is_read_once() {
+        for spec in registry() {
+            let read = defaults(spec.name);
+            let mut keys: Vec<&str> = read.iter().map(|(key, _)| *key).collect();
+            keys.sort_unstable();
+            let n = keys.len();
+            keys.dedup();
+            assert_eq!(keys.len(), n, "{}: a key is read twice", spec.name);
+        }
     }
 
     #[test]

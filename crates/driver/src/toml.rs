@@ -51,11 +51,12 @@ impl Value {
 /// A parsed document: sections of key/value pairs. Keys before the first
 /// `[section]` header land in the root section `""`.
 ///
-/// The typed `*_or` lookups are deliberately lenient: a missing key or a
-/// type-mismatched value falls back to the caller's default (scenario
-/// builders validate ranges, not spelling). Misspelled keys are therefore
-/// silently inert — `sim-driver` prints the effective cell/dof counts at
-/// startup precisely so a misconfigured run is visible immediately.
+/// The typed `*_or` lookups are lenient: a missing key or a
+/// type-mismatched value falls back to the caller's default. They serve
+/// sections whose readers check nothing else (a farm manifest's `[farm]`,
+/// the benchmark's `[workload]` and `[perturb]`). Scenario sections are
+/// read strictly instead (see [`crate::scenario`]): there a mistyped value
+/// or a key the scenario does not read is an error.
 #[derive(Clone, Debug, Default)]
 pub struct Doc {
     sections: BTreeMap<String, BTreeMap<String, Value>>,

@@ -287,3 +287,44 @@ fn manifest_rejections_surface_before_any_job_runs() {
     cfg.set("shear_pair", "order", Value::Int(8));
     assert!(driver::build("shear_pair", &cfg).is_ok());
 }
+
+#[test]
+fn a_mistyped_job_key_fails_that_job_only() {
+    let root = tmp("typo");
+    std::fs::remove_dir_all(&root).ok();
+    let text = format!(
+        r#"
+[farm]
+jobs = ["typo", "clean"]
+out_root = "{}"
+
+[typo]
+scenario = "shear_pair"
+steps = 1
+order = 6
+ordr = 8
+
+[clean]
+scenario = "shear_pair"
+steps = 1
+order = 6
+"#,
+        root.display()
+    );
+    let manifest = Manifest::parse(&text).unwrap();
+    let report = driver::run_farm(
+        &manifest,
+        &FarmOptions {
+            quiet: true,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let (typo, clean) = (&report.outcomes[0], &report.outcomes[1]);
+    assert_eq!(typo.status, JobStatus::Failed);
+    let e = typo.error.as_deref().unwrap_or_default();
+    assert!(e.starts_with("shear_pair: unknown key `ordr`"), "{e}");
+    assert_eq!(clean.status, JobStatus::Completed, "{:?}", clean.error);
+    assert_eq!(report.completed(), 1);
+    std::fs::remove_dir_all(&root).ok();
+}

@@ -65,6 +65,18 @@ fi
 echo "== fmm smoke bench (order 4, ~2 s)"
 cargo run --release -p bench --bin fmm_bench -- --quick
 
+echo "== sample configs (every registry scenario built from scenarios/<name>.toml)"
+# each registry scenario must build, zero steps, from its sample config
+# through the CLI: a scenario reads its section strictly (an unknown or
+# mistyped key is an error), so a sample that drifts from the registry's
+# keys fails here (~0.3 s for all nine)
+SCENARIOS=$(cargo run --release -q -p driver -- list | sed -n '/^scenarios:/,$p' | awk 'NR > 1 {print $1}')
+[ -n "$SCENARIOS" ] || { echo "ERROR: sim-driver list printed no scenarios"; exit 1; }
+for SCENARIO in $SCENARIOS; do
+    cargo run --release -q -p driver -- "$SCENARIO" \
+        --config "scenarios/$SCENARIO.toml" --steps 0 --no-output --quiet
+done
+
 echo "== collision smoke (sedimentation-like, 1 step, contact + finite-volume assert)"
 # a small dense packing that reliably produces >10 contacts in one step
 # (driver/tests/determinism.rs pins the same configuration high-contact):
