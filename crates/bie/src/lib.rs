@@ -16,11 +16,9 @@
 
 pub mod closest;
 pub mod fine;
-pub mod precond;
 pub mod solver;
 
 pub use closest::{closest_points, ClosestHit, NearIndex};
 pub use fine::FineDiscretization;
 pub use fmm::FmmOptions;
-pub use precond::CoarseGridPrecond;
 pub use solver::{BieOptions, CheckSpec, DoubleLayerSolver, LayerKernel, MatvecBackend};

@@ -12,10 +12,9 @@
 
 use crate::closest::{ClosestHit, NearIndex};
 use crate::fine::FineDiscretization;
-use crate::precond::CoarseGridPrecond;
 use fmm::{Fmm, FmmOptions};
 use kernels::{direct_eval, Kernel, LaplaceDL, StokesDL};
-use linalg::{gmres, gmres_right, GmresOptions, GmresResult, Interp1d, LinearOperator, Vec3};
+use linalg::{gmres, GmresOptions, GmresResult, Interp1d, LinearOperator, Vec3};
 use parking_lot::Mutex;
 use patch::{BoundarySurface, SurfaceQuad};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -155,12 +154,6 @@ pub struct BieOptions {
     /// Include the rank-completing operator `N` (required for the interior
     /// Stokes problem; not needed for Laplace).
     pub null_space: bool,
-    /// Build the coarse-grid correction preconditioner at setup and run
-    /// GMRES right-preconditioned with it. Off by default: on the
-    /// production discretization it does not beat plain GMRES (see the
-    /// measurements in [`crate::precond`]); the warm start carried by the
-    /// time stepper is what cuts per-step iterations.
-    pub precond: bool,
 }
 
 impl Default for BieOptions {
@@ -184,7 +177,6 @@ impl Default for BieOptions {
                 stall_ratio: 0.0,
             },
             null_space: true,
-            precond: false,
         }
     }
 }
@@ -223,9 +215,6 @@ pub struct DoubleLayerSolver<K: LayerKernel, KE: Kernel + Clone + Sync + Send> {
     /// FMM with fixed geometry (fine sources → check targets), reused every
     /// GMRES iteration; `None` when running direct summation.
     solve_fmm: Option<Fmm<K, KE>>,
-    /// Coarse-grid correction preconditioner (assembled and LU-factored
-    /// once at setup); `None` when `opts.precond` is off.
-    precond: Option<CoarseGridPrecond>,
     /// Matvec scratch recycled across GMRES iterations.
     scratch: Mutex<ApplyScratch>,
     /// Nanoseconds spent in far-field summation (FMM or direct) — the
@@ -279,18 +268,6 @@ impl<K: LayerKernel, KE: Kernel + Clone + Sync + Send> DoubleLayerSolver<K, KE> 
         } else {
             None
         };
-        let precond = if opts.precond {
-            Some(CoarseGridPrecond::build(
-                &kernel,
-                &surface,
-                opts.check,
-                opts.p_extrap,
-                opts.null_space && vd == 3,
-            ))
-        } else {
-            None
-        };
-
         DoubleLayerSolver {
             surface,
             quad,
@@ -303,18 +280,12 @@ impl<K: LayerKernel, KE: Kernel + Clone + Sync + Send> DoubleLayerSolver<K, KE> 
             check_pts,
             extrap_w,
             solve_fmm,
-            precond,
             scratch: Mutex::new(ApplyScratch::default()),
             fmm_nanos: AtomicU64::new(0),
             eval_fmm: Mutex::new(None),
             eval_fmm_builds: AtomicU64::new(0),
             eval_fmm_replans: AtomicU64::new(0),
         }
-    }
-
-    /// The coarse-grid preconditioner, when one was built.
-    pub fn precond(&self) -> Option<&CoarseGridPrecond> {
-        self.precond.as_ref()
     }
 
     /// The backend the GMRES matvec actually resolved to (`Auto` settled
@@ -570,10 +541,7 @@ impl<K: LayerKernel, KE: Kernel + Clone + Sync + Send> DoubleLayerSolver<K, KE> 
             }
         }
         let op = SolverOperator { solver: self };
-        let res = match &self.precond {
-            Some(m) => gmres_right(&op, m, &rhs, &mut phi, &self.opts.gmres),
-            None => gmres(&op, &rhs, &mut phi, &self.opts.gmres),
-        };
+        let res = gmres(&op, &rhs, &mut phi, &self.opts.gmres);
         (phi, res)
     }
 

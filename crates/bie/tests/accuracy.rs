@@ -6,8 +6,8 @@
 //! quadrature orders, with the error decreasing as the order rises. This
 //! pins the whole pipeline — upsampling, packing, check-point
 //! extrapolation, GMRES (warm-started or not), and near/far `eval_at` —
-//! against closed-form truth, so solver refactors (preconditioning, warm
-//! starts, scratch-buffer recycling) cannot silently degrade accuracy.
+//! against closed-form truth, so solver refactors (warm starts,
+//! scratch-buffer recycling) cannot silently degrade accuracy.
 
 use bie::{BieOptions, CheckSpec, DoubleLayerSolver, MatvecBackend};
 use kernels::{stokeslet, StokesDL, StokesEquiv};

@@ -148,15 +148,10 @@ mod tests {
             }
             bl
         };
-        for i in 0..m {
-            assert!(res.lambda[i] >= -1e-9, "λ_{i} = {}", res.lambda[i]);
-            assert!(l[i] >= -1e-8, "L_{i} = {}", l[i]);
-            assert!(
-                res.lambda[i] * l[i] < 1e-8,
-                "complementarity {i}: λ={} L={}",
-                res.lambda[i],
-                l[i]
-            );
+        for (i, (&lam, &li)) in res.lambda.iter().zip(&l).enumerate() {
+            assert!(lam >= -1e-9, "λ_{i} = {lam}");
+            assert!(li >= -1e-8, "L_{i} = {li}");
+            assert!(lam * li < 1e-8, "complementarity {i}: λ={lam} L={li}");
         }
     }
 
@@ -177,8 +172,8 @@ mod tests {
         let q = vec![-1.0, 2.0, -0.3, 0.0, -5.0];
         let res = solve_lcp(5, |x, y| b.matvec_into(x, y), &q, &LcpOptions::default());
         assert!(res.converged);
-        for i in 0..5 {
-            assert!((res.lambda[i] - (-q[i]).max(0.0)).abs() < 1e-10);
+        for (lam, qi) in res.lambda.iter().zip(&q) {
+            assert!((lam - (-qi).max(0.0)).abs() < 1e-10);
         }
         check_lcp(&b, &q, &res);
     }

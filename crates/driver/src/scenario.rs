@@ -129,6 +129,9 @@ pub fn build(name: &str, cfg: &Doc) -> Result<Built, String> {
         Some(key @ "bie_fmm_leaf_capacity") => Err(format!(
             "{name}: `{key}` was removed; the wall FMM sizes its leaves with `fmm::FmmOptions::default()`"
         )),
+        Some(key @ "bie_precond") => Err(format!(
+            "{name}: `{key}` was removed; the wall solve runs unpreconditioned GMRES (see crates/bie/README.md)"
+        )),
         Some(key) => Err(format!(
             "{name}: unknown key `{key}`; {name} reads {}",
             known.join(", ")
@@ -380,8 +383,8 @@ fn tube_vessel(
 /// converging spectral tail, so vessel solves sit at the stall check
 /// rather than `bie_tol` at practical iteration budgets (the probe
 /// record lives on `sim::domain`'s
-/// `refined_serpentine_port_floor_improved` test; preconditioning is
-/// the open item).
+/// `refined_serpentine_port_floor_improved` test; the spectrum study of
+/// ROADMAP item 1 is the open item).
 fn bie_options(k: &mut Keys, q: usize, refine: u32) -> Result<bie::BieOptions, String> {
     let refined = refine > 0;
     let check_r = k.f64("bie_check_r", if refined { 0.15 } else { 0.06 })?;
@@ -419,7 +422,6 @@ fn bie_options(k: &mut Keys, q: usize, refine: u32) -> Result<bie::BieOptions, S
             small_r: check_r,
         },
         p_extrap: k.usize("bie_p_extrap", 5)?,
-        precond: k.bool("bie_precond", false)?,
         ..Default::default()
     })
 }
@@ -1084,6 +1086,11 @@ mod tests {
                 "bie_fmm_leaf_capacity",
                 crate::toml::Value::Int(99),
                 "`bie_fmm_leaf_capacity` was removed",
+            ),
+            (
+                "bie_precond",
+                crate::toml::Value::Bool(false),
+                "`bie_precond` was removed",
             ),
         ] {
             let mut cfg = Doc::default();

@@ -287,19 +287,6 @@ impl<KS: Kernel, KE: Kernel> Fmm<KS, KE> {
             "source and equivalent kernels must produce the same values"
         );
         let ops = cached_operators(&eq_kernel, opts.order);
-        Self::with_ops(src_kernel, eq_kernel, ops, src, trg, opts)
-    }
-
-    /// Like [`Fmm::new`] but with explicitly provided operators (used to
-    /// experiment with truncation tolerances; normal callers use the cache).
-    pub fn with_ops(
-        src_kernel: KS,
-        eq_kernel: KE,
-        ops: Arc<FmmOperators>,
-        src: &[Vec3],
-        trg: &[Vec3],
-        opts: FmmOptions,
-    ) -> Self {
         let tree = Octree::build(
             src,
             trg,

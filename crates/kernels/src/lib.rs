@@ -16,7 +16,7 @@ pub mod traits;
 pub use laplace::{laplace_dl, laplace_dl_block, laplace_sl, laplace_sl_block, laplace_sl_grad};
 pub use stokes::{
     stokes_equiv_block, stokeslet, stokeslet_block, stokeslet_matrix, stokeslet_pressure,
-    stresslet, stresslet_block, stresslet_pressure,
+    stresslet, stresslet_block,
 };
 pub use traits::{
     direct_eval, direct_eval_serial, Kernel, LaplaceDL, LaplaceSL, StokesDL, StokesEquiv, StokesSL,

@@ -243,22 +243,6 @@ pub fn stokeslet_pressure(x: Vec3, y: Vec3, f: Vec3) -> f64 {
     r.dot(f) * rinv3 / (4.0 * std::f64::consts::PI)
 }
 
-/// Pressure kernel associated with the stresslet double layer (with the same
-/// sign convention as [`stresslet`]):
-/// `p(x) = −(μ/2π) [ (n·φ)/|r|³ − 3 (r·φ)(r·n)/|r|⁵ ]`.
-#[inline]
-pub fn stresslet_pressure(x: Vec3, y: Vec3, phi: Vec3, n: Vec3, mu: f64) -> f64 {
-    let r = x - y;
-    let r2 = r.norm_sq();
-    if r2 == 0.0 {
-        return 0.0;
-    }
-    let rinv3 = 1.0 / (r2 * r2.sqrt());
-    let rinv5 = rinv3 / r2;
-    -(mu / (2.0 * std::f64::consts::PI))
-        * (n.dot(phi) * rinv3 - 3.0 * r.dot(phi) * r.dot(n) * rinv5)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -191,7 +191,7 @@ mod tests {
                     )
                 })
                 .collect();
-            triplets.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
+            triplets.sort_by_key(|t| (t.0, t.1));
             let a = CsrMatrix::from_sorted_triplets(rows, cols, &triplets);
             let x: Vec<f64> = (0..cols).map(|_| rng.random_range(-1.0..1.0)).collect();
             let y = a.matvec(&x);

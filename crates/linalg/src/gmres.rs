@@ -1,19 +1,14 @@
-//! Restarted GMRES for matrix-free linear operators, with optional right
-//! preconditioning.
+//! Restarted GMRES for matrix-free linear operators.
 //!
 //! The paper solves the Nyström-discretized boundary integral equation
 //! (Eq. 3.5) with PETSc's GMRES, never assembling the dense operator: each
 //! iteration applies the singular-quadrature matrix-vector product. The same
 //! matrix-free design is used here via the [`LinearOperator`] trait. The
 //! paper caps iterations at 30 in its scaling runs (§5.1); the cap is a
-//! parameter of [`GmresOptions`].
-//!
-//! [`gmres_right`] solves the right-preconditioned system `A M⁻¹ u = b`,
-//! `x = M⁻¹ u`, where the preconditioner application `z = M⁻¹ v` is itself
-//! a [`LinearOperator`]. Right preconditioning keeps the Arnoldi residual
-//! equal to the *true* residual `b − A x`, so tolerances mean the same
-//! thing with and without a preconditioner, and restarts recompute the true
-//! residual so the iteration is restart-safe.
+//! parameter of [`GmresOptions`]. Like the paper, [`gmres`] runs
+//! unpreconditioned: the paper relies on the second-kind form of the
+//! double-layer equation for fast convergence. Each restart recomputes the
+//! true residual `b − A x`, so warm starts and restarts see the real error.
 
 use crate::mat::{axpy, dot, norm2};
 
@@ -121,49 +116,6 @@ pub fn gmres<A: LinearOperator + ?Sized>(
     x: &mut [f64],
     opts: &GmresOptions,
 ) -> GmresResult {
-    gmres_impl(a, None, b, x, opts)
-}
-
-/// Solves `A x = b` with restarted, **right-preconditioned** GMRES.
-///
-/// `m_inv` applies the preconditioner inverse `z = M⁻¹ v`; GMRES iterates
-/// on `A M⁻¹ u = b` and recovers `x += M⁻¹ (V y)` at the end of every
-/// restart cycle (one extra preconditioner application per cycle instead of
-/// storing a second Krylov basis). The initial guess `x` is used as-is —
-/// the first residual is the true `b − A x` — so warm starts compose with
-/// preconditioning. With a good `M ≈ A` the iteration count drops sharply;
-/// with `M = I` the result matches [`gmres`] exactly.
-pub fn gmres_right<A: LinearOperator + ?Sized, M: LinearOperator + ?Sized>(
-    a: &A,
-    m_inv: &M,
-    b: &[f64],
-    x: &mut [f64],
-    opts: &GmresOptions,
-) -> GmresResult {
-    assert_eq!(m_inv.dim(), a.dim(), "preconditioner dimension mismatch");
-    gmres_impl(a, Some(&DynOp(m_inv)), b, x, opts)
-}
-
-/// Object-safe adapter so `gmres_impl` can take `Option<&dyn …>` without
-/// monomorphizing the whole solver over the preconditioner type.
-struct DynOp<'a, M: LinearOperator + ?Sized>(&'a M);
-
-impl<M: LinearOperator + ?Sized> LinearOperator for DynOp<'_, M> {
-    fn dim(&self) -> usize {
-        self.0.dim()
-    }
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        self.0.apply(x, y)
-    }
-}
-
-fn gmres_impl<A: LinearOperator + ?Sized>(
-    a: &A,
-    precond: Option<&dyn LinearOperator>,
-    b: &[f64],
-    x: &mut [f64],
-    opts: &GmresOptions,
-) -> GmresResult {
     let n = a.dim();
     assert_eq!(b.len(), n);
     assert_eq!(x.len(), n);
@@ -172,8 +124,6 @@ fn gmres_impl<A: LinearOperator + ?Sized>(
 
     let mut total_iters = 0usize;
     let mut w = vec![0.0; n];
-    // preconditioned direction `z = M⁻¹ v` (unused without a preconditioner)
-    let mut z = vec![0.0; if precond.is_some() { n } else { 0 }];
     // Krylov basis
     let mut basis: Vec<Vec<f64>> = Vec::with_capacity(m + 1);
     // Hessenberg stored column-wise: h[j] has j+2 entries
@@ -242,13 +192,7 @@ fn gmres_impl<A: LinearOperator + ?Sized>(
                 break;
             }
             total_iters += 1;
-            match precond {
-                Some(m) => {
-                    m.apply(&basis[j], &mut z);
-                    a.apply(&z, &mut w);
-                }
-                None => a.apply(&basis[j], &mut w),
-            }
+            a.apply(&basis[j], &mut w);
             // modified Gram–Schmidt
             let mut h = vec![0.0; j + 2];
             for (i, vi) in basis.iter().enumerate().take(j + 1) {
@@ -305,22 +249,8 @@ fn gmres_impl<A: LinearOperator + ?Sized>(
                 }
                 y[i] = acc / hcols[i][i];
             }
-            match precond {
-                Some(m) => {
-                    // x += M⁻¹ (V y): one preconditioner application per
-                    // cycle instead of storing the preconditioned basis
-                    let mut vy = vec![0.0; n];
-                    for (j, yj) in y.iter().enumerate() {
-                        axpy(*yj, &basis[j], &mut vy);
-                    }
-                    m.apply(&vy, &mut z);
-                    axpy(1.0, &z, x);
-                }
-                None => {
-                    for (j, yj) in y.iter().enumerate() {
-                        axpy(*yj, &basis[j], x);
-                    }
-                }
+            for (j, yj) in y.iter().enumerate() {
+                axpy(*yj, &basis[j], x);
             }
         }
 
@@ -482,122 +412,6 @@ mod tests {
         );
         assert!(res.converged);
         assert!(res.iterations < 30, "iterations {}", res.iterations);
-    }
-
-    /// Ill-conditioned diagonal-dominant operator shared by the
-    /// preconditioning tests: condition number ~ 1e4.
-    fn ill_conditioned(n: usize) -> (Mat, Vec<f64>) {
-        let mut rng = StdRng::seed_from_u64(21);
-        let mut a = Mat::from_fn(n, n, |_, _| 0.01 * rng.random_range(-1.0..1.0));
-        let mut diag = vec![0.0; n];
-        for i in 0..n {
-            // diagonal spread over four orders of magnitude
-            let d = 10f64.powf(4.0 * i as f64 / (n - 1) as f64);
-            a[(i, i)] += d;
-            diag[i] = d;
-        }
-        (a, diag)
-    }
-
-    #[test]
-    fn right_preconditioning_cuts_iterations() {
-        let n = 60;
-        let (a, diag) = ill_conditioned(n);
-        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).sin() + 1.5).collect();
-        let opts = GmresOptions {
-            tol: 1e-10,
-            max_iters: 500,
-            restart: 500,
-            ..Default::default()
-        };
-
-        let mut x_plain = vec![0.0; n];
-        let plain = gmres(&a, &b, &mut x_plain, &opts);
-        assert!(plain.converged, "plain residual {}", plain.rel_residual);
-
-        // Jacobi preconditioner: M⁻¹ = diag(A)⁻¹
-        let m_inv = FnOperator::new(n, move |v: &[f64], y: &mut [f64]| {
-            for i in 0..v.len() {
-                y[i] = v[i] / diag[i];
-            }
-        });
-        let mut x_pre = vec![0.0; n];
-        let pre = gmres_right(&a, &m_inv, &b, &mut x_pre, &opts);
-        assert!(
-            pre.converged,
-            "preconditioned residual {}",
-            pre.rel_residual
-        );
-        assert!(
-            pre.iterations * 2 < plain.iterations,
-            "preconditioned {} vs plain {} iterations",
-            pre.iterations,
-            plain.iterations
-        );
-        // both converge to the same solution of the *unpreconditioned* system
-        for (u, v) in x_pre.iter().zip(&x_plain) {
-            assert!((u - v).abs() < 1e-6, "{u} vs {v}");
-        }
-    }
-
-    #[test]
-    fn preconditioned_restart_cycles_stay_correct() {
-        // short restart forces several cycles; the true-residual recompute
-        // at each restart must keep the preconditioned iteration consistent
-        let n = 50;
-        let (a, diag) = ill_conditioned(n);
-        let b: Vec<f64> = (0..n).map(|i| ((i * 3 % 7) as f64) - 2.0).collect();
-        let m_inv = FnOperator::new(n, move |v: &[f64], y: &mut [f64]| {
-            for i in 0..v.len() {
-                y[i] = v[i] / diag[i];
-            }
-        });
-        let mut x = vec![0.0; n];
-        let res = gmres_right(
-            &a,
-            &m_inv,
-            &b,
-            &mut x,
-            &GmresOptions {
-                tol: 1e-10,
-                restart: 4,
-                max_iters: 400,
-                ..Default::default()
-            },
-        );
-        assert!(res.converged, "residual {}", res.rel_residual);
-        // verify the true residual directly
-        let mut r = a.matvec(&x);
-        for (ri, bi) in r.iter_mut().zip(&b) {
-            *ri -= bi;
-        }
-        assert!(
-            norm2(&r) / norm2(&b) < 1e-9,
-            "true residual {}",
-            norm2(&r) / norm2(&b)
-        );
-    }
-
-    #[test]
-    fn identity_preconditioner_matches_plain_gmres() {
-        let n = 40;
-        let (a, _) = ill_conditioned(n);
-        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.17).cos()).collect();
-        let opts = GmresOptions {
-            tol: 1e-11,
-            max_iters: 300,
-            restart: 30,
-            ..Default::default()
-        };
-        let ident = FnOperator::new(n, |v: &[f64], y: &mut [f64]| y.copy_from_slice(v));
-        let mut x1 = vec![0.0; n];
-        let mut x2 = vec![0.0; n];
-        let r1 = gmres(&a, &b, &mut x1, &opts);
-        let r2 = gmres_right(&a, &ident, &b, &mut x2, &opts);
-        assert_eq!(r1.iterations, r2.iterations);
-        for (u, v) in x1.iter().zip(&x2) {
-            assert!((u - v).abs() < 1e-10);
-        }
     }
 
     #[test]

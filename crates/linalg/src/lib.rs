@@ -31,7 +31,7 @@ pub mod vec3;
 
 pub use bytes::{fnv1a64, ByteReader, ByteWriter, CodecError};
 pub use csr::CsrMatrix;
-pub use gmres::{gmres, gmres_right, FnOperator, GmresOptions, GmresResult, LinearOperator};
+pub use gmres::{gmres, FnOperator, GmresOptions, GmresResult, LinearOperator};
 pub use interp::{
     barycentric_weights, checkpoint_extrapolation_weights, lagrange_basis_at, tensor_interp_matrix,
     Interp1d,

@@ -32,16 +32,6 @@ impl Rule1d {
         debug_assert_eq!(f.len(), self.weights.len());
         self.weights.iter().zip(f).map(|(w, v)| w * v).sum()
     }
-
-    /// Maps the rule affinely from `[-1,1]` to `[a, b]`.
-    pub fn mapped_to(&self, a: f64, b: f64) -> Rule1d {
-        let half = 0.5 * (b - a);
-        let mid = 0.5 * (a + b);
-        Rule1d {
-            nodes: self.nodes.iter().map(|t| mid + half * t).collect(),
-            weights: self.weights.iter().map(|w| w * half).collect(),
-        }
-    }
 }
 
 /// Clenshaw–Curtis rule with `n ≥ 2` points (Chebyshev extreme points).
@@ -197,14 +187,6 @@ mod tests {
         };
         assert!(fine < 1e-12);
         assert!(coarse < 1e-4);
-    }
-
-    #[test]
-    fn mapped_rule_integrates_on_interval() {
-        // ∫_2^5 x² dx = (125-8)/3 = 39
-        let r = gauss_legendre(4).mapped_to(2.0, 5.0);
-        let f: Vec<f64> = r.nodes.iter().map(|x| x * x).collect();
-        assert!((r.integrate(&f) - 39.0).abs() < 1e-12);
     }
 
     #[test]

@@ -94,12 +94,6 @@ impl Vec3 {
         Vec3::new(self.x.max(rhs.x), self.y.max(rhs.y), self.z.max(rhs.z))
     }
 
-    /// Component-wise product (Hadamard product).
-    #[inline]
-    pub fn hadamard(self, rhs: Vec3) -> Vec3 {
-        Vec3::new(self.x * rhs.x, self.y * rhs.y, self.z * rhs.z)
-    }
-
     /// Distance to another point.
     #[inline]
     pub fn dist(self, rhs: Vec3) -> f64 {
@@ -112,12 +106,6 @@ impl Vec3 {
         self.x.max(self.y).max(self.z)
     }
 
-    /// Smallest component.
-    #[inline]
-    pub fn min_component(self) -> f64 {
-        self.x.min(self.y).min(self.z)
-    }
-
     /// Returns `true` when all components are finite.
     #[inline]
     pub fn is_finite(self) -> bool {
@@ -128,12 +116,6 @@ impl Vec3 {
     #[inline]
     pub fn to_array(self) -> [f64; 3] {
         [self.x, self.y, self.z]
-    }
-
-    /// Builds a vector from a `[x, y, z]` array.
-    #[inline]
-    pub fn from_array(a: [f64; 3]) -> Vec3 {
-        Vec3::new(a[0], a[1], a[2])
     }
 
     /// Returns an arbitrary unit vector orthogonal to `self`.
@@ -426,6 +408,5 @@ mod tests {
             v[i] += i as f64;
         }
         assert_eq!(v, Vec3::new(1.0, 3.0, 5.0));
-        assert_eq!(Vec3::from_array(v.to_array()), v);
     }
 }

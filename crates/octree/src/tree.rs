@@ -720,10 +720,7 @@ mod tests {
         let n = tree.nodes.len();
 
         // multipole counts: number of sources per node (upward pass)
-        let mut mult = vec![0usize; n];
-        for i in 0..n {
-            mult[i] = tree.nodes[i].nsrc();
-        }
+        let mult: Vec<usize> = tree.nodes.iter().map(|node| node.nsrc()).collect();
 
         // local counts via V and X lists, propagated down (L2L)
         let mut local = vec![0usize; n];
@@ -867,7 +864,7 @@ mod tests {
             "test geometry produced no virtual targets"
         );
         assert!(
-            ret.outside.len() >= 1,
+            !ret.outside.is_empty(),
             "test geometry produced no outside targets"
         );
 

@@ -499,23 +499,23 @@ mod tests {
             let patch = PolyPatch::fit(q, &sample_fn(q, curved));
             for &(u, v) in &[(0.3, -0.77), (-1.0, 1.0), (0.0, 0.123456789), (0.999, -0.5)] {
                 let mut want = [Vec3::ZERO; 6]; // x, xu, xv, xuu, xuv, xvv
-                for c in 0..3 {
-                    for a in 0..q {
-                        let [ta, da, dda] = chebyshev_from_scratch(a, u);
-                        let (mut i0, mut i1, mut i2) = (0.0, 0.0, 0.0);
-                        for b in 0..q {
-                            let [tb, db, ddb] = chebyshev_from_scratch(b, v);
-                            i0 += patch.coef[a * q + b][c] * tb;
-                            i1 += patch.coef[a * q + b][c] * db;
-                            i2 += patch.coef[a * q + b][c] * ddb;
-                        }
-                        want[0][c] += ta * i0;
-                        want[1][c] += da * i0;
-                        want[2][c] += ta * i1;
-                        want[3][c] += dda * i0;
-                        want[4][c] += da * i1;
-                        want[5][c] += ta * i2;
+                for a in 0..q {
+                    let [ta, da, dda] = chebyshev_from_scratch(a, u);
+                    let (mut i0, mut i1, mut i2) = (Vec3::ZERO, Vec3::ZERO, Vec3::ZERO);
+                    for b in 0..q {
+                        let [tb, db, ddb] = chebyshev_from_scratch(b, v);
+                        let [cx, cy, cz, _] = patch.coef[a * q + b];
+                        let coef = Vec3::new(cx, cy, cz);
+                        i0 += coef * tb;
+                        i1 += coef * db;
+                        i2 += coef * ddb;
                     }
+                    want[0] += ta * i0;
+                    want[1] += da * i0;
+                    want[2] += ta * i1;
+                    want[3] += dda * i0;
+                    want[4] += da * i1;
+                    want[5] += ta * i2;
                 }
                 let (x, xu, xv, xuu, xuv, xvv) = patch.eval_jet2(u, v);
                 assert_eq!([x, xu, xv, xuu, xuv, xvv], want, "q {q} at ({u},{v})");

@@ -123,8 +123,8 @@ mod tests {
         let b = refined_surface(&coarse, 1);
         assert!(Arc::ptr_eq(&a, &b), "repeat refine not served from cache");
         let after = surface_cache_stats();
-        assert!(after.hits >= before.hits + 1);
-        assert!(after.builds >= before.builds + 1);
+        assert!(after.hits > before.hits);
+        assert!(after.builds > before.builds);
         // cached result is exactly what a cold refine produces
         let cold = coarse.refine(1);
         assert_eq!(cold.patches.len(), a.patches.len());

@@ -120,7 +120,8 @@ pub fn vessel_digest(vessel: &Vessel) -> u64 {
     w.put_usize(o.gmres.max_iters);
     w.put_usize(o.gmres.restart);
     w.put_f64(o.gmres.stall_ratio);
-    w.put_bool(o.precond);
+    // the removed `precond` option's byte, kept so existing digests match
+    w.put_bool(false);
     fnv1a64(w.bytes())
 }
 
@@ -275,8 +276,10 @@ impl Checkpoint {
         let vessel_digest = r.get_u64()?;
         let n_cells = r.get_usize()?;
         let mut cells = Vec::with_capacity(n_cells.min(1 << 20));
-        for _ in 0..n_cells {
-            cells.push(Cell::read_state(&mut r)?);
+        for i in 0..n_cells {
+            let cell =
+                Cell::read_state(&mut r).map_err(|e| CodecError(format!("cell {i}: {}", e.0)))?;
+            cells.push(cell);
         }
         let bie_warm = if r.get_bool()? {
             Some(r.get_f64_vec()?)
@@ -343,6 +346,21 @@ impl Checkpoint {
                 "basis order mismatch: checkpoint p={}, simulation p={}",
                 self.basis_p, sim.basis.p
             )));
+        }
+        let grid = sim.basis.grid_size();
+        for (i, cell) in self.cells.iter().enumerate() {
+            if let Some(c) = cell.coeffs.iter().find(|c| c.p != self.basis_p) {
+                return Err(CodecError(format!(
+                    "cell {i}: coefficient order {} does not match basis order {}",
+                    c.p, self.basis_p
+                )));
+            }
+            if cell.ref_w.len() != grid {
+                return Err(CodecError(format!(
+                    "cell {i}: {} reference area weights for a {grid}-node grid",
+                    cell.ref_w.len()
+                )));
+            }
         }
         let digest = sim.vessel.as_ref().map(vessel_digest).unwrap_or(0);
         if digest != self.vessel_digest {
@@ -490,6 +508,23 @@ mod tests {
         let ckpt = Checkpoint::capture(&sim, "x");
         let mut other = Simulation::new(SphBasis::new(8), Vec::new(), None, SimConfig::default());
         assert!(ckpt.restore_into(&mut other).is_err());
+        // a cell whose coefficient order or reference weights disagree with
+        // the checkpoint's basis is rejected by index, not handed on
+        let foreign = SphBasis::new(8);
+        let order8 = Cell::new(
+            &foreign,
+            biconcave_coeffs(&foreign, 1.0, Vec3::ZERO),
+            CellParams::default(),
+        );
+        let mut short_w = ckpt.cells[0].clone();
+        short_w.ref_w.pop();
+        let mut sim = two_cell_sim();
+        for (bad, names) in [(order8, "coefficient order 8"), (short_w, "reference area")] {
+            let mut c = Checkpoint::capture(&sim, "x");
+            c.cells[1] = bad;
+            let e = c.restore_into(&mut sim).unwrap_err().0;
+            assert!(e.starts_with("cell 1:") && e.contains(names), "{e}");
+        }
     }
 
     #[test]

@@ -409,9 +409,10 @@ mod tests {
     /// 9.4e-2 after 400 iterations), and not inconsistency: the same
     /// full GMRES *does* converge to 2e-3 — at iteration 1334 of a
     /// 1944-unknown system. Through-flow port data excites a slowly
-    /// resolving spectral tail that needs ~0.7·N Krylov iterations,
-    /// so the practical fix is preconditioning (open ROADMAP item),
-    /// not more wall refinement or smoother data.
+    /// resolving spectral tail that needs ~0.7·N Krylov iterations.
+    /// More wall refinement or smoother data does not help, and neither
+    /// did the coarse-grid preconditioner that was tried and removed
+    /// (`crates/bie/README.md`); ROADMAP item 1 looks at the spectrum.
     #[test]
     fn refined_serpentine_port_floor_improved() {
         let c = patch::Serpentine {

@@ -36,11 +36,6 @@ impl StepTimers {
         self.other_fmm += o.other_fmm;
         self.other += o.other;
     }
-
-    /// The paper's headline combination "COL + BIE-solve".
-    pub fn col_plus_bie_solve(&self) -> f64 {
-        self.col + self.bie_solve
-    }
 }
 
 /// Measures one closure, returning (result, seconds).
@@ -64,7 +59,6 @@ mod tests {
             other: 5.0,
         };
         assert!((a.total() - 15.0).abs() < 1e-12);
-        assert!((a.col_plus_bie_solve() - 3.0).abs() < 1e-12);
         let b = a;
         a.accumulate(&b);
         assert!((a.total() - 30.0).abs() < 1e-12);

@@ -396,11 +396,11 @@ pub fn step_health(basis: &SphBasis, cell: &Cell, pos_new: &[Vec3], vol_before: 
 /// Chains `n_sub` locally-implicit backward-Euler updates of `Δt / n_sub`
 /// each — the sub-stepping entry point of the adaptive time-step
 /// controller. The explicit velocity `b_grid` is held constant over the
-/// sub-steps (its time dependence is resolved by the outer loop, exactly
-/// as [`sdc2_step`] treats it), while the linearization point — geometry
-/// *and* the singular self-interaction operator — is rebuilt between
-/// sub-steps, which is what makes two chained half-steps stabler than one
-/// full step for the same arithmetic cost profile.
+/// sub-steps (its time dependence is resolved by the outer loop), while
+/// the linearization point — geometry *and* the singular self-interaction
+/// operator — is rebuilt between sub-steps, which is what makes two
+/// chained half-steps stabler than one full step for the same arithmetic
+/// cost profile.
 ///
 /// `n_sub = 1` delegates to [`implicit_step`] and is bit-identical to it.
 /// Returns the final positions and the GMRES stats of the *last* sub-step.
@@ -435,53 +435,6 @@ pub fn implicit_substep_chain(
         res = r;
     }
     (pos, res)
-}
-
-/// One step of a two-stage spectral-deferred-correction-style corrector
-/// (the §5.3 extension: "spectral deferred correction (SDC) can be
-/// incorporated into the algorithm exactly as in the 2D version described
-/// in \[24\]"): a backward-Euler predictor followed by one correction sweep
-/// against the trapezoidal quadrature of the Picard integral, lifting the
-/// update to second order in Δt.
-///
-/// `b_grid` is treated as constant over the step (its time dependence is
-/// resolved by the outer loop). Returns the corrected positions.
-pub fn sdc2_step(
-    basis: &SphBasis,
-    cell: &Cell,
-    selfop: &SelfInteraction,
-    b_grid: &[Vec3],
-    opts: &StepOptions,
-) -> (Vec<Vec3>, GmresResult) {
-    let n = basis.grid_size();
-    // predictor: backward Euler to t + Δt
-    let (pred, res) = implicit_step(basis, cell, selfop, b_grid, opts);
-    // evaluate the full (nonlinear) membrane force at both endpoints
-    let geo0 = cell.geometry(basis);
-    let f0 = cell.membrane_force(basis, &geo0);
-    let mut cell1 = cell.clone();
-    cell1.set_positions(basis, &pred);
-    let geo1 = cell1.geometry(basis);
-    let f1 = cell1.membrane_force(basis, &geo1);
-    // self-interaction velocities at both states (frozen operator at t for
-    // the start, rebuilt at the predictor for the end point)
-    let flat = |f: &[Vec3]| -> Vec<f64> { f.iter().flat_map(|v| [v.x, v.y, v.z]).collect() };
-    let u0 = selfop.apply(&flat(&f0));
-    let selfop1 = cell1.self_interaction(basis);
-    let u1 = selfop1.apply(&flat(&f1));
-    // trapezoidal correction: X⁺ = X + Δt (b + (u0 + u1)/2)
-    let dt = opts.dt;
-    let out: Vec<Vec3> = (0..n)
-        .map(|i| {
-            let avg = Vec3::new(
-                0.5 * (u0[3 * i] + u1[3 * i]),
-                0.5 * (u0[3 * i + 1] + u1[3 * i + 1]),
-                0.5 * (u0[3 * i + 2] + u1[3 * i + 2]),
-            );
-            geo0.x[i] + (b_grid[i] + avg) * dt
-        })
-        .collect();
-    (out, res)
 }
 
 #[cfg(test)]
@@ -603,45 +556,6 @@ mod tests {
         assert!((south.norm() - 1.0).abs() < 1e-6);
         // quadrature count on the coarse grid matches the paper's 544
         assert_eq!(basis.grid_size(), 544);
-    }
-
-    #[test]
-    fn sdc2_matches_euler_for_rigid_motion_and_improves_relaxation() {
-        // with no forces both schemes advect exactly; with bending, the
-        // corrected step stays stable and keeps the invariants
-        let p = 8;
-        let basis = SphBasis::new(p);
-        let params = CellParams {
-            kappa_b: 0.02,
-            k_area: 0.0,
-            ..Default::default()
-        };
-        let cell = Cell::new(
-            &basis,
-            bumpy_sphere_coeffs(&basis, 1.0, Vec3::ZERO, 0.02),
-            params,
-        );
-        let selfop = cell.self_interaction(&basis);
-        let b = vec![Vec3::new(0.5, 0.0, 0.0); basis.grid_size()];
-        let opts = StepOptions {
-            dt: 1e-2,
-            ..Default::default()
-        };
-        let (pos, res) = sdc2_step(&basis, &cell, &selfop, &b, &opts);
-        assert!(res.rel_residual < 1e-6);
-        // advection component exact: mean displacement = dt·b
-        let geo0 = cell.geometry(&basis);
-        let mean: Vec3 =
-            pos.iter().zip(&geo0.x).map(|(a, b)| *a - *b).sum::<Vec3>() / basis.grid_size() as f64;
-        assert!(
-            (mean - Vec3::new(5e-3, 0.0, 0.0)).norm() < 1e-4,
-            "mean {mean:?}"
-        );
-        // positions stay finite and near the sphere
-        for q in &pos {
-            assert!(q.is_finite());
-            assert!((q.norm() - 1.0).abs() < 0.1);
-        }
     }
 
     #[test]

@@ -22,7 +22,9 @@ fn write_coeffs(w: &mut ByteWriter, c: &SphCoeffs) {
 fn read_coeffs(r: &mut ByteReader) -> Result<SphCoeffs, CodecError> {
     let p = r.get_usize()?;
     let data = r.get_f64_vec()?;
-    if data.len() != (p + 1) * (p + 1) {
+    // `p` comes from the file: (p + 1)² must neither overflow nor wrap
+    let len = p.checked_add(1).and_then(|q| q.checked_mul(q));
+    if len != Some(data.len()) {
         return Err(CodecError(format!(
             "coefficient length {} does not match order {p}",
             data.len()
@@ -145,5 +147,16 @@ mod tests {
         let mut bytes = w.into_bytes();
         bytes[0] = 99;
         assert!(Cell::read_state(&mut ByteReader::new(&bytes)).is_err());
+        // a coefficient order whose (p + 1)² overflows (u64::MAX) or wraps
+        // to the length of an empty vector (2³² − 1) is an error, not a panic
+        for p in [u64::MAX as usize, (1usize << 32) - 1] {
+            let mut w = ByteWriter::new();
+            w.put_u8(CELL_STATE_VERSION);
+            w.put_usize(p);
+            w.put_f64_slice(&[]);
+            let bytes = w.into_bytes();
+            let e = Cell::read_state(&mut ByteReader::new(&bytes)).unwrap_err();
+            assert!(e.0.contains("does not match order"), "{e}");
+        }
     }
 }

@@ -13,7 +13,7 @@ cargo fmt --all --check 2>/dev/null || {
 echo "== cargo clippy (ratcheted warning floor)"
 if cargo clippy --version >/dev/null 2>&1; then
     CLIPPY_LOG=$(mktemp)
-    cargo clippy --workspace --release 2>&1 | tee "$CLIPPY_LOG" | \
+    cargo clippy --workspace --release --all-targets 2>&1 | tee "$CLIPPY_LOG" | \
         grep -E "^(warning|error)" | grep -v "generated" | sort | uniq -c || true
     grep -q "^error" "$CLIPPY_LOG" && { echo "clippy errors found"; exit 1; } || true
     # warning ratchet: the committed floor only ever decreases — seed-era
