@@ -240,22 +240,42 @@ fn bench_selfop(c: &mut Criterion) {
 
     // the shape `suspension_contact` runs: a biconcave cell at p = 8, the
     // operator rebuilt in place each step, applied once per implicit GMRES
-    // iteration and with one to three contact columns per NCP linearization
-    let basis = sphharm::SphBasis::new(8);
-    let coeffs = vesicle::biconcave_coeffs(&basis, 1.0, Vec3::new(0.3, -0.2, 0.1));
+    // iteration and with one to three contact columns per NCP linearization;
+    // and the same cell at the paper's p = 16 (544 targets, 2,112 fine
+    // points, 289 coefficients)
     let opts = vesicle::SelfOpOptions::default();
-    let mut op = vesicle::SelfInteraction::build(&basis, &coeffs, 1.0, opts);
-    group.bench_function("rebuild_p8", |b| {
-        b.iter(|| op.rebuild(&basis, black_box(&coeffs), 1.0, opts))
-    });
-    let n = basis.grid_size();
-    let f: Vec<f64> = (0..3 * n).map(|i| (i as f64 * 0.1).sin()).collect();
-    group.bench_function("apply_p8", |b| b.iter(|| black_box(op.apply(&f))));
-    for k in [1, 3] {
-        let cols = linalg::Mat::from_fn(3 * n, k, |i, c| ((i * 7 + c * 13) as f64 * 0.11).sin());
-        group.bench_function(&format!("apply_many_p8_k{k}"), |b| {
-            b.iter(|| black_box(op.apply_many(&cols)))
+    for p in [8, 16] {
+        let basis = sphharm::SphBasis::new(p);
+        let coeffs = vesicle::biconcave_coeffs(&basis, 1.0, Vec3::new(0.3, -0.2, 0.1));
+        if p == 16 {
+            group.bench_function("build_p16", |b| {
+                b.iter(|| {
+                    black_box(vesicle::SelfInteraction::build(
+                        &basis,
+                        black_box(&coeffs),
+                        1.0,
+                        opts,
+                    ))
+                })
+            });
+        }
+        let mut op = vesicle::SelfInteraction::build(&basis, &coeffs, 1.0, opts);
+        group.bench_function(&format!("rebuild_p{p}"), |b| {
+            b.iter(|| op.rebuild(&basis, black_box(&coeffs), 1.0, opts))
         });
+        let n = basis.grid_size();
+        let f: Vec<f64> = (0..3 * n).map(|i| (i as f64 * 0.1).sin()).collect();
+        group.bench_function(&format!("apply_p{p}"), |b| {
+            b.iter(|| black_box(op.apply(&f)))
+        });
+        let ks: &[usize] = if p == 8 { &[1, 3] } else { &[3] };
+        for &k in ks {
+            let cols =
+                linalg::Mat::from_fn(3 * n, k, |i, c| ((i * 7 + c * 13) as f64 * 0.11).sin());
+            group.bench_function(&format!("apply_many_p{p}_k{k}"), |b| {
+                b.iter(|| black_box(op.apply_many(&cols)))
+            });
+        }
     }
     group.finish();
 }

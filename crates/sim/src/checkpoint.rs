@@ -339,7 +339,9 @@ impl Checkpoint {
     ///
     /// Fails if the basis order or the vessel digest disagrees — that means
     /// the scenario was rebuilt differently from the checkpointed run and a
-    /// bit-identical continuation is impossible.
+    /// bit-identical continuation is impossible — and, naming the cell, if a
+    /// cell's coefficients, reference weights or self-operator options
+    /// ([`vesicle::SelfOpOptions::validate`]) do not fit the basis.
     pub fn restore_into(&self, sim: &mut Simulation) -> Result<(), CodecError> {
         if sim.basis.p != self.basis_p {
             return Err(CodecError(format!(
@@ -361,6 +363,10 @@ impl Checkpoint {
                     cell.ref_w.len()
                 )));
             }
+            cell.params
+                .selfop
+                .validate(self.basis_p)
+                .map_err(|e| CodecError(format!("cell {i}: {}", e.0)))?;
         }
         let digest = sim.vessel.as_ref().map(vessel_digest).unwrap_or(0);
         if digest != self.vessel_digest {
@@ -395,6 +401,11 @@ pub fn simulation_from_checkpoint(ckpt: &Checkpoint) -> Result<Simulation, Codec
     if ckpt.vessel_digest != 0 {
         return Err(CodecError(
             "checkpoint has a vessel; rebuild the domain via its scenario".into(),
+        ));
+    }
+    if ckpt.basis_p == 0 {
+        return Err(CodecError(
+            "checkpoint basis order 0: must be at least 1".into(),
         ));
     }
     let mut sim = Simulation::new(SphBasis::new(ckpt.basis_p), Vec::new(), None, ckpt.config);
@@ -518,13 +529,32 @@ mod tests {
         );
         let mut short_w = ckpt.cells[0].clone();
         short_w.ref_w.pop();
+        // self-operator options that would panic or exhaust memory at the
+        // first step
+        let mut no_upsample = ckpt.cells[0].clone();
+        no_upsample.params.selfop.upsample = 0;
+        let mut huge_extrap = ckpt.cells[0].clone();
+        huge_extrap.params.selfop.p_extrap = usize::MAX;
+        let mut nan_r = ckpt.cells[0].clone();
+        nan_r.params.selfop.big_r = f64::NAN;
         let mut sim = two_cell_sim();
-        for (bad, names) in [(order8, "coefficient order 8"), (short_w, "reference area")] {
+        for (bad, names) in [
+            (order8, "coefficient order 8"),
+            (short_w, "reference area"),
+            (no_upsample, "upsample 0"),
+            (huge_extrap, "p_extrap"),
+            (nan_r, "big_r"),
+        ] {
             let mut c = Checkpoint::capture(&sim, "x");
             c.cells[1] = bad;
             let e = c.restore_into(&mut sim).unwrap_err().0;
             assert!(e.starts_with("cell 1:") && e.contains(names), "{e}");
         }
+        // a free-space checkpoint of basis order 0 is an error, not a panic
+        let mut zero = Checkpoint::capture(&sim, "x");
+        zero.basis_p = 0;
+        let e = simulation_from_checkpoint(&zero).err().unwrap().0;
+        assert!(e.contains("basis order 0"), "{e}");
     }
 
     #[test]

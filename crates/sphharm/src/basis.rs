@@ -469,6 +469,298 @@ impl SphBasis {
     }
 }
 
+/// Fields and rows per register block of [`RingProjection`]'s sums.
+const LANES: usize = 16;
+const MODES: usize = 4;
+
+/// The adjoint `Bᵀ` of the value synthesis `B` of order-`q` coefficients
+/// (`q ≤ p`, zero-padded to the basis' order `p`, as
+/// `synthesize(&c.resampled(p), Deriv::None)` runs it), applied to `width`
+/// grid fields `X` (grid × `width`) that arrive one latitude ring at a time:
+/// [`RingProjection::set_ring`] reduces a ring to its longitude DFT,
+/// [`RingProjection::project`] writes `Bᵀ X` — without `X` ever existing
+/// whole.
+///
+/// The DFT folds each ring twice, about `φ = 0` and about `φ = π/2`: with
+/// `L = nlon`, `H = L/2`, the values `x_j` of a field pair up as
+/// `e_j = x_j + x_{L−j}`, `o_j = x_j − x_{L−j}` (`e_0 = x_0`,
+/// `e_H = x_H`), since `cos(mφ_{L−j}) = cos(mφ_j)` and
+/// `sin(mφ_{L−j}) = −sin(mφ_j)`; then `e_j ± e_{H−j}`, `o_j ± o_{H−j}` for
+/// `j < H/2`, since `φ_{H−j} = π − φ_j` flips the sign of `cos(mφ)` for odd
+/// `m` and of `sin(mφ)` for even `m`. So
+/// `C_m = Σ_{j<H/2} (e_j + (−1)^m e_{H−j}) cos(mφ_j) [+ e_{H/2} cos(mφ_{H/2})]`
+/// and `S_m = Σ_{0<j<H/2} (o_j − (−1)^m o_{H−j}) sin(mφ_j) [+ o_{H/2} sin(mφ_{H/2})]`,
+/// the bracketed term for even `H` and only where it does not vanish
+/// (`m` even for `C`, odd for `S`): each mode reads a quarter of the ring,
+/// its Fourier factors at `φ ≤ π/2` only.
+///
+/// Fixed order, per field: the folds as written (`x_j + x_{L−j}` first),
+/// each DFT sum over ascending `j` from `0.0` with the middle term last,
+/// then each coefficient's sum of `(Q_n^m(θ_i)·norm_m)·C_m(i)` (or
+/// `·S_m(i)`) over ascending rings `i` from `0.0`. Every sum is a chain of
+/// separately rounded products and additions.
+pub struct RingProjection {
+    q: usize,
+    nlon: usize,
+    width: usize,
+    /// The four DFT products: cosines of even and of odd modes, sines of
+    /// odd and of even modes.
+    parts: [DftPart; 4],
+    /// Per run of coefficients sharing a DFT row (`a_{n,m}` or `b_{n,m}`
+    /// for `n = m..=q`): that row, the first packed coefficient and the
+    /// run's length.
+    runs: Vec<(usize, usize, usize)>,
+    /// `Q_n^m(θ_i)·norm_m` for `i = 0..nlat`, per run and block of `MODES`
+    /// degrees `n` (degrees past `q` are zero).
+    legendre_t: Vec<[f64; MODES]>,
+    /// One ring folded, per part its rows of `width` (`L` rows in all).
+    fold: [Vec<f64>; 4],
+    /// Per ring, its DFT: `2q + 1` rows of `width`, the modes of each part
+    /// in turn.
+    dft: Vec<f64>,
+}
+
+/// One of the DFT's four products: its folded rows, its modes, and their
+/// Fourier factors.
+struct DftPart {
+    /// Rows of the folded ring.
+    rows: usize,
+    /// DFT row of the first mode; the modes follow in order.
+    dft0: usize,
+    /// The modes, ascending.
+    modes: Vec<usize>,
+    /// Per block of `MODES` modes (zero past the last), the factor of each
+    /// row.
+    factors: Vec<[f64; MODES]>,
+}
+
+/// Per block of `MODES` values of `ks` (zero past its end), `f(k, j)` for
+/// every `j` of `js`.
+fn factor_blocks(ks: &[usize], js: &[usize], f: impl Fn(usize, usize) -> f64) -> Vec<[f64; MODES]> {
+    let mut out = Vec::new();
+    for block in ks.chunks(MODES) {
+        for &j in js {
+            out.push(std::array::from_fn(|d| {
+                block.get(d).map_or(0.0, |&k| f(k, j))
+            }));
+        }
+    }
+    out
+}
+
+impl RingProjection {
+    /// The projection onto order-`q` coefficients of `width` fields on
+    /// `basis`' grid.
+    pub fn new(basis: &SphBasis, q: usize, width: usize) -> RingProjection {
+        assert!(
+            q <= basis.p,
+            "ring projection: order {q} above the basis order"
+        );
+        let (nlat, nlon) = (basis.nlat, basis.nlon);
+        let half = nlon / 2;
+        // j < H/2, then the middle longitude H/2 where H is even
+        let lower: Vec<usize> = (0..half.div_ceil(2)).collect();
+        let mid: Vec<usize> = half
+            .is_multiple_of(2)
+            .then_some(half / 2)
+            .into_iter()
+            .collect();
+        let cos = |m: usize, j: usize| basis.cos_mphi[m * nlon + j];
+        let sin = |m: usize, j: usize| basis.sin_mphi[m * nlon + j];
+        let modes = |first: usize| (first..=q).step_by(2).collect::<Vec<_>>();
+        let mut parts = Vec::with_capacity(4);
+        let mut dft0 = 0;
+        for (js, modes, f) in [
+            (
+                [&lower[..], &mid].concat(),
+                modes(0),
+                &cos as &dyn Fn(usize, usize) -> f64,
+            ),
+            (lower.clone(), modes(1), &cos),
+            ([&lower[1..], &mid].concat(), modes(1), &sin),
+            (lower[1..].to_vec(), modes(2), &sin),
+        ] {
+            parts.push(DftPart {
+                rows: js.len(),
+                dft0,
+                factors: factor_blocks(&modes, &js, f),
+                modes,
+            });
+            dft0 += parts.last().unwrap().modes.len();
+        }
+        let parts: [DftPart; 4] = parts.try_into().ok().unwrap();
+        let dft_row = |sine: bool, m: usize| {
+            let part = &parts[match (sine, m.is_multiple_of(2)) {
+                (false, true) => 0,
+                (false, false) => 1,
+                (true, false) => 2,
+                (true, true) => 3,
+            }];
+            part.dft0 + part.modes.iter().position(|&k| k == m).unwrap()
+        };
+        let mut runs = Vec::new();
+        let mut legendre_t = Vec::new();
+        let mut c0 = 0;
+        let rings: Vec<usize> = (0..nlat).collect();
+        for m in 0..=q {
+            let norm = if m == 0 {
+                1.0
+            } else {
+                std::f64::consts::SQRT_2
+            };
+            let degrees: Vec<usize> = (m..=q).collect();
+            for sine in [false, true].into_iter().take(if m == 0 { 1 } else { 2 }) {
+                runs.push((dft_row(sine, m), c0, degrees.len()));
+                c0 += degrees.len();
+                legendre_t.extend(factor_blocks(&degrees, &rings, |n, i| {
+                    basis.q[m][(n - m) * nlat + i] * norm
+                }));
+            }
+        }
+        RingProjection {
+            q,
+            nlon,
+            width,
+            fold: parts.each_ref().map(|p| vec![0.0; p.rows * width]),
+            parts,
+            runs,
+            legendre_t,
+            dft: vec![0.0; nlat * (2 * q + 1) * width],
+        }
+    }
+
+    /// Takes ring `i` of the fields: `ring` holds `nlon` rows of `width`
+    /// values (row `j`: longitude `j`, every field). Replaces what an
+    /// earlier call gave for ring `i`.
+    pub fn set_ring(&mut self, i: usize, ring: &[f64]) {
+        let (q, nlon, width) = (self.q, self.nlon, self.width);
+        let half = nlon / 2;
+        assert_eq!(ring.len(), nlon * width, "ring projection: ring size");
+        let x = |j: usize| &ring[j * width..][..width];
+        // the folds, rows j < H/2 of each part, then the middle longitude
+        let [ce, co, so, se] = &mut self.fold;
+        for j in 0..half.div_ceil(2) {
+            let (a, c) = (x(j), x(half - j));
+            let pe = &mut ce[j * width..][..width];
+            let po = &mut co[j * width..][..width];
+            if j == 0 {
+                // e_0 = x_0, e_H = x_H, no sines
+                for f in 0..width {
+                    pe[f] = a[f] + c[f];
+                    po[f] = a[f] - c[f];
+                }
+                continue;
+            }
+            let (b, d) = (x(nlon - j), x(half + j));
+            let qo = &mut so[(j - 1) * width..][..width];
+            let qe = &mut se[(j - 1) * width..][..width];
+            for f in 0..width {
+                let (e, o) = (a[f] + b[f], a[f] - b[f]);
+                let (e2, o2) = (c[f] + d[f], c[f] - d[f]);
+                pe[f] = e + e2;
+                po[f] = e - e2;
+                qo[f] = o + o2;
+                qe[f] = o - o2;
+            }
+        }
+        if half.is_multiple_of(2) {
+            let (a, b) = (x(half / 2), x(nlon - half / 2));
+            let pe = ce.rchunks_exact_mut(width).next().unwrap();
+            let qo = so.rchunks_exact_mut(width).next().unwrap();
+            for f in 0..width {
+                pe[f] = a[f] + b[f];
+                qo[f] = a[f] - b[f];
+            }
+        }
+        let dft = &mut self.dft[i * (2 * q + 1) * width..][..(2 * q + 1) * width];
+        for (part, folded) in self.parts.iter().zip(&self.fold) {
+            let out = &mut dft[part.dft0 * width..][..part.modes.len() * width];
+            for (b, out) in out.chunks_mut(MODES * width).enumerate() {
+                let n = part.rows;
+                lanes_gemm(folded, width, &part.factors[b * n..][..n], out, width);
+            }
+        }
+    }
+
+    /// Writes `Bᵀ X` over the rings set so far (every ring, once each, for
+    /// the full product) into `out`: `(q+1)²` rows of `width` in
+    /// [`SphCoeffs`]' packed order.
+    pub fn project(&self, out: &mut [f64]) {
+        let (q, width) = (self.q, self.width);
+        assert_eq!(
+            out.len(),
+            (q + 1) * (q + 1) * width,
+            "ring projection: output size"
+        );
+        let nlat = self.dft.len() / ((2 * q + 1) * width);
+        let mut legendre = self.legendre_t.chunks_exact(nlat);
+        for &(row, c0, len) in &self.runs {
+            let run = &mut out[c0 * width..][..len * width];
+            for out in run.chunks_mut(MODES * width) {
+                let factors = legendre.next().unwrap();
+                lanes_gemm(
+                    &self.dft[row * width..],
+                    (2 * q + 1) * width,
+                    factors,
+                    out,
+                    width,
+                );
+            }
+        }
+    }
+}
+
+/// Writes `out[d][f] = Σ_j x_j[f]·t_j[d]` for the rows `d` of `out` (at
+/// most `MODES`, `width` each), over `x_j` = the `width` values from
+/// `rows[j·stride]` on and the factors `t_j` of `factors`: per block of
+/// `LANES` fields, ascending `j` from `0.0`, in registers.
+fn lanes_gemm(
+    rows: &[f64],
+    stride: usize,
+    factors: &[[f64; MODES]],
+    out: &mut [f64],
+    width: usize,
+) {
+    // the accumulators are this function's own, stored once at the end
+    // (returned by value they would live in the caller's memory and be
+    // stored on every iteration)
+    #[inline(always)]
+    fn block(
+        rows: &[f64],
+        stride: usize,
+        factors: &[[f64; MODES]],
+        out: &mut [f64],
+        width: usize,
+        f0: usize,
+        load: impl Fn(&[f64]) -> [f64; LANES],
+    ) {
+        let mut acc = [[0.0; LANES]; MODES];
+        for (j, t) in factors.iter().enumerate() {
+            let x = load(&rows[j * stride..]);
+            for d in 0..MODES {
+                for l in 0..LANES {
+                    acc[d][l] += x[l] * t[d];
+                }
+            }
+        }
+        let len = LANES.min(width - f0);
+        for (out, lanes) in out.chunks_exact_mut(width).zip(&acc) {
+            out[f0..f0 + len].copy_from_slice(&lanes[..len]);
+        }
+    }
+    for f0 in (0..width).step_by(LANES) {
+        if f0 + LANES <= width {
+            block(rows, stride, factors, out, width, f0, |x| {
+                x[f0..f0 + LANES].try_into().unwrap()
+            });
+        } else {
+            block(rows, stride, factors, out, width, f0, |x| {
+                std::array::from_fn(|l| if f0 + l < width { x[f0 + l] } else { 0.0 })
+            });
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -23,7 +23,15 @@
 //! product and sum in its order, so results are bit-identical to inline
 //! evaluation (`tabulated_transforms_match_inline_trig_bitwise`).
 //! `synthesize_at` evaluates at an arbitrary `φ` and keeps its own calls.
+//!
+//! `RingProjection` is the adjoint of `synthesize` (values), fed one
+//! latitude ring of many fields at a time: the cell self-interaction
+//! operator projects its kernel onto the coefficients with it, ring by ring,
+//! so the kernel on the fine grid never exists whole
+//! (`crates/vesicle/README.md`). It folds each ring about `φ = 0`, so a
+//! mode's longitude sum reads half the ring, and runs both sums as small
+//! register-blocked products over the fields.
 
 pub mod basis;
 
-pub use basis::{Deriv, SphBasis, SphCoeffs};
+pub use basis::{Deriv, RingProjection, SphBasis, SphCoeffs};

@@ -10,11 +10,15 @@
 //! surface. Like \[28\], the composed linear operator is precomputed per cell
 //! per time step, so the many applications inside the implicit solve and
 //! the LCP assembly are dense matvecs (MKL-style BLAS work in the paper).
+//! The upsampling factors as `U = B·A` (order-`p` analysis `A`, synthesis
+//! `B` of those coefficients on the fine grid), and the operator is stored
+//! as `K·B`: against the `(p+1)²` coefficients, not the `N_up` fine points
+//! (`crates/vesicle/README.md`).
 
 use crate::geometry::{surface_geometry, SurfaceGeometry};
-use linalg::{checkpoint_extrapolation_weights, Mat, Vec3};
+use linalg::{checkpoint_extrapolation_weights, CodecError, Mat, Vec3};
 use parking_lot::Mutex;
-use sphharm::{SphBasis, SphCoeffs};
+use sphharm::{RingProjection, SphBasis, SphCoeffs};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -43,11 +47,59 @@ impl Default for SelfOpOptions {
     }
 }
 
-/// Process-wide cache of the (geometry-independent) transposed spectral
-/// upsampling matrices `p → p_up`, see [`upsample_matrix_t`].
-static UPSAMPLE_CACHE: Mutex<Option<UpsampleCache>> = Mutex::new(None);
-/// `(p, p_up)` → `Uᵀ`.
-type UpsampleCache = HashMap<(usize, usize), Arc<Mat>>;
+impl SelfOpOptions {
+    /// Largest fine-grid order `p·upsample` a cell may ask for (the paper's
+    /// p = 16 runs at 32; at 128 one operator would already hold ~1.7 GB).
+    pub const MAX_FINE_ORDER: usize = 128;
+    /// Largest extrapolation order `p_extrap`.
+    pub const MAX_P_EXTRAP: usize = 32;
+
+    /// Checks the options for a cell of order `p`: `upsample ≥ 1`,
+    /// `1 ≤ p·upsample ≤` [`Self::MAX_FINE_ORDER`], `p_extrap ≤`
+    /// [`Self::MAX_P_EXTRAP`], `big_r` and `small_r` finite and positive.
+    /// The error names the field.
+    pub fn validate(&self, p: usize) -> Result<(), CodecError> {
+        let fine = p.checked_mul(self.upsample);
+        if self.upsample == 0 {
+            return Err(CodecError("selfop upsample 0: must be at least 1".into()));
+        }
+        if !matches!(fine, Some(1..=Self::MAX_FINE_ORDER)) {
+            return Err(CodecError(format!(
+                "selfop upsample {} at order {p}: the fine order must lie in 1..={}",
+                self.upsample,
+                Self::MAX_FINE_ORDER
+            )));
+        }
+        if self.p_extrap > Self::MAX_P_EXTRAP {
+            return Err(CodecError(format!(
+                "selfop p_extrap {} above {}",
+                self.p_extrap,
+                Self::MAX_P_EXTRAP
+            )));
+        }
+        for (name, v) in [("big_r", self.big_r), ("small_r", self.small_r)] {
+            if !(v.is_finite() && v > 0.0) {
+                return Err(CodecError(format!(
+                    "selfop {name} {v}: must be finite and positive"
+                )));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Process-wide cache of a geometry-independent spectral matrix.
+type MatCache = Mutex<Option<HashMap<(usize, usize), Arc<Mat>>>>;
+/// `(p, p_up)` → `Uᵀ`, see [`upsample_matrix_t`].
+static UPSAMPLE_CACHE: MatCache = Mutex::new(None);
+/// `(p, p)` → `Aᵀ`, see [`analysis_matrix_t`].
+static ANALYSIS_CACHE: MatCache = Mutex::new(None);
+
+fn cached(cache: &MatCache, key: (usize, usize), build: impl FnOnce() -> Mat) -> Arc<Mat> {
+    let mut guard = cache.lock();
+    let map = guard.get_or_insert_with(HashMap::new);
+    map.entry(key).or_insert_with(|| Arc::new(build())).clone()
+}
 
 /// Returns the *transpose* `Uᵀ` (`N × N_up`, coarse index major) of the
 /// dense grid-to-grid spectral upsampling matrix from order `p` to order
@@ -57,28 +109,42 @@ type UpsampleCache = HashMap<(usize, usize), Arc<Mat>>;
 /// dimension: `U x` is `Uᵀ.matvec_t(x)`, a batch `U X` is `Xᵀ · Uᵀ` with
 /// the columns of `X` as GEMM rows.
 pub fn upsample_matrix_t(p: usize, pu: usize) -> Arc<Mat> {
-    let key = (p, pu);
-    let mut guard = UPSAMPLE_CACHE.lock();
-    let map = guard.get_or_insert_with(HashMap::new);
-    if let Some(m) = map.get(&key) {
-        return m.clone();
-    }
-    let bp = SphBasis::new(p);
-    let bu = SphBasis::new(pu);
-    let n = bp.grid_size();
-    let mut m = Mat::zeros(n, bu.grid_size());
-    // rows of Uᵀ: the upsampled unit impulses at the coarse grid nodes
-    let mut e = vec![0.0; n];
-    for j in 0..n {
-        e[j] = 1.0;
-        let c = bp.analyze(&e).resampled(pu);
-        m.row_mut(j)
-            .copy_from_slice(&bu.synthesize(&c, sphharm::Deriv::None));
-        e[j] = 0.0;
-    }
-    let arc = Arc::new(m);
-    map.insert(key, arc.clone());
-    arc
+    cached(&UPSAMPLE_CACHE, (p, pu), || {
+        let bp = SphBasis::new(p);
+        let bu = SphBasis::new(pu);
+        let n = bp.grid_size();
+        let mut m = Mat::zeros(n, bu.grid_size());
+        // rows of Uᵀ: the upsampled unit impulses at the coarse grid nodes
+        let mut e = vec![0.0; n];
+        for j in 0..n {
+            e[j] = 1.0;
+            let c = bp.analyze(&e).resampled(pu);
+            m.row_mut(j)
+                .copy_from_slice(&bu.synthesize(&c, sphharm::Deriv::None));
+            e[j] = 0.0;
+        }
+        m
+    })
+}
+
+/// Returns the *transpose* `Aᵀ` (`N × (p+1)²`, grid index major) of the
+/// order-`p` analysis matrix (grid samples → packed coefficients, one
+/// scalar component): the first factor of `U = B·A`, with `B` the
+/// synthesis of order-`p` coefficients on the fine grid. Consumed like
+/// [`upsample_matrix_t`].
+fn analysis_matrix_t(p: usize) -> Arc<Mat> {
+    cached(&ANALYSIS_CACHE, (p, p), || {
+        let bp = SphBasis::new(p);
+        let n = bp.grid_size();
+        let mut m = Mat::zeros(n, (p + 1) * (p + 1));
+        let mut e = vec![0.0; n];
+        for j in 0..n {
+            e[j] = 1.0;
+            m.row_mut(j).copy_from_slice(&bp.analyze(&e).data);
+            e[j] = 0.0;
+        }
+        m
+    })
 }
 
 /// Everything the kernel assembly reads: both geometries, the check
@@ -157,17 +223,20 @@ fn stokeslet_lanes(
 /// in place by [`SelfInteraction::rebuild`] where the caller keeps the
 /// previous operator.
 pub struct SelfInteraction {
-    /// The six distinct entries of every symmetric 3×3 block of the
+    /// The six distinct entries of every symmetric 3×3 block of `K·B`: the
     /// kernel-and-extrapolation matrix
-    /// `K[(3i+a), (3j+b)] = Σ_k e_k S_ab(c_ik, y_j) w_j`, source point
-    /// major: row `6j + e` (`e` = `xx xy xz yy yz zz`) holds entry `e` of
-    /// the blocks of source `j` for all `N` targets `i`.
+    /// `K[(3i+a), (3j+b)] = Σ_k e_k S_ab(c_ik, y_j) w_j` over the fine
+    /// points `j`, composed with the synthesis `B` of order-`p`
+    /// coefficients on the fine grid. Coefficient major: row `6c + e`
+    /// (`e` = `xx xy xz yy yz zz`) holds entry `e` of the blocks of
+    /// coefficient `c` for all `N` targets `i`.
     blocks: Vec<f64>,
-    /// Shared transposed spectral upsampling matrix (`N × N_up`, per
+    /// Shared transposed analysis matrix `Aᵀ` (`N × (p+1)²`, per
     /// component).
-    upsample_t: Arc<Mat>,
+    analysis_t: Arc<Mat>,
     n: usize,
-    nu: usize,
+    /// Coefficients per component, `(p+1)²`.
+    nc: usize,
 }
 
 impl SelfInteraction {
@@ -180,9 +249,9 @@ impl SelfInteraction {
     ) -> SelfInteraction {
         let mut op = SelfInteraction {
             blocks: Vec::new(),
-            upsample_t: upsample_matrix_t(basis.p, basis.p * opts.upsample),
+            analysis_t: analysis_matrix_t(basis.p),
             n: 0,
-            nu: 0,
+            nc: 0,
         };
         op.rebuild(basis, coeffs, mu, opts);
         op
@@ -190,9 +259,14 @@ impl SelfInteraction {
 
     /// Re-assembles the operator for new position coefficients into this
     /// operator's own buffer — bitwise what [`SelfInteraction::build`]
-    /// returns. The assembly writes every entry, so the buffer is reused
-    /// without zeroing; it is reallocated only when the shape (`p` or the
-    /// upsampling factor) changed, after the old one is freed.
+    /// returns. Every entry is written once, so the buffer is reused
+    /// without zeroing; it is reallocated only when `p` changed, after the
+    /// old one is freed.
+    ///
+    /// `K` is assembled one block of targets and one fine latitude ring of
+    /// sources at a time, and each such piece is projected onto the
+    /// coefficients (the adjoint of the synthesis, [`RingProjection`]) as
+    /// soon as it is assembled, so `K` itself never exists.
     pub fn rebuild(
         &mut self,
         basis: &SphBasis,
@@ -200,18 +274,17 @@ impl SelfInteraction {
         mu: f64,
         opts: SelfOpOptions,
     ) {
-        let pu = basis.p * opts.upsample;
-        let bu = SphBasis::new(pu);
+        let bu = SphBasis::new(basis.p * opts.upsample);
         let CheckScheme { geo_c, geo_u, t, e } = CheckScheme::new(basis, &bu, coeffs, opts);
         let n = basis.grid_size();
-        let nu = bu.grid_size();
+        let nc = (basis.p + 1) * (basis.p + 1);
         let p1 = t.len();
-        if (self.n, self.nu) != (n, nu) {
+        if (self.n, self.nc) != (n, nc) {
             // free the old buffer first: never two operators for one cell
             self.blocks = Vec::new();
-            self.blocks = vec![0.0; 6 * n * nu];
-            self.upsample_t = upsample_matrix_t(basis.p, pu);
-            (self.n, self.nu) = (n, nu);
+            self.blocks = vec![0.0; 6 * n * nc];
+            self.analysis_t = analysis_matrix_t(basis.p);
+            (self.n, self.nc) = (n, nc);
         }
 
         // exterior check points c_ik = x_i + n_i t_k, per k in blocks of
@@ -228,50 +301,64 @@ impl SelfInteraction {
                 block[2][i % LANES] = c.z;
             }
         }
+        // per source point y_j, the weights w_quad[j]·e_k
+        let w: Vec<f64> = geo_u
+            .w_quad
+            .iter()
+            .flat_map(|&wj| e.iter().map(move |ek| wj * ek))
+            .collect();
 
-        // one source point (six rows) at a time: per block of targets the
-        // six entries are summed over the check points k = 0..p in
-        // registers and stored once, one lane array per row
+        // one block of LANES targets at a time, one fine ring of sources
+        // at a time: per source point the six entries are summed over the
+        // check points k = 0..p in registers, one lane array per entry of
+        // `ring`; the ring is then projected onto the coefficients, into
+        // the block's rows of `K·B` (`(p+1)²` rows of six lane arrays),
+        // and those are stored once
         let c = 1.0 / (8.0 * std::f64::consts::PI * mu);
-        let mut w = vec![0.0; p1];
-        for (j, rows) in self.blocks.chunks_exact_mut(6 * n).enumerate() {
-            let y = geo_u.x[j];
-            for (wk, ek) in w.iter_mut().zip(&e) {
-                *wk = geo_u.w_quad[j] * ek;
+        let mut proj = RingProjection::new(&bu, basis.p, 6 * LANES);
+        let mut ring = vec![0.0; bu.nlon * 6 * LANES];
+        let mut kb = vec![0.0; nc * 6 * LANES];
+        for blk in 0..nb {
+            for r in 0..bu.nlat {
+                for (l, entries) in ring.chunks_exact_mut(6 * LANES).enumerate() {
+                    let j = bu.grid_index(r, l);
+                    let mut acc = [[0.0; LANES]; 6];
+                    for (k, &wk) in w[j * p1..][..p1].iter().enumerate() {
+                        stokeslet_lanes(&mut acc, &chk[k * nb + blk], geo_u.x[j], c, wk);
+                    }
+                    entries.copy_from_slice(acc.as_flattened());
+                }
+                proj.set_ring(r, &ring);
             }
-            for blk in 0..nb {
-                let mut acc = [[0.0; LANES]; 6];
-                for (k, &wk) in w.iter().enumerate() {
-                    stokeslet_lanes(&mut acc, &chk[k * nb + blk], y, c, wk);
-                }
-                let i0 = blk * LANES;
-                let len = LANES.min(n - i0);
-                for (row, lanes) in rows.chunks_exact_mut(n).zip(&acc) {
-                    row[i0..i0 + len].copy_from_slice(&lanes[..len]);
-                }
+            proj.project(&mut kb);
+            let i0 = blk * LANES;
+            let len = LANES.min(n - i0);
+            for (row, lanes) in self.blocks.chunks_exact_mut(n).zip(kb.chunks_exact(LANES)) {
+                row[i0..i0 + len].copy_from_slice(&lanes[..len]);
             }
         }
     }
 
-    /// Adds the kernel stage `K u` to `out` for `k` upsampled columns: `up`
-    /// is `3k × N_up` (row `c·k + col` holds component `c` of column `col`
-    /// on the fine grid), `out` holds per column its three component planes
-    /// of `N` targets. One pass over the operator for any `K`: per source point,
-    /// its six rows serve every column. Each output entry adds the terms of
-    /// source entry `3j+b` in ascending order, skipping a zero multiplier —
-    /// see "Summation-order contract" in `crates/vesicle/README.md`.
-    fn apply_blocks(&self, up: &[f64], k: usize, out: &mut [f64]) {
-        let (n, nu) = (self.n, self.nu);
-        assert_eq!(up.len(), 3 * k * nu);
+    /// Adds the kernel stage `(K·B) a` to `out` for `k` coefficient
+    /// columns: `coef` is `3k × (p+1)²` (row `c·k + col` holds component `c`
+    /// of column `col`'s coefficients), `out` holds per column its three
+    /// component planes of `N` targets. One pass over the operator for any
+    /// `K`: per coefficient, its six rows serve every column. Each output
+    /// entry adds the terms of coefficient entry `3c+b` in ascending order,
+    /// skipping a zero multiplier — see "Summation-order contract" in
+    /// `crates/vesicle/README.md`.
+    fn apply_blocks(&self, coef: &[f64], k: usize, out: &mut [f64]) {
+        let (n, nc) = (self.n, self.nc);
+        assert_eq!(coef.len(), 3 * k * nc);
         assert_eq!(out.len(), 3 * k * n);
-        for (j, rows) in self.blocks.chunks_exact(6 * n).enumerate() {
+        for (c, rows) in self.blocks.chunks_exact(6 * n).enumerate() {
             let (xx, rows) = rows.split_at(n);
             let (xy, rows) = rows.split_at(n);
             let (xz, rows) = rows.split_at(n);
             let (yy, rows) = rows.split_at(n);
             let (yz, zz) = rows.split_at(n);
             for (col, planes) in out.chunks_exact_mut(3 * n).enumerate() {
-                let f = [0, 1, 2].map(|b| up[(b * k + col) * nu + j]);
+                let f = [0, 1, 2].map(|b| coef[(b * k + col) * nc + c]);
                 let (ox, planes) = planes.split_at_mut(n);
                 let (oy, oz) = planes.split_at_mut(n);
                 if f.iter().all(|&fb| fb != 0.0) {
@@ -303,26 +390,26 @@ impl SelfInteraction {
     /// Applies `S_i` to a force density on the coarse grid (xyz-interleaved,
     /// `3N` entries), returning the velocity on the coarse grid.
     pub fn apply(&self, f: &[f64]) -> Vec<f64> {
-        let (n, nu) = (self.n, self.nu);
+        let (n, nc) = (self.n, self.nc);
         assert_eq!(f.len(), 3 * n);
-        // upsample per component
-        let mut up = vec![0.0; 3 * nu];
+        // analyze per component
+        let mut coef = vec![0.0; 3 * nc];
         let mut comp = vec![0.0; n];
-        for (c, row) in up.chunks_exact_mut(nu).enumerate() {
+        for (c, row) in coef.chunks_exact_mut(nc).enumerate() {
             for i in 0..n {
                 comp[i] = f[3 * i + c];
             }
-            row.copy_from_slice(&self.upsample_t.matvec_t(&comp));
+            row.copy_from_slice(&self.analysis_t.matvec_t(&comp));
         }
         let mut planes = vec![0.0; 3 * n];
-        self.apply_blocks(&up, 1, &mut planes);
+        self.apply_blocks(&coef, 1, &mut planes);
         (0..3 * n).map(|r| planes[(r % 3) * n + r / 3]).collect()
     }
 
     /// Applies `S_i` to a batch of `K` force-density columns at once
     /// (`3N × K`, each column xyz-interleaved on the coarse grid),
     /// returning the `3N × K` velocity columns. Same operator as
-    /// [`SelfInteraction::apply`], bit for bit: the spectral upsampling
+    /// [`SelfInteraction::apply`], bit for bit: the spectral analysis
     /// runs as one GEMM with the columns as rows of the left factor, and
     /// the kernel stage reads the operator once for all columns — this is
     /// what makes the collision pipeline's batched per-mesh mobility
@@ -331,7 +418,7 @@ impl SelfInteraction {
         let n = self.n;
         assert_eq!(f_cols.rows(), 3 * n, "apply_many: column height");
         let k = f_cols.cols();
-        // upsample: row c·K + col holds component c of column col
+        // analyze: row c·K + col holds component c of column col
         let mut comp = Mat::zeros(3 * k, n);
         for i in 0..n {
             for c in 0..3 {
@@ -340,9 +427,9 @@ impl SelfInteraction {
                 }
             }
         }
-        let up = comp.matmul(&self.upsample_t);
+        let coef = comp.matmul(&self.analysis_t);
         let mut planes = vec![0.0; 3 * n * k];
-        self.apply_blocks(up.data(), k, &mut planes);
+        self.apply_blocks(coef.data(), k, &mut planes);
         Mat::from_fn(3 * n, k, |r, col| planes[(3 * col + r % 3) * n + r / 3])
     }
 
@@ -357,11 +444,12 @@ mod tests {
     use super::*;
     use crate::shape::{biconcave_coeffs, sphere_coeffs};
     use kernels::stokeslet_matrix;
+    use std::f64::consts::PI;
 
     /// The row-major scalar assembly this module used before the operator
-    /// was stored by symmetric blocks, kept as the bit-for-bit oracle: `K`
-    /// built entry by entry from `stokeslet_matrix`, both stages applied as
-    /// sequential dots (`Mat::matvec`).
+    /// was stored by symmetric blocks in coefficient space, kept as the
+    /// oracle: `K` (`3N × 3N_up`) built entry by entry from
+    /// `stokeslet_matrix`, composed with the upsampling `U`.
     struct RowMajorReference {
         k_mat: Mat,
         upsample: Mat,
@@ -394,16 +482,18 @@ mod tests {
             }
         }
 
-        fn apply(&self, f: &[f64]) -> Vec<f64> {
+        /// The applied operator `K·U` (`3N × 3N`), `U` acting per component.
+        fn applied(&self) -> Mat {
             let (nu, n) = (self.upsample.rows(), self.upsample.cols());
-            let mut fu = vec![0.0; 3 * nu];
-            for c in 0..3 {
-                let comp: Vec<f64> = (0..n).map(|i| f[3 * i + c]).collect();
-                for (j, v) in self.upsample.matvec(&comp).into_iter().enumerate() {
-                    fu[3 * j + c] = v;
+            let mut u3 = Mat::zeros(3 * nu, 3 * n);
+            for j in 0..nu {
+                for i in 0..n {
+                    for c in 0..3 {
+                        u3[(3 * j + c, 3 * i + c)] = self.upsample[(j, i)];
+                    }
                 }
             }
-            self.k_mat.matvec(&fu)
+            self.k_mat.matmul(&u3)
         }
     }
 
@@ -418,18 +508,50 @@ mod tests {
         }
     }
 
-    /// `K` (`3N × 3N_up`) expanded from the six stored entries per block.
-    fn expanded(op: &SelfInteraction) -> Mat {
-        const ENTRY: [[usize; 3]; 3] = [[0, 1, 2], [1, 3, 4], [2, 4, 5]];
-        let n = op.n;
-        Mat::from_fn(3 * n, 3 * op.nu, |r, s| {
-            op.blocks[(6 * (s / 3) + ENTRY[r % 3][s % 3]) * n + r / 3]
-        })
+    /// `max |got − want| / max |want|`.
+    fn rel_err(got: &[f64], want: &[f64]) -> f64 {
+        assert_eq!(got.len(), want.len());
+        let diff = got.iter().zip(want).map(|(g, w)| (g - w).abs());
+        let scale = want.iter().fold(0.0_f64, |m, w| m.max(w.abs()));
+        diff.fold(0.0_f64, f64::max) / scale
+    }
+
+    /// `Bᵀ` (`(p+1)² × N_up`): row `c` is the unit order-`p` coefficient
+    /// vector `c` synthesized on the order-`pu` grid.
+    fn synthesis_matrix_t(p: usize, pu: usize) -> Mat {
+        let bu = SphBasis::new(pu);
+        let mut m = Mat::zeros((p + 1) * (p + 1), bu.grid_size());
+        let mut c = SphCoeffs::zeros(p);
+        for r in 0..m.rows() {
+            c.data[r] = 1.0;
+            m.row_mut(r)
+                .copy_from_slice(&bu.synthesize(&c.resampled(pu), sphharm::Deriv::None));
+            c.data[r] = 0.0;
+        }
+        m
+    }
+
+    /// The test cells: a biconcave cell at p = 8, a sphere at p = 6 (N = 84
+    /// is not a multiple of LANES: the padded tail block) and a biconcave
+    /// cell at p = 12.
+    fn test_cells() -> Vec<(SphBasis, [SphCoeffs; 3], f64)> {
+        [(8, 1.0), (6, 0.8), (12, 1.1)]
+            .into_iter()
+            .map(|(p, mu)| {
+                let basis = SphBasis::new(p);
+                let coeffs = if p == 6 {
+                    sphere_coeffs(&basis, 1.3, Vec3::ZERO)
+                } else {
+                    biconcave_coeffs(&basis, 1.0, Vec3::new(0.3, -0.2, 0.1))
+                };
+                (basis, coeffs, mu)
+            })
+            .collect()
     }
 
     /// `K` force-density columns cycling through four kinds: generic, all
     /// zero, generic with `−0.0` entries, and purely along x (whose
-    /// upsampled y and z components are exactly 0, so the kernel skips
+    /// y and z coefficients are exactly 0, so the kernel skips
     /// them per component).
     fn test_columns(n: usize, k: usize) -> Mat {
         Mat::from_fn(3 * n, k, |i, c| match c % 4 {
@@ -440,38 +562,134 @@ mod tests {
         })
     }
 
+    /// The spectral upsampling factors exactly as `U = B·A` (analysis at
+    /// order p, synthesis of order-p coefficients on the fine grid): the
+    /// identity the coefficient-space operator `K·B` rests on.
     #[test]
-    fn symmetric_blocks_match_row_major_reference_bitwise() {
-        for (p, mu) in [(8, 1.0), (6, 0.8)] {
-            let basis = SphBasis::new(p);
-            let coeffs = if p == 8 {
-                biconcave_coeffs(&basis, 1.0, Vec3::new(0.3, -0.2, 0.1))
-            } else {
-                // N = 84 is not a multiple of LANES: the padded tail block
-                sphere_coeffs(&basis, 1.3, Vec3::ZERO)
-            };
+    fn upsampling_factors_into_analysis_then_synthesis() {
+        for p in [6, 8, 12] {
+            let u_t = upsample_matrix_t(p, 2 * p);
+            let ab = analysis_matrix_t(p).matmul(&synthesis_matrix_t(p, 2 * p));
+            let err = rel_err(ab.data(), u_t.data());
+            assert!(err <= 1e-14, "p = {p}: Aᵀ·Bᵀ vs Uᵀ, relative {err:e}");
+        }
+    }
+
+    /// Ring by ring, [`RingProjection`] sums to the dense product
+    /// `Bᵀ X`, for field counts with and without a short SIMD tail and
+    /// orders whose mode counts are and are not multiples of the DFT's
+    /// register block. The reference builds `B` from its definition,
+    /// `Q_n^m(θ_i)·norm_m` (read off `synthesize_at` at `φ = 0`) times
+    /// `cos` / `sin` of `2π·((m·j) mod L)/L`: the grid's Fourier tables
+    /// round `m·φ_j` itself, up to `m·2π`, an absolute error near 1e-14 at
+    /// p = 12 that the projection's folds (which read the tables at
+    /// `φ ≤ π/2` only) mostly avoid.
+    #[test]
+    fn ring_projection_matches_dense_synthesis_transpose() {
+        // fine orders: 2p as the operator runs, an odd one (its ring has no
+        // middle longitude) and the smallest grid (whose even sines fold to
+        // nothing)
+        for (p, pu, width) in [
+            (6, 12, 13),
+            (8, 16, 48),
+            (10, 20, 21),
+            (4, 9, 16),
+            (2, 2, 5),
+        ] {
+            let bu = SphBasis::new(pu);
+            let (nu, nlon) = (bu.grid_size(), bu.nlon);
+            let nc = (p + 1) * (p + 1);
+            let mut b_t = Mat::zeros(nc, nu);
+            let mut unit = SphCoeffs::zeros(p);
+            let mut c = 0;
+            for m in 0..=p {
+                for sine in [false, true].into_iter().take(if m == 0 { 1 } else { 2 }) {
+                    for n in m..=p {
+                        unit.set_a(n, m, 1.0);
+                        let padded = unit.resampled(pu);
+                        unit.set_a(n, m, 0.0);
+                        for i in 0..bu.nlat {
+                            let legendre = bu.synthesize_at(&padded, bu.theta[i], 0.0);
+                            for j in 0..nlon {
+                                let angle = 2.0 * PI * ((m * j) % nlon) as f64 / nlon as f64;
+                                let trig = if sine { angle.sin() } else { angle.cos() };
+                                b_t[(c, bu.grid_index(i, j))] = legendre * trig;
+                            }
+                        }
+                        c += 1;
+                    }
+                }
+            }
+            let x = Mat::from_fn(nu, width, |j, f| ((j * 7 + f * 29) as f64 * 0.37).sin());
+            let want = b_t.matmul(&x);
+            let mut got = vec![0.0; nc * width];
+            let mut proj = RingProjection::new(&bu, p, width);
+            for (r, ring) in x.data().chunks_exact(bu.nlon * width).enumerate() {
+                proj.set_ring(r, ring);
+            }
+            proj.project(&mut got);
+            let err = rel_err(&got, want.data());
+            assert!(
+                err <= 1e-14,
+                "p = {p}, p_up = {pu}, width {width}: relative {err:e}"
+            );
+        }
+    }
+
+    /// The operator holds six entries per (target, coefficient) pair,
+    /// `6·N·(p+1)²` doubles, whatever the upsampling factor.
+    #[test]
+    fn operator_stores_six_entries_per_target_and_coefficient() {
+        for (basis, coeffs, mu) in test_cells() {
+            let (n, p) = (basis.grid_size(), basis.p);
+            for upsample in [1, 2, 3] {
+                let opts = SelfOpOptions {
+                    upsample,
+                    ..Default::default()
+                };
+                let op = SelfInteraction::build(&basis, &coeffs, mu, opts);
+                assert_eq!(op.blocks.len(), 6 * n * (p + 1) * (p + 1), "p = {p}");
+            }
+        }
+    }
+
+    /// `K·B` applied after the analysis is the linear map `K·U` of the
+    /// row-major assembly, summed in another order: within 1e-13 relative
+    /// over the whole `3N × 3N` operator.
+    #[test]
+    fn applied_operator_matches_row_major_reference() {
+        for (basis, coeffs, mu) in test_cells() {
             let opts = SelfOpOptions::default();
             let op = SelfInteraction::build(&basis, &coeffs, mu, opts);
-            let reference = RowMajorReference::build(&basis, &coeffs, mu, opts);
-            assert_bits_eq(
-                expanded(&op).data(),
-                reference.k_mat.data(),
-                &format!("p = {p}: kernel matrix"),
-            );
+            let want = RowMajorReference::build(&basis, &coeffs, mu, opts).applied();
+            let got = op.apply_many(&Mat::identity(3 * basis.grid_size()));
+            let err = rel_err(got.data(), want.data());
+            assert!(err <= 1e-13, "p = {}: relative {err:e}", basis.p);
+        }
+    }
+
+    /// A column's result does not depend on its batch-mates: every column
+    /// of `apply_many` is, bit for bit, `apply` of that column — for every
+    /// batch size through the analysis GEMM's edge rows, four-row tile
+    /// bands and both, with zero, `−0.0` and x-only columns.
+    #[test]
+    fn apply_many_columns_match_apply_bitwise() {
+        for (basis, coeffs, mu) in test_cells().into_iter().take(2) {
+            let p = basis.p;
+            let op = SelfInteraction::build(&basis, &coeffs, mu, SelfOpOptions::default());
             let n = basis.grid_size();
-            // the upsampling GEMM's 3K rows: edge rows only, edge rows
-            // beside a four-row tile band, whole bands
-            for k in [1, 2, 3, 4, 5, 7, 8, 9, 25] {
+            for k in 1..=25 {
                 let cols = test_columns(n, k);
                 let batched = op.apply_many(&cols);
                 assert_eq!((batched.rows(), batched.cols()), (3 * n, k));
                 for c in 0..k {
                     let f: Vec<f64> = (0..3 * n).map(|i| cols[(i, c)]).collect();
-                    let want = reference.apply(&f);
-                    let what = format!("p = {p}, K = {k}, column {c}");
-                    assert_bits_eq(&op.apply(&f), &want, &format!("{what}: apply"));
                     let got: Vec<f64> = (0..3 * n).map(|i| batched[(i, c)]).collect();
-                    assert_bits_eq(&got, &want, &format!("{what}: apply_many"));
+                    assert_bits_eq(
+                        &got,
+                        &op.apply(&f),
+                        &format!("p = {p}, K = {k}, column {c}"),
+                    );
                 }
             }
         }

@@ -77,6 +77,10 @@ impl Cell {
                 small_r: r.get_f64()?,
             },
         };
+        // the operator's shape comes from the file: reject what would panic
+        // or exhaust memory at the first step
+        let p = coeffs.iter().map(|c| c.p).max().unwrap_or(0);
+        params.selfop.validate(p)?;
         Ok(Cell {
             coeffs,
             ref_w,
@@ -157,6 +161,31 @@ mod tests {
             let bytes = w.into_bytes();
             let e = Cell::read_state(&mut ByteReader::new(&bytes)).unwrap_err();
             assert!(e.0.contains("does not match order"), "{e}");
+        }
+        // self-operator options that would panic (upsample 0) or exhaust
+        // memory (a huge upsample or p_extrap) at the first step, or give a
+        // meaningless check-point family, are errors that name the field
+        let corrupt = |f: fn(&mut SelfOpOptions)| {
+            let mut o = cell.params.selfop;
+            f(&mut o);
+            o
+        };
+        for (selfop, field) in [
+            (corrupt(|o| o.upsample = 0), "upsample 0"),
+            (corrupt(|o| o.upsample = 22), "upsample 22"),
+            (corrupt(|o| o.upsample = usize::MAX), "upsample"),
+            (corrupt(|o| o.p_extrap = 1 << 40), "p_extrap"),
+            (corrupt(|o| o.big_r = f64::NAN), "big_r"),
+            (corrupt(|o| o.small_r = 0.0), "small_r"),
+            (corrupt(|o| o.small_r = f64::INFINITY), "small_r"),
+        ] {
+            let mut bad_cell = cell.clone();
+            bad_cell.params.selfop = selfop;
+            let mut w = ByteWriter::new();
+            bad_cell.write_state(&mut w);
+            let bytes = w.into_bytes();
+            let e = Cell::read_state(&mut ByteReader::new(&bytes)).unwrap_err();
+            assert!(e.0.contains(field), "{field}: {e}");
         }
     }
 }

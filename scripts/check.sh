@@ -77,6 +77,13 @@ for SCENARIO in $SCENARIOS; do
         --config "scenarios/$SCENARIO.toml" --steps 0 --no-output --quiet
 done
 
+echo "== paper-resolution smoke (shear_pair at p = 16, 1 step)"
+# the paper's cell resolution (544 points per cell, 2,112 fine points, 289
+# coefficients per component of the self-interaction operator) built and
+# stepped on every check, not only the p = 6 / 8 of the other smokes (~0.4 s)
+cargo run --release -q -p driver -- shear_pair --set order=16 --steps 1 \
+    --no-output --quiet
+
 echo "== collision smoke (sedimentation-like, 1 step, contact + finite-volume assert)"
 # a small dense packing that reliably produces >10 contacts in one step
 # (driver/tests/determinism.rs pins the same configuration high-contact):
