@@ -254,6 +254,19 @@ pub struct JobOutcome {
 }
 
 impl JobOutcome {
+    /// `job` with `status`, before it steps: no steps, no time, no error.
+    fn new(job: &JobSpec, status: JobStatus) -> JobOutcome {
+        JobOutcome {
+            name: job.name.clone(),
+            scenario: job.scenario.clone(),
+            status,
+            start_step: 0,
+            steps_run: 0,
+            wall_s: 0.0,
+            error: None,
+        }
+    }
+
     /// Whether the job resumed from a pre-existing checkpoint.
     pub fn resumed(&self) -> bool {
         self.start_step > 0 && self.status == JobStatus::Completed
@@ -353,15 +366,7 @@ fn latest_checkpoint(job: &JobSpec) -> Option<(PathBuf, usize)> {
 /// remainder with quiet streaming CSV + rotated checkpoints.
 fn run_job(job: &JobSpec, pin_serial: bool) -> JobOutcome {
     let t0 = Instant::now();
-    let mut outcome = JobOutcome {
-        name: job.name.clone(),
-        scenario: job.scenario.clone(),
-        status: JobStatus::Failed,
-        start_step: 0,
-        steps_run: 0,
-        wall_s: 0.0,
-        error: None,
-    };
+    let mut outcome = JobOutcome::new(job, JobStatus::Failed);
     let resume = latest_checkpoint(job);
     if let Some((_, steps)) = &resume {
         if *steps >= job.steps {
@@ -444,15 +449,7 @@ pub fn run_farm(manifest: &Manifest, opts: &FarmOptions) -> Result<FarmReport, S
         let mut done = 0usize;
         for job in &manifest.jobs {
             if done >= halt {
-                outcomes.push(JobOutcome {
-                    name: job.name.clone(),
-                    scenario: job.scenario.clone(),
-                    status: JobStatus::Halted,
-                    start_step: 0,
-                    steps_run: 0,
-                    wall_s: 0.0,
-                    error: None,
-                });
+                outcomes.push(JobOutcome::new(job, JobStatus::Halted));
                 continue;
             }
             let o = run_job(job, false);

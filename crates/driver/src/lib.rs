@@ -20,6 +20,9 @@
 //!   pluggable [`StepSink`] observers (console table, CSV stream, cadence
 //!   checkpointer); [`Session::run`] composes all three under
 //!   [`RunOptions`] and returns a [`RunReport`];
+//! - [`assert`](mod@assert): the `--assert` expressions — a bound on an
+//!   aggregate of one per-step CSV column ([`RunAssert`]) or on a farm
+//!   counter ([`FarmAssert`]), the checks the CI smokes make;
 //! - [`batch`]: the simulation farm — `sim-driver batch <manifest.toml>`
 //!   schedules many scenario jobs over the persistent worker pool with
 //!   shared immutable caches and a checkpoint-resumable queue;
@@ -39,12 +42,14 @@
 
 #![warn(missing_docs)]
 
+pub mod assert;
 pub mod batch;
 pub mod physio;
 pub mod scenario;
 pub mod session;
 pub mod toml;
 
+pub use assert::{Assert, FarmAssert, RunAssert};
 pub use batch::{run_farm, FarmOptions, FarmReport, JobOutcome, JobSpec, JobStatus, Manifest};
 pub use physio::{PhysioRow, PhysioSink, PHYSIO_CSV_HEADER};
 pub use scenario::{build, registry, Built, ScenarioSpec};

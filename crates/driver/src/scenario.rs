@@ -152,8 +152,9 @@ impl ScenarioSpec {
 }
 
 /// Typed reads from one scenario's config section, each recorded with the
-/// default it was read with. A given value of the wrong type is an error
-/// naming the section, the key, the expected type and the value.
+/// default it was read with. A given value of the wrong type, or out of a
+/// key's bounds, is an error naming the section, the key, the expected
+/// type or bounds and the value.
 pub(crate) struct Keys<'a> {
     doc: &'a Doc,
     sec: &'static str,
@@ -168,13 +169,11 @@ impl Keys<'_> {
         expected: &str,
         view: impl Fn(&Value) -> Option<T>,
     ) -> Result<T, String> {
-        let given = self.doc.get(self.sec, key);
-        let value = view(given.unwrap_or(&default));
+        let value = view(self.doc.get(self.sec, key).unwrap_or(&default));
         self.read.push((key, default));
-        value.ok_or_else(|| {
-            let given = given.expect("a default fits its own type");
-            format!("{}: `{key}` expects {expected}, got {given:?}", self.sec)
-        })
+        let ok = value.is_some();
+        let value = self.bound(key, value, ok, expected)?;
+        Ok(value.expect("a default fits its own type"))
     }
 
     fn f64(&mut self, key: &'static str, default: f64) -> Result<f64, String> {
@@ -186,12 +185,21 @@ impl Keys<'_> {
         self.read(key, Value::Int(default as i64), expected, Value::as_usize)
     }
 
-    /// A count that must be at least 1.
-    fn count(&mut self, key: &'static str, default: usize) -> Result<usize, String> {
-        match self.usize(key, default)? {
-            0 => Err(format!("{}: {key} must be ≥ 1", self.sec)),
-            n => Ok(n),
+    /// `value`, just read for `key`, if it is `ok`; else an error naming
+    /// the values `expected` describes and the value given (a default is
+    /// always `ok`).
+    fn bound<T>(&self, key: &str, value: T, ok: bool, expected: &str) -> Result<T, String> {
+        let sec = self.sec;
+        match self.doc.get(sec, key) {
+            Some(given) if !ok => Err(format!("{sec}: `{key}` expects {expected}, got {given:?}")),
+            _ => Ok(value),
         }
+    }
+
+    /// An integer of at least `min`.
+    fn at_least(&mut self, key: &'static str, default: usize, min: usize) -> Result<usize, String> {
+        let n = self.usize(key, default)?;
+        self.bound(key, n, n >= min, &format!("an integer ≥ {min}"))
     }
 
     fn bool(&mut self, key: &'static str, default: bool) -> Result<bool, String> {
@@ -263,8 +271,9 @@ fn tail(
         None => Vec3::ZERO,
     };
     let dtc = DtControl::default();
+    let dt = k.f64("dt", dt)?;
     let config = SimConfig {
-        dt: k.f64("dt", dt)?,
+        dt: k.bound("dt", dt, dt.is_finite() && dt > 0.0, "a finite number > 0")?,
         collision_delta: k.f64("collision_delta", collision_delta)?,
         shear_rate: k.f64("shear_rate", shear_rate)?,
         gravity: k.vec3("gravity", gravity)?,
@@ -306,7 +315,7 @@ fn straight_tube(
 ) -> Result<BoundarySurface, String> {
     let line = StraightLine { a: Vec3::ZERO, b };
     let segments = k.usize("tube_segments", segments)?;
-    let q = k.usize("patch_order", q)?;
+    let q = k.at_least("patch_order", q, 2)?;
     Ok(capsule_tube(&line, radius, segments, q))
 }
 
@@ -389,6 +398,7 @@ fn bie_options(k: &mut Keys, q: usize, refine: u32) -> Result<bie::BieOptions, S
     let refined = refine > 0;
     let check_r = k.f64("bie_check_r", if refined { 0.15 } else { 0.06 })?;
     let qf = k.usize("bie_qf", if refined { q + 4 } else { 0 })?;
+    let qf = k.bound("bie_qf", qf, qf != 1, "0 or an integer ≥ 2")?;
     // matvec/eval FMM tuning. The refined path defaults to order 4: the
     // quadrature floor sits near 1e-3, so the ~4e-4 operator error of
     // order 6 buys nothing over order 4's (see the per-order ladder in
@@ -397,7 +407,7 @@ fn bie_options(k: &mut Keys, q: usize, refine: u32) -> Result<bie::BieOptions, S
     // library default (order 6), whose extra digits are free at those
     // patch counts because they run dense anyway.
     let mut fmm = bie::FmmOptions::default();
-    fmm.order = k.usize("bie_fmm_order", if refined { 4 } else { fmm.order })?;
+    fmm.order = k.at_least("bie_fmm_order", if refined { 4 } else { fmm.order }, 2)?;
     use bie::MatvecBackend::{Auto, Dense, Fmm};
     let backend = [Auto, Dense, Fmm][k.choice("bie_backend", &["auto", "dense", "fmm"])?];
     Ok(bie::BieOptions {
@@ -484,7 +494,7 @@ struct Train {
 impl Train {
     /// Reads the train; `spacing` maps the cell radius to its default.
     fn read(k: &mut Keys, n: usize, r: f64, spacing: fn(f64) -> f64) -> Result<Train, String> {
-        let n = k.count("n_cells", n)?;
+        let n = k.at_least("n_cells", n, 1)?;
         let r = k.f64("cell_radius", r)?;
         let spacing = k.f64("spacing", spacing(r))?;
         Ok(Train { n, r, spacing })
@@ -541,7 +551,7 @@ impl Train {
 /// upper cell overtakes the lower one with contact handling keeping them
 /// apart (ported from `examples/src/shear_pair.rs`).
 fn build_shear_pair(k: &mut Keys) -> Result<Built, String> {
-    let basis = SphBasis::new(k.usize("order", 12)?);
+    let basis = SphBasis::new(k.at_least("order", 12, 1)?);
     let params = cell_params(k, 0.02, 2.0)?;
     let sep = k.f64("separation_x", 1.4)?;
     let off = k.f64("offset_z", 0.25)?;
@@ -561,7 +571,7 @@ fn build_sedimentation(k: &mut Keys) -> Result<Built, String> {
     let radius = k.f64("tube_radius", 1.6)?;
     let coarse = straight_tube(k, Vec3::new(0.0, 0.0, length), radius, 3, 8)?;
     let vessel = tube_vessel(k, &coarse, 0, 0.0, 10)?;
-    let basis = SphBasis::new(k.usize("order", 8)?);
+    let basis = SphBasis::new(k.at_least("order", 8, 1)?);
     let cells = fill(k, &coarse, &basis, 0.95, 0.95, 7, true)?;
     let step = (0.02, 0.06, 0.0, Some(-4.0));
     tail(k, basis, cells, Some(vessel), None, step)
@@ -577,11 +587,11 @@ fn build_vessel_flow(k: &mut Keys) -> Result<Built, String> {
         windings: k.f64("windings", 1.0)?,
     };
     let radius = k.f64("tube_radius", 1.1)?;
-    let q = k.usize("patch_order", 8)?;
+    let q = k.at_least("patch_order", 8, 2)?;
     let coarse = capsule_tube(&c, radius, k.usize("tube_segments", 5)?, q);
     let peak = k.f64("peak_speed", 1.0)?;
     let vessel = tube_vessel(k, &coarse, 1, peak, 10)?;
-    let basis = SphBasis::new(k.usize("order", 8)?);
+    let basis = SphBasis::new(k.at_least("order", 8, 1)?);
     let cells = fill(k, &coarse, &basis, 1.1, 0.9, 11, false)?;
     let step = (0.01, 0.05, 0.0, None);
     tail(k, basis, cells, Some(vessel), Some(true), step)
@@ -592,7 +602,7 @@ fn build_vessel_flow(k: &mut Keys) -> Result<Built, String> {
 /// (ported from `examples/src/fill_vessel.rs`; the torus has no ports, so
 /// the flow is driven purely by gravity / cell interactions).
 fn build_dense_fill(k: &mut Keys) -> Result<Built, String> {
-    let q = k.usize("patch_order", 8)?;
+    let q = k.at_least("patch_order", 8, 2)?;
     let coarse = modulated_torus(
         k.f64("big_r", 4.0)?,
         k.f64("small_r", 1.0)?,
@@ -603,7 +613,7 @@ fn build_dense_fill(k: &mut Keys) -> Result<Built, String> {
         q,
     );
     let vessel = tube_vessel(k, &coarse, 0, 0.0, 10)?;
-    let basis = SphBasis::new(k.usize("order", 8)?);
+    let basis = SphBasis::new(k.at_least("order", 8, 1)?);
     let cells = fill(k, &coarse, &basis, 0.7, 0.95, 3, true)?;
     let step = (0.01, 0.05, 0.0, Some(-1.0));
     tail(k, basis, cells, Some(vessel), None, step)
@@ -633,7 +643,7 @@ fn build_dense_fill_packed(k: &mut Keys) -> Result<Built, String> {
     let segments = ((length / 2.0).ceil() as usize).max(2);
     let coarse = straight_tube(k, Vec3::new(0.0, 0.0, length), tube_r, segments, 6)?;
     let vessel = tube_vessel(k, &coarse, 0, 0.0, 8)?;
-    let basis = SphBasis::new(k.usize("order", 6)?);
+    let basis = SphBasis::new(k.at_least("order", 6, 1)?);
     // deterministic sub-collision-δ jitter so the column is not perfectly
     // axisymmetric (a perfect rouleau settles degenerately)
     let amount = k.f64("jitter", 0.03 * train.r)?;
@@ -656,7 +666,7 @@ fn build_poiseuille_train(k: &mut Keys) -> Result<Built, String> {
     let coarse = straight_tube(k, Vec3::new(length, 0.0, 0.0), tube_r, 4, 8)?;
     let peak = k.f64("peak_speed", 1.5)?;
     let vessel = tube_vessel(k, &coarse, 0, peak, 10)?;
-    let basis = SphBasis::new(k.usize("order", 8)?);
+    let basis = SphBasis::new(k.at_least("order", 8, 1)?);
     let train = Train::read(k, 4, 0.5, |_| 1.5)?;
     let cells = train.centred(k, &basis, length, tube_r, biconcave_coeffs)?;
     let step = (0.01, 0.05, 0.0, None);
@@ -737,12 +747,12 @@ fn build_bifurcation(k: &mut Keys) -> Result<Built, String> {
         ],
         smoothing: k.f64("smoothing", 0.3 * daughter_r.min(parent_r))?,
         per_face: k.usize("per_face", 2)?,
-        q: k.usize("patch_order", 8)?,
+        q: k.at_least("patch_order", 8, 2)?,
     };
     let opts = bie_options(k, spec.q, 0)?;
     let vessel = vessel_from_network(&spec, 1.0, opts, k.usize("col_m", 6)?)
         .map_err(|e| format!("bifurcation: {e}"))?;
-    let basis = SphBasis::new(k.usize("order", 6)?);
+    let basis = SphBasis::new(k.at_least("order", 6, 1)?);
     let train = Train::read(k, 2, 0.15, |r| 3.0 * r)?;
     // train along the parent axis, marching -x toward the junction; the
     // lead cell starts mid-branch, the tail stays a radius clear of the
@@ -781,7 +791,7 @@ fn build_vessel_ladder(k: &mut Keys) -> Result<Built, String> {
     let peak = k.f64("peak_speed", 2.0 * flux / (PI * tube_r * tube_r))?;
     let coarse = straight_tube(k, Vec3::new(length, 0.0, 0.0), tube_r, 3, 8)?;
     let vessel = tube_vessel(k, &coarse, 0, peak, 10)?;
-    let basis = SphBasis::new(k.usize("order", 6)?);
+    let basis = SphBasis::new(k.at_least("order", 6, 1)?);
     let train = Train::read(k, 3, 0.4, |_| 1.4)?;
     // `shape = "sphere"` swaps the train for near-force-free spheres: the
     // discrete biconcave shape is *not* an equilibrium of the discretized
@@ -803,8 +813,8 @@ fn build_vessel_ladder(k: &mut Keys) -> Result<Built, String> {
 /// sheared by the background flow — the unconfined dense-suspension
 /// rheology workload.
 fn build_random_suspension(k: &mut Keys) -> Result<Built, String> {
-    let basis = SphBasis::new(k.usize("order", 8)?);
-    let n_side = k.count("n_side", 2)?;
+    let basis = SphBasis::new(k.at_least("order", 8, 1)?);
+    let n_side = k.at_least("n_side", 2, 1)?;
     let spacing = k.f64("spacing", 2.6)?;
     let amount = k.f64("jitter", 0.25)?;
     if amount < 0.0 {
@@ -933,21 +943,68 @@ mod tests {
     #[test]
     fn mistyped_values_are_rejected_with_the_expected_type() {
         let short = Value::Array(vec![Value::Float(0.0), Value::Float(-1.0)]);
-        for (key, value, expected) in [
-            ("order", Value::Str("six".into()), "a non-negative integer"),
-            ("order", Value::Float(6.5), "a non-negative integer"),
-            ("order", Value::Int(-6), "a non-negative integer"),
-            ("dt", Value::Str("fast".into()), "a number"),
-            ("dt_adaptive", Value::Int(1), "true or false"),
-            ("gravity", short, "an array of 3 numbers"),
+        let pair = "shear_pair";
+        for (scenario, key, value, expected) in [
+            (
+                pair,
+                "order",
+                Value::Str("six".into()),
+                "a non-negative integer",
+            ),
+            (pair, "order", Value::Float(6.5), "a non-negative integer"),
+            (pair, "order", Value::Int(-6), "a non-negative integer"),
+            (pair, "dt", Value::Str("fast".into()), "a number"),
+            (pair, "dt_adaptive", Value::Int(1), "true or false"),
+            (pair, "gravity", short, "an array of 3 numbers"),
+            // values of the right type that would panic or step backwards
+            (pair, "order", Value::Int(0), "an integer ≥ 1"),
+            (pair, "dt", Value::Int(-1), "a finite number > 0"),
+            (pair, "dt", Value::Float(0.0), "a finite number > 0"),
+            (
+                pair,
+                "dt",
+                Value::Float(f64::INFINITY),
+                "a finite number > 0",
+            ),
+            (
+                "vessel_flow",
+                "patch_order",
+                Value::Int(1),
+                "an integer ≥ 2",
+            ),
+            ("dense_fill", "patch_order", Value::Int(0), "an integer ≥ 2"),
+            (
+                "vessel_flow",
+                "bie_qf",
+                Value::Int(1),
+                "0 or an integer ≥ 2",
+            ),
+            (
+                "vessel_flow",
+                "bie_fmm_order",
+                Value::Int(1),
+                "an integer ≥ 2",
+            ),
+            (
+                "random_suspension",
+                "n_side",
+                Value::Int(0),
+                "an integer ≥ 1",
+            ),
+            (
+                "poiseuille_train",
+                "n_cells",
+                Value::Int(0),
+                "an integer ≥ 1",
+            ),
         ] {
             let mut cfg = Doc::default();
-            cfg.set("shear_pair", key, value.clone());
+            cfg.set(scenario, key, value.clone());
             if key != "order" {
-                cfg.set("shear_pair", "order", Value::Int(6));
+                cfg.set(scenario, "order", Value::Int(6));
             }
-            let e = build("shear_pair", &cfg).err().unwrap();
-            let want = format!("shear_pair: `{key}` expects {expected}, got {value:?}");
+            let e = build(scenario, &cfg).err().unwrap();
+            let want = format!("{scenario}: `{key}` expects {expected}, got {value:?}");
             assert_eq!(e, want);
         }
         // whole-number floats still read as integers, integers as numbers

@@ -78,6 +78,9 @@ pub struct RunReport {
     pub rows: Vec<StepRow>,
     /// Checkpoints written, in order; the last one is the final state.
     pub checkpoints: Vec<PathBuf>,
+    /// Whether the scenario has a vessel, the only source of the wall
+    /// columns (`gmres_iters`, `wall_fmm_*`, `flux_imbalance`).
+    pub vessel: bool,
 }
 
 impl RunReport {
@@ -92,48 +95,61 @@ impl RunReport {
             ("BIE-FMM", t.bie_fmm),
             ("Other-FMM", t.other_fmm),
             ("Other", t.other),
+            ("TOTAL", t.total()),
         ] {
             out.push_str(&format!("{name:<11} {v:>9.3}  {:>11.4}\n", v / n));
         }
-        out.push_str(&format!(
-            "{:<11} {:>9.3}  {:>11.4}\n",
-            "TOTAL",
-            t.total(),
-            t.total() / n
-        ));
         out
     }
 }
 
-/// Column header of the per-step CSV.
-const CSV_HEADER: &str =
-    "step,col_s,bie_solve_s,bie_fmm_s,other_fmm_s,other_s,total_s,gmres_iters,contacts,ncp_iters,recycled,dt_effective,dt_retries,max_edge_stretch,frozen_cells,wall_fmm_builds,wall_fmm_replans,flux_imbalance\n";
+/// `v`, a count, as an integer.
+fn int(v: f64) -> String {
+    format!("{v:.0}")
+}
+
+/// `v` in fixed notation with `P` digits after the point.
+fn fixed<const P: usize>(v: f64) -> String {
+    format!("{v:.P$}")
+}
+
+/// `v` in scientific notation with `P` digits after the point.
+fn sci<const P: usize>(v: f64) -> String {
+    format!("{v:.P$e}")
+}
+
+/// One `trajectory.csv` column: its header name, its value in a row and
+/// how that value is written.
+pub type Column = (&'static str, fn(&StepRow) -> f64, fn(f64) -> String);
+
+/// The per-step CSV's columns, in order: its header, every line and the
+/// `--assert` lookup all read this one table.
+pub(crate) const COLUMNS: &[Column] = &[
+    ("step", |r| r.step as f64, int),
+    ("col_s", |r| r.timers.col, fixed::<6>),
+    ("bie_solve_s", |r| r.timers.bie_solve, fixed::<6>),
+    ("bie_fmm_s", |r| r.timers.bie_fmm, fixed::<6>),
+    ("other_fmm_s", |r| r.timers.other_fmm, fixed::<6>),
+    ("other_s", |r| r.timers.other, fixed::<6>),
+    ("total_s", |r| r.timers.total(), fixed::<6>),
+    ("gmres_iters", |r| r.stats.bie_iterations as f64, int),
+    ("contacts", |r| r.stats.contacts as f64, int),
+    ("ncp_iters", |r| r.stats.ncp_iters as f64, int),
+    ("recycled", |r| r.recycled as f64, int),
+    ("dt_effective", |r| r.stats.dt_effective, fixed::<8>),
+    ("dt_retries", |r| r.stats.dt_retries as f64, int),
+    ("max_edge_stretch", |r| r.stats.max_edge_stretch, fixed::<4>),
+    ("frozen_cells", |r| r.stats.frozen_cells as f64, int),
+    ("wall_fmm_builds", |r| r.stats.wall_fmm_builds as f64, int),
+    ("wall_fmm_replans", |r| r.stats.wall_fmm_replans as f64, int),
+    ("flux_imbalance", |r| r.stats.flux_imbalance, sci::<3>),
+];
 
 impl StepRow {
     /// One CSV line (newline-terminated) for this row.
     fn csv_line(&self) -> String {
-        let t = self.timers;
-        format!(
-            "{},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{},{},{},{},{:.8},{},{:.4},{},{},{},{:.3e}\n",
-            self.step,
-            t.col,
-            t.bie_solve,
-            t.bie_fmm,
-            t.other_fmm,
-            t.other,
-            t.total(),
-            self.stats.bie_iterations,
-            self.stats.contacts,
-            self.stats.ncp_iters,
-            self.recycled,
-            self.stats.dt_effective,
-            self.stats.dt_retries,
-            self.stats.max_edge_stretch,
-            self.stats.frozen_cells,
-            self.stats.wall_fmm_builds,
-            self.stats.wall_fmm_replans,
-            self.stats.flux_imbalance,
-        )
+        let cells: Vec<String> = COLUMNS.iter().map(|(_, v, f)| f(v(self))).collect();
+        cells.join(",") + "\n"
     }
 }
 
@@ -224,7 +240,8 @@ impl CsvSink {
     /// Creates (truncating) `path` and writes the column header.
     pub fn create(path: &Path) -> io::Result<CsvSink> {
         let mut file = std::fs::File::create(path)?;
-        io::Write::write_all(&mut file, CSV_HEADER.as_bytes())?;
+        let names: Vec<&str> = COLUMNS.iter().map(|c| c.0).collect();
+        io::Write::write_all(&mut file, (names.join(",") + "\n").as_bytes())?;
         Ok(CsvSink { file })
     }
 
@@ -308,19 +325,6 @@ impl StepSink for CheckpointSink {
     }
 }
 
-/// Scans every cell's shape coefficients for NaN/∞; returns the first
-/// offender as `(cell, component, coefficient index)`.
-fn first_nonfinite(sim: &Simulation) -> Option<(usize, usize, usize)> {
-    for (ci, cell) in sim.cells.iter().enumerate() {
-        for (comp, coeffs) in cell.coeffs.iter().enumerate() {
-            if let Some(k) = coeffs.data.iter().position(|v| !v.is_finite()) {
-                return Some((ci, comp, k));
-            }
-        }
-    }
-    None
-}
-
 /// An owned scenario run: the simulation plus the per-step policy and the
 /// name that ties its checkpoints back to the registry.
 ///
@@ -371,23 +375,35 @@ impl Session {
         ckpt.restore_into(&mut self.sim).map_err(|e| e.to_string())
     }
 
+    /// Errs naming the step, cell, component and coefficient of the first
+    /// shape coefficient that is NaN or ∞.
+    pub fn check_finite(&self) -> Result<(), String> {
+        for (ci, cell) in self.sim.cells.iter().enumerate() {
+            for (comp, coeffs) in cell.coeffs.iter().enumerate() {
+                if let Some(k) = coeffs.data.iter().position(|v| !v.is_finite()) {
+                    return Err(format!(
+                        "non-finite state after step {}: cell {ci}, component {}, coefficient {k}",
+                        self.sim.steps,
+                        ["x", "y", "z"][comp],
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Takes one committed step — advance, guard, recycle — and returns
     /// its record. Resumable: the step counter (and the CSV/ckpt numbering
     /// derived from it) carries across calls, checkpoint restores, and
     /// process restarts.
     pub fn step(&mut self) -> io::Result<StepRow> {
-        let sim = &mut self.sim;
-        let t = sim.step();
+        let t = self.sim.step();
         if self.fail_on_nonfinite {
-            if let Some((ci, comp, k)) = first_nonfinite(sim) {
-                return Err(io::Error::other(format!(
-                    "non-finite state after step {}: cell {ci}, component {}, \
-                     coefficient {k} (rerun with --allow-nonfinite to continue anyway)",
-                    sim.steps,
-                    ["x", "y", "z"][comp],
-                )));
-            }
+            let rerun = "rerun with --allow-nonfinite to continue anyway";
+            self.check_finite()
+                .map_err(|e| io::Error::other(format!("{e} ({rerun})")))?;
         }
+        let sim = &mut self.sim;
         let recycled = if self.recycle { sim.recycle_cells() } else { 0 };
         Ok(StepRow {
             step: sim.steps,
@@ -408,7 +424,10 @@ impl Session {
         for sink in sinks.iter_mut() {
             sink.on_start(&self.sim)?;
         }
-        let mut report = RunReport::default();
+        let mut report = RunReport {
+            vessel: self.sim.vessel.is_some(),
+            ..Default::default()
+        };
         for _ in 0..steps {
             let row = self.step()?;
             report.timers.accumulate(&row.timers);

@@ -230,9 +230,9 @@ impl Vessel {
     /// Net discrete flux of the boundary condition through the surface
     /// (absolute value). Zero to rounding for a well-posed interior Stokes
     /// problem; the stepper records it each step ([`crate::StepStats`]'s
-    /// `flux_imbalance`) and `sim-driver --assert-flux-balance` gates on
-    /// it, so a drifted or mis-built port manifest fails loudly instead of
-    /// feeding the solver an inconsistent right-hand side.
+    /// `flux_imbalance`) and `sim-driver --assert 'max(flux_imbalance) <= …'`
+    /// gates on it, so a drifted or mis-built port manifest fails loudly
+    /// instead of feeding the solver an inconsistent right-hand side.
     pub fn port_flux_imbalance(&self) -> f64 {
         let quad = &self.solver.quad;
         let mut flux = 0.0;

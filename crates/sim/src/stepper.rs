@@ -190,8 +190,8 @@ pub struct StepStats {
     /// Net flux of the vessel boundary condition through the surface
     /// ([`Vessel::port_flux_imbalance`]) at the step's boundary solve —
     /// machine-epsilon-sized for a well-posed port manifest, 0 for
-    /// free-space steps. Asserted per step by
-    /// `sim-driver --assert-flux-balance`.
+    /// free-space steps. Asserted over a run by
+    /// `sim-driver --assert 'max(flux_imbalance) <= …'`.
     pub flux_imbalance: f64,
 }
 
@@ -1133,8 +1133,8 @@ mod tests {
     }
     /// The plan counters are drained once per step, in `prepare`: a
     /// frozen-tree build paid while the step's first attempt fails must
-    /// still show in the committed row, or `--assert-fmm-rebuilds` cannot
-    /// see it.
+    /// still show in the committed row, or a
+    /// `--assert 'sum(wall_fmm_builds) <= 1'` cannot see it.
     #[test]
     fn retried_first_vessel_step_reports_its_wall_fmm_build() {
         let basis = SphBasis::new(6);

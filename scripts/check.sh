@@ -84,7 +84,7 @@ echo "== paper-resolution smoke (shear_pair at p = 16, 1 step)"
 cargo run --release -q -p driver -- shear_pair --set order=16 --steps 1 \
     --no-output --quiet
 
-echo "== collision smoke (sedimentation-like, 1 step, contact + finite-volume assert)"
+echo "== collision smoke (sedimentation-like, 1 step, contact + finite-state assert)"
 # a small dense packing that reliably produces >10 contacts in one step
 # (driver/tests/determinism.rs pins the same configuration high-contact):
 # COL-stage regressions (broad phase, CSR assembly, batched mobility) fail
@@ -98,18 +98,20 @@ echo "== collision smoke (sedimentation-like, 1 step, contact + finite-volume as
 cargo run --release -q -p driver -- sedimentation --steps 1 \
     --set tube_segments=1 --set patch_order=6 --set order=6 \
     --set fill_h=1.1 --set col_m=6 --set dt_adaptive=false \
-    --no-output --quiet --assert-contacts 10
+    --no-output --quiet --assert 'sum(contacts) >= 10'
 
 echo "== instability smoke (shear_pair, 1 oversized-dt step, retry + finite-state assert)"
 # one deliberately oversized step (10x the scenario dt) with a volume-drift
 # gate tight enough that the first attempt must fail: asserts the adaptive
 # stepper actually dropped the failed attempt and retried (dt_retries >= 1),
-# every committed step's max edge stretch stayed finite and within the bound,
-# and the final coefficients are finite — i.e. the transactional
-# retry/backoff path works, not just the happy path
+# every committed step's max edge stretch stayed finite and within the
+# bound (10, DtControl::default().max_stretch), and the final coefficients
+# are finite — i.e. the transactional retry/backoff path works, not just
+# the happy path
 cargo run --release -q -p driver -- shear_pair --steps 1 \
     --set order=6 --set dt=0.2 --set dt_max_vol_drift=1e-4 \
-    --no-output --quiet --assert-dt-retries 1
+    --no-output --quiet --assert 'sum(dt_retries) >= 1' \
+    --assert 'max(max_edge_stretch) <= 10'
 
 echo "== refined-vessel smoke (vessel_flow, 2 steps, wall_refine default + FMM backend)"
 # two confined-flow steps on a refined wall (the vessel_flow registry
@@ -131,8 +133,8 @@ echo "== refined-vessel smoke (vessel_flow, 2 steps, wall_refine default + FMM b
 cargo run --release -q -p driver -- vessel_flow --steps 2 \
     --set tube_segments=1 --set patch_order=6 --set order=6 \
     --set bie_backend=fmm --set bie_qf=6 \
-    --set fill_h=1.5 --no-output --quiet --assert-bie-below 30 \
-    --assert-fmm-rebuilds 1
+    --set fill_h=1.5 --no-output --quiet --assert 'max(gmres_iters) < 30' \
+    --assert 'sum(wall_fmm_builds) <= 1' --assert 'min(wall_fmm_replans) >= 1'
 
 echo "== network smoke (bifurcation, 1 step, flux-balanced 3-port BCs + FMM backend)"
 # one step of the Y-bifurcation (the branched-network scenario family)
@@ -145,7 +147,21 @@ echo "== network smoke (bifurcation, 1 step, flux-balanced 3-port BCs + FMM back
 cargo run --release -q -p driver -- bifurcation --steps 1 \
     --set patch_order=6 --set order=6 \
     --set bie_backend=fmm --set bie_qf=6 \
-    --no-output --quiet --assert-flux-balance 1e-6
+    --no-output --quiet --assert 'max(flux_imbalance) <= 1e-6'
+
+echo "== failing-assert smoke (shear_pair, 1 step, an assertion that cannot hold)"
+# the gate above is only as good as an assertion's power to fail: a bound
+# no one-step run can meet must exit nonzero, naming the expression and
+# the value it observed
+if NEG_LOG=$(cargo run --release -q -p driver -- shear_pair --steps 1 \
+    --set order=6 --no-output --quiet --assert 'sum(contacts) >= 1000000' 2>&1); then
+    echo "ERROR: a failing --assert exited zero"; exit 1
+fi
+echo "$NEG_LOG"
+case "$NEG_LOG" in
+    *'assert `sum(contacts) >= 1000000` failed: observed '*) ;;
+    *) echo "ERROR: the failing --assert did not name its expression and observed value"; exit 1 ;;
+esac
 
 echo "== driver smoke run (shear_pair, 2 steps at --threads 2 + checkpoint restart)"
 # the first leg runs the real-parallel step path (--threads 2) so the CI
@@ -175,7 +191,7 @@ rm -rf "$FARM_OUT"
 cargo run --release -q -p driver -- batch scenarios/farm_smoke.toml \
     --halt-after 1 --quiet
 cargo run --release -q -p driver -- batch scenarios/farm_smoke.toml \
-    --assert-cache-hits 1
+    --assert 'cache_hits >= 1'
 
 if [ "${CHECK_FAST:-0}" != "1" ]; then
     echo "== benchmark package (standalone build + its tests + three workload smokes)"
