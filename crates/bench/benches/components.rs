@@ -82,35 +82,52 @@ fn bench_fmm_stokes(c: &mut Criterion) {
     group.finish();
 }
 
-/// The M2L inner kernel in both formulations: per-interaction dense
-/// matvecs with an offset-map lookup (the seed formulation) vs one
-/// gathered GEMM per translation class (the batched formulation). Uses the
-/// real precomputed operators at order 6.
+/// The M2L inner kernel in its formulations, on the wall's real
+/// precomputed operators (augmented Stokes equivalent kernel, order 4):
+/// per-interaction dense matvecs with an offset-map lookup (the seed
+/// formulation), one GEMM over an already gathered 64-pair block, and the
+/// production item — the same GEMM with each pair's signed gather into the
+/// orbit representative's order before it and signed scatter into its
+/// class's order after it, pairs cycling through the orbit's classes.
 fn bench_m2l(c: &mut Criterion) {
+    use fmm::ops::{gather_signed, m2l_class, scatter_add_signed};
     let mut group = c.benchmark_group("m2l");
     group.sample_size(20);
-    let ops = fmm::cached_operators(&LaplaceSL, 6);
-    let nd = ops.n_surf; // Laplace: sdim = vdim = 1
-    let class = fmm::ops::m2l_class(2, 1, -1).unwrap();
-    let op_t = ops.m2l_t[class].as_ref().unwrap();
+    let ops = fmm::cached_operators(&kernels::StokesEquiv { mu: 1.0 }, 4);
+    let (nd_eq, nd_chk) = (ops.n_surf * ops.sdim, ops.n_surf * ops.vdim);
+    let class = ops.m2l_classes[m2l_class(2, 1, -1).unwrap()]
+        .as_ref()
+        .unwrap();
+    let op_t = &ops.m2l_orbits_t[class.orbit as usize];
     let op = op_t.transpose();
+    let orbit: Vec<_> = ops
+        .m2l_classes
+        .iter()
+        .flatten()
+        .filter(|c| c.orbit == class.orbit)
+        .collect();
     let batch = 64usize;
     let mut rng = StdRng::seed_from_u64(3);
     // gathered source-density block (the arena rows the FMM would gather)
-    let equiv: Vec<f64> = (0..batch * nd)
+    let equiv: Vec<f64> = (0..batch * nd_eq)
         .map(|_| rng.random_range(-1.0..1.0))
         .collect();
+    // an up arena of 4 · batch slots, gathered from at scattered slots
+    let up: Vec<f64> = (0..4 * batch * nd_eq)
+        .map(|_| rng.random_range(-1.0..1.0))
+        .collect();
+    let slots: Vec<usize> = (0..batch).map(|i| (7 * i + 3) % (4 * batch)).collect();
     let mut lookup = std::collections::HashMap::new();
     lookup.insert((2i8, 1i8, -1i8), op);
     group.bench_function("per_interaction_64", |b| {
         b.iter(|| {
-            let mut check = vec![0.0; batch * nd];
+            let mut check = vec![0.0; batch * nd_chk];
             let m = lookup.get(&(2i8, 1i8, -1i8)).unwrap();
             for i in 0..batch {
                 m.matvec_acc(
-                    &equiv[i * nd..(i + 1) * nd],
+                    &equiv[i * nd_eq..(i + 1) * nd_eq],
                     1.25,
-                    &mut check[i * nd..(i + 1) * nd],
+                    &mut check[i * nd_chk..(i + 1) * nd_chk],
                 );
             }
             black_box(check)
@@ -118,8 +135,29 @@ fn bench_m2l(c: &mut Criterion) {
     });
     group.bench_function("batched_gemm_64", |b| {
         b.iter(|| {
-            let mut check = vec![0.0; batch * nd];
-            linalg::gemm_acc(batch, nd, nd, 1.25, &equiv, op_t.data(), &mut check);
+            let mut check = vec![0.0; batch * nd_chk];
+            linalg::gemm_acc(batch, nd_chk, nd_eq, 1.25, &equiv, op_t.data(), &mut check);
+            black_box(check)
+        })
+    });
+    let mut sblk = vec![0.0; batch * nd_eq];
+    let mut y = vec![0.0; batch * nd_chk];
+    group.bench_function("batched_gemm_64_permuted", |b| {
+        b.iter(|| {
+            let mut check = vec![0.0; batch * nd_chk];
+            for (i, row) in sblk.chunks_mut(nd_eq).enumerate() {
+                let s = slots[i];
+                gather_signed(
+                    &orbit[i % orbit.len()].eq,
+                    &up[s * nd_eq..(s + 1) * nd_eq],
+                    row,
+                );
+            }
+            y.fill(0.0);
+            linalg::gemm_acc(batch, nd_chk, nd_eq, 1.25, &sblk, op_t.data(), &mut y);
+            for (i, (dst, yrow)) in check.chunks_mut(nd_chk).zip(y.chunks(nd_chk)).enumerate() {
+                scatter_add_signed(&orbit[i % orbit.len()].chk, yrow, dst);
+            }
             black_box(check)
         })
     });

@@ -8,24 +8,26 @@
 //! per-interaction zero-scan of the source density, per-node `h.powf`
 //! calls, and scalar `eval_acc` loops for S2M/P2L/P2P/L2T/M2T. The
 //! production engine (`fmm::Fmm`) replaces all of that with level-major
-//! arenas, class-batched GEMM M2L, precomputed scale tables/surfaces, and
+//! arenas, orbit-batched GEMM M2L, precomputed scale tables/surfaces, and
 //! vectorized `eval_block` kernels — `cargo run --release -p bench --bin
 //! fmm_bench` prints both and their ratio.
 
-use fmm::{cached_operators, cube_surface, FmmOperators, FmmOptions, RAD_INNER, RAD_OUTER};
+use fmm::{
+    cached_operators, cube_surface, kernel_matrix, FmmOperators, FmmOptions, RAD_INNER, RAD_OUTER,
+};
 use kernels::Kernel;
 use linalg::{Mat, Vec3};
 use octree::{Octree, TreeOptions, NONE};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// The seed engine: same tree, same operators, original evaluation.
+/// The seed engine: same tree, same S2M/M2M/L2L operators, its own M2L
+/// operators, original evaluation.
 pub struct SeedFmm<KS: Kernel, KE: Kernel> {
     src_kernel: KS,
     eq_kernel: KE,
     ops: Arc<FmmOperators>,
-    /// Untransposed per-offset M2L operators, exactly the seed's layout
-    /// (reconstructed from the class-indexed transposed store).
+    /// Untransposed per-offset M2L operators, exactly the seed's layout.
     m2l: HashMap<(i8, i8, i8), Mat>,
     tree: Octree,
     src_pts: Vec<Vec3>,
@@ -54,14 +56,19 @@ impl<KS: Kernel, KE: Kernel> SeedFmm<KS, KE> {
         );
         let src_pts: Vec<Vec3> = tree.src_order.iter().map(|&i| src[i as usize]).collect();
         let trg_pts: Vec<Vec3> = tree.trg_order.iter().map(|&i| trg[i as usize]).collect();
+        // the seed's own per-offset M2L operators, one dense matrix for each
+        // of the 316 classes built directly from the kernel: an oracle
+        // independent of the production engine's orbit tables
+        let p = opts.order;
+        let dc = cube_surface(p, Vec3::ZERO, RAD_INNER);
         let mut m2l = HashMap::new();
         for dz in -3i8..=3 {
             for dy in -3i8..=3 {
                 for dx in -3i8..=3 {
-                    if let Some(class) = fmm::ops::m2l_class(dx, dy, dz) {
-                        if let Some(t) = &ops.m2l_t[class] {
-                            m2l.insert((dx, dy, dz), t.transpose());
-                        }
+                    if dx.abs().max(dy.abs()).max(dz.abs()) >= 2 {
+                        let c = Vec3::new(2.0 * dx as f64, 2.0 * dy as f64, 2.0 * dz as f64);
+                        let seq = cube_surface(p, c, RAD_INNER);
+                        m2l.insert((dx, dy, dz), kernel_matrix(&eq_kernel, &seq, &dc));
                     }
                 }
             }

@@ -12,13 +12,16 @@
 //! reused across calls, and every per-node kernel sum goes through the
 //! vectorized [`Kernel::eval_block`] path. The M2L stage — the dominant
 //! far-field cost — is batched level by level: interactions are grouped at
-//! setup into the 316 translation-offset classes and cut into 64-pair
-//! blocks, and a level's blocks run as one parallel pass of dense GEMMs
-//! over gathered source densities (`linalg::gemm_acc`) instead of one
+//! setup into the 16 orbits of translation offsets (one stored operator
+//! each) and cut into 64-pair blocks, and a level's blocks run as one
+//! parallel pass of dense GEMMs over source densities gathered through
+//! each pair's signed permutation (`linalg::gemm_acc`) instead of one
 //! HashMap lookup + matvec per interaction. See `crates/fmm/README.md` for
 //! the layout and the before/after numbers.
 
-use crate::ops::{cached_operators, m2l_class, FmmOperators};
+use crate::ops::{
+    cached_operators, gather_signed, m2l_class, scatter_add_signed, FmmOperators, M2L_ORBITS,
+};
 use crate::surface::{cube_surface, RAD_INNER, RAD_OUTER};
 use kernels::Kernel;
 use linalg::{gemm_acc, Vec3};
@@ -65,22 +68,25 @@ const M2L_BLOCK: usize = 64;
 /// of threads.
 const M2L_BATCH: usize = 32;
 
-/// One M2L translation-offset class at one level: all same-level V-list
-/// interactions whose source anchor minus target anchor equals the class
-/// offset. Within a class every target appears at most once (the offset
-/// determines the source).
+/// One M2L orbit at one level: all same-level V-list interactions whose
+/// offset (source anchor minus target anchor) lies in the orbit, sorted by
+/// offset class and, within a class, by target row. A target appears at
+/// most once per class (the offset determines the source) but may appear
+/// once for each class of the orbit.
 struct M2lGroup {
-    /// Index into [`FmmOperators::m2l_t`].
-    class: u16,
-    /// Level-local check-arena rows of the targets (unique within the
-    /// group), sorted ascending for scatter locality.
+    /// Index into [`FmmOperators::m2l_orbits_t`].
+    orbit: u8,
+    /// Offset class of each pair, an index into
+    /// [`FmmOperators::m2l_classes`].
+    classes: Vec<u16>,
+    /// Level-local check-arena rows of the targets.
     trg_rows: Vec<u32>,
     /// Global up-arena slots of the sources, aligned with `trg_rows`.
     src_slots: Vec<u32>,
 }
 
 /// One unit of M2L work: `len ≤ M2L_BLOCK` consecutive pairs of one group,
-/// i.e. one gather + one `gemm_acc` call.
+/// i.e. one signed gather + one `gemm_acc` call + one signed scatter.
 struct M2lItem {
     /// Index into [`LevelPlan::groups`].
     group: u32,
@@ -108,7 +114,7 @@ fn m2l_items(groups: &[M2lGroup]) -> Vec<M2lItem> {
 /// Per-level portion of the evaluation plan. Node ids in slot order are
 /// `tree.levels[level]` — not duplicated here.
 struct LevelPlan {
-    /// M2L classes with at least one interaction at this level.
+    /// M2L orbits with at least one interaction at this level.
     groups: Vec<M2lGroup>,
     /// The level's M2L work: every group cut into blocks, in group order.
     items: Vec<M2lItem>,
@@ -693,45 +699,58 @@ impl<KS: Kernel, KE: Kernel> Fmm<KS, KE> {
     }
 
     /// M2L of one level into its (zeroed) check rows. [`M2L_BATCH`] work
-    /// items at a time run in parallel, each gathering its sources and
-    /// multiplying into its own staging slot; the staged rows are then
-    /// added into `check` serially in item order. A row therefore receives
-    /// its classes' contributions in class order whatever the thread
-    /// count — and a parallel region is a batch of items, not one class,
-    /// so a shallow level's 47-pair classes no longer run one at a time.
+    /// items at a time run in parallel, each gathering its sources through
+    /// their classes' signed permutations into the orbit's order and
+    /// multiplying by the orbit's operator into its own staging slot; the
+    /// staged rows are then added into `check` serially in item order,
+    /// each through its class's signed scatter. A row therefore receives
+    /// its contributions in the same order whatever the thread count, and
+    /// a parallel region is a batch of items, not one orbit.
     fn m2l_level(&self, lp: &LevelPlan, up: &[f64], check: &mut [f64], stage: &mut [f64]) {
         let (nd_eq, nd_chk) = (self.plan.nd_eq, self.plan.nd_chk);
+        let class = |c: u16| {
+            self.ops.m2l_classes[c as usize]
+                .as_ref()
+                .expect("V-list offset outside precomputed M2L set")
+        };
         let slot_len = M2L_BLOCK * nd_chk;
         for batch in lp.items.chunks(M2L_BATCH) {
             par::chunks_mut(&mut stage[..batch.len() * slot_len], slot_len, |k, y| {
                 let it = &batch[k];
                 let g = &lp.groups[it.group as usize];
-                let a_t = self.ops.m2l_t[g.class as usize]
-                    .as_ref()
-                    .expect("V-list offset outside precomputed M2L set");
-                let (start, b) = (it.start as usize, it.len as usize);
+                let a_t = &self.ops.m2l_orbits_t[g.orbit as usize];
+                let pairs = it.start as usize..(it.start + it.len) as usize;
+                let b = it.len as usize;
                 SCRATCH.with(|s| {
                     let s = &mut *s.borrow_mut();
                     s.sblk.resize(M2L_BLOCK * nd_eq, 0.0);
-                    // gather source densities as block rows
-                    for (r, &ss) in g.src_slots[start..start + b].iter().enumerate() {
+                    // gather source densities as block rows, in the
+                    // orbit representative's point and component order
+                    let rows = s.sblk.chunks_mut(nd_eq);
+                    for ((&ss, &c), row) in g.src_slots[pairs.clone()]
+                        .iter()
+                        .zip(&g.classes[pairs.clone()])
+                        .zip(rows)
+                    {
                         let ss = ss as usize;
-                        s.sblk[r * nd_eq..(r + 1) * nd_eq]
-                            .copy_from_slice(&up[ss * nd_eq..(ss + 1) * nd_eq]);
+                        gather_signed(&class(c).eq, &up[ss * nd_eq..(ss + 1) * nd_eq], row);
                     }
-                    // Checkᵀ-block = h^{deg} · Equivᵀ-block · Kᵀ
+                    // Checkᵀ-block = h^{deg} · Equivᵀ-block · K_repᵀ
                     y[..b * nd_chk].fill(0.0);
                     gemm_acc(b, nd_chk, nd_eq, lp.scale_m2l, &s.sblk, a_t.data(), y);
                 });
             });
             for (it, y) in batch.iter().zip(stage.chunks(slot_len)) {
                 let g = &lp.groups[it.group as usize];
-                let rows = &g.trg_rows[it.start as usize..(it.start + it.len) as usize];
-                for (&row, yrow) in rows.iter().zip(y.chunks(nd_chk)) {
+                let pairs = it.start as usize..(it.start + it.len) as usize;
+                for ((&row, &c), yrow) in g.trg_rows[pairs.clone()]
+                    .iter()
+                    .zip(&g.classes[pairs])
+                    .zip(y.chunks(nd_chk))
+                {
                     let row = row as usize;
-                    for (c, y) in check[row * nd_chk..(row + 1) * nd_chk].iter_mut().zip(yrow) {
-                        *c += y;
-                    }
+                    let dst = &mut check[row * nd_chk..(row + 1) * nd_chk];
+                    scatter_add_signed(&class(c).chk, yrow, dst);
                 }
             }
         }
@@ -961,7 +980,7 @@ fn scaled_density<'a>(
 }
 
 /// Builds the geometry-dependent evaluation plan: arena slots, per-level
-/// scale tables, auxiliary surfaces, source/receive flags, M2L offset-class
+/// scale tables, auxiliary surfaces, source/receive flags, M2L orbit
 /// buckets, and leaf output ranges.
 fn build_plan(tree: &Octree, ops: &FmmOperators) -> EvalPlan {
     let nodes = &tree.nodes;
@@ -1011,7 +1030,7 @@ fn build_plan(tree: &Octree, ops: &FmmOperators) -> EvalPlan {
         }
     }
 
-    // per-level plans: scale tables, M2L class buckets, X-list rows
+    // per-level plans: scale tables, M2L orbit buckets, X-list rows
     let exps = &ops.scale_exps;
     let scaling = exps.iter().any(|&e| e != 0);
     let levels: Vec<LevelPlan> = (0..n_levels)
@@ -1024,8 +1043,8 @@ fn build_plan(tree: &Octree, ops: &FmmOperators) -> EvalPlan {
                 Vec::new()
             };
 
-            // bucket V-list interactions by translation-offset class
-            let mut buckets: Vec<Vec<(u32, u32)>> = vec![Vec::new(); crate::ops::M2L_CLASSES];
+            // bucket V-list interactions by the orbit of their offset
+            let mut buckets: Vec<Vec<(u16, u32, u32)>> = vec![Vec::new(); M2L_ORBITS];
             for (row, &ni) in level_nodes.iter().enumerate() {
                 let node = &nodes[ni as usize];
                 if node.v_list.is_empty() {
@@ -1043,19 +1062,24 @@ fn build_plan(tree: &Octree, ops: &FmmOperators) -> EvalPlan {
                         (sz as i64 - tz as i64) as i8,
                     )
                     .expect("V-list offset outside the [-3,3] cube");
-                    buckets[class].push((row as u32, slot[v as usize]));
+                    let orbit = ops.m2l_classes[class]
+                        .as_ref()
+                        .expect("V-list offset inside the near field")
+                        .orbit;
+                    buckets[orbit as usize].push((class as u16, row as u32, slot[v as usize]));
                 }
             }
             let mut groups = Vec::new();
-            for (class, mut pairs) in buckets.into_iter().enumerate() {
+            for (orbit, mut pairs) in buckets.into_iter().enumerate() {
                 if pairs.is_empty() {
                     continue;
                 }
                 pairs.sort_unstable();
                 groups.push(M2lGroup {
-                    class: class as u16,
-                    trg_rows: pairs.iter().map(|p| p.0).collect(),
-                    src_slots: pairs.iter().map(|p| p.1).collect(),
+                    orbit: orbit as u8,
+                    classes: pairs.iter().map(|p| p.0).collect(),
+                    trg_rows: pairs.iter().map(|p| p.1).collect(),
+                    src_slots: pairs.iter().map(|p| p.2).collect(),
                 });
             }
 
@@ -1100,7 +1124,7 @@ fn build_plan(tree: &Octree, ops: &FmmOperators) -> EvalPlan {
         for (l, lp) in levels.iter().enumerate() {
             let pairs: usize = lp.groups.iter().map(|g| g.trg_rows.len()).sum();
             eprintln!(
-                "fmm plan: level {l}: {} nodes, {} m2l groups, {} pairs, {} items, {} x-rows",
+                "fmm plan: level {l}: {} nodes, {} m2l orbits, {} pairs, {} items, {} x-rows",
                 tree.levels[l].len(),
                 lp.groups.len(),
                 pairs,
@@ -1354,35 +1378,32 @@ mod tests {
         }
     }
 
-    /// The per-class M2L dispatch [`Fmm::m2l_level`] replaced, kept as its
-    /// bitwise oracle: one parallel region per offset class over 64-pair
-    /// blocks, each block adding its result rows straight into `check`.
+    /// Per-class oracle of [`Fmm::m2l_level`]: every pair multiplied by its
+    /// class's own operator, built directly by `kernel_matrix` on that
+    /// offset's geometry, and added straight into `check`.
     fn m2l_level_per_class<KS: Kernel, KE: Kernel>(
         fmm: &Fmm<KS, KE>,
         lp: &LevelPlan,
         up: &[f64],
         check: &mut [f64],
     ) {
-        let (nd_eq, nd_chk) = (fmm.plan.nd_eq, fmm.plan.nd_chk);
+        let (nd_eq, nd_chk, p) = (fmm.plan.nd_eq, fmm.plan.nd_chk, fmm.ops.p);
+        let dc = cube_surface(p, Vec3::ZERO, RAD_INNER);
+        let mut direct = std::collections::HashMap::new();
         for g in &lp.groups {
-            let a_t = fmm.ops.m2l_t[g.class as usize].as_ref().unwrap();
-            par::for_each_row_block(check, nd_chk, &g.trg_rows, M2L_BLOCK, |start, view| {
-                let b = view.len();
-                let mut sblk = vec![0.0; M2L_BLOCK * nd_eq];
-                let mut yblk = vec![0.0; M2L_BLOCK * nd_chk];
-                for r in 0..b {
-                    let ss = g.src_slots[start + r] as usize;
-                    sblk[r * nd_eq..(r + 1) * nd_eq]
-                        .copy_from_slice(&up[ss * nd_eq..(ss + 1) * nd_eq]);
+            for (i, &c) in g.classes.iter().enumerate() {
+                let a_t = direct.entry(c).or_insert_with(|| {
+                    let d = crate::ops::m2l_offset(c as usize);
+                    crate::ops::m2l_operator(&fmm.eq_kernel, p, d, &dc).transpose()
+                });
+                let (ss, row) = (g.src_slots[i] as usize, g.trg_rows[i] as usize);
+                let mut y = vec![0.0; nd_chk];
+                let src = &up[ss * nd_eq..(ss + 1) * nd_eq];
+                gemm_acc(1, nd_chk, nd_eq, lp.scale_m2l, src, a_t.data(), &mut y);
+                for (c, y) in check[row * nd_chk..(row + 1) * nd_chk].iter_mut().zip(&y) {
+                    *c += y;
                 }
-                gemm_acc(b, nd_chk, nd_eq, lp.scale_m2l, &sblk, a_t.data(), &mut yblk);
-                for r in 0..b {
-                    let yrow = &yblk[r * nd_chk..(r + 1) * nd_chk];
-                    for (c, y) in view.row(r).iter_mut().zip(yrow) {
-                        *c += y;
-                    }
-                }
-            });
+            }
         }
     }
 
@@ -1390,12 +1411,13 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Level-wide staged M2L against the per-class loop, bit for bit, on a
-    /// Stokes-DL surface cloud: every level of the real plan, then one
-    /// level re-cut into classes of 1, 47, 64, 65 and 130 pairs that all
-    /// hit the same rows (a short class, the refined wall's old level-4
-    /// class size, an exact block, a block plus one, two blocks plus two) —
-    /// and the same bits again on 1, 2 and 4 threads.
+    /// Orbit-blocked staged M2L on a Stokes-DL surface cloud: within
+    /// 1e-13 of the per-class oracle on every level of the real plan, and
+    /// on one level re-cut into orbit groups of 1, 47, 64, 65 and 130 pairs
+    /// (a short group, the refined wall's old level-4 class size, an exact
+    /// block, a block plus one, two blocks plus two) that mix the orbit's
+    /// classes and hit each target row twice — then the same bits on 1, 2
+    /// and 4 threads, level by level and for a whole evaluate.
     #[test]
     fn level_wide_m2l_matches_per_class_dispatch_bitwise() {
         let mut rng = StdRng::seed_from_u64(31);
@@ -1411,21 +1433,30 @@ mod tests {
         let up = fmm.arenas.lock().up.clone();
         let nd_chk = fmm.plan.nd_chk;
 
-        let staged_vs_per_class = |fmm: &Fmm<StokesDL, StokesEquiv>, lp: &LevelPlan, n: usize| {
+        let staged = |fmm: &Fmm<StokesDL, StokesEquiv>, level: usize| {
+            let n = fmm.tree.levels[level].len();
             let mut stage = vec![0.0; M2L_BATCH * M2L_BLOCK * nd_chk];
             let mut staged = vec![0.0; n * nd_chk];
-            fmm.m2l_level(lp, &up, &mut staged, &mut stage);
-            let mut per_class = vec![0.0; n * nd_chk];
-            m2l_level_per_class(fmm, lp, &up, &mut per_class);
-            assert!(staged.iter().any(|&v| v != 0.0) || lp.groups.is_empty());
-            assert_eq!(bits(&staged), bits(&per_class));
+            fmm.m2l_level(&fmm.plan.levels[level], &up, &mut staged, &mut stage);
             staged
         };
-        for (level, lp) in fmm.plan.levels.iter().enumerate() {
-            staged_vs_per_class(&fmm, lp, fmm.tree.levels[level].len());
-        }
+        let staged_vs_per_class = |fmm: &Fmm<StokesDL, StokesEquiv>, level: usize| {
+            let lp = &fmm.plan.levels[level];
+            let staged = staged(fmm, level);
+            let mut per_class = vec![0.0; staged.len()];
+            m2l_level_per_class(fmm, lp, &up, &mut per_class);
+            assert!(staged.iter().any(|&v| v != 0.0) || lp.groups.is_empty());
+            let scale = per_class.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            let diff =
+                (staged.iter().zip(&per_class)).fold(0.0f64, |m, (a, b)| m.max((a - b).abs()));
+            assert!(
+                diff <= 1e-13 * scale,
+                "level {level}: {diff:.2e} of {scale:.2e}"
+            );
+            staged
+        };
 
-        // re-cut the widest level into classes of the sizes that matter
+        // re-cut the widest level into orbit groups of the sizes that matter
         let level = (0..fmm.plan.levels.len())
             .max_by_key(|&l| fmm.tree.levels[l].len())
             .unwrap();
@@ -1435,12 +1466,18 @@ mod tests {
         let groups: Vec<M2lGroup> = [1usize, 47, 64, 65, 130]
             .iter()
             .zip(&fmm.plan.levels[level].groups)
-            .map(|(&n, real)| M2lGroup {
-                class: real.class,
-                trg_rows: (0..n as u32).collect(),
-                src_slots: (0..n as u32)
-                    .map(|i| base + (7 * i + n as u32) % nlev as u32)
-                    .collect(),
+            .map(|(&n, real)| {
+                let mut classes = real.classes.clone();
+                classes.dedup();
+                assert!(classes.len() >= 2, "orbit {} has one class", real.orbit);
+                M2lGroup {
+                    orbit: real.orbit,
+                    classes: (0..n).map(|i| classes[i % classes.len()]).collect(),
+                    trg_rows: (0..n as u32).map(|i| i / 2).collect(),
+                    src_slots: (0..n as u32)
+                        .map(|i| base + (7 * i + n as u32) % nlev as u32)
+                        .collect(),
+                }
             })
             .collect();
         assert_eq!(groups.len(), 5);
@@ -1451,16 +1488,23 @@ mod tests {
             lp.items.iter().map(|it| it.len).collect::<Vec<_>>(),
             [1, 47, 64, 64, 1, 64, 64, 2]
         );
-        let recut = staged_vs_per_class(&fmm, &fmm.plan.levels[level], nlev);
+        let per_level: Vec<Vec<f64>> = (0..fmm.plan.levels.len())
+            .map(|l| staged_vs_per_class(&fmm, l))
+            .collect();
 
-        // thread-count independence, of the re-cut level and of a whole
-        // evaluate on it
+        // thread-count independence, of every level and of a whole
+        // evaluate on the re-cut plan
         let whole = fmm.evaluate(&data);
         assert_ne!(bits(&whole), bits(&reference));
         for threads in [1, 2, 4] {
             par::with_override(threads, || {
-                let again = staged_vs_per_class(&fmm, &fmm.plan.levels[level], nlev);
-                assert_eq!(bits(&again), bits(&recut), "{threads} threads");
+                for (l, expect) in per_level.iter().enumerate() {
+                    assert_eq!(
+                        bits(&staged(&fmm, l)),
+                        bits(expect),
+                        "level {l}, {threads} threads"
+                    );
+                }
                 assert_eq!(
                     bits(&fmm.evaluate(&data)),
                     bits(&whole),

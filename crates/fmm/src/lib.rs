@@ -12,6 +12,10 @@
 //! - regularized-SVD equivalent-density solves;
 //! - per-level operator reuse via kernel homogeneity; one process-wide
 //!   operator cache shared by all FMM instances;
+//! - one M2L operator per orbit of the 316 translation offsets under the
+//!   cube's 48 signed axis permutations (16 stored, as PVFMM's interaction
+//!   classes), each offset reached by a signed permutation of points and
+//!   vector components in the M2L gather and scatter;
 //! - full adaptive-tree interaction lists (U/V/W/X) from the `octree`
 //!   crate, so highly non-uniform surface distributions stay O(N).
 

@@ -13,11 +13,28 @@
 //! - `dc2de`: the downward counterpart;
 //! - `m2m[o]`/`l2l[o]`: per-octant composed translation matrices
 //!   (scale-invariant, so one set serves all levels);
-//! - `m2l[(dx,dy,dz)]`: dense check-value translation matrices for the 316
-//!   well-separated same-level offsets.
+//! - `m2l_orbits_t[o]`: one dense check-value translation matrix per
+//!   *orbit* of the 316 well-separated same-level offsets under the 48
+//!   signed axis permutations (16 orbits), and per offset class the signed
+//!   permutations of surface points and vector components (`m2l_classes`)
+//!   that turn its orbit's operator into its own, as PVFMM does with its
+//!   interaction classes.
+//!
+//! **The symmetry.** If the axis map `T` ([`kernels::AxisMap`]) takes offset
+//! `d` to its orbit's representative `rep` (`|d|` sorted descending), it
+//! takes the offset-`d` source surface onto the representative's and the
+//! target surface onto itself, point for point: grid index `i` of axis `a`
+//! goes to index `i` (or `p − 1 − i` when `a` flips) of axis `perm[a]`. The
+//! points are matched by grid index rather than by coordinate, since
+//! `cube_surface`'s `−1 + step·i` is not exactly antisymmetric in floating
+//! point. A kernel whose declared components ([`Kernel::src_components`],
+//! [`Kernel::trg_components`]) obey `K(T·r) = T·K(r)·Tᵀ` then gives
+//! `K_d[(i,α),(j,β)] = ±K_rep[(π(i),α'),(π(j),β')]`, with the vector
+//! components permuted and signed like the axes and the scalar ones left
+//! alone.
 
-use crate::surface::{cube_surface, RAD_INNER, RAD_OUTER};
-use kernels::Kernel;
+use crate::surface::{cube_surface, cube_surface_grid, RAD_INNER, RAD_OUTER};
+use kernels::{AxisMap, Kernel};
 use linalg::{Mat, Svd, Vec3};
 use parking_lot::Mutex;
 use rayon::par;
@@ -33,6 +50,10 @@ pub const PINV_TOL: f64 = 1e-10;
 /// valid V-list offsets; the 27 near-field slots stay empty).
 pub const M2L_CLASSES: usize = 343;
 
+/// Number of M2L orbits: classes of offsets that one signed axis
+/// permutation maps onto each other.
+pub const M2L_ORBITS: usize = 16;
+
 /// Dense index of an M2L translation offset. Returns `None` for offsets
 /// outside the `[-3, 3]` cube (cannot occur for a valid V list).
 #[inline]
@@ -41,6 +62,127 @@ pub fn m2l_class(dx: i8, dy: i8, dz: i8) -> Option<usize> {
         return None;
     }
     Some((((dx + 3) as usize * 7) + (dy + 3) as usize) * 7 + (dz + 3) as usize)
+}
+
+/// The offset of a dense class index (inverse of [`m2l_class`]).
+pub(crate) fn m2l_offset(class: usize) -> [i8; 3] {
+    [
+        (class / 49) as i8 - 3,
+        (class / 7 % 7) as i8 - 3,
+        (class % 7) as i8 - 3,
+    ]
+}
+
+/// Whether an offset in `[-3, 3]³` is a V-list offset (non-adjacent).
+fn is_m2l_offset(d: [i8; 3]) -> bool {
+    d.iter().any(|c| c.abs() >= 2)
+}
+
+/// The orbit representatives, `|d|` sorted descending, in orbit order.
+fn orbit_reps() -> Vec<[i8; 3]> {
+    let mut reps = Vec::with_capacity(M2L_ORBITS);
+    for a in 2..=3i8 {
+        for b in 0..=a {
+            for c in 0..=b {
+                reps.push([a, b, c]);
+            }
+        }
+    }
+    reps
+}
+
+/// The axis map taking offset `d` to its orbit representative: axes sorted
+/// by `|d|` descending (stably), negative components flipped.
+fn to_representative(d: [i8; 3]) -> AxisMap {
+    let mut order = [0usize, 1, 2];
+    order.sort_by_key(|&a| std::cmp::Reverse(d[a].abs()));
+    let mut perm = [0usize; 3];
+    for (rank, &a) in order.iter().enumerate() {
+        perm[a] = rank;
+    }
+    AxisMap {
+        perm,
+        flip: [d[0] < 0, d[1] < 0, d[2] < 0],
+    }
+}
+
+/// Sign bit of a signed-permutation entry: the index in the low 31 bits,
+/// the moved value negated when this bit is set.
+const NEG: u32 = 1 << 31;
+
+/// `dst[k] = ±src[perm[k]]` over a signed permutation (see [`M2lClass`]).
+#[inline]
+pub fn gather_signed(perm: &[u32], src: &[f64], dst: &mut [f64]) {
+    for (d, &e) in dst.iter_mut().zip(perm) {
+        let v = src[(e & !NEG) as usize];
+        *d = f64::from_bits(v.to_bits() ^ (((e & NEG) as u64) << 32));
+    }
+}
+
+/// `dst[k] += ±src[perm[k]]` over a signed permutation (see [`M2lClass`]).
+#[inline]
+pub fn scatter_add_signed(perm: &[u32], src: &[f64], dst: &mut [f64]) {
+    for (d, &e) in dst.iter_mut().zip(perm) {
+        let v = src[(e & !NEG) as usize];
+        *d += f64::from_bits(v.to_bits() ^ (((e & NEG) as u64) << 32));
+    }
+}
+
+/// How one M2L offset class reaches its orbit's representative operator.
+/// Both tables are signed permutations: entry `k` holds an index, with
+/// the top bit set when the moved value changes sign.
+pub struct M2lClass {
+    /// Index into [`FmmOperators::m2l_orbits_t`].
+    pub orbit: u8,
+    /// Gather of a source's equivalent density into the representative's
+    /// order, `g[k] = ±up[eq[k]]` (`n_surf · sdim` entries).
+    pub eq: Vec<u32>,
+    /// Scatter of the representative's check values into this offset's
+    /// order, `check[c] += ±y[chk[c]]` (`n_surf · vdim` entries).
+    pub chk: Vec<u32>,
+}
+
+impl M2lClass {
+    /// The tables of offset `d` for a kernel with the given components on
+    /// order-`p` surfaces whose grid points are `grid`.
+    fn new<K: Kernel>(eq_kernel: &K, p: usize, grid: &[[usize; 3]], d: [i8; 3]) -> M2lClass {
+        let t = to_representative(d);
+        let mut rep = [0i8; 3];
+        for a in 0..3 {
+            rep[t.perm[a]] = d[a].abs();
+        }
+        let orbit = orbit_reps().iter().position(|&r| r == rep).unwrap() as u8;
+        // point permutation π: the grid point T maps point j onto
+        let mut index = vec![u32::MAX; p * p * p];
+        for (j, g) in grid.iter().enumerate() {
+            index[(g[2] * p + g[1]) * p + g[0]] = j as u32;
+        }
+        let pi: Vec<usize> = grid
+            .iter()
+            .map(|g| {
+                let mut r = [0usize; 3];
+                for a in 0..3 {
+                    r[t.perm[a]] = if t.flip[a] { p - 1 - g[a] } else { g[a] };
+                }
+                index[(r[2] * p + r[1]) * p + r[0]] as usize
+            })
+            .collect();
+        let (src_comps, trg_comps) = (eq_kernel.src_components(), eq_kernel.trg_components());
+        let (sd, td) = (src_comps.len(), trg_comps.len());
+        let mut eq = vec![0u32; grid.len() * sd];
+        let mut chk = vec![0u32; grid.len() * td];
+        for (j, &pj) in pi.iter().enumerate() {
+            for b in 0..sd {
+                let (to, neg) = t.component(&src_comps, b);
+                eq[pj * sd + to] = (j * sd + b) as u32 | if neg { NEG } else { 0 };
+            }
+            for a in 0..td {
+                let (to, neg) = t.component(&trg_comps, a);
+                chk[j * td + a] = (pj * td + to) as u32 | if neg { NEG } else { 0 };
+            }
+        }
+        M2lClass { orbit, eq, chk }
+    }
 }
 
 /// The full operator set at unit scale. See the module docs.
@@ -65,11 +207,14 @@ pub struct FmmOperators {
     /// Composed parent-equivalent → child-equivalent, per child octant.
     pub l2l: Vec<Mat>,
     /// **Transposed** source-equivalent → target-check translation
-    /// operators, indexed by [`m2l_class`]. Stored transposed
-    /// (`nd_eq × nd_chk`) so the batched level-wise M2L pass can gather a
-    /// block of source densities as rows and dispatch one row-major GEMM
-    /// per class: `Check_rowsᵀ += Equiv_rowsᵀ · Kᵀ`.
-    pub m2l_t: Vec<Option<Mat>>,
+    /// operators of the [`M2L_ORBITS`] orbit representatives. Stored
+    /// transposed (`nd_eq × nd_chk`) so the batched level-wise M2L pass can
+    /// gather a block of source densities as rows and run one row-major
+    /// GEMM per block: `Check_rowsᵀ += Equiv_rowsᵀ · K_repᵀ`.
+    pub m2l_orbits_t: Vec<Mat>,
+    /// Per offset class, indexed by [`m2l_class`] (`None` for the
+    /// near-field slots): its orbit and signed permutations.
+    pub m2l_classes: Vec<Option<M2lClass>>,
     /// Per-component storage-scale exponents of the equivalent kernel.
     pub scale_exps: Vec<i32>,
 }
@@ -132,6 +277,15 @@ fn child_center(octant: usize) -> Vec3 {
     )
 }
 
+/// The dense offset-`d` M2L operator, source-equivalent surface at
+/// `2d` → target check surface `dc` at the origin, built directly from the
+/// kernel.
+pub(crate) fn m2l_operator<K: Kernel>(eq_kernel: &K, p: usize, d: [i8; 3], dc: &[Vec3]) -> Mat {
+    let src_center = Vec3::new(2.0 * d[0] as f64, 2.0 * d[1] as f64, 2.0 * d[2] as f64);
+    let seq = cube_surface(p, src_center, RAD_INNER);
+    kernel_matrix(eq_kernel, &seq, dc)
+}
+
 impl FmmOperators {
     /// Builds the operator set for the given equivalent kernel and order,
     /// truncating the pseudo-inverses at [`PINV_TOL`].
@@ -140,23 +294,38 @@ impl FmmOperators {
         let vdim = eq_kernel.trg_dim();
         let deg = eq_kernel.scale_invariance();
 
+        // upward: equivalent on the inner surface, check on the outer;
+        // downward: equivalent on the outer surface, check on the inner
         let ue = cube_surface(p, Vec3::ZERO, RAD_INNER);
         let uc = cube_surface(p, Vec3::ZERO, RAD_OUTER);
         let n_surf = ue.len();
+        let (de, dc) = (&uc, &ue);
 
-        // pseudo-inverses at unit scale
-        let k_ue2uc = kernel_matrix(eq_kernel, &ue, &uc);
-        let uc2ue = Svd::new(&k_ue2uc).pseudo_inverse(PINV_TOL);
-        // downward: equivalent on the outer surface, check on the inner
-        let de = cube_surface(p, Vec3::ZERO, RAD_OUTER);
-        let dc = cube_surface(p, Vec3::ZERO, RAD_INNER);
-        let k_de2dc = kernel_matrix(eq_kernel, &de, &dc);
-        let dc2de = Svd::new(&k_de2dc).pseudo_inverse(PINV_TOL);
+        // the ten pseudo-inverses — upward, downward, and each child's
+        // downward at half scale for L2L — are the build's dominant cost,
+        // so they share one parallel region
+        let child_scale = 0.5_f64;
+        let mut pinvs = par::map_indexed(10, |i| {
+            let k = match i {
+                0 => kernel_matrix(eq_kernel, &ue, &uc),
+                1 => kernel_matrix(eq_kernel, de, dc),
+                _ => {
+                    let cc = child_center(i - 2);
+                    let cde = cube_surface(p, cc, RAD_OUTER * child_scale);
+                    let cdc = cube_surface(p, cc, RAD_INNER * child_scale);
+                    kernel_matrix_scaled(eq_kernel, &cde, &cdc, child_scale)
+                }
+            };
+            Svd::new(&k).pseudo_inverse(PINV_TOL)
+        })
+        .into_iter();
+        let uc2ue = pinvs.next().unwrap();
+        let dc2de = pinvs.next().unwrap();
+        let child_dc2de: Vec<Mat> = pinvs.collect();
 
         // composed M2M / L2L per octant; both are invariant under global
         // rescaling (kernel factor s^deg in K cancels s^{-deg} in the
         // pseudo-inverse), so one set serves every level.
-        let child_scale = 0.5_f64;
         let m2m: Vec<Mat> = par::map_indexed(8, |o| {
             let cc = child_center(o);
             let ceq = cube_surface(p, cc, RAD_INNER * child_scale);
@@ -166,36 +335,25 @@ impl FmmOperators {
         let l2l: Vec<Mat> = par::map_indexed(8, |o| {
             let cc = child_center(o);
             let cchk = cube_surface(p, cc, RAD_INNER * child_scale);
-            let k = kernel_matrix(eq_kernel, &de, &cchk);
+            let k = kernel_matrix(eq_kernel, de, &cchk);
             // compose with the child's own pseudo-inverse at half scale
-            let cde = cube_surface(p, cc, RAD_OUTER * child_scale);
-            let k_cde2cdc = kernel_matrix_scaled(eq_kernel, &cde, &cchk, child_scale);
-            Svd::new(&k_cde2cdc).pseudo_inverse(PINV_TOL).matmul(&k)
+            child_dc2de[o].matmul(&k)
         });
 
-        // M2L offsets: same-level boxes with center offsets 2·(dx,dy,dz),
-        // non-adjacent (max |d| ≥ 2), |d| ≤ 3. Stored transposed, densely
-        // indexed by class (see `m2l_class`).
-        let mut offsets = Vec::new();
-        for dz in -3i8..=3 {
-            for dy in -3i8..=3 {
-                for dx in -3i8..=3 {
-                    if dx.abs().max(dy.abs()).max(dz.abs()) >= 2 {
-                        offsets.push((dx, dy, dz));
-                    }
-                }
-            }
-        }
-        let mats: Vec<Mat> = par::map_indexed(offsets.len(), |i| {
-            let (dx, dy, dz) = offsets[i];
-            let src_center = Vec3::new(2.0 * dx as f64, 2.0 * dy as f64, 2.0 * dz as f64);
-            let seq = cube_surface(p, src_center, RAD_INNER);
-            kernel_matrix(eq_kernel, &seq, &dc).transpose()
+        // M2L: same-level boxes with center offsets 2·(dx,dy,dz),
+        // non-adjacent (max |d| ≥ 2), |d| ≤ 3 — one transposed operator per
+        // orbit, one pair of signed permutations per class
+        let reps = orbit_reps();
+        let m2l_orbits_t: Vec<Mat> = par::map_indexed(reps.len(), |o| {
+            m2l_operator(eq_kernel, p, reps[o], dc).transpose()
         });
-        let mut m2l_t: Vec<Option<Mat>> = (0..M2L_CLASSES).map(|_| None).collect();
-        for ((dx, dy, dz), mat) in offsets.into_iter().zip(mats) {
-            m2l_t[m2l_class(dx, dy, dz).unwrap()] = Some(mat);
-        }
+        let grid = cube_surface_grid(p);
+        let m2l_classes: Vec<Option<M2lClass>> = (0..M2L_CLASSES)
+            .map(|class| {
+                let d = m2l_offset(class);
+                is_m2l_offset(d).then(|| M2lClass::new(eq_kernel, p, &grid, d))
+            })
+            .collect();
 
         FmmOperators {
             p,
@@ -207,9 +365,25 @@ impl FmmOperators {
             dc2de,
             m2m,
             l2l,
-            m2l_t,
+            m2l_orbits_t,
+            m2l_classes,
             scale_exps: eq_kernel.src_scale_exponents(),
         }
+    }
+
+    /// Bytes held by the operator set: every matrix and every M2L class
+    /// table.
+    pub fn bytes(&self) -> usize {
+        let mats = [&self.uc2ue, &self.dc2de]
+            .into_iter()
+            .chain(&self.m2m)
+            .chain(&self.l2l)
+            .chain(&self.m2l_orbits_t);
+        let tables = self.m2l_classes.iter().flatten();
+        mats.map(|m| m.data().len() * 8).sum::<usize>()
+            + tables
+                .map(|c| (c.eq.len() + c.chk.len()) * 4)
+                .sum::<usize>()
     }
 }
 
@@ -238,8 +412,8 @@ pub fn ops_cache_stats() -> OpsCacheStats {
 }
 
 /// Returns (building if needed) the cached operator set for this kernel and
-/// order. Thread-safe; the build runs outside the cache lock would risk
-/// duplicate work, so it is kept inside — builds are rare and idempotent.
+/// order. Thread-safe. The build runs inside the cache lock, so two
+/// threads never build the same set twice; builds are rare and idempotent.
 pub fn cached_operators<K: Kernel>(eq_kernel: &K, p: usize) -> Arc<FmmOperators> {
     let key: CacheKey = (eq_kernel.name(), eq_kernel.param_bits(), p);
     let mut guard = OPS_CACHE.lock();
@@ -257,9 +431,80 @@ pub fn cached_operators<K: Kernel>(eq_kernel: &K, p: usize) -> Arc<FmmOperators>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kernels::{direct_eval_serial, LaplaceSL, StokesSL};
+    use kernels::{direct_eval_serial, LaplaceSL, StokesEquiv, StokesSL};
     use rand::prelude::*;
     use rand::rngs::StdRng;
+
+    /// The class's transposed operator expanded from its orbit's
+    /// representative through the class tables, exactly as the M2L gather
+    /// and scatter apply them.
+    fn rebuilt_t(ops: &FmmOperators, class: &M2lClass) -> Mat {
+        let rep = &ops.m2l_orbits_t[class.orbit as usize];
+        let mut out = Mat::zeros(rep.rows(), rep.cols());
+        let mut row = vec![0.0; rep.cols()];
+        for (k, &e) in class.eq.iter().enumerate() {
+            row.fill(0.0);
+            scatter_add_signed(&class.chk, rep.row(k), &mut row);
+            let neg = e & NEG != 0;
+            for (o, &v) in out.row_mut((e & !NEG) as usize).iter_mut().zip(&row) {
+                *o = if neg { -v } else { v };
+            }
+        }
+        out
+    }
+
+    /// Every one of the 316 classes, rebuilt from its orbit's
+    /// representative, against `kernel_matrix` on its own geometry.
+    fn check_classes_match_direct<K: Kernel>(kernel: &K, p: usize) {
+        let ops = cached_operators(kernel, p);
+        let dc = cube_surface(p, Vec3::ZERO, RAD_INNER);
+        let classes: Vec<usize> = (0..M2L_CLASSES)
+            .filter(|&c| ops.m2l_classes[c].is_some())
+            .collect();
+        assert_eq!(classes.len(), 316);
+        let errs = par::map_indexed(classes.len(), |i| {
+            let c = classes[i];
+            let direct = m2l_operator(kernel, p, m2l_offset(c), &dc).transpose();
+            let rebuilt = rebuilt_t(&ops, ops.m2l_classes[c].as_ref().unwrap());
+            let scale = direct.data().iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            let diff = (direct.data().iter().zip(rebuilt.data()))
+                .fold(0.0f64, |m, (a, b)| m.max((a - b).abs()));
+            diff / scale
+        });
+        for (&c, e) in classes.iter().zip(errs) {
+            assert!(
+                e <= 1e-14,
+                "{} p = {p}, offset {:?}: relative error {e:.2e}",
+                kernel.name(),
+                m2l_offset(c)
+            );
+        }
+    }
+
+    #[test]
+    fn every_class_rebuilt_from_its_orbit_matches_kernel_matrix() {
+        assert_eq!(orbit_reps().len(), M2L_ORBITS);
+        for p in [4, 6] {
+            check_classes_match_direct(&LaplaceSL, p);
+            check_classes_match_direct(&StokesSL { mu: 0.7 }, p);
+            check_classes_match_direct(&StokesEquiv { mu: 1.0 }, p);
+        }
+    }
+
+    /// The storage the symmetry buys: 16 M2L matrices, and the order-4
+    /// wall operator set (the augmented Stokes kernel) within 12 MiB, where
+    /// one dense matrix per class would take 97 MiB.
+    #[test]
+    fn order_4_stokes_equivalent_set_holds_16_m2l_matrices_in_12_mib() {
+        let ops = cached_operators(&StokesEquiv { mu: 1.0 }, 4);
+        assert_eq!(ops.m2l_orbits_t.len(), M2L_ORBITS);
+        assert_eq!(ops.m2l_classes.iter().flatten().count(), 316);
+        let bytes = ops.bytes();
+        assert!(
+            bytes <= 12 << 20,
+            "order-4 StokesEquiv operators: {bytes} B"
+        );
+    }
 
     /// The equivalent-density round trip: sources inside a unit box must be
     /// representable on the upward equivalent surface such that the far

@@ -26,28 +26,37 @@ pub fn surface_point_count(p: usize) -> usize {
     p * p * p - (p - 2) * (p - 2) * (p - 2)
 }
 
-/// Sample points of the cube surface `center ± radius` with `p` points per
-/// edge, in a deterministic order.
-pub fn cube_surface(p: usize, center: Vec3, radius: f64) -> Vec<Vec3> {
+/// Grid indices `[i, j, k]` (each in `0..p`) of the cube-surface points,
+/// in the order [`cube_surface`] emits them.
+pub fn cube_surface_grid(p: usize) -> Vec<[usize; 3]> {
     assert!(p >= 2, "cube_surface requires p >= 2");
-    let mut pts = Vec::with_capacity(surface_point_count(p));
-    let step = 2.0 / (p as f64 - 1.0);
+    let mut grid = Vec::with_capacity(surface_point_count(p));
     for k in 0..p {
         for j in 0..p {
             for i in 0..p {
-                let on_surface =
-                    i == 0 || i == p - 1 || j == 0 || j == p - 1 || k == 0 || k == p - 1;
-                if !on_surface {
-                    continue;
+                if i == 0 || i == p - 1 || j == 0 || j == p - 1 || k == 0 || k == p - 1 {
+                    grid.push([i, j, k]);
                 }
-                let x = -1.0 + step * i as f64;
-                let y = -1.0 + step * j as f64;
-                let z = -1.0 + step * k as f64;
-                pts.push(center + Vec3::new(x, y, z) * radius);
             }
         }
     }
-    pts
+    grid
+}
+
+/// Sample points of the cube surface `center ± radius` with `p` points per
+/// edge, in a deterministic order: grid point `g` sits at
+/// `center + (−1 + step·g) · radius` with `step = 2 / (p − 1)`.
+pub fn cube_surface(p: usize, center: Vec3, radius: f64) -> Vec<Vec3> {
+    let step = 2.0 / (p as f64 - 1.0);
+    cube_surface_grid(p)
+        .into_iter()
+        .map(|[i, j, k]| {
+            let x = -1.0 + step * i as f64;
+            let y = -1.0 + step * j as f64;
+            let z = -1.0 + step * k as f64;
+            center + Vec3::new(x, y, z) * radius
+        })
+        .collect()
 }
 
 #[cfg(test)]

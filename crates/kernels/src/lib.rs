@@ -19,5 +19,6 @@ pub use stokes::{
     stresslet, stresslet_block,
 };
 pub use traits::{
-    direct_eval, direct_eval_serial, Kernel, LaplaceDL, LaplaceSL, StokesDL, StokesEquiv, StokesSL,
+    direct_eval, direct_eval_serial, AxisMap, Component, Kernel, LaplaceDL, LaplaceSL, StokesDL,
+    StokesEquiv, StokesSL, VECTOR,
 };

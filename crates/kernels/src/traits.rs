@@ -10,6 +10,71 @@
 use crate::{laplace, stokes};
 use linalg::Vec3;
 
+/// How one per-point component of a kernel's source data or target value
+/// transforms when space is mapped by an [`AxisMap`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Component {
+    /// Unchanged: a charge, a potential, a point-source strength.
+    Scalar,
+    /// Axis `a` (0, 1 or 2) of a Cartesian vector whose three components
+    /// are stored consecutively: a force, a velocity, a normal.
+    Axis(u8),
+}
+
+/// The components of one Cartesian vector, in storage order.
+pub const VECTOR: [Component; 3] = [Component::Axis(0), Component::Axis(1), Component::Axis(2)];
+
+/// A signed permutation of the coordinate axes, one of the 48 symmetries
+/// of the cube: `(T·v)[perm[a]] = ±v[a]`, negated where `flip[a]`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct AxisMap {
+    /// Destination axis of each axis.
+    pub perm: [usize; 3],
+    /// Whether each axis changes sign.
+    pub flip: [bool; 3],
+}
+
+impl AxisMap {
+    /// All 48 signed axis permutations.
+    pub fn all() -> impl Iterator<Item = AxisMap> {
+        const PERMS: [[usize; 3]; 6] = [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ];
+        PERMS.into_iter().flat_map(|perm| {
+            (0..8).map(move |f| AxisMap {
+                perm,
+                flip: [f & 1 != 0, f & 2 != 0, f & 4 != 0],
+            })
+        })
+    }
+
+    /// `T·v`.
+    pub fn apply(&self, v: Vec3) -> Vec3 {
+        let mut out = Vec3::ZERO;
+        for a in 0..3 {
+            out[self.perm[a]] = if self.flip[a] { -v[a] } else { v[a] };
+        }
+        out
+    }
+
+    /// Where component `c` of a point's stacked components (declared by
+    /// `comps`) goes under the map, and whether it changes sign.
+    pub fn component(&self, comps: &[Component], c: usize) -> (usize, bool) {
+        match comps[c] {
+            Component::Scalar => (c, false),
+            Component::Axis(a) => {
+                let a = a as usize;
+                (c - a + self.perm[a], self.flip[a])
+            }
+        }
+    }
+}
+
 /// An elliptic kernel evaluated pairwise between points.
 pub trait Kernel: Sync {
     /// Number of `f64` data entries carried per source point.
@@ -43,6 +108,19 @@ pub trait Kernel: Sync {
     /// uniform degree −1 family across octree levels.
     fn src_scale_exponents(&self) -> Vec<i32> {
         vec![0; self.src_dim()]
+    }
+    /// How each source component transforms under an [`AxisMap`] `T` of
+    /// space. Together with [`Kernel::trg_components`] this declares the
+    /// kernel's symmetry `K(T·trg, T·src, T·data) = T·K(trg, src, data)`,
+    /// which lets the FMM store one M2L operator per orbit of translation
+    /// offsets. All scalar by default.
+    fn src_components(&self) -> Vec<Component> {
+        vec![Component::Scalar; self.src_dim()]
+    }
+    /// How each target component transforms (see
+    /// [`Kernel::src_components`]). All scalar by default.
+    fn trg_components(&self) -> Vec<Component> {
+        vec![Component::Scalar; self.trg_dim()]
     }
     /// Batched evaluation: accumulates the contribution of every source
     /// into every target, `out[i] += Σ_j K(trg_i, src_j) · data_j`.
@@ -122,6 +200,12 @@ impl Kernel for StokesEquiv {
     fn src_scale_exponents(&self) -> Vec<i32> {
         vec![0, 0, 0, 1]
     }
+    fn src_components(&self) -> Vec<Component> {
+        [&VECTOR[..], &[Component::Scalar]].concat()
+    }
+    fn trg_components(&self) -> Vec<Component> {
+        VECTOR.to_vec()
+    }
     fn src_dim(&self) -> usize {
         4
     }
@@ -163,6 +247,12 @@ impl Kernel for StokesSL {
     fn param_bits(&self) -> u64 {
         self.mu.to_bits()
     }
+    fn src_components(&self) -> Vec<Component> {
+        VECTOR.to_vec()
+    }
+    fn trg_components(&self) -> Vec<Component> {
+        VECTOR.to_vec()
+    }
     fn scale_invariance(&self) -> f64 {
         -1.0
     }
@@ -198,6 +288,12 @@ impl Kernel for StokesDL {
     }
     fn scale_invariance(&self) -> f64 {
         -2.0
+    }
+    fn src_components(&self) -> Vec<Component> {
+        [VECTOR, VECTOR].concat()
+    }
+    fn trg_components(&self) -> Vec<Component> {
+        VECTOR.to_vec()
     }
     fn src_dim(&self) -> usize {
         6
@@ -257,6 +353,9 @@ impl Kernel for LaplaceDL {
     }
     fn scale_invariance(&self) -> f64 {
         -2.0
+    }
+    fn src_components(&self) -> Vec<Component> {
+        [&[Component::Scalar], &VECTOR[..]].concat()
     }
     fn src_dim(&self) -> usize {
         4
@@ -484,6 +583,55 @@ mod tests {
         );
         assert_eq!(StokesSL { mu: 1.0 }.src_scale_exponents(), vec![0, 0, 0]);
         assert_eq!(LaplaceSL.src_scale_exponents(), vec![0]);
+    }
+
+    /// `K(T·trg, T·src, T·data) = T·K(trg, src, data)` for every signed
+    /// axis permutation `T`, at random points.
+    fn check_declared_symmetry<K: Kernel>(kernel: &K, name: &str) {
+        let mut rng = StdRng::seed_from_u64(72);
+        let (src_comps, trg_comps) = (kernel.src_components(), kernel.trg_components());
+        assert_eq!(src_comps.len(), kernel.src_dim(), "{name}");
+        assert_eq!(trg_comps.len(), kernel.trg_dim(), "{name}");
+        let signed = |t: &AxisMap, comps: &[Component], v: &[f64]| {
+            let mut out = vec![0.0; v.len()];
+            for (c, &x) in v.iter().enumerate() {
+                let (to, neg) = t.component(comps, c);
+                out[to] = if neg { -x } else { x };
+            }
+            out
+        };
+        for t in AxisMap::all() {
+            let pts = random_points(&mut rng, 2);
+            let data: Vec<f64> = (0..kernel.src_dim())
+                .map(|_| rng.random_range(-1.0..1.0))
+                .collect();
+            let mut out = vec![0.0; kernel.trg_dim()];
+            kernel.eval_acc(pts[0], pts[1], &data, &mut out);
+            let mut mapped = vec![0.0; kernel.trg_dim()];
+            kernel.eval_acc(
+                t.apply(pts[0]),
+                t.apply(pts[1]),
+                &signed(&t, &src_comps, &data),
+                &mut mapped,
+            );
+            let scale = out.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            for (a, b) in mapped.iter().zip(signed(&t, &trg_comps, &out)) {
+                assert!(
+                    (a - b).abs() <= 1e-14 * scale,
+                    "{name} under {t:?}: {a} vs {b}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn declared_component_transforms_hold_for_all_48_axis_maps() {
+        assert_eq!(AxisMap::all().count(), 48);
+        check_declared_symmetry(&LaplaceSL, "laplace_sl");
+        check_declared_symmetry(&LaplaceDL, "laplace_dl");
+        check_declared_symmetry(&StokesSL { mu: 0.7 }, "stokes_sl");
+        check_declared_symmetry(&StokesDL, "stokes_dl");
+        check_declared_symmetry(&StokesEquiv { mu: 1.3 }, "stokes_equiv");
     }
 
     #[test]
