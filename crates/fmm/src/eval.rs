@@ -1456,6 +1456,11 @@ mod tests {
             staged
         };
 
+        // every level as the planner builds it, the widest one included
+        for l in 0..fmm.plan.levels.len() {
+            staged_vs_per_class(&fmm, l);
+        }
+
         // re-cut the widest level into orbit groups of the sizes that matter
         let level = (0..fmm.plan.levels.len())
             .max_by_key(|&l| fmm.tree.levels[l].len())

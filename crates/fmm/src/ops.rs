@@ -370,21 +370,6 @@ impl FmmOperators {
             scale_exps: eq_kernel.src_scale_exponents(),
         }
     }
-
-    /// Bytes held by the operator set: every matrix and every M2L class
-    /// table.
-    pub fn bytes(&self) -> usize {
-        let mats = [&self.uc2ue, &self.dc2de]
-            .into_iter()
-            .chain(&self.m2m)
-            .chain(&self.l2l)
-            .chain(&self.m2l_orbits_t);
-        let tables = self.m2l_classes.iter().flatten();
-        mats.map(|m| m.data().len() * 8).sum::<usize>()
-            + tables
-                .map(|c| (c.eq.len() + c.chk.len()) * 4)
-                .sum::<usize>()
-    }
 }
 
 type CacheKey = (&'static str, u64, usize);
@@ -491,6 +476,21 @@ mod tests {
         }
     }
 
+    /// Bytes held by an operator set: every matrix and every M2L class
+    /// table.
+    fn bytes(ops: &FmmOperators) -> usize {
+        let mats = [&ops.uc2ue, &ops.dc2de]
+            .into_iter()
+            .chain(&ops.m2m)
+            .chain(&ops.l2l)
+            .chain(&ops.m2l_orbits_t);
+        let tables = ops.m2l_classes.iter().flatten();
+        mats.map(|m| m.data().len() * 8).sum::<usize>()
+            + tables
+                .map(|c| (c.eq.len() + c.chk.len()) * 4)
+                .sum::<usize>()
+    }
+
     /// The storage the symmetry buys: 16 M2L matrices, and the order-4
     /// wall operator set (the augmented Stokes kernel) within 12 MiB, where
     /// one dense matrix per class would take 97 MiB.
@@ -499,7 +499,7 @@ mod tests {
         let ops = cached_operators(&StokesEquiv { mu: 1.0 }, 4);
         assert_eq!(ops.m2l_orbits_t.len(), M2L_ORBITS);
         assert_eq!(ops.m2l_classes.iter().flatten().count(), 316);
-        let bytes = ops.bytes();
+        let bytes = bytes(&ops);
         assert!(
             bytes <= 12 << 20,
             "order-4 StokesEquiv operators: {bytes} B"

@@ -35,33 +35,6 @@ pub struct AxisMap {
 }
 
 impl AxisMap {
-    /// All 48 signed axis permutations.
-    pub fn all() -> impl Iterator<Item = AxisMap> {
-        const PERMS: [[usize; 3]; 6] = [
-            [0, 1, 2],
-            [0, 2, 1],
-            [1, 0, 2],
-            [1, 2, 0],
-            [2, 0, 1],
-            [2, 1, 0],
-        ];
-        PERMS.into_iter().flat_map(|perm| {
-            (0..8).map(move |f| AxisMap {
-                perm,
-                flip: [f & 1 != 0, f & 2 != 0, f & 4 != 0],
-            })
-        })
-    }
-
-    /// `T·v`.
-    pub fn apply(&self, v: Vec3) -> Vec3 {
-        let mut out = Vec3::ZERO;
-        for a in 0..3 {
-            out[self.perm[a]] = if self.flip[a] { -v[a] } else { v[a] };
-        }
-        out
-    }
-
     /// Where component `c` of a point's stacked components (declared by
     /// `comps`) goes under the map, and whether it changes sign.
     pub fn component(&self, comps: &[Component], c: usize) -> (usize, bool) {
@@ -113,15 +86,12 @@ pub trait Kernel: Sync {
     /// space. Together with [`Kernel::trg_components`] this declares the
     /// kernel's symmetry `K(T·trg, T·src, T·data) = T·K(trg, src, data)`,
     /// which lets the FMM store one M2L operator per orbit of translation
-    /// offsets. All scalar by default.
-    fn src_components(&self) -> Vec<Component> {
-        vec![Component::Scalar; self.src_dim()]
-    }
+    /// offsets. Required of every kernel: a vector component declared
+    /// scalar would silently corrupt every non-representative operator.
+    fn src_components(&self) -> Vec<Component>;
     /// How each target component transforms (see
-    /// [`Kernel::src_components`]). All scalar by default.
-    fn trg_components(&self) -> Vec<Component> {
-        vec![Component::Scalar; self.trg_dim()]
-    }
+    /// [`Kernel::src_components`]).
+    fn trg_components(&self) -> Vec<Component>;
     /// Batched evaluation: accumulates the contribution of every source
     /// into every target, `out[i] += Σ_j K(trg_i, src_j) · data_j`.
     /// `data` is source-major (`src_dim` per source), `out` target-major
@@ -327,6 +297,12 @@ impl Kernel for LaplaceSL {
     fn scale_invariance(&self) -> f64 {
         -1.0
     }
+    fn src_components(&self) -> Vec<Component> {
+        vec![Component::Scalar]
+    }
+    fn trg_components(&self) -> Vec<Component> {
+        vec![Component::Scalar]
+    }
     fn src_dim(&self) -> usize {
         1
     }
@@ -356,6 +332,9 @@ impl Kernel for LaplaceDL {
     }
     fn src_components(&self) -> Vec<Component> {
         [&[Component::Scalar], &VECTOR[..]].concat()
+    }
+    fn trg_components(&self) -> Vec<Component> {
+        vec![Component::Scalar]
     }
     fn src_dim(&self) -> usize {
         4
@@ -585,6 +564,33 @@ mod tests {
         assert_eq!(LaplaceSL.src_scale_exponents(), vec![0]);
     }
 
+    /// All 48 signed axis permutations.
+    fn all_axis_maps() -> impl Iterator<Item = AxisMap> {
+        const PERMS: [[usize; 3]; 6] = [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ];
+        PERMS.into_iter().flat_map(|perm| {
+            (0..8).map(move |f| AxisMap {
+                perm,
+                flip: [f & 1 != 0, f & 2 != 0, f & 4 != 0],
+            })
+        })
+    }
+
+    /// `T·v`.
+    fn map_point(t: &AxisMap, v: Vec3) -> Vec3 {
+        let mut out = Vec3::ZERO;
+        for a in 0..3 {
+            out[t.perm[a]] = if t.flip[a] { -v[a] } else { v[a] };
+        }
+        out
+    }
+
     /// `K(T·trg, T·src, T·data) = T·K(trg, src, data)` for every signed
     /// axis permutation `T`, at random points.
     fn check_declared_symmetry<K: Kernel>(kernel: &K, name: &str) {
@@ -600,7 +606,7 @@ mod tests {
             }
             out
         };
-        for t in AxisMap::all() {
+        for t in all_axis_maps() {
             let pts = random_points(&mut rng, 2);
             let data: Vec<f64> = (0..kernel.src_dim())
                 .map(|_| rng.random_range(-1.0..1.0))
@@ -609,8 +615,8 @@ mod tests {
             kernel.eval_acc(pts[0], pts[1], &data, &mut out);
             let mut mapped = vec![0.0; kernel.trg_dim()];
             kernel.eval_acc(
-                t.apply(pts[0]),
-                t.apply(pts[1]),
+                map_point(&t, pts[0]),
+                map_point(&t, pts[1]),
                 &signed(&t, &src_comps, &data),
                 &mut mapped,
             );
@@ -626,7 +632,7 @@ mod tests {
 
     #[test]
     fn declared_component_transforms_hold_for_all_48_axis_maps() {
-        assert_eq!(AxisMap::all().count(), 48);
+        assert_eq!(all_axis_maps().count(), 48);
         check_declared_symmetry(&LaplaceSL, "laplace_sl");
         check_declared_symmetry(&LaplaceDL, "laplace_dl");
         check_declared_symmetry(&StokesSL { mu: 0.7 }, "stokes_sl");
