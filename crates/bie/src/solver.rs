@@ -223,10 +223,12 @@ pub struct DoubleLayerSolver<K: LayerKernel, KE: Kernel + Clone + Sync + Send> {
     /// Persistent FMM for [`Self::eval_at`]-style moving-target summation:
     /// frozen once over the (static) fine sources, then target-only
     /// replanned per call. Lazily built on the first FMM-routed
-    /// `summation` call; dropped by [`Self::invalidate_eval_fmm`].
+    /// `summation` call. The fine sources are fixed for the solver's
+    /// lifetime, so the plan never goes stale: a different wall is a
+    /// different solver.
     eval_fmm: Mutex<Option<Fmm<K, KE>>>,
-    /// Frozen-tree constructions of `eval_fmm` (plan-reuse telemetry: stays
-    /// at 1 across a run unless the cache is invalidated).
+    /// Frozen-tree constructions of `eval_fmm` (plan-reuse telemetry: at
+    /// most 1 across a solver's lifetime).
     eval_fmm_builds: AtomicU64,
     /// Target-only replans on `eval_fmm` (one per FMM-routed `summation`).
     eval_fmm_replans: AtomicU64,
@@ -398,14 +400,6 @@ impl<K: LayerKernel, KE: Kernel + Clone + Sync + Send> DoubleLayerSolver<K, KE> 
             self.eval_fmm_builds.swap(0, Ordering::Relaxed),
             self.eval_fmm_replans.swap(0, Ordering::Relaxed),
         )
-    }
-
-    /// Drops the persistent eval FMM; the next FMM-routed summation
-    /// rebuilds it from the current fine sources. Callers invalidate when
-    /// the surface the solver was built over changes identity (e.g. the
-    /// vessel digest changes).
-    pub fn invalidate_eval_fmm(&self) {
-        *self.eval_fmm.lock() = None;
     }
 
     /// Applies the discrete boundary operator `A = (1/2 I + D)|_interior

@@ -43,7 +43,9 @@
 //! The TOML subset has no array-of-tables, so each job is a named section;
 //! every key that is not `scenario`/`steps`/`out_dir`/`checkpoint_every`/
 //! `keep_checkpoints` is forwarded into the scenario's config section,
-//! exactly like a `--set` override of the single-run CLI.
+//! exactly like a `--set` override of the single-run CLI. The farm's own
+//! keys are read strictly: a value of the wrong type, or a `[farm]` key
+//! other than the four above, is an error.
 //!
 //! ## Determinism
 //!
@@ -62,6 +64,9 @@ use sim::Checkpoint;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::time::Instant;
+
+/// The keys `[farm]` accepts.
+const FARM_KEYS: [&str; 4] = ["jobs", "out_root", "checkpoint_every", "keep_checkpoints"];
 
 /// Keys of a job section that configure the farm itself; everything else
 /// is forwarded to the scenario config.
@@ -137,9 +142,20 @@ impl Manifest {
                 }
             }
         }
-        let out_root = PathBuf::from(doc.str_or("farm", "out_root", "target/farm"));
-        let default_every = doc.usize_or("farm", "checkpoint_every", 0);
-        let default_keep = doc.usize_or("farm", "keep_checkpoints", 0);
+        let farm_keys = doc.keys("farm");
+        if let Some(key) = farm_keys.iter().find(|k| !FARM_KEYS.contains(k)) {
+            let accepted = FARM_KEYS.join(", ");
+            return Err(format!(
+                "farm: unknown key `{key}`; [farm] accepts {accepted}"
+            ));
+        }
+        let out_root = match doc.get("farm", "out_root") {
+            Some(Value::Str(s)) => PathBuf::from(s),
+            Some(other) => return Err(format!("farm: `out_root` expects a string, got {other:?}")),
+            None => PathBuf::from("target/farm"),
+        };
+        let default_every = read_usize(doc, "farm", "checkpoint_every", 0)?;
+        let default_keep = read_usize(doc, "farm", "keep_checkpoints", 0)?;
 
         let mut jobs = Vec::with_capacity(job_names.len());
         let mut out_dirs = BTreeSet::new();
@@ -164,7 +180,7 @@ impl Manifest {
                     names.join(", ")
                 ));
             }
-            let steps = doc.usize_or(name, "steps", 0);
+            let steps = read_usize(doc, name, "steps", 0)?;
             if steps == 0 {
                 return Err(format!("job `{name}`: needs `steps` ≥ 1"));
             }
@@ -198,13 +214,28 @@ impl Manifest {
                 scenario,
                 steps,
                 out_dir,
-                checkpoint_every: doc.usize_or(name, "checkpoint_every", default_every),
-                keep_checkpoints: doc.usize_or(name, "keep_checkpoints", default_keep),
+                checkpoint_every: read_usize(doc, name, "checkpoint_every", default_every)?,
+                keep_checkpoints: read_usize(doc, name, "keep_checkpoints", default_keep)?,
                 cfg,
             });
         }
         Ok(Manifest { jobs })
     }
+}
+
+/// `key` of `section` (`farm` or a job), `default` when absent; any value
+/// but a non-negative integer is an error naming the job, key and value.
+fn read_usize(doc: &Doc, section: &str, key: &str, default: usize) -> Result<usize, String> {
+    let Some(value) = doc.get(section, key) else {
+        return Ok(default);
+    };
+    value.as_usize().ok_or_else(|| {
+        let owner = match section {
+            "farm" => "farm".to_string(),
+            job => format!("job `{job}`"),
+        };
+        format!("{owner}: `{key}` expects a non-negative integer, got {value:?}")
+    })
 }
 
 /// Controls for [`run_farm`].
@@ -574,5 +605,70 @@ keep_checkpoints = 1
         let e = Manifest::parse("[farm]\njobs = [\"a\"]\n[a]\nscenario = \"shear_pair\"\n")
             .unwrap_err();
         assert!(e.contains("steps"), "{e}");
+    }
+
+    /// The farm's own keys are read strictly: a mistyped value names the
+    /// job (or `farm`), the key, the value and the type it expects, and a
+    /// misspelled `[farm]` key lists the four keys `[farm]` accepts.
+    #[test]
+    fn manifest_rejects_mistyped_farm_values_and_unknown_farm_keys() {
+        let manifest = |farm: &str, job: &str| {
+            format!("[farm]\njobs = [\"a\"]\n{farm}\n[a]\nscenario = \"shear_pair\"\n{job}\n")
+        };
+        for (farm, job, want) in [
+            (
+                "checkpoint_every = \"5\"",
+                "steps = 1",
+                "farm: `checkpoint_every` expects a non-negative integer, got Str(\"5\")",
+            ),
+            (
+                "checkpoint_every = -1",
+                "steps = 1",
+                "farm: `checkpoint_every` expects a non-negative integer, got Int(-1)",
+            ),
+            (
+                "keep_checkpoints = true",
+                "steps = 1",
+                "farm: `keep_checkpoints` expects a non-negative integer, got Bool(true)",
+            ),
+            (
+                "out_root = 3",
+                "steps = 1",
+                "farm: `out_root` expects a string, got Int(3)",
+            ),
+            (
+                "",
+                "steps = 2.5",
+                "job `a`: `steps` expects a non-negative integer, got Float(2.5)",
+            ),
+            (
+                "",
+                "steps = 1\ncheckpoint_every = \"5\"",
+                "job `a`: `checkpoint_every` expects a non-negative integer, got Str(\"5\")",
+            ),
+            (
+                "",
+                "steps = 1\nkeep_checkpoints = -2",
+                "job `a`: `keep_checkpoints` expects a non-negative integer, got Int(-2)",
+            ),
+            (
+                "checkpoint_evry = 5",
+                "steps = 1",
+                "farm: unknown key `checkpoint_evry`; [farm] accepts jobs, out_root, \
+                 checkpoint_every, keep_checkpoints",
+            ),
+        ] {
+            let e = Manifest::parse(&manifest(farm, job)).unwrap_err();
+            assert_eq!(e, want);
+        }
+        // the same keys, well typed, parse
+        let m = Manifest::parse(&manifest(
+            "out_root = \"target/x\"\ncheckpoint_every = 5\nkeep_checkpoints = 2",
+            "steps = 3\ncheckpoint_every = 1",
+        ))
+        .unwrap();
+        let a = &m.jobs[0];
+        assert_eq!(a.out_dir, PathBuf::from("target/x/a"));
+        assert_eq!((a.steps, a.checkpoint_every, a.keep_checkpoints), (3, 1, 2));
     }
 }

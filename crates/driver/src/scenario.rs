@@ -225,29 +225,19 @@ impl Keys<'_> {
             )
         })
     }
-
-    fn vec3(&mut self, key: &'static str, default: Vec3) -> Result<Vec3, String> {
-        let d = Value::Array([default.x, default.y, default.z].map(Value::Float).to_vec());
-        self.read(key, d, "an array of 3 numbers", |v| match v {
-            Value::Array(a) if a.len() == 3 => {
-                Some(Vec3::new(a[0].as_f64()?, a[1].as_f64()?, a[2].as_f64()?))
-            }
-            _ => None,
-        })
-    }
 }
 
 /// The tail of every scenario: the simulation from the scenario's parts
 /// and the `SimConfig` read from its section with the scenario's `step`
 /// defaults — `dt`, `collision_delta`, `shear_rate` and, for scenarios
-/// driven by gravity, `gravity_z`, the z component of the default
-/// `gravity`, which an explicit `gravity = [x, y, z]` overrides. `recycle` is the default
-/// of the `recycle` key, `None` where the scenario has no outlet to
-/// recycle cells through (the key is then not read).
+/// driven by gravity, `gravity_z`, the z component of the body force
+/// (other scenarios do not read the key). `recycle` is the default of the
+/// `recycle` key, `None` where the scenario has no outlet to recycle cells
+/// through (the key is then not read).
 ///
 /// Adaptive time-step knobs (all optional; see [`sim::DtControl`]):
-/// `dt_adaptive` (default true), `dt_min` (default 0 = dt/16),
-/// `dt_grow_after`, `substep`, `dt_max_stretch`, `dt_max_vol_drift`.
+/// `dt_adaptive` (default true), `dt_grow_after`, `dt_max_stretch`,
+/// `dt_max_vol_drift`.
 ///
 /// Parallelism: `threads` (default 0 = available parallelism) pins every
 /// parallel stage of `Simulation::step` to that many workers. Trajectories
@@ -276,13 +266,10 @@ fn tail(
         dt: k.bound("dt", dt, dt.is_finite() && dt > 0.0, "a finite number > 0")?,
         collision_delta: k.f64("collision_delta", collision_delta)?,
         shear_rate: k.f64("shear_rate", shear_rate)?,
-        gravity: k.vec3("gravity", gravity)?,
-        disable_collisions: k.bool("disable_collisions", false)?,
+        gravity,
         dt_control: DtControl {
             enabled: k.bool("dt_adaptive", dtc.enabled)?,
-            dt_min: k.f64("dt_min", dtc.dt_min)?,
             grow_after: k.usize("dt_grow_after", dtc.grow_after)?,
-            substep: k.bool("substep", dtc.substep)?,
             max_stretch: k.f64("dt_max_stretch", dtc.max_stretch)?,
             max_volume_drift: k.f64("dt_max_vol_drift", dtc.max_volume_drift)?,
         },
@@ -424,7 +411,7 @@ fn bie_options(k: &mut Keys, q: usize, refine: u32) -> Result<bie::BieOptions, S
             // short cycles so the cross-cycle (true-residual) stagnation
             // check engages: the Arnoldi estimate alone cannot see the
             // floor from a warm start
-            restart: k.usize("bie_restart", 10)?,
+            restart: 10,
             ..Default::default()
         },
         check: bie::CheckSpec::Linear {
@@ -868,9 +855,7 @@ mod tests {
         let mut cfg = Doc::default();
         cfg.set("shear_pair", "order", crate::toml::Value::Int(6));
         cfg.set("shear_pair", "dt_adaptive", crate::toml::Value::Bool(false));
-        cfg.set("shear_pair", "dt_min", crate::toml::Value::Float(1e-4));
         cfg.set("shear_pair", "dt_grow_after", crate::toml::Value::Int(7));
-        cfg.set("shear_pair", "substep", crate::toml::Value::Bool(true));
         cfg.set(
             "shear_pair",
             "dt_max_stretch",
@@ -884,15 +869,12 @@ mod tests {
         let built = build("shear_pair", &cfg).unwrap();
         let ctl = built.sim.config.dt_control;
         assert!(!ctl.enabled);
-        assert_eq!(ctl.dt_min, 1e-4);
         assert_eq!(ctl.grow_after, 7);
-        assert!(ctl.substep);
         assert_eq!(ctl.max_stretch, 5.0);
         assert_eq!(ctl.max_volume_drift, 0.1);
-        // defaults: controller armed, dt_min resolved from the target dt
+        // default: controller armed
         let on = build("shear_pair", &Doc::default()).unwrap();
         assert!(on.sim.config.dt_control.enabled);
-        assert_eq!(on.sim.config.dt_control.resolved_dt_min(0.02), 0.02 / 16.0);
     }
 
     #[test]
@@ -917,7 +899,13 @@ mod tests {
         cfg.set("shear_pair", "ordr", Value::Int(6));
         let e = build("shear_pair", &cfg).err().unwrap();
         assert!(e.starts_with("shear_pair: unknown key `ordr`"), "{e}");
-        for key in ["order", "separation_x", "kappa_b", "dt_min", "threads"] {
+        for key in [
+            "order",
+            "separation_x",
+            "kappa_b",
+            "dt_grow_after",
+            "threads",
+        ] {
             assert!(e.contains(key), "{e} does not list `{key}`");
         }
         // only the scenario's own section is checked
@@ -938,11 +926,31 @@ mod tests {
         cfg.set("vessel_flow", "fill_packed", Value::Bool(false));
         let e = build("vessel_flow", &cfg).err().unwrap();
         assert!(e.contains("unknown key `fill_packed`"), "{e}");
+        // removed keys: the sub-stepping retry shape, the backoff floor,
+        // the collision switch and the gravity array (gravity_z stays) ...
+        let g = Value::Array(vec![Value::Float(0.0); 3]);
+        for (key, value) in [
+            ("substep", Value::Bool(false)),
+            ("dt_min", Value::Float(0.0)),
+            ("disable_collisions", Value::Bool(true)),
+            ("gravity", g),
+        ] {
+            let mut cfg = Doc::default();
+            cfg.set("shear_pair", "order", Value::Int(6));
+            cfg.set("shear_pair", key, value);
+            let e = build("shear_pair", &cfg).err().unwrap();
+            assert!(e.contains(&format!("unknown key `{key}`")), "{e}");
+        }
+        // ... and the GMRES restart length of the vessel scenarios
+        let mut cfg = Doc::default();
+        cfg.set("vessel_flow", "tube_segments", Value::Int(1));
+        cfg.set("vessel_flow", "bie_restart", Value::Int(10));
+        let e = build("vessel_flow", &cfg).err().unwrap();
+        assert!(e.contains("unknown key `bie_restart`"), "{e}");
     }
 
     #[test]
     fn mistyped_values_are_rejected_with_the_expected_type() {
-        let short = Value::Array(vec![Value::Float(0.0), Value::Float(-1.0)]);
         let pair = "shear_pair";
         for (scenario, key, value, expected) in [
             (
@@ -955,7 +963,6 @@ mod tests {
             (pair, "order", Value::Int(-6), "a non-negative integer"),
             (pair, "dt", Value::Str("fast".into()), "a number"),
             (pair, "dt_adaptive", Value::Int(1), "true or false"),
-            (pair, "gravity", short, "an array of 3 numbers"),
             // values of the right type that would panic or step backwards
             (pair, "order", Value::Int(0), "an integer ≥ 1"),
             (pair, "dt", Value::Int(-1), "a finite number > 0"),

@@ -53,10 +53,10 @@ impl Value {
 ///
 /// The typed `*_or` lookups are lenient: a missing key or a
 /// type-mismatched value falls back to the caller's default. They serve
-/// sections whose readers check nothing else (a farm manifest's `[farm]`,
-/// the benchmark's `[workload]` and `[perturb]`). Scenario sections are
-/// read strictly instead (see [`crate::scenario`]): there a mistyped value
-/// or a key the scenario does not read is an error.
+/// sections whose readers check nothing else (the benchmark's `[workload]`
+/// and `[perturb]`). Scenario sections and a farm manifest's own keys are
+/// read strictly instead (see [`crate::scenario`] and [`crate::Manifest`]):
+/// there a mistyped value or an unknown key is an error.
 #[derive(Clone, Debug, Default)]
 pub struct Doc {
     sections: BTreeMap<String, BTreeMap<String, Value>>,
@@ -125,14 +125,6 @@ impl Doc {
         self.get(section, key)
             .and_then(Value::as_usize)
             .unwrap_or(default)
-    }
-
-    /// Boolean lookup with a default.
-    pub fn bool_or(&self, section: &str, key: &str, default: bool) -> bool {
-        match self.get(section, key) {
-            Some(Value::Bool(b)) => *b,
-            _ => default,
-        }
     }
 
     /// String lookup with a default.
@@ -283,7 +275,7 @@ big = 1_000
         assert_eq!(doc.str_or("", "title", ""), "dense # run");
         assert_eq!(doc.usize_or("shear_pair", "order", 0), 12);
         assert!((doc.f64_or("shear_pair", "dt", 0.0) - 0.02).abs() < 1e-15);
-        assert!(doc.bool_or("shear_pair", "enabled", false));
+        assert_eq!(doc.get("shear_pair", "enabled"), Some(&Value::Bool(true)));
         assert_eq!(doc.get("shear_pair", "big").unwrap().as_f64(), Some(1000.0));
         match doc.get("shear_pair", "gravity").unwrap() {
             Value::Array(v) => {

@@ -6,7 +6,7 @@
 //! trajectories diverge), and
 //! (c) survive a checkpoint/restart taken mid-backoff — the controller's
 //! evolving state (current dt, clean-step counter, frozen set) rides in
-//! the v3 checkpoint, so the restarted instance must continue the exact
+//! the v4 checkpoint, so the restarted instance must continue the exact
 //! backed-off trajectory rather than resetting to the target dt.
 //! The free-space test covers the controller; the `poiseuille_train` test
 //! covers the same three with a wall, where `bie_warm` and the boundary

@@ -29,8 +29,11 @@ use vesicle::{Cell, StepOptions};
 /// adaptive time-step controller ([`DtControl`] in the config,
 /// [`DtState`] as evolving state), so a restart resumes the same backoff
 /// trajectory — restarting mid-recovery with a fresh controller would
-/// retry at the wrong Δt and diverge from the uninterrupted run.
-const MAGIC: &[u8; 8] = b"RBCCKPT3";
+/// retry at the wrong Δt and diverge from the uninterrupted run; 4 — the
+/// config drops the collision switch, the backoff floor and the retry
+/// shape (the collision stage always runs, the floor is fixed at Δt/16
+/// and whole-step halving is the only retry shape).
+const MAGIC: &[u8; 8] = b"RBCCKPT4";
 
 /// A captured simulation state, decoupled from the live [`Simulation`].
 #[derive(Clone, Debug)]
@@ -141,11 +144,8 @@ fn write_config(w: &mut ByteWriter, c: &SimConfig) {
     w.put_usize(c.step.gmres.max_iters);
     w.put_usize(c.step.gmres.restart);
     w.put_f64(c.step.gmres.stall_ratio);
-    w.put_bool(c.disable_collisions);
     w.put_bool(c.dt_control.enabled);
-    w.put_f64(c.dt_control.dt_min);
     w.put_usize(c.dt_control.grow_after);
-    w.put_bool(c.dt_control.substep);
     w.put_f64(c.dt_control.max_stretch);
     w.put_f64(c.dt_control.max_volume_drift);
 }
@@ -173,16 +173,13 @@ fn read_config(r: &mut ByteReader) -> Result<SimConfig, CodecError> {
                 stall_ratio: r.get_f64()?,
             },
         },
-        disable_collisions: r.get_bool()?,
         dt_control: DtControl {
             enabled: r.get_bool()?,
-            dt_min: r.get_f64()?,
             grow_after: r.get_usize()?,
-            substep: r.get_bool()?,
             max_stretch: r.get_f64()?,
             max_volume_drift: r.get_f64()?,
         },
-        // deliberately not serialized (format v3 unchanged): thread count
+        // deliberately not serialized: thread count
         // is an execution detail, and restore_into keeps the live value
         threads: 0,
     })
@@ -456,8 +453,7 @@ mod tests {
             clean_steps: 3,
             frozen: vec![true, false],
         };
-        sim.config.dt_control.dt_min = 1e-4;
-        sim.config.dt_control.substep = true;
+        sim.config.dt_control.grow_after = 7;
         let ckpt = Checkpoint::capture(&sim, "shear_pair");
         let bytes = ckpt.to_bytes();
         let back = Checkpoint::from_bytes(&bytes).unwrap();
@@ -476,24 +472,27 @@ mod tests {
         assert_eq!(back.dt_state.dt, 0.015 / 4.0);
         assert_eq!(back.dt_state.clean_steps, 3);
         assert_eq!(back.dt_state.frozen, vec![true, false]);
-        assert_eq!(back.config.dt_control.dt_min, 1e-4);
-        assert!(back.config.dt_control.substep);
+        assert_eq!(back.config.dt_control.grow_after, 7);
     }
 
     #[test]
     fn v2_checkpoint_rejected_with_version_error() {
         let sim = two_cell_sim();
-        let mut bytes = Checkpoint::capture(&sim, "x").to_bytes();
-        bytes[7] = b'2'; // masquerade as the pre-adaptive-dt format
-        let err = Checkpoint::from_bytes(&bytes).unwrap_err().to_string();
-        assert!(
-            err.contains("version 2"),
-            "error should name the file's version: {err}"
-        );
-        assert!(
-            err.contains("version 3"),
-            "error should name the supported version: {err}"
-        );
+        // the pre-adaptive-dt format, and the format whose config still
+        // carried the collision switch, backoff floor and retry shape
+        for old in [b'2', b'3'] {
+            let mut bytes = Checkpoint::capture(&sim, "x").to_bytes();
+            bytes[7] = old;
+            let err = Checkpoint::from_bytes(&bytes).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("version {}", old as char)),
+                "error should name the file's version: {err}"
+            );
+            assert!(
+                err.contains("version 4"),
+                "error should name the supported version: {err}"
+            );
+        }
     }
 
     #[test]

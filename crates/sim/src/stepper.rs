@@ -13,15 +13,19 @@ use kernels::{direct_eval_serial, StokesEquiv, StokesSL};
 use linalg::{Mat, Vec3};
 use sphharm::SphBasis;
 use vesicle::{
-    implicit_substep_chain, step_health, upsample_matrix_t, Cell, CellHealth, SelfInteraction,
-    StepOptions, SurfaceGeometry,
+    implicit_step, step_health, upsample_matrix_t, Cell, CellHealth, SelfInteraction, StepOptions,
+    SurfaceGeometry,
 };
+
+/// The backoff floor as a divisor of the target Δt: four halvings, after
+/// which a step freezes the cells that still violate the health bounds.
+const BACKOFF_FLOOR_DIVISOR: f64 = 16.0;
 
 /// Adaptive time-step controls: the per-cell blow-up gate and the
 /// deterministic retry/backoff policy [`Simulation::step`] runs behind.
 ///
 /// The controller is a pure function of simulation state — every decision
-/// (accept, retry at Δt/2, freeze at `dt_min`, recover toward the target
+/// (accept, retry at Δt/2, freeze at the Δt/16 floor, recover toward the target
 /// Δt) depends only on the cells, the config, and [`DtState`], all of
 /// which the checkpoint serializes — so two instances and a restarted run
 /// take bit-identical retry sequences.
@@ -31,18 +35,9 @@ pub struct DtControl {
     /// attempt per step at the configured Δt, committed regardless of
     /// health (the health metrics are still computed and reported).
     pub enabled: bool,
-    /// Smallest Δt the backoff may reach. `≤ 0` means "target Δt / 16"
-    /// (four halvings), resolved at run time so the default tracks the
-    /// scenario's Δt.
-    pub dt_min: f64,
     /// Consecutive clean steps (no retries, no frozen cells) before the
     /// controller doubles Δt back toward the target.
     pub grow_after: usize,
-    /// Retry shape: `false` halves the whole step (the step then advances
-    /// `Δt_current < Δt_target`); `true` keeps the step advancing the full
-    /// target Δt but chains the per-cell implicit update as
-    /// `Δt_target / Δt_current` sub-steps of [`implicit_substep_chain`].
-    pub substep: bool,
     /// Health bound on [`CellHealth::max_stretch`] (linear stretch of the
     /// surface element vs the rest configuration).
     pub max_stretch: f64,
@@ -55,22 +50,9 @@ impl Default for DtControl {
     fn default() -> Self {
         DtControl {
             enabled: true,
-            dt_min: 0.0,
             grow_after: 4,
-            substep: false,
             max_stretch: 10.0,
             max_volume_drift: 0.25,
-        }
-    }
-}
-
-impl DtControl {
-    /// The absolute `dt_min` in effect for a target step size.
-    pub fn resolved_dt_min(&self, dt_target: f64) -> f64 {
-        if self.dt_min > 0.0 {
-            self.dt_min
-        } else {
-            dt_target / 16.0
         }
     }
 }
@@ -78,17 +60,17 @@ impl DtControl {
 /// The adaptive controller's evolving state. Part of the trajectory —
 /// a restarted run must resume with the same current Δt and clean-step
 /// counter to reproduce the original retry sequence bit-identically, so
-/// [`crate::Checkpoint`] (format v3) serializes it.
+/// [`crate::Checkpoint`] (format v4) serializes it.
 #[derive(Clone, Debug, Default)]
 pub struct DtState {
     /// Current controller Δt (`0` = uninitialized, meaning the target Δt).
     pub dt: f64,
     /// Consecutive clean steps since the last retry/freeze/recovery.
     pub clean_steps: usize,
-    /// Per-cell freeze flags from the last step's `dt_min` fallback: `true`
-    /// means that cell's implicit update was skipped (its pre-step
+    /// Per-cell freeze flags from the last step's backoff-floor fallback:
+    /// `true` means that cell's implicit update was skipped (its pre-step
     /// positions were kept through the implicit stage) because it still
-    /// violated the health bounds at `dt_min`.
+    /// violated the health bounds at Δt/16.
     pub frozen: Vec<bool>,
 }
 
@@ -111,9 +93,6 @@ pub struct SimConfig {
     pub fmm: fmm::FmmOptions,
     /// Per-cell implicit solve options.
     pub step: StepOptions,
-    /// Skip collision handling entirely (for the convergence reference
-    /// runs of Fig. 11).
-    pub disable_collisions: bool,
     /// Adaptive time-step controls (blow-up gate + retry/backoff policy).
     pub dt_control: DtControl,
     /// Worker threads for the parallel stages of [`Simulation::step`].
@@ -138,7 +117,6 @@ impl Default for SimConfig {
             fmm_pair_threshold: 4.0e8,
             fmm: fmm::FmmOptions::default(),
             step: StepOptions::default(),
-            disable_collisions: false,
             dt_control: DtControl::default(),
             threads: 0,
         }
@@ -166,8 +144,7 @@ pub struct StepStats {
     /// Whether contact resolution reached a contact-free state.
     pub contact_free: bool,
     /// Time actually advanced by this step: the (possibly backed-off)
-    /// controller Δt in whole-step-halving mode, the full target Δt in
-    /// sub-stepping mode.
+    /// controller Δt.
     pub dt_effective: f64,
     /// Failed (dropped) attempts before this step was accepted (0 = clean).
     pub dt_retries: usize,
@@ -176,13 +153,12 @@ pub struct StepStats {
     /// controller is enabled and no cell had to be frozen.
     pub max_edge_stretch: f64,
     /// Cells whose implicit update was frozen this step because they still
-    /// violated the health bounds at `dt_min` (graceful degradation: the
+    /// violated the health bounds at Δt/16 (graceful degradation: the
     /// run stays alive and finite instead of emitting NaNs).
     pub frozen_cells: usize,
     /// Persistent wall-FMM plans *built* during this step's boundary
     /// evaluations. Healthy steady state is 0: the frozen source tree is
-    /// reused across steps, so only the first vessel step (or a step after
-    /// a vessel digest change) pays a build.
+    /// reused across steps, so only the first vessel step pays a build.
     pub wall_fmm_builds: usize,
     /// Target-only replans of the persistent wall FMM during this step
     /// (one per `eval_at` call on the FMM backend; 0 on the dense path).
@@ -218,19 +194,13 @@ pub struct Simulation {
     pub bie_warm: Option<Vec<f64>>,
     /// Adaptive time-step controller state (current Δt, clean-step
     /// counter, per-cell freeze flags). Evolving trajectory state,
-    /// serialized by [`crate::Checkpoint`] (format v3).
+    /// serialized by [`crate::Checkpoint`] (format v4).
     pub dt_state: DtState,
     /// Per-cell health metrics of the last accepted step (empty before the
     /// first step) — the per-cell detail behind
     /// [`StepStats::max_edge_stretch`], for diagnostics that need to name
     /// the offending cell.
     pub last_health: Vec<CellHealth>,
-    /// Digest of the vessel configuration the solver's persistent wall FMM
-    /// was built against ([`crate::vessel_digest`]); `None` before the
-    /// first vessel step. When the digest changes mid-run (e.g. a scenario
-    /// swaps the vessel or retunes the solver), the cached evaluation plan
-    /// is invalidated so the next step rebuilds against the new wall.
-    wall_digest: Option<u64>,
     /// The previous step's per-cell self-interaction operators: derived
     /// state, like the wall FMM plan. [`Simulation::prepare`] re-assembles
     /// each cell's operator into its existing buffer, so it never holds more
@@ -377,7 +347,6 @@ impl Simulation {
                 frozen: vec![false; n_cells],
             },
             last_health: Vec::new(),
-            wall_digest: None,
             selfops: Vec::new(),
         }
     }
@@ -410,7 +379,7 @@ impl Simulation {
     /// drift, non-finite detection — see [`vesicle::CellHealth`]), resolves
     /// contacts and is checked for finiteness. A violating attempt wrote
     /// nothing, so it is simply dropped and the attempt alone is retried at
-    /// Δt/2 with exponential backoff down to `dt_min`. At `dt_min` the
+    /// Δt/2 with exponential backoff down to Δt/16. At that floor the
     /// offending cells' implicit updates are frozen for the step
     /// (graceful degradation: the run stays alive and finite). After
     /// `grow_after` consecutive clean steps the controller doubles Δt back
@@ -434,7 +403,7 @@ impl Simulation {
         let mut t = StepTimers::default();
         let ctl = self.config.dt_control;
         let dt_target = self.config.dt;
-        let dt_min = ctl.resolved_dt_min(dt_target).min(dt_target);
+        let dt_floor = dt_target / BACKOFF_FLOOR_DIVISOR;
         let nc = self.cells.len();
 
         // controller Δt from serialized state (0 = fresh ⇒ target)
@@ -454,22 +423,16 @@ impl Simulation {
         let mut retries = 0usize;
         // freezing only ever grows the frozen set, and an attempt with a
         // cell frozen cannot re-report it, so the loop terminates after at
-        // most log2(dt_target/dt_min) halvings + nc freezes
+        // most log2(BACKOFF_FLOOR_DIVISOR) halvings + nc freezes
         let attempt = loop {
-            let n_sub = if ctl.substep {
-                ((dt_target / dt_now).round() as usize).max(1)
-            } else {
-                1
-            };
-            let dt_total = if ctl.substep { dt_target } else { dt_now };
-            match self.advance(&bg, dt_total, n_sub, &frozen, ctl.enabled, &mut t) {
+            match self.advance(&bg, dt_now, &frozen, ctl.enabled, &mut t) {
                 Ok(a) => break a,
                 Err(violators) => {
                     retries += 1;
-                    if dt_now * 0.5 >= dt_min * (1.0 - 1e-12) {
+                    if dt_now * 0.5 >= dt_floor * (1.0 - 1e-12) {
                         dt_now *= 0.5;
                     } else {
-                        // dt_min reached: freeze the offenders for this step
+                        // floor reached: freeze the offenders for this step
                         for ci in violators {
                             frozen[ci] = true;
                         }
@@ -543,8 +506,8 @@ impl Simulation {
 
     /// Stages 1–3 plus the gravity and shear terms, once per step however
     /// many attempts follow. The only place a step touches the boundary
-    /// solver: the vessel-digest check, the `bie_warm` hand-over and the
-    /// drain of the solver's FMM time and plan counters all live here.
+    /// solver: the `bie_warm` hand-over and the drain of the solver's FMM
+    /// time and plan counters both live here.
     fn prepare(&mut self, t: &mut StepTimers) -> Background {
         let basis = &self.basis;
         let nc = self.cells.len();
@@ -625,15 +588,6 @@ impl Simulation {
 
         // --- boundary solve for u_Γ (BIE-solve / BIE-FMM) ---
         if let Some(vessel) = &self.vessel {
-            // the persistent wall FMM is keyed to the vessel configuration:
-            // if the digest moved since the plan was built (vessel swapped
-            // or solver retuned mid-run), drop the cached plan so this
-            // step's evaluation rebuilds against the current wall
-            let digest = crate::checkpoint::vessel_digest(vessel);
-            if self.wall_digest != Some(digest) {
-                vessel.solver.invalidate_eval_fmm();
-                self.wall_digest = Some(digest);
-            }
             // warm start from the previous step's density (the boundary
             // data changes little between steps, so the previous solution
             // is a much better initial iterate than zero)
@@ -713,9 +667,8 @@ impl Simulation {
         }
     }
 
-    /// One attempt on a step's [`Background`] at total step size `dt_total`,
-    /// with the implicit stage chained as `n_sub` sub-steps (`n_sub = 1` =
-    /// plain backward Euler) and `frozen` cells' implicit updates skipped.
+    /// One attempt on a step's [`Background`] at step size `dt`, with
+    /// `frozen` cells' implicit updates skipped.
     /// Writes nothing (positions are returned for the caller to commit), so
     /// a failed attempt needs no undoing. With `gate` set, returns
     /// `Err(violating cell indices)` when any non-frozen cell fails the
@@ -724,29 +677,26 @@ impl Simulation {
     fn advance(
         &self,
         bg: &Background,
-        dt_total: f64,
-        n_sub: usize,
+        dt: f64,
         frozen: &[bool],
         gate: bool,
         t: &mut StepTimers,
     ) -> Result<Attempt, Vec<usize>> {
-        let dt = dt_total;
         let ctl = self.config.dt_control;
         let basis = &self.basis;
         let nc = self.cells.len();
         let n = basis.grid_size();
         let (geos, selfops, b_cells) = (&bg.geos, &bg.selfops, &bg.b_cells);
         let mut stats = StepStats {
-            dt_effective: dt_total,
+            dt_effective: dt,
             ..bg.stats
         };
 
         // --- locally-implicit per-cell update (Other) ---
         // frozen cells skip the update entirely (their candidate is the
         // pre-step position grid — §graceful degradation); the rest run
-        // backward Euler at dt_total, chained as n_sub sub-steps when the
-        // controller is in sub-stepping mode
-        let (mut new_positions, t_impl) = timed(|| {
+        // backward Euler at dt
+        let (new_positions, t_impl) = timed(|| {
             rayon::par::map_indexed(nc, |ci| {
                 if frozen[ci] {
                     return geos[ci].x.clone();
@@ -756,7 +706,7 @@ impl Simulation {
                     ..self.config.step
                 };
                 let cell = &self.cells[ci];
-                implicit_substep_chain(basis, cell, &selfops[ci], &b_cells[ci], &opts, n_sub).0
+                implicit_step(basis, cell, &selfops[ci], &b_cells[ci], &opts).0
             })
         });
         t.other += t_impl;
@@ -788,97 +738,93 @@ impl Simulation {
         }
 
         // --- collision handling (COL) ---
-        if !self.config.disable_collisions {
-            let ((corrected, res), t_col) = timed(|| {
-                let pu = basis.p * self.config.col_upsample;
-                let up_t = upsample_matrix_t(basis.p, pu);
-                let bu = SphBasis::new(pu);
-                let nf = bu.grid_size();
-                let fine_positions = |coarse: &[Vec3]| -> Vec<Vec3> {
-                    let mut out = vec![Vec3::ZERO; nf];
-                    let mut comp = vec![0.0; n];
-                    for c in 0..3 {
-                        for j in 0..n {
-                            comp[j] = coarse[j][c];
-                        }
-                        let f = up_t.matvec_t(&comp);
-                        for v in 0..nf {
-                            out[v][c] = f[v];
-                        }
+        let ((corrected, res), t_col) = timed(|| {
+            let pu = basis.p * self.config.col_upsample;
+            let up_t = upsample_matrix_t(basis.p, pu);
+            let bu = SphBasis::new(pu);
+            let nf = bu.grid_size();
+            let fine_positions = |coarse: &[Vec3]| -> Vec<Vec3> {
+                let mut out = vec![Vec3::ZERO; nf];
+                let mut comp = vec![0.0; n];
+                for c in 0..3 {
+                    for j in 0..n {
+                        comp[j] = coarse[j][c];
                     }
-                    out
-                };
-                // build meshes at start positions; end positions from the
-                // implicit update. One slot per cell, unzipped in index order
-                let per_cell = rayon::par::map_indexed(nc, |ci| {
-                    let (pts0, nlat, nlon, n0, s0) =
-                        self.cells[ci].collision_points(basis, self.config.col_upsample);
-                    let mesh = triangulate_latlon(&pts0, nlat, nlon, n0, s0);
-                    let mut e = fine_positions(&new_positions[ci]);
-                    // poles at end: reuse ring ends
-                    e.push(e[0]);
-                    e.push(e[nf - 1]);
-                    let mut s = pts0;
-                    s.push(n0);
-                    s.push(s0);
-                    (mesh, s, e)
-                });
-                let mut meshes: Vec<TriMesh> = Vec::with_capacity(nc);
-                let mut start: Vec<Vec<Vec3>> = Vec::with_capacity(nc);
-                let mut end: Vec<Vec<Vec3>> = Vec::with_capacity(nc);
-                for (mesh, s, e) in per_cell {
-                    meshes.push(mesh);
-                    start.push(s);
-                    end.push(e);
-                }
-                let mut obj_of: Vec<u32> = (0..nc as u32).collect();
-                if let Some(vessel) = &self.vessel {
-                    for m in &vessel.meshes {
-                        start.push(m.verts.clone());
-                        end.push(m.verts.clone());
-                        meshes.push(m.clone());
-                        obj_of.push(nc as u32); // one rigid vessel object
+                    let f = up_t.matvec_t(&comp);
+                    for v in 0..nf {
+                        out[v][c] = f[v];
                     }
                 }
-                let mobility = CellMobility {
-                    selfops,
-                    up_t: &up_t,
-                    dt,
-                    n_cells: nc,
-                    n_coarse: n,
-                    n_fine_grid: nf,
-                };
-                let opts = NcpOptions {
-                    detect: DetectOptions::new(self.config.collision_delta),
-                    max_outer: 10,
-                    ..Default::default()
-                };
-                let res = resolve_contacts(&meshes, &mut end, &start, &obj_of, &mobility, &opts);
-                // project corrected fine positions back to the coarse grid
-                // (spectral truncation: exact left inverse of upsampling)
-                let corrected: Vec<Vec<Vec3>> = rayon::par::map_indexed(nc, |ci| {
-                    let fine = &end[ci][..nf];
-                    let mut out = vec![Vec3::ZERO; n];
-                    for c in 0..3 {
-                        let comp: Vec<f64> = fine.iter().map(|v| v[c]).collect();
-                        let cc = bu.analyze(&comp).resampled(basis.p);
-                        let g = basis.synthesize(&cc, sphharm::Deriv::None);
-                        for j in 0..n {
-                            out[j][c] = g[j];
-                        }
-                    }
-                    out
-                });
-                (corrected, res)
+                out
+            };
+            // build meshes at start positions; end positions from the
+            // implicit update. One slot per cell, unzipped in index order
+            let per_cell = rayon::par::map_indexed(nc, |ci| {
+                let (pts0, nlat, nlon, n0, s0) =
+                    self.cells[ci].collision_points(basis, self.config.col_upsample);
+                let mesh = triangulate_latlon(&pts0, nlat, nlon, n0, s0);
+                let mut e = fine_positions(&new_positions[ci]);
+                // poles at end: reuse ring ends
+                e.push(e[0]);
+                e.push(e[nf - 1]);
+                let mut s = pts0;
+                s.push(n0);
+                s.push(s0);
+                (mesh, s, e)
             });
-            stats.contacts = res.initial_contacts;
-            stats.ncp_iters = res.outer_iters;
-            stats.contact_free = res.resolved;
-            new_positions = corrected;
-            t.col += t_col;
-        } else {
-            stats.contact_free = true;
-        }
+            let mut meshes: Vec<TriMesh> = Vec::with_capacity(nc);
+            let mut start: Vec<Vec<Vec3>> = Vec::with_capacity(nc);
+            let mut end: Vec<Vec<Vec3>> = Vec::with_capacity(nc);
+            for (mesh, s, e) in per_cell {
+                meshes.push(mesh);
+                start.push(s);
+                end.push(e);
+            }
+            let mut obj_of: Vec<u32> = (0..nc as u32).collect();
+            if let Some(vessel) = &self.vessel {
+                for m in &vessel.meshes {
+                    start.push(m.verts.clone());
+                    end.push(m.verts.clone());
+                    meshes.push(m.clone());
+                    obj_of.push(nc as u32); // one rigid vessel object
+                }
+            }
+            let mobility = CellMobility {
+                selfops,
+                up_t: &up_t,
+                dt,
+                n_cells: nc,
+                n_coarse: n,
+                n_fine_grid: nf,
+            };
+            let opts = NcpOptions {
+                detect: DetectOptions::new(self.config.collision_delta),
+                max_outer: 10,
+                ..Default::default()
+            };
+            let res = resolve_contacts(&meshes, &mut end, &start, &obj_of, &mobility, &opts);
+            // project corrected fine positions back to the coarse grid
+            // (spectral truncation: exact left inverse of upsampling)
+            let corrected: Vec<Vec<Vec3>> = rayon::par::map_indexed(nc, |ci| {
+                let fine = &end[ci][..nf];
+                let mut out = vec![Vec3::ZERO; n];
+                for c in 0..3 {
+                    let comp: Vec<f64> = fine.iter().map(|v| v[c]).collect();
+                    let cc = bu.analyze(&comp).resampled(basis.p);
+                    let g = basis.synthesize(&cc, sphharm::Deriv::None);
+                    for j in 0..n {
+                        out[j][c] = g[j];
+                    }
+                }
+                out
+            });
+            (corrected, res)
+        });
+        stats.contacts = res.initial_contacts;
+        stats.ncp_iters = res.outer_iters;
+        stats.contact_free = res.resolved;
+        let new_positions = corrected;
+        t.col += t_col;
 
         // --- post-collision finiteness gate ---
         // contact resolution can amplify a borderline update; a non-frozen
@@ -1045,16 +991,35 @@ mod tests {
     }
 
     #[test]
+    fn impossible_bound_takes_four_halvings_then_freezes() {
+        // max_stretch 0.5 is violated by any configuration (stretch ≈ 1):
+        // from the target dt the backoff halves four times down to its
+        // dt/16 floor, and the fifth failed attempt freezes the cell
+        let ctl = DtControl {
+            max_stretch: 0.5,
+            ..Default::default()
+        };
+        let dt = 0.02;
+        let mut sim = shear_sim(ctl, dt);
+        sim.step();
+        let st = sim.last_stats;
+        assert_eq!(st.dt_retries, 5);
+        assert_eq!(st.dt_effective, dt / 16.0);
+        assert_eq!(st.frozen_cells, 1);
+        assert_finite(&sim);
+    }
+
+    #[test]
     fn impossible_bound_freezes_at_dt_min_and_stays_finite() {
         // max_stretch 0.5 is violated by any configuration (stretch ≈ 1),
-        // and dt_min = dt leaves no halving room: the first violation must
-        // freeze the cell instead of looping
+        // and a controller already at the dt/16 floor has no halving room:
+        // the first violation must freeze the cell instead of looping
         let ctl = DtControl {
-            dt_min: 0.02,
             max_stretch: 0.5,
             ..Default::default()
         };
         let mut sim = shear_sim(ctl, 0.02);
+        sim.dt_state.dt = 0.02 / 16.0;
         sim.step();
         let st = sim.last_stats;
         assert_eq!(st.dt_retries, 1);
@@ -1087,25 +1052,6 @@ mod tests {
         sim.step();
         sim.step();
         assert_eq!(sim.dt_state.dt, 0.02, "recovered to the target dt");
-    }
-
-    #[test]
-    fn substep_mode_advances_full_target_dt() {
-        let ctl = DtControl {
-            substep: true,
-            grow_after: 1,
-            ..Default::default()
-        };
-        let mut sim = shear_sim(ctl, 0.02);
-        sim.dt_state.dt = 0.01; // controller backed off, sub-step chain of 2
-        sim.step();
-        assert_eq!(
-            sim.last_stats.dt_effective, 0.02,
-            "sub-stepping still advances the full target dt"
-        );
-        assert_eq!(sim.last_stats.dt_retries, 0);
-        assert_eq!(sim.dt_state.dt, 0.02, "clean step recovered the controller");
-        assert_finite(&sim);
     }
 
     #[test]
@@ -1165,19 +1111,20 @@ mod tests {
             biconcave_coeffs(&basis, 0.5, center),
             CellParams::default(),
         )];
-        // a volume-drift bound no moving cell meets and no halving room: the
-        // first attempt fails, the second commits with the cell frozen
+        // a volume-drift bound no moving cell meets and a controller at the
+        // dt/16 floor, so no halving room: the first attempt fails, the
+        // second commits with the cell frozen
         let dt = 0.01;
         let config = SimConfig {
             dt,
             dt_control: DtControl {
-                dt_min: dt,
                 max_volume_drift: 1e-14,
                 ..Default::default()
             },
             ..Default::default()
         };
         let mut sim = Simulation::new(basis, cells, Some(vessel), config);
+        sim.dt_state.dt = dt / 16.0;
         sim.step();
         let st = sim.last_stats;
         assert_eq!(st.dt_retries, 1, "the first attempt must fail");

@@ -393,50 +393,6 @@ pub fn step_health(basis: &SphBasis, cell: &Cell, pos_new: &[Vec3], vol_before: 
     }
 }
 
-/// Chains `n_sub` locally-implicit backward-Euler updates of `Δt / n_sub`
-/// each — the sub-stepping entry point of the adaptive time-step
-/// controller. The explicit velocity `b_grid` is held constant over the
-/// sub-steps (its time dependence is resolved by the outer loop), while
-/// the linearization point — geometry *and* the singular self-interaction
-/// operator — is rebuilt between sub-steps, which is what makes two
-/// chained half-steps stabler than one full step for the same arithmetic
-/// cost profile.
-///
-/// `n_sub = 1` delegates to [`implicit_step`] and is bit-identical to it.
-/// Returns the final positions and the GMRES stats of the *last* sub-step.
-pub fn implicit_substep_chain(
-    basis: &SphBasis,
-    cell: &Cell,
-    selfop: &SelfInteraction,
-    b_grid: &[Vec3],
-    opts: &StepOptions,
-    n_sub: usize,
-) -> (Vec<Vec3>, GmresResult) {
-    assert!(n_sub >= 1, "n_sub must be ≥ 1");
-    if n_sub == 1 {
-        return implicit_step(basis, cell, selfop, b_grid, opts);
-    }
-    let sub_opts = StepOptions {
-        dt: opts.dt / n_sub as f64,
-        ..*opts
-    };
-    let (mut pos, mut res) = implicit_step(basis, cell, selfop, b_grid, &sub_opts);
-    let mut work = cell.clone();
-    for _ in 1..n_sub {
-        work.set_positions(basis, &pos);
-        // a sub-step that already went non-finite cannot be continued; stop
-        // and let the caller's health gate reject the chain
-        if !pos.iter().all(|p| p.is_finite()) {
-            return (pos, res);
-        }
-        let sub_selfop = work.self_interaction(basis);
-        let (p, r) = implicit_step(basis, &work, &sub_selfop, b_grid, &sub_opts);
-        pos = p;
-        res = r;
-    }
-    (pos, res)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -591,71 +547,6 @@ mod tests {
         let h = step_health(&basis, &cell, &bad, vol0);
         assert!(!h.finite);
         assert!(!h.ok(f64::INFINITY, f64::INFINITY));
-    }
-
-    #[test]
-    fn substep_chain_of_one_matches_implicit_step_bit_exactly() {
-        let p = 8;
-        let basis = SphBasis::new(p);
-        let params = CellParams {
-            kappa_b: 0.02,
-            k_area: 1.0,
-            ..Default::default()
-        };
-        let cell = Cell::new(
-            &basis,
-            bumpy_sphere_coeffs(&basis, 1.0, Vec3::ZERO, 0.03),
-            params,
-        );
-        let selfop = cell.self_interaction(&basis);
-        let b = vec![Vec3::new(0.2, -0.1, 0.05); basis.grid_size()];
-        let opts = StepOptions {
-            dt: 1e-2,
-            ..Default::default()
-        };
-        let (a, _) = implicit_step(&basis, &cell, &selfop, &b, &opts);
-        let (c, _) = implicit_substep_chain(&basis, &cell, &selfop, &b, &opts, 1);
-        for (x, y) in a.iter().zip(&c) {
-            assert_eq!(x.x.to_bits(), y.x.to_bits());
-            assert_eq!(x.y.to_bits(), y.y.to_bits());
-            assert_eq!(x.z.to_bits(), y.z.to_bits());
-        }
-    }
-
-    #[test]
-    fn substep_chain_advects_and_stays_healthy() {
-        // uniform background, two sub-steps: advection remains exact
-        // (b frozen ⇒ each half-step moves Δt/2·b) and the chained update
-        // keeps the relaxation behavior of the single step
-        let p = 8;
-        let basis = SphBasis::new(p);
-        let params = CellParams {
-            kappa_b: 0.02,
-            k_area: 0.5,
-            ..Default::default()
-        };
-        let cell = Cell::new(
-            &basis,
-            bumpy_sphere_coeffs(&basis, 1.0, Vec3::ZERO, 0.02),
-            params,
-        );
-        let selfop = cell.self_interaction(&basis);
-        let b = vec![Vec3::new(1.0, 0.0, 0.0); basis.grid_size()];
-        let opts = StepOptions {
-            dt: 2e-2,
-            ..Default::default()
-        };
-        let (pos, res) = implicit_substep_chain(&basis, &cell, &selfop, &b, &opts, 2);
-        assert!(res.rel_residual < 1e-6);
-        let geo0 = cell.geometry(&basis);
-        let mean: Vec3 =
-            pos.iter().zip(&geo0.x).map(|(a, b)| *a - *b).sum::<Vec3>() / basis.grid_size() as f64;
-        assert!(
-            (mean - Vec3::new(2e-2, 0.0, 0.0)).norm() < 1e-4,
-            "mean {mean:?}"
-        );
-        let h = step_health(&basis, &cell, &pos, geo0.volume());
-        assert!(h.finite && h.max_stretch < 2.0 && h.volume_drift < 0.1);
     }
 
     #[test]

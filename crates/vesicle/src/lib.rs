@@ -21,8 +21,7 @@ pub mod shape;
 pub mod state;
 
 pub use cell::{
-    implicit_step, implicit_substep_chain, step_health, weighted_div_grad, Cell, CellHealth,
-    CellParams, StepOptions,
+    implicit_step, step_health, weighted_div_grad, Cell, CellHealth, CellParams, StepOptions,
 };
 pub use geometry::{surface_geometry, SurfaceGeometry};
 pub use selfop::{upsample_matrix_t, SelfInteraction, SelfOpOptions};

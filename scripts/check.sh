@@ -6,9 +6,14 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== cargo fmt --check"
-cargo fmt --all --check 2>/dev/null || {
-    echo "  (rustfmt unavailable or formatting diffs — rerun 'cargo fmt' locally)"
-}
+# a formatting diff fails the gate; only a missing rustfmt skips the step
+if cargo fmt --version >/dev/null 2>&1; then
+    cargo fmt --all --check || {
+        echo "ERROR: formatting diffs (run 'cargo fmt --all')"; exit 1;
+    }
+else
+    echo "  (rustfmt unavailable — skipped)"
+fi
 
 echo "== cargo clippy (ratcheted warning floor)"
 if cargo clippy --version >/dev/null 2>&1; then
