@@ -106,18 +106,6 @@ pub fn laplace_dl_block(trgs: &[Vec3], srcs: &[Vec3], data: &[f64], out: &mut [f
     }
 }
 
-/// Gradient of the Laplace single layer with respect to the target.
-#[inline]
-pub fn laplace_sl_grad(x: Vec3, y: Vec3, q: f64) -> Vec3 {
-    let r = x - y;
-    let r2 = r.norm_sq();
-    if r2 == 0.0 {
-        return Vec3::ZERO;
-    }
-    let rinv3 = 1.0 / (r2 * r2.sqrt());
-    r * (-q * rinv3 / (4.0 * std::f64::consts::PI))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,21 +148,5 @@ mod tests {
             lap += (laplace_sl(xp, y, 1.0) + laplace_sl(xm, y, 1.0) - 2.0 * u0) / (h * h);
         }
         assert!(lap.abs() < 1e-6, "laplacian {lap}");
-    }
-
-    #[test]
-    fn gradient_matches_finite_differences() {
-        let y = Vec3::new(-0.3, 0.4, 0.1);
-        let x = Vec3::new(0.8, 0.2, -0.6);
-        let g = laplace_sl_grad(x, y, 2.5);
-        let h = 1e-6;
-        for k in 0..3 {
-            let mut xp = x;
-            let mut xm = x;
-            xp[k] += h;
-            xm[k] -= h;
-            let fd = (laplace_sl(xp, y, 2.5) - laplace_sl(xm, y, 2.5)) / (2.0 * h);
-            assert!((g[k] - fd).abs() < 1e-8);
-        }
     }
 }

@@ -13,7 +13,7 @@ pub mod laplace;
 pub mod stokes;
 pub mod traits;
 
-pub use laplace::{laplace_dl, laplace_dl_block, laplace_sl, laplace_sl_block, laplace_sl_grad};
+pub use laplace::{laplace_dl, laplace_dl_block, laplace_sl, laplace_sl_block};
 pub use stokes::{
     stokes_equiv_block, stokeslet, stokeslet_block, stokeslet_matrix, stokeslet_pressure,
     stresslet, stresslet_block,

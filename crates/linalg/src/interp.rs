@@ -2,14 +2,12 @@
 //!
 //! Two uses in the paper's pipeline:
 //! 1. upsampling patch densities from the coarse to the fine discretization
-//!    (tensor-product interpolation at Clenshaw–Curtis nodes, §3.1 step 1);
+//!    (Lagrange interpolation at Clenshaw–Curtis nodes, §3.1 step 1);
 //! 2. 1-D polynomial extrapolation of velocities from check points back to
 //!    the on/near-surface target (§3.1 step 5, weights `e_q` in Eq. 3.3).
 //!
 //! Everything is built on barycentric Lagrange interpolation, which is
 //! numerically stable for the node families used here.
-
-use crate::mat::Mat;
 
 /// Barycentric weights for an arbitrary set of distinct 1-D nodes.
 ///
@@ -88,46 +86,6 @@ impl Interp1d {
         debug_assert_eq!(f.len(), self.nodes.len());
         self.weights_at(x).iter().zip(f).map(|(w, v)| w * v).sum()
     }
-
-    /// Dense matrix mapping samples on `self.nodes` to values at `targets`.
-    pub fn matrix_to(&self, targets: &[f64]) -> Mat {
-        let mut m = Mat::zeros(targets.len(), self.nodes.len());
-        for (i, &x) in targets.iter().enumerate() {
-            let w = self.weights_at(x);
-            m.row_mut(i).copy_from_slice(&w);
-        }
-        m
-    }
-}
-
-/// Tensor-product interpolation matrix on `[-1,1]²`.
-///
-/// Maps samples at the grid `src_u × src_v` (row-major, `u` fastest) to
-/// values at the grid `dst_u × dst_v`. Used for upsampling patch densities
-/// from coarse to fine Clenshaw–Curtis grids.
-pub fn tensor_interp_matrix(src_u: &[f64], src_v: &[f64], dst_u: &[f64], dst_v: &[f64]) -> Mat {
-    let iu = Interp1d::new(src_u.to_vec());
-    let iv = Interp1d::new(src_v.to_vec());
-    let mu = iu.matrix_to(dst_u); // |dst_u| × |src_u|
-    let mv = iv.matrix_to(dst_v); // |dst_v| × |src_v|
-    let (nsu, nsv) = (src_u.len(), src_v.len());
-    let (ndu, ndv) = (dst_u.len(), dst_v.len());
-    let mut m = Mat::zeros(ndu * ndv, nsu * nsv);
-    for jv in 0..ndv {
-        for ju in 0..ndu {
-            let row = jv * ndu + ju;
-            for kv in 0..nsv {
-                let mvv = mv[(jv, kv)];
-                if mvv == 0.0 {
-                    continue;
-                }
-                for ku in 0..nsu {
-                    m[(row, kv * nsu + ku)] = mvv * mu[(ju, ku)];
-                }
-            }
-        }
-    }
-    m
 }
 
 /// Builds the extrapolation weights of Eq. (3.3): the check points lie at
@@ -190,56 +148,5 @@ mod tests {
             val += wi / (1.0 + t);
         }
         assert!((val - 1.0).abs() < 1e-6, "extrapolated {val}");
-    }
-
-    #[test]
-    fn tensor_interp_upsamples_bilinear_exactly() {
-        let src = clenshaw_curtis(5).nodes;
-        let dst = clenshaw_curtis(9).nodes;
-        let m = tensor_interp_matrix(&src, &src, &dst, &dst);
-        // f(u,v) = (1+u)(2-v) is degree (1,1): reproduced exactly
-        let f: Vec<f64> = {
-            let mut f = Vec::new();
-            for &v in &src {
-                for &u in &src {
-                    f.push((1.0 + u) * (2.0 - v));
-                }
-            }
-            f
-        };
-        let g = m.matvec(&f);
-        let mut idx = 0;
-        for &v in &dst {
-            for &u in &dst {
-                let exact = (1.0 + u) * (2.0 - v);
-                assert!((g[idx] - exact).abs() < 1e-12);
-                idx += 1;
-            }
-        }
-    }
-
-    #[test]
-    fn tensor_interp_spectral_accuracy() {
-        let src = clenshaw_curtis(11).nodes;
-        let dst = vec![-0.9, -0.33, 0.21, 0.87];
-        let m = tensor_interp_matrix(&src, &src, &dst, &dst);
-        let f: Vec<f64> = {
-            let mut f = Vec::new();
-            for &v in &src {
-                for &u in &src {
-                    f.push((2.0 * u).sin() * (1.5 * v).cos());
-                }
-            }
-            f
-        };
-        let g = m.matvec(&f);
-        let mut idx = 0;
-        for &v in &dst {
-            for &u in &dst {
-                let exact = (2.0 * u).sin() * (1.5 * v).cos();
-                assert!((g[idx] - exact).abs() < 1e-6, "u={u} v={v}");
-                idx += 1;
-            }
-        }
     }
 }

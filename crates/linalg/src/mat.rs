@@ -174,26 +174,6 @@ impl Mat {
         c
     }
 
-    /// Accumulating matrix–matrix product `C += alpha · A B` into a
-    /// caller-provided matrix (the GEMM path used by the batched FMM M2L).
-    ///
-    /// # Panics
-    /// Panics on any dimension mismatch.
-    pub fn matmul_acc(&self, b: &Mat, alpha: f64, c: &mut Mat) {
-        assert_eq!(self.cols, b.rows, "matmul_acc: inner dimension mismatch");
-        assert_eq!(c.rows, self.rows, "matmul_acc: output rows");
-        assert_eq!(c.cols, b.cols, "matmul_acc: output cols");
-        gemm_acc(
-            self.rows,
-            b.cols,
-            self.cols,
-            alpha,
-            &self.data,
-            &b.data,
-            &mut c.data,
-        );
-    }
-
     /// Frobenius norm.
     pub fn frobenius_norm(&self) -> f64 {
         self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
@@ -245,7 +225,7 @@ impl IndexMut<(usize, usize)> for Mat {
 /// Register-tiled microkernel: `MR × NR` accumulator blocks (4 rows × 24
 /// columns = 12 SIMD vectors at AVX-512 width) held across the full `k`
 /// loop, with edge cleanup in plain axpy form. This is the workhorse
-/// behind [`Mat::matmul`], [`Mat::matmul_acc`], and the FMM's batched M2L
+/// behind [`Mat::matmul`] and the FMM's batched M2L
 /// dispatch, where `A` is a block of gathered equivalent densities and `B`
 /// a translation operator.
 ///
@@ -363,11 +343,6 @@ pub fn norm2(x: &[f64]) -> f64 {
     dot(x, x).sqrt()
 }
 
-/// Infinity norm of a slice.
-pub fn norm_inf(x: &[f64]) -> f64 {
-    x.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -418,7 +393,6 @@ mod tests {
     fn blas_helpers() {
         let x = vec![1.0, 2.0, 2.0];
         assert!((norm2(&x) - 3.0).abs() < 1e-15);
-        assert_eq!(norm_inf(&x), 2.0);
         let mut y = vec![1.0, 1.0, 1.0];
         axpy(2.0, &x, &mut y);
         assert_eq!(y, vec![3.0, 5.0, 5.0]);
@@ -433,8 +407,9 @@ mod tests {
         // accumulate twice with alpha = 0.5 into a pre-filled C
         let mut c = Mat::from_fn(7, 9, |i, j| (i + j) as f64);
         let base = c.clone();
-        a.matmul_acc(&b, 0.5, &mut c);
-        a.matmul_acc(&b, 0.5, &mut c);
+        for _ in 0..2 {
+            gemm_acc(7, 9, 5, 0.5, &a.data, &b.data, &mut c.data);
+        }
         let expect = base.add_scaled(&reference, 1.0);
         assert!(c.add_scaled(&expect, -1.0).frobenius_norm() < 1e-12);
     }

@@ -107,18 +107,6 @@ pub fn legendre_and_derivative(n: usize, x: f64) -> (f64, f64) {
     (p1, d)
 }
 
-/// Periodic trapezoidal rule with `n` points on `[0, 2π)` — spectrally
-/// accurate for smooth periodic integrands (used for the longitude direction
-/// of spherical-harmonic grids).
-pub fn periodic_trapezoid(n: usize) -> Rule1d {
-    assert!(n >= 1);
-    let h = 2.0 * PI / n as f64;
-    Rule1d {
-        nodes: (0..n).map(|j| j as f64 * h).collect(),
-        weights: vec![h; n],
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,17 +175,5 @@ mod tests {
         };
         assert!(fine < 1e-12);
         assert!(coarse < 1e-4);
-    }
-
-    #[test]
-    fn periodic_trapezoid_integrates_fourier_modes() {
-        let r = periodic_trapezoid(16);
-        // ∫ cos(kθ) dθ = 0 for 1 ≤ k < n, ∫ 1 = 2π
-        let ones = vec![1.0; 16];
-        assert!((r.integrate(&ones) - 2.0 * PI).abs() < 1e-12);
-        for k in 1..8 {
-            let f: Vec<f64> = r.nodes.iter().map(|t| (k as f64 * t).cos()).collect();
-            assert!(r.integrate(&f).abs() < 1e-12, "mode {k}");
-        }
     }
 }

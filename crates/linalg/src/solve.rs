@@ -1,9 +1,8 @@
-//! Direct dense solvers: LU with partial pivoting and Householder QR.
+//! Direct dense solver: LU with partial pivoting.
 //!
-//! These replace the LAPACK routines (via MKL) used by the reference
+//! This replaces the LAPACK routine (via MKL) used by the reference
 //! implementation for small dense blocks: Newton systems in the closest-point
-//! search, polynomial fitting of boundary patches, and the per-level
-//! pseudo-inverse solves inside the kernel-independent FMM.
+//! search and polynomial fitting of boundary patches.
 
 use crate::mat::Mat;
 
@@ -12,8 +11,6 @@ use crate::mat::Mat;
 pub struct Lu {
     lu: Mat,
     piv: Vec<usize>,
-    /// Sign of the permutation (+1/−1); 0 if the matrix is singular.
-    sign: f64,
 }
 
 impl Lu {
@@ -24,7 +21,6 @@ impl Lu {
         let n = a.rows();
         let mut lu = a.clone();
         let mut piv: Vec<usize> = (0..n).collect();
-        let mut sign = 1.0;
         for k in 0..n {
             // pivot search
             let mut p = k;
@@ -41,7 +37,6 @@ impl Lu {
             }
             if p != k {
                 piv.swap(p, k);
-                sign = -sign;
                 for j in 0..n {
                     let t = lu[(k, j)];
                     lu[(k, j)] = lu[(p, j)];
@@ -60,7 +55,7 @@ impl Lu {
                 }
             }
         }
-        Some(Lu { lu, piv, sign })
+        Some(Lu { lu, piv })
     }
 
     /// Solves `A x = b` for a single right-hand side.
@@ -110,111 +105,12 @@ impl Lu {
     pub fn inverse(&self) -> Mat {
         self.solve_mat(&Mat::identity(self.lu.rows()))
     }
-
-    /// Determinant of the factored matrix.
-    pub fn det(&self) -> f64 {
-        let mut d = self.sign;
-        for i in 0..self.lu.rows() {
-            d *= self.lu[(i, i)];
-        }
-        d
-    }
-}
-
-/// Householder QR factorization of an `m × n` matrix with `m ≥ n`.
-///
-/// Used for least-squares solves, e.g. fitting tensor-product polynomial
-/// patches through projected sample points.
-#[derive(Clone, Debug)]
-pub struct Qr {
-    qr: Mat,
-    // Householder scalar for each reflector.
-    beta: Vec<f64>,
-    rdiag: Vec<f64>,
-}
-
-impl Qr {
-    /// Factors the matrix. Requires `rows ≥ cols`.
-    pub fn new(a: &Mat) -> Qr {
-        let (m, n) = (a.rows(), a.cols());
-        assert!(m >= n, "Qr::new: requires rows >= cols");
-        let mut qr = a.clone();
-        let mut beta = vec![0.0; n];
-        let mut rdiag = vec![0.0; n];
-        for k in 0..n {
-            // norm of column k below the diagonal
-            let mut nrm: f64 = 0.0;
-            for i in k..m {
-                nrm = nrm.hypot(qr[(i, k)]);
-            }
-            if nrm == 0.0 {
-                beta[k] = 0.0;
-                rdiag[k] = 0.0;
-                continue;
-            }
-            let alpha = if qr[(k, k)] >= 0.0 { -nrm } else { nrm };
-            // v = x - alpha e1, stored in place; v_k adjusted
-            qr[(k, k)] -= alpha;
-            // beta = 2 / (vᵀv)
-            let mut vtv = 0.0;
-            for i in k..m {
-                vtv += qr[(i, k)] * qr[(i, k)];
-            }
-            beta[k] = if vtv > 0.0 { 2.0 / vtv } else { 0.0 };
-            rdiag[k] = alpha;
-            // apply reflector to trailing columns
-            for j in k + 1..n {
-                let mut dotv = 0.0;
-                for i in k..m {
-                    dotv += qr[(i, k)] * qr[(i, j)];
-                }
-                let s = beta[k] * dotv;
-                for i in k..m {
-                    let v = qr[(i, k)];
-                    qr[(i, j)] -= s * v;
-                }
-            }
-        }
-        Qr { qr, beta, rdiag }
-    }
-
-    /// Least-squares solve `min ‖A x − b‖₂`.
-    pub fn solve_ls(&self, b: &[f64]) -> Vec<f64> {
-        let (m, n) = (self.qr.rows(), self.qr.cols());
-        assert_eq!(b.len(), m);
-        let mut y = b.to_vec();
-        // apply Qᵀ
-        for k in 0..n {
-            if self.beta[k] == 0.0 {
-                continue;
-            }
-            let mut dotv = 0.0;
-            for (i, &yi) in y.iter().enumerate().skip(k) {
-                dotv += self.qr[(i, k)] * yi;
-            }
-            let s = self.beta[k] * dotv;
-            for (i, yi) in y.iter_mut().enumerate().skip(k) {
-                *yi -= s * self.qr[(i, k)];
-            }
-        }
-        // back substitution with R
-        let mut x = vec![0.0; n];
-        for i in (0..n).rev() {
-            let mut acc = y[i];
-            for (j, &xj) in x.iter().enumerate().skip(i + 1) {
-                acc -= self.qr[(i, j)] * xj;
-            }
-            let d = self.rdiag[i];
-            x[i] = if d.abs() > 0.0 { acc / d } else { 0.0 };
-        }
-        x
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mat::{norm2, Mat};
+    use crate::mat::Mat;
     use rand::prelude::*;
     use rand::rngs::StdRng;
 
@@ -245,12 +141,12 @@ mod tests {
     }
 
     #[test]
-    fn lu_detects_singularity_and_det() {
+    fn lu_detects_singularity() {
         let a = Mat::from_vec(2, 2, vec![1.0, 2.0, 2.0, 4.0]);
         assert!(Lu::new(&a).is_none());
+        // a pivoted but nonsingular matrix factors and solves
         let b = Mat::from_vec(2, 2, vec![0.0, 1.0, -1.0, 0.0]);
-        let lu = Lu::new(&b).unwrap();
-        assert!((lu.det() - 1.0).abs() < 1e-14);
+        assert_eq!(Lu::new(&b).unwrap().solve(&[2.0, 3.0]), vec![-3.0, 2.0]);
     }
 
     #[test]
@@ -265,32 +161,5 @@ mod tests {
         let prod = a.matmul(&inv);
         let err = prod.add_scaled(&Mat::identity(n), -1.0).frobenius_norm();
         assert!(err < 1e-10, "err={err}");
-    }
-
-    #[test]
-    fn qr_least_squares_matches_normal_equations() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let (m, n) = (40, 7);
-        let a = random_mat(&mut rng, m, n);
-        let b: Vec<f64> = (0..m).map(|i| (i as f64 * 0.3).cos()).collect();
-        let x = Qr::new(&a).solve_ls(&b);
-        // normal equations residual: Aᵀ(Ax − b) should vanish
-        let mut r = a.matvec(&x);
-        for (ri, bi) in r.iter_mut().zip(&b) {
-            *ri -= bi;
-        }
-        let g = a.matvec_t(&r);
-        assert!(norm2(&g) < 1e-10, "gradient norm {}", norm2(&g));
-    }
-
-    #[test]
-    fn qr_exact_solve_square() {
-        let a = Mat::from_vec(3, 3, vec![2.0, 1.0, 0.0, 1.0, 3.0, 1.0, 0.0, 1.0, 4.0]);
-        let xtrue = vec![1.0, -2.0, 0.5];
-        let b = a.matvec(&xtrue);
-        let x = Qr::new(&a).solve_ls(&b);
-        for (u, v) in x.iter().zip(&xtrue) {
-            assert!((u - v).abs() < 1e-12);
-        }
     }
 }

@@ -143,30 +143,6 @@ impl Svd {
         }
         vs.matmul(&ut)
     }
-
-    /// Solves the regularized least-squares problem `min ‖Ax − b‖` via the
-    /// truncated SVD, without forming the pseudo-inverse matrix.
-    pub fn solve_regularized(&self, b: &[f64], rel_tol: f64) -> Vec<f64> {
-        assert_eq!(b.len(), self.u.rows());
-        let cutoff = self.sigma_max() * rel_tol;
-        let r = self.sigma.len();
-        let n = self.v.rows();
-        let mut x = vec![0.0; n];
-        for j in 0..r {
-            if self.sigma[j] <= cutoff || self.sigma[j] == 0.0 {
-                continue;
-            }
-            let mut uj_b = 0.0;
-            for (i, &bi) in b.iter().enumerate() {
-                uj_b += self.u[(i, j)] * bi;
-            }
-            let c = uj_b / self.sigma[j];
-            for (i, xi) in x.iter_mut().enumerate() {
-                *xi += c * self.v[(i, j)];
-            }
-        }
-        x
-    }
 }
 
 #[inline]
@@ -255,7 +231,7 @@ mod tests {
         let svd = Svd::new(&a);
         assert!(svd.sigma[1] < 1e-10 * svd.sigma[0]);
         let b = vec![1.0; 6];
-        let x = svd.solve_regularized(&b, 1e-8);
+        let x = svd.pseudo_inverse(1e-8).matvec(&b);
         for v in &x {
             assert!(v.is_finite() && v.abs() < 10.0);
         }
@@ -271,18 +247,5 @@ mod tests {
         let g = a.matvec_t(&r);
         let gn = g.iter().map(|v| v.abs()).fold(0.0, f64::max);
         assert!(gn < 1e-9, "normal-equation residual {gn}");
-    }
-
-    #[test]
-    fn solve_regularized_matches_pinv_matvec() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let a = Mat::from_fn(15, 8, |_, _| rng.random_range(-1.0..1.0));
-        let b: Vec<f64> = (0..15).map(|i| (i as f64).sin()).collect();
-        let svd = Svd::new(&a);
-        let x1 = svd.solve_regularized(&b, 1e-12);
-        let x2 = svd.pseudo_inverse(1e-12).matvec(&b);
-        for (u, v) in x1.iter().zip(&x2) {
-            assert!((u - v).abs() < 1e-10);
-        }
     }
 }

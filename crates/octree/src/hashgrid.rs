@@ -144,95 +144,34 @@ pub fn box_point_candidates(boxes: &[Aabb], pts: &[Vec3], grid: &SpatialHash) ->
         .collect()
 }
 
-/// Finds all (i, j) candidate pairs between two sets of boxes (i from `a`,
-/// j from `b`), i.e. pairs whose boxes overlap at least one common grid
-/// cell. Pairs are deduplicated. Use `a == b` semantics via
-/// [`box_box_candidates_self`] instead when both sets are the same.
-pub fn box_box_candidates(a: &[Aabb], b: &[Aabb], grid: &SpatialHash) -> Vec<(u32, u32)> {
-    let mut pairs = raw_box_pairs(a, b, grid, false);
-    pairs.sort_unstable();
-    pairs.dedup();
-    pairs
-}
-
-/// Candidate pairs within a single set of boxes; returns each unordered pair
-/// once with `i < j`.
+/// Candidate pairs within a single set of boxes: pairs whose boxes overlap
+/// at least one common grid cell, each unordered pair once with `i < j`.
 pub fn box_box_candidates_self(boxes: &[Aabb], grid: &SpatialHash) -> Vec<(u32, u32)> {
-    let mut pairs = raw_box_pairs(boxes, boxes, grid, true);
-    pairs.sort_unstable();
-    pairs.dedup();
-    pairs
-}
-
-fn raw_box_pairs(a: &[Aabb], b: &[Aabb], grid: &SpatialHash, self_mode: bool) -> Vec<(u32, u32)> {
-    #[derive(Clone, Copy)]
-    struct Entry {
-        key: u64,
-        id: u32,
-        from_a: bool,
-    }
-    let mut entries: Vec<Entry> = a
+    // one entry (cell key, box id) per overlapped cell of each box
+    let mut entries: Vec<(u64, u32)> = boxes
         .iter()
         .enumerate()
         .flat_map(|(i, bx)| {
             let mut keys = Vec::new();
             grid.keys_of_box(*bx, &mut keys);
-            keys.into_iter().map(move |key| Entry {
-                key,
-                id: i as u32,
-                from_a: true,
-            })
+            keys.into_iter().map(move |key| (key, i as u32))
         })
         .collect();
-    if !self_mode {
-        let more: Vec<Entry> = b
-            .iter()
-            .enumerate()
-            .flat_map(|(i, bx)| {
-                let mut keys = Vec::new();
-                grid.keys_of_box(*bx, &mut keys);
-                keys.into_iter().map(move |key| Entry {
-                    key,
-                    id: i as u32,
-                    from_a: false,
-                })
-            })
-            .collect();
-        entries.extend(more);
-    }
-    entries.sort_unstable_by_key(|e| e.key);
+    entries.sort_unstable_by_key(|e| e.0);
 
-    let mut runs: Vec<(usize, usize)> = Vec::new();
-    let mut start = 0;
-    for i in 1..=entries.len() {
-        if i == entries.len() || entries[i].key != entries[start].key {
-            runs.push((start, i));
-            start = i;
-        }
-    }
-    runs.iter()
-        .flat_map(|&(s, e)| {
-            let run = &entries[s..e];
-            let mut out = Vec::new();
-            if self_mode {
-                for i in 0..run.len() {
-                    for j in i + 1..run.len() {
-                        let (x, y) = (run[i].id, run[j].id);
-                        if x != y {
-                            out.push((x.min(y), x.max(y)));
-                        }
-                    }
-                }
-            } else {
-                for ea in run.iter().filter(|e| e.from_a) {
-                    for eb in run.iter().filter(|e| !e.from_a) {
-                        out.push((ea.id, eb.id));
-                    }
+    let mut pairs = Vec::new();
+    for run in entries.chunk_by(|x, y| x.0 == y.0) {
+        for (i, &(_, x)) in run.iter().enumerate() {
+            for &(_, y) in &run[i + 1..] {
+                if x != y {
+                    pairs.push((x.min(y), x.max(y)));
                 }
             }
-            out.into_iter()
-        })
-        .collect()
+        }
+    }
+    pairs.sort_unstable();
+    pairs.dedup();
+    pairs
 }
 
 #[cfg(test)]
@@ -279,23 +218,6 @@ mod tests {
                         set.contains(&(bi as u32, pi as u32)),
                         "missed containing pair ({bi},{pi})"
                     );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn box_box_candidates_complete() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let a: Vec<Aabb> = (0..40).map(|_| rand_box(&mut rng, 1.5, 0.4)).collect();
-        let b: Vec<Aabb> = (0..40).map(|_| rand_box(&mut rng, 1.5, 0.4)).collect();
-        let grid = SpatialHash::new(0.5, Vec3::ZERO);
-        let set: std::collections::HashSet<(u32, u32)> =
-            box_box_candidates(&a, &b, &grid).into_iter().collect();
-        for (i, ba) in a.iter().enumerate() {
-            for (j, bb) in b.iter().enumerate() {
-                if ba.intersects(*bb) {
-                    assert!(set.contains(&(i as u32, j as u32)), "missed pair ({i},{j})");
                 }
             }
         }

@@ -15,8 +15,7 @@ pub mod morton;
 pub mod tree;
 
 pub use hashgrid::{
-    box_box_candidates, box_box_candidates_self, box_point_candidates, mean_diagonal_spacing,
-    SpatialHash,
+    box_box_candidates_self, box_point_candidates, mean_diagonal_spacing, SpatialHash,
 };
 pub use morton::{morton_decode, morton_encode, point_morton, MortonKey, MAX_DEPTH};
 pub use tree::{Node, Octree, Retarget, TreeOptions, NONE};

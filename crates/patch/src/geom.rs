@@ -10,7 +10,6 @@
 //!
 //! Generators:
 //! - [`cube_sphere`]: sphere from 6 projected cube faces (convergence tests);
-//! - [`ellipsoid`]: anisotropic variant;
 //! - [`torus`]: closed vessel loop;
 //! - [`modulated_torus`]: vessel loop with radius modulation (stenoses and
 //!   aneurysm-like bulges) — the "complex vessel" stand-in for scaling runs;
@@ -82,20 +81,6 @@ pub fn cube_sphere(radius: f64, center: Vec3, subdivisions: u32, q: usize) -> Bo
     let mut patches = Vec::new();
     for face in cube_face_maps() {
         let map = |u: f64, v: f64| center + face(u, v) * radius;
-        patches.extend(fit_grid(q, n, &map));
-    }
-    BoundarySurface::new(q, patches)
-}
-
-/// Ellipsoid with semi-axes `(a, b, c)`.
-pub fn ellipsoid(semi: Vec3, center: Vec3, subdivisions: u32, q: usize) -> BoundarySurface {
-    let n = 1usize << subdivisions;
-    let mut patches = Vec::new();
-    for face in cube_face_maps() {
-        let map = |u: f64, v: f64| {
-            let s = face(u, v);
-            center + Vec3::new(s.x * semi.x, s.y * semi.y, s.z * semi.z)
-        };
         patches.extend(fit_grid(q, n, &map));
     }
     BoundarySurface::new(q, patches)
@@ -197,30 +182,6 @@ impl Centerline for Serpentine {
             self.amp * (2.0 * PI * self.windings * s).sin(),
             0.0,
         )
-    }
-}
-
-/// Helical centerline (non-planar test case).
-pub struct Helix {
-    /// Helix radius.
-    pub radius: f64,
-    /// Height advanced per turn.
-    pub pitch: f64,
-    /// Number of turns.
-    pub turns: f64,
-}
-
-impl Centerline for Helix {
-    fn position(&self, s: f64) -> Vec3 {
-        let a = 2.0 * PI * self.turns * s;
-        Vec3::new(
-            self.radius * a.cos(),
-            self.radius * a.sin(),
-            self.pitch * self.turns * s,
-        )
-    }
-    fn up(&self) -> Vec3 {
-        Vec3::new(0.0, 0.0, 1.0)
     }
 }
 
@@ -354,16 +315,6 @@ mod tests {
     }
 
     #[test]
-    fn ellipsoid_area_reasonable() {
-        // nearly-spherical ellipsoid: area close to sphere of mean radius
-        let s = ellipsoid(Vec3::new(1.05, 1.0, 0.95), Vec3::ZERO, 1, 8);
-        let a = s.quadrature().total_area();
-        let approx = 4.0 * PI;
-        assert!((a - approx).abs() / approx < 0.01, "area {a}");
-        check_closed_surface(&s, Vec3::ZERO, 1e-5);
-    }
-
-    #[test]
     fn torus_area_matches_analytic() {
         let (big_r, small_r) = (2.0, 0.5);
         let s = torus(big_r, small_r, 8, 4, 8);
@@ -446,23 +397,5 @@ mod tests {
             }
             assert!((acc - 1.0).abs() < tol, "Gauss identity: {acc}");
         }
-    }
-
-    #[test]
-    fn helix_capsule_closed() {
-        let c = Helix {
-            radius: 2.0,
-            pitch: 1.0,
-            turns: 1.25,
-        };
-        let s = capsule_tube(&c, 0.35, 10, 8);
-        let quad = s.quadrature();
-        let interior = c.position(0.3);
-        let mut acc = 0.0;
-        for i in 0..quad.len() {
-            let r = quad.points[i] - interior;
-            acc += quad.normals[i].dot(r) / (4.0 * PI * r.norm().powi(3)) * quad.weights[i];
-        }
-        assert!((acc - 1.0).abs() < 2e-2, "Gauss identity: {acc}");
     }
 }

@@ -1,9 +1,8 @@
-//! Minimal legacy-VTK and OBJ writers for visualization.
+//! Minimal legacy-VTK writers for visualization.
 //!
 //! The paper renders its simulations with ParaView; these writers produce
-//! legacy ASCII `.vtk` (quad meshes, point clouds with vector data) and
-//! Wavefront `.obj` files that ParaView and most mesh viewers open
-//! directly.
+//! legacy ASCII `.vtk` (quad meshes, point clouds with vector data) that
+//! ParaView opens directly.
 
 use crate::surface::BoundarySurface;
 use linalg::Vec3;
@@ -98,18 +97,6 @@ pub fn export_surface_vtk(path: &Path, surface: &BoundarySurface, m: usize) -> i
     write_vtk_quads(path, &points, &quads, Some(("patch", &patch_id)))
 }
 
-/// Writes a triangle mesh as a Wavefront OBJ file.
-pub fn write_obj(path: &Path, points: &[Vec3], tris: &[[u32; 3]]) -> io::Result<()> {
-    let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-    for p in points {
-        writeln!(f, "v {} {} {}", p.x, p.y, p.z)?;
-    }
-    for t in tris {
-        writeln!(f, "f {} {} {}", t[0] + 1, t[1] + 1, t[2] + 1)?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,20 +114,5 @@ mod tests {
         assert!(text.contains("POLYGONS"));
         // 6 patches × 4×4 quads
         assert!(text.contains(&format!("POLYGONS {} ", 6 * 16)));
-    }
-
-    #[test]
-    fn obj_export_one_based_indices() {
-        let dir = std::env::temp_dir().join("rbcflow_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("tri.obj");
-        let pts = vec![
-            linalg::Vec3::ZERO,
-            linalg::Vec3::new(1.0, 0.0, 0.0),
-            linalg::Vec3::new(0.0, 1.0, 0.0),
-        ];
-        write_obj(&path, &pts, &[[0, 1, 2]]).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("f 1 2 3"));
     }
 }

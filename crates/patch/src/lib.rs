@@ -10,7 +10,7 @@
 //! - the coarse quadrature discretization of §3.1,
 //! - procedural closed vessel geometries replacing the paper's medical quad
 //!   meshes (see [`geom`]),
-//! - VTK/OBJ export for visualization.
+//! - VTK export for visualization.
 
 pub mod geom;
 pub mod io;
@@ -19,10 +19,9 @@ pub mod poly;
 pub mod surface;
 
 pub use geom::{
-    capsule_tube, cube_sphere, ellipsoid, modulated_torus, torus, Centerline, Helix, Serpentine,
-    StraightLine,
+    capsule_tube, cube_sphere, modulated_torus, torus, Centerline, Serpentine, StraightLine,
 };
-pub use io::{export_surface_vtk, write_obj, write_vtk_points, write_vtk_quads};
+pub use io::{export_surface_vtk, write_vtk_points, write_vtk_quads};
 pub use network::{branched_network, BranchSpec};
 pub use poly::{patch_interp_matrix, PolyPatch};
 pub use surface::{BoundarySurface, PatchKind, SurfaceQuad};

@@ -141,12 +141,6 @@ impl PolyPatch {
         out.map(|o| Vec3::new(o[0], o[1], o[2]))
     }
 
-    /// Outward-oriented normal direction `X_u × X_v` (not normalized).
-    pub fn normal_raw(&self, u: f64, v: f64) -> Vec3 {
-        let (_, xu, xv) = self.eval_jet(u, v);
-        xu.cross(xv)
-    }
-
     /// Restricts the patch to the sub-rectangle `[u0,u1] × [v0,v1]` of the
     /// parameter domain, returning a new patch over `[-1,1]²` (the exact
     /// polynomial subdivision used to refine vessel geometry, the analogue
@@ -408,7 +402,8 @@ mod tests {
         let patch = PolyPatch::fit(q, &sample_fn(q, curved));
         // point slightly off the surface along the normal at a known param
         let (u0, v0) = (0.3, -0.2);
-        let n = patch.normal_raw(u0, v0).normalized();
+        let (_, xu, xv) = patch.eval_jet(u0, v0);
+        let n = xu.cross(xv).normalized();
         let x = patch.eval(u0, v0) + n * 0.05;
         let (u, v, d) = patch.closest_point(x);
         assert!((d - 0.05).abs() < 1e-6, "distance {d}");

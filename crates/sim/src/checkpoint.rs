@@ -17,7 +17,6 @@ use crate::domain::Vessel;
 use crate::stepper::{DtControl, DtState, SimConfig, Simulation};
 use crate::timers::StepTimers;
 use linalg::{fnv1a64, ByteReader, ByteWriter, CodecError};
-use sphharm::SphBasis;
 use std::io;
 use std::path::Path;
 use vesicle::{Cell, StepOptions};
@@ -391,29 +390,11 @@ impl Checkpoint {
     }
 }
 
-/// Builds a [`Simulation`] directly from a checkpoint for **free-space**
-/// scenarios (no vessel). Vessel runs must rebuild the domain through their
-/// scenario and use [`Checkpoint::restore_into`].
-pub fn simulation_from_checkpoint(ckpt: &Checkpoint) -> Result<Simulation, CodecError> {
-    if ckpt.vessel_digest != 0 {
-        return Err(CodecError(
-            "checkpoint has a vessel; rebuild the domain via its scenario".into(),
-        ));
-    }
-    if ckpt.basis_p == 0 {
-        return Err(CodecError(
-            "checkpoint basis order 0: must be at least 1".into(),
-        ));
-    }
-    let mut sim = Simulation::new(SphBasis::new(ckpt.basis_p), Vec::new(), None, ckpt.config);
-    ckpt.restore_into(&mut sim)?;
-    Ok(sim)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use linalg::Vec3;
+    use sphharm::SphBasis;
     use vesicle::{biconcave_coeffs, CellParams};
 
     fn two_cell_sim() -> Simulation {
@@ -506,10 +487,6 @@ mod tests {
         assert_eq!(sim.steps, ckpt.steps);
         let c = sim.cells[0].geometry(&sim.basis).centroid();
         assert!((c.x - (-1.3)).abs() < 1e-8, "centroid not restored: {c:?}");
-
-        let rebuilt = simulation_from_checkpoint(&ckpt).unwrap();
-        assert_eq!(rebuilt.cells.len(), 2);
-        assert_eq!(rebuilt.config.dt, sim.config.dt);
     }
 
     #[test]
@@ -549,11 +526,6 @@ mod tests {
             let e = c.restore_into(&mut sim).unwrap_err().0;
             assert!(e.starts_with("cell 1:") && e.contains(names), "{e}");
         }
-        // a free-space checkpoint of basis order 0 is an error, not a panic
-        let mut zero = Checkpoint::capture(&sim, "x");
-        zero.basis_p = 0;
-        let e = simulation_from_checkpoint(&zero).err().unwrap().0;
-        assert!(e.contains("basis order 0"), "{e}");
     }
 
     #[test]

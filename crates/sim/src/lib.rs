@@ -28,7 +28,7 @@ pub mod stepper;
 pub mod timers;
 
 pub use caches::{refined_surface, surface_cache_stats, SurfaceCacheStats};
-pub use checkpoint::{simulation_from_checkpoint, vessel_digest, Checkpoint};
+pub use checkpoint::{vessel_digest, Checkpoint};
 pub use domain::{Port, Vessel};
 pub use fill::{cells_from_seeds, fill_seeds, fill_seeds_packed, Seed};
 pub use network::{vessel_from_network, NetworkSpec, SegmentSpec};

@@ -126,31 +126,6 @@ impl SphCoeffs {
         }
         out
     }
-
-    /// Truncated spectral energy above degree `n0` relative to the total —
-    /// a cheap smoothness diagnostic used to monitor aliasing.
-    pub fn high_frequency_fraction(&self, n0: usize) -> f64 {
-        let mut hi = 0.0;
-        let mut total = 0.0;
-        for m in 0..=self.p {
-            for n in m..=self.p {
-                let e = if m == 0 {
-                    self.a(n, 0).powi(2)
-                } else {
-                    self.a(n, m).powi(2) + self.b(n, m).powi(2)
-                };
-                total += e;
-                if n > n0 {
-                    hi += e;
-                }
-            }
-        }
-        if total > 0.0 {
-            hi / total
-        } else {
-            0.0
-        }
-    }
 }
 
 /// Precomputed tables for one order `p` (grid, Legendre values and
@@ -1103,16 +1078,5 @@ mod tests {
             area += basis.sphere_weight(i) * basis.nlon as f64;
         }
         assert!((area - 4.0 * PI).abs() < 1e-10);
-    }
-
-    #[test]
-    fn high_frequency_fraction_detects_roughness() {
-        let p = 8;
-        let mut smooth = SphCoeffs::zeros(p);
-        *smooth.a_mut(1, 0) = 1.0;
-        assert_eq!(smooth.high_frequency_fraction(4), 0.0);
-        let mut rough = SphCoeffs::zeros(p);
-        *rough.a_mut(8, 3) = 1.0;
-        assert_eq!(rough.high_frequency_fraction(4), 1.0);
     }
 }
