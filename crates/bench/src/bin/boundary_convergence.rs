@@ -7,7 +7,7 @@
 //! `cargo run --release -p bench --bin boundary_convergence`
 
 use bench::fitted_order;
-use bie::{BieOptions, CheckSpec, DoubleLayerSolver, MatvecBackend};
+use bie::{BieOptions, DoubleLayerSolver, MatvecBackend};
 use kernels::{stokeslet, StokesDL, StokesEquiv};
 use linalg::{GmresOptions, Vec3};
 use patch::cube_sphere;
@@ -27,10 +27,7 @@ fn main() {
         let opts = BieOptions {
             eta: 2,
             p_extrap: 8,
-            check: CheckSpec::Linear {
-                big_r: 0.15,
-                small_r: 0.15,
-            },
+            check_r: 0.15,
             backend: MatvecBackend::Dense,
             null_space: true,
             gmres: GmresOptions {

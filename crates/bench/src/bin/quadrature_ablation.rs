@@ -1,12 +1,12 @@
 //! Ablation study for the singular-quadrature design choices of §3.1:
 //! sweeps the extrapolation order p, the fine-discretization depth η, and
-//! the check-point distance rule, reporting the on-surface operator error
-//! (via the constant-density Gauss identity, which the interior limit must
-//! map to exactly 1).
+//! the check-point distance `R = r = check_r · L̂`, reporting the on-surface
+//! operator error (via the constant-density Gauss identity, which the
+//! interior limit must map to exactly 1).
 //!
 //! `cargo run --release -p bench --bin quadrature_ablation`
 
-use bie::{BieOptions, CheckSpec, DoubleLayerSolver, MatvecBackend};
+use bie::{BieOptions, DoubleLayerSolver, MatvecBackend};
 use kernels::{LaplaceDL, LaplaceSL};
 use linalg::Vec3;
 use patch::cube_sphere;
@@ -50,42 +50,17 @@ fn main() {
         println!("{eta:>4} {e:>12.3e}");
     }
 
-    println!("\n-- check-distance rule (η = 2, p = 8) --");
+    println!("\n-- check distance R = r (η = 2, p = 8) --");
     println!("{:>22} {:>12}", "rule", "op error");
-    for (name, check) in [
-        (
-            "R=r=0.10 L (weak)",
-            CheckSpec::Linear {
-                big_r: 0.10,
-                small_r: 0.10,
-            },
-        ),
-        (
-            "R=r=0.15 L (strong)",
-            CheckSpec::Linear {
-                big_r: 0.15,
-                small_r: 0.15,
-            },
-        ),
-        (
-            "R=r=0.25 L",
-            CheckSpec::Linear {
-                big_r: 0.25,
-                small_r: 0.25,
-            },
-        ),
-        (
-            "R=.04 sqrt(L), r=R/8",
-            CheckSpec::Sqrt {
-                big_r: 0.04,
-                ratio: 0.125,
-            },
-        ),
+    for (name, check_r) in [
+        ("R=r=0.10 L (weak)", 0.10),
+        ("R=r=0.15 L (strong)", 0.15),
+        ("R=r=0.25 L", 0.25),
     ] {
         let e = operator_error(BieOptions {
             eta: 2,
             p_extrap: 8,
-            check,
+            check_r,
             ..base
         });
         println!("{name:>22} {e:>12.3e}");

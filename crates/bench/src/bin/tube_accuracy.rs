@@ -17,7 +17,7 @@
 //! (`--crossover` adds the dense-vs-FMM per-matvec timing sweep, which
 //! costs a few extra dense applications at the refined levels.)
 
-use bie::{BieOptions, CheckSpec, DoubleLayerSolver, MatvecBackend};
+use bie::{BieOptions, DoubleLayerSolver, MatvecBackend};
 use kernels::{stokeslet, StokesDL, StokesEquiv};
 use linalg::{GmresOptions, Vec3};
 use patch::{capsule_tube, BoundarySurface, StraightLine};
@@ -63,10 +63,7 @@ fn opts(refine: u32, backend: MatvecBackend) -> BieOptions {
         backend,
         eta: envf("TUBE_ETA", 1.0) as u32,
         qf: envf("TUBE_QF", if refined { 12.0 } else { 0.0 }) as usize,
-        check: CheckSpec::Linear {
-            big_r: check_r,
-            small_r: check_r,
-        },
+        check_r,
         p_extrap: envf("TUBE_P_EXTRAP", 5.0) as usize,
         gmres: GmresOptions {
             tol: envf("TUBE_TOL", if refined { 2e-3 } else { 1e-5 }),

@@ -21,4 +21,4 @@ pub mod solver;
 pub use closest::{closest_points, ClosestHit, NearIndex};
 pub use fine::FineDiscretization;
 pub use fmm::FmmOptions;
-pub use solver::{BieOptions, CheckSpec, DoubleLayerSolver, LayerKernel, MatvecBackend};
+pub use solver::{BieOptions, DoubleLayerSolver, LayerKernel, MatvecBackend};

@@ -55,40 +55,6 @@ impl LayerKernel for LaplaceDL {
     }
 }
 
-/// How the check-point distances `(R, r)` derive from the patch size `L̂`
-/// (§5.1: `R = r = 0.15 L̂` for strong scaling, `0.1 L̂` weak; §5.3 uses
-/// `R = 0.04 √L̂`, `r = R/8` for the convergence study).
-#[derive(Clone, Copy, Debug)]
-pub enum CheckSpec {
-    /// `R = big_r · L̂`, `r = small_r · L̂`.
-    Linear {
-        /// First check-point distance as a multiple of `L̂`.
-        big_r: f64,
-        /// Check-point spacing as a multiple of `L̂`.
-        small_r: f64,
-    },
-    /// `R = big_r · √L̂`, `r = ratio · R`.
-    Sqrt {
-        /// First check-point distance as a multiple of `√L̂`.
-        big_r: f64,
-        /// Check-point spacing relative to `R`.
-        ratio: f64,
-    },
-}
-
-impl CheckSpec {
-    /// Computes `(R, r)` for a given patch size.
-    pub fn distances(&self, l_hat: f64) -> (f64, f64) {
-        match *self {
-            CheckSpec::Linear { big_r, small_r } => (big_r * l_hat, small_r * l_hat),
-            CheckSpec::Sqrt { big_r, ratio } => {
-                let r = big_r * l_hat.sqrt();
-                (r, ratio * r)
-            }
-        }
-    }
-}
-
 /// Which engine evaluates the fine-source → check-point layer potential —
 /// the matvec inside every GMRES iteration, and the far-field part of
 /// [`DoubleLayerSolver::eval_at`].
@@ -141,10 +107,10 @@ pub struct BieOptions {
     pub qf: usize,
     /// Extrapolation order `p` (p+1 check points).
     pub p_extrap: usize,
-    /// Check-point distance rule.
-    pub check: CheckSpec,
-    /// Near-zone radius for off-surface evaluation, in units of `L̂`.
-    pub near_factor: f64,
+    /// Check-point distance as a multiple of the patch size `L̂`: the first
+    /// check point sits `R = check_r · L̂` off the surface and the spacing
+    /// is `r = R` (§5.1: `0.15` for strong scaling, `0.1` weak).
+    pub check_r: f64,
     /// Far-field summation engine for the GMRES matvec and `eval_at`.
     pub backend: MatvecBackend,
     /// FMM tuning.
@@ -162,11 +128,7 @@ impl Default for BieOptions {
             eta: 1,
             qf: 0,
             p_extrap: 8,
-            check: CheckSpec::Linear {
-                big_r: 0.15,
-                small_r: 0.15,
-            },
-            near_factor: 1.0,
+            check_r: 0.15,
             backend: MatvecBackend::Auto,
             fmm: FmmOptions::default(),
             gmres: GmresOptions {
@@ -244,20 +206,24 @@ impl<K: LayerKernel, KE: Kernel + Clone + Sync + Send> DoubleLayerSolver<K, KE> 
         let near = NearIndex::new(&surface, &quad);
         let vd = kernel.value_dim();
 
-        // check points: y − (R + i r) n, i = 0..=p (into the fluid)
+        // check points: y − (R + i r) n, i = 0..=p (into the fluid), with
+        // R = r = check_r · L̂
         let p1 = opts.p_extrap + 1;
         let mut check_pts = Vec::with_capacity(quad.len() * p1);
         for l in 0..quad.len() {
-            let l_hat = quad.patch_size(quad.patch_of[l] as usize);
-            let (big_r, r) = opts.check.distances(l_hat);
+            let r = opts.check_r * quad.patch_size(quad.patch_of[l] as usize);
             for i in 0..p1 {
-                let t = big_r + i as f64 * r;
+                let t = r + i as f64 * r;
                 check_pts.push(quad.points[l] - quad.normals[l] * t);
             }
         }
         // extrapolation weights to t = 0 on the canonical node family
-        let (r0, rr) = opts.check.distances(1.0);
-        let extrap_w = linalg::checkpoint_extrapolation_weights(r0, rr, opts.p_extrap, 0.0);
+        let extrap_w = linalg::checkpoint_extrapolation_weights(
+            opts.check_r,
+            opts.check_r,
+            opts.p_extrap,
+            0.0,
+        );
 
         let solve_fmm = if opts.backend.use_fmm(surface.num_patches()) {
             Some(Fmm::new(
@@ -553,16 +519,14 @@ impl<K: LayerKernel, KE: Kernel + Clone + Sync + Send> DoubleLayerSolver<K, KE> 
                 .upsample_density(phi, vd, self.surface.num_patches(), self.surface.q);
         let src = self.pack_sources(&fine_density);
 
-        let hits = self
-            .near
-            .closest_points(&self.surface, targets, self.opts.near_factor);
+        // the near zone: within 1·L̂ of some patch
+        let hits = self.near.closest_points(&self.surface, targets, 1.0);
         // assemble the combined target list: far targets first, then p+1
         // check points per near target
         let p1 = self.opts.p_extrap + 1;
         let check_distances = |hit: &ClosestHit| {
-            self.opts
-                .check
-                .distances(self.quad.patch_size(hit.patch as usize))
+            let r = self.opts.check_r * self.quad.patch_size(hit.patch as usize);
+            (r, r)
         };
         let mut far_idx = Vec::new();
         let mut near: Vec<(usize, ClosestHit)> = Vec::new();
@@ -648,10 +612,7 @@ mod tests {
         let opts = BieOptions {
             eta: 2,
             p_extrap: 8,
-            check: CheckSpec::Linear {
-                big_r: 0.15,
-                small_r: 0.15,
-            },
+            check_r: 0.15,
             backend: MatvecBackend::Dense,
             null_space: false,
             gmres: GmresOptions {
@@ -693,10 +654,7 @@ mod tests {
         let opts = BieOptions {
             eta: 2,
             p_extrap: 8,
-            check: CheckSpec::Linear {
-                big_r: 0.15,
-                small_r: 0.15,
-            },
+            check_r: 0.15,
             backend: MatvecBackend::Dense,
             null_space: false,
             gmres: GmresOptions {
@@ -738,10 +696,7 @@ mod tests {
         let opts = BieOptions {
             eta: 2,
             p_extrap: 8,
-            check: CheckSpec::Linear {
-                big_r: 0.15,
-                small_r: 0.15,
-            },
+            check_r: 0.15,
             backend: MatvecBackend::Dense,
             null_space: true,
             // the residual floor of the completed Stokes system sits at the
@@ -811,10 +766,7 @@ mod tests {
         // limit of Dφ is exactly c (jump c/2 + PV value c/2)
         let opts = BieOptions {
             eta: 2,
-            check: CheckSpec::Linear {
-                big_r: 0.15,
-                small_r: 0.15,
-            },
+            check_r: 0.15,
             backend: MatvecBackend::Dense,
             null_space: false,
             ..Default::default()

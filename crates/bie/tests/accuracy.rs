@@ -9,7 +9,7 @@
 //! against closed-form truth, so solver refactors (warm starts,
 //! scratch-buffer recycling) cannot silently degrade accuracy.
 
-use bie::{BieOptions, CheckSpec, DoubleLayerSolver, MatvecBackend};
+use bie::{BieOptions, DoubleLayerSolver, MatvecBackend};
 use kernels::{stokeslet, StokesDL, StokesEquiv};
 use linalg::{GmresOptions, Vec3};
 use patch::cube_sphere;
@@ -34,10 +34,7 @@ fn solve_on_sphere(q: usize) -> (DoubleLayerSolver<StokesDL, StokesEquiv>, Vec<f
     let opts = BieOptions {
         eta: 2,
         p_extrap: 8,
-        check: CheckSpec::Linear {
-            big_r: 0.15,
-            small_r: 0.15,
-        },
+        check_r: 0.15,
         backend: MatvecBackend::Dense,
         null_space: true,
         gmres: GmresOptions {

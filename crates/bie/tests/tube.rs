@@ -14,7 +14,7 @@
 //! Also pins the dense ↔ FMM [`MatvecBackend`] seam: both backends must
 //! apply the same discrete operator up to the FMM truncation error.
 
-use bie::{BieOptions, CheckSpec, DoubleLayerSolver, MatvecBackend};
+use bie::{BieOptions, DoubleLayerSolver, MatvecBackend};
 use kernels::{laplace_sl, stokeslet, LaplaceDL, LaplaceSL, StokesDL, StokesEquiv};
 use linalg::{GmresOptions, Vec3};
 use patch::{capsule_tube, BoundarySurface, StraightLine};
@@ -37,10 +37,7 @@ fn tube_opts(refine: u32, qf: usize, backend: MatvecBackend) -> BieOptions {
     BieOptions {
         backend,
         qf,
-        check: CheckSpec::Linear {
-            big_r: check_r,
-            small_r: check_r,
-        },
+        check_r,
         p_extrap: 5,
         null_space: false,
         gmres: GmresOptions {

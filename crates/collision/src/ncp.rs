@@ -13,11 +13,11 @@
 //! matrix (and the mobility response columns below) are computed once per
 //! linearization and reused across all inner iterations.
 //!
-//! Mobility responses are *batched*: instead of one [`Mobility::apply`] per
-//! (contact, mesh) probe, all contact-force columns touching a mesh are
-//! handed to [`Mobility::apply_many`] in one call, so an implementation can
-//! pack them into matrices and run its linear stages as GEMMs (the
-//! simulation's cell mobility does exactly that).
+//! Mobility responses are *batched*: instead of one call per (contact,
+//! mesh) probe, all contact-force columns touching a mesh are handed to
+//! [`Mobility::apply_many`] in one call, so an implementation can pack them
+//! into matrices and run its linear stages as GEMMs (the simulation's cell
+//! mobility does exactly that).
 //!
 //! The loop exits at its fixed point: a linearization whose LCP returns
 //! `λ ≡ 0` moves nothing, so the next one would see the same positions and
@@ -42,17 +42,12 @@ use std::collections::BTreeMap;
 pub trait Mobility: Sync {
     /// Whether this mesh belongs to a rigid (immovable) object.
     fn is_rigid(&self, mesh: u32) -> bool;
-    /// Applies the (time-step-scaled) mobility of mesh `mesh` to a sparse
-    /// vertex force list, returning dense per-vertex displacements.
-    fn apply(&self, mesh: u32, force: &[(u32, Vec3)], nverts: usize) -> Vec<Vec3>;
-    /// Applies the mobility of mesh `mesh` to a batch of sparse force
-    /// columns at the same linearization point, returning one dense
-    /// displacement field per column. The default loops [`Mobility::apply`];
-    /// implementations with a linear dense core should override it and
-    /// process all columns in one matrix pass.
-    fn apply_many(&self, mesh: u32, forces: &[&[(u32, Vec3)]], nverts: usize) -> Vec<Vec<Vec3>> {
-        forces.iter().map(|f| self.apply(mesh, f, nverts)).collect()
-    }
+    /// Applies the (time-step-scaled) mobility of mesh `mesh` to a batch of
+    /// sparse vertex force columns at the same linearization point,
+    /// returning one dense per-vertex displacement field per column. A
+    /// column's result must not depend on its batch-mates: one call over
+    /// `K` columns returns, bit for bit, what `K` one-column calls would.
+    fn apply_many(&self, mesh: u32, forces: &[&[(u32, Vec3)]], nverts: usize) -> Vec<Vec<Vec3>>;
 }
 
 /// Free-particle mobility: displacement = `scale ×` force at each vertex.
@@ -68,10 +63,12 @@ impl Mobility for IdentityMobility {
     fn is_rigid(&self, mesh: u32) -> bool {
         self.rigid.get(mesh as usize).copied().unwrap_or(false)
     }
-    fn apply(&self, _mesh: u32, force: &[(u32, Vec3)], nverts: usize) -> Vec<Vec3> {
-        let mut out = vec![Vec3::ZERO; nverts];
-        for &(v, f) in force {
-            out[v as usize] = f * self.scale;
+    fn apply_many(&self, _mesh: u32, forces: &[&[(u32, Vec3)]], nverts: usize) -> Vec<Vec<Vec3>> {
+        let mut out = vec![vec![Vec3::ZERO; nverts]; forces.len()];
+        for (col, force) in out.iter_mut().zip(forces) {
+            for &(v, f) in *force {
+                col[v as usize] = f * self.scale;
+            }
         }
         out
     }
@@ -569,9 +566,6 @@ mod tests {
             fn is_rigid(&self, mesh: u32) -> bool {
                 self.inner.is_rigid(mesh)
             }
-            fn apply(&self, mesh: u32, force: &[(u32, Vec3)], nverts: usize) -> Vec<Vec3> {
-                self.apply_many(mesh, &[force], nverts).pop().unwrap()
-            }
             fn apply_many(
                 &self,
                 mesh: u32,
@@ -581,10 +575,7 @@ mod tests {
                 if self.spent[mesh as usize].swap(true, Ordering::SeqCst) {
                     return vec![vec![Vec3::ZERO; nverts]; forces.len()];
                 }
-                forces
-                    .iter()
-                    .map(|f| self.inner.apply(mesh, f, nverts))
-                    .collect()
+                self.inner.apply_many(mesh, forces, nverts)
             }
         }
 
@@ -654,17 +645,15 @@ mod tests {
         }
     }
 
-    /// `apply_many`'s default implementation and a batched override must be
-    /// interchangeable inside the resolve loop.
+    /// Batched = unbatched: a mobility that answers one column per call
+    /// and the same mobility answering every column at once must be
+    /// interchangeable inside the resolve loop, bit for bit.
     #[test]
-    fn apply_many_default_matches_per_column_apply() {
-        struct Batched(IdentityMobility);
-        impl Mobility for Batched {
+    fn batched_mobility_matches_per_column_calls() {
+        struct PerColumn(IdentityMobility);
+        impl Mobility for PerColumn {
             fn is_rigid(&self, mesh: u32) -> bool {
                 self.0.is_rigid(mesh)
-            }
-            fn apply(&self, mesh: u32, force: &[(u32, Vec3)], nverts: usize) -> Vec<Vec3> {
-                self.0.apply(mesh, force, nverts)
             }
             fn apply_many(
                 &self,
@@ -672,15 +661,10 @@ mod tests {
                 forces: &[&[(u32, Vec3)]],
                 nverts: usize,
             ) -> Vec<Vec<Vec3>> {
-                // a deliberately different (but equivalent) batched path
-                let mut out = vec![vec![Vec3::ZERO; nverts]; forces.len()];
-                for (col, f) in forces.iter().enumerate() {
-                    for &(v, g) in *f {
-                        out[col][v as usize] = g * self.0.scale;
-                    }
-                }
-                let _ = mesh;
-                out
+                forces
+                    .iter()
+                    .flat_map(|f| self.0.apply_many(mesh, &[f], nverts))
+                    .collect()
             }
         }
 
@@ -694,18 +678,15 @@ mod tests {
             max_outer: 20,
             ..Default::default()
         };
-        let plain = IdentityMobility {
+        let batched = IdentityMobility {
             scale: 1.0,
             rigid: vec![false; 3],
         };
-        let batched = Batched(IdentityMobility {
+        let per_column = PerColumn(IdentityMobility {
             scale: 1.0,
             rigid: vec![false; 3],
         });
 
-        let mut end_plain = start.clone();
-        let res_plain =
-            resolve_contacts(&meshes, &mut end_plain, &start, &[0, 1, 2], &plain, &opts);
         let mut end_batched = start.clone();
         let res_batched = resolve_contacts(
             &meshes,
@@ -715,10 +696,19 @@ mod tests {
             &batched,
             &opts,
         );
+        let mut end_per_column = start.clone();
+        let res_per_column = resolve_contacts(
+            &meshes,
+            &mut end_per_column,
+            &start,
+            &[0, 1, 2],
+            &per_column,
+            &opts,
+        );
 
-        assert_eq!(res_plain.resolved, res_batched.resolved);
-        assert_eq!(res_plain.outer_iters, res_batched.outer_iters);
-        for (pa, pb) in end_plain.iter().zip(&end_batched) {
+        assert_eq!(res_batched.resolved, res_per_column.resolved);
+        assert_eq!(res_batched.outer_iters, res_per_column.outer_iters);
+        for (pa, pb) in end_batched.iter().zip(&end_per_column) {
             for (x, y) in pa.iter().zip(pb) {
                 assert_eq!(x.x.to_bits(), y.x.to_bits());
                 assert_eq!(x.y.to_bits(), y.y.to_bits());

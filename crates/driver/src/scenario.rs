@@ -414,10 +414,7 @@ fn bie_options(k: &mut Keys, q: usize, refine: u32) -> Result<bie::BieOptions, S
             restart: 10,
             ..Default::default()
         },
-        check: bie::CheckSpec::Linear {
-            big_r: check_r,
-            small_r: check_r,
-        },
+        check_r,
         p_extrap: k.usize("bie_p_extrap", 5)?,
         ..Default::default()
     })

@@ -90,19 +90,12 @@ pub fn vessel_digest(vessel: &Vessel) -> u64 {
     w.put_u32(o.eta);
     w.put_usize(o.qf);
     w.put_usize(o.p_extrap);
-    match o.check {
-        bie::CheckSpec::Linear { big_r, small_r } => {
-            w.put_u8(0);
-            w.put_f64(big_r);
-            w.put_f64(small_r);
-        }
-        bie::CheckSpec::Sqrt { big_r, ratio } => {
-            w.put_u8(1);
-            w.put_f64(big_r);
-            w.put_f64(ratio);
-        }
-    }
-    w.put_f64(o.near_factor);
+    // the bytes of the former two-rule check spec (tag 0, `R`, `r`) and
+    // near-zone factor (1), kept so existing digests match
+    w.put_u8(0);
+    w.put_f64(o.check_r);
+    w.put_f64(o.check_r);
+    w.put_f64(1.0);
     // hash the *resolved* backend, not the config enum: the trajectory
     // depends only on which engine actually runs the matvec (dense = 0,
     // FMM = 1 — the byte values the pre-backend `use_fmm: Option<bool>`

@@ -435,10 +435,7 @@ mod tests {
                 restart: 10,
                 ..Default::default()
             },
-            check: bie::CheckSpec::Linear {
-                big_r: 0.15,
-                small_r: 0.15,
-            },
+            check_r: 0.15,
             p_extrap: 5,
             ..Default::default()
         };

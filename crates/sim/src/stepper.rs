@@ -249,11 +249,6 @@ impl Mobility for CellMobility<'_> {
         // meshes are ordered: cells first, vessel patches after
         mesh as usize >= self.n_cells
     }
-    fn apply(&self, mesh: u32, force: &[(u32, Vec3)], nverts: usize) -> Vec<Vec3> {
-        self.apply_many(mesh, &[force], nverts)
-            .pop()
-            .expect("apply_many returns one column per force column")
-    }
     /// The batched path the NCP assembly drives: all contact-force columns
     /// touching one cell are packed into matrices so the two dense stages
     /// — the self-interaction velocity response and the Δt·U displacement

@@ -1,7 +1,7 @@
 //! Integration: the full boundary-solver pipeline (patches → quadrature →
 //! Nyström GMRES → near/far evaluation) against an exact Stokes solution.
 
-use bie::{BieOptions, CheckSpec, DoubleLayerSolver, MatvecBackend};
+use bie::{BieOptions, DoubleLayerSolver, MatvecBackend};
 use kernels::{stokeslet, StokesDL, StokesEquiv};
 use linalg::{GmresOptions, Vec3};
 use patch::cube_sphere;
@@ -12,10 +12,7 @@ fn confined_stokes_solution_reproduced() {
     let opts = BieOptions {
         eta: 2,
         p_extrap: 8,
-        check: CheckSpec::Linear {
-            big_r: 0.15,
-            small_r: 0.15,
-        },
+        check_r: 0.15,
         backend: MatvecBackend::Dense,
         null_space: true,
         gmres: GmresOptions {
