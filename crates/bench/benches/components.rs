@@ -260,17 +260,9 @@ fn bench_selfop(c: &mut Criterion) {
     let basis = sphharm::SphBasis::new(12);
     let coeffs = vesicle::sphere_coeffs(&basis, 1.0, Vec3::ZERO);
     group.bench_function("build_p12", |b| {
-        b.iter(|| {
-            black_box(vesicle::SelfInteraction::build(
-                &basis,
-                &coeffs,
-                1.0,
-                vesicle::SelfOpOptions::default(),
-            ))
-        })
+        b.iter(|| black_box(vesicle::SelfInteraction::build(&basis, &coeffs, 1.0)))
     });
-    let op =
-        vesicle::SelfInteraction::build(&basis, &coeffs, 1.0, vesicle::SelfOpOptions::default());
+    let op = vesicle::SelfInteraction::build(&basis, &coeffs, 1.0);
     let f: Vec<f64> = (0..3 * basis.grid_size())
         .map(|i| (i as f64 * 0.1).sin())
         .collect();
@@ -281,7 +273,6 @@ fn bench_selfop(c: &mut Criterion) {
     // iteration and with one to three contact columns per NCP linearization;
     // and the same cell at the paper's p = 16 (544 targets, 2,112 fine
     // points, 289 coefficients)
-    let opts = vesicle::SelfOpOptions::default();
     for p in [8, 16] {
         let basis = sphharm::SphBasis::new(p);
         let coeffs = vesicle::biconcave_coeffs(&basis, 1.0, Vec3::new(0.3, -0.2, 0.1));
@@ -292,14 +283,13 @@ fn bench_selfop(c: &mut Criterion) {
                         &basis,
                         black_box(&coeffs),
                         1.0,
-                        opts,
                     ))
                 })
             });
         }
-        let mut op = vesicle::SelfInteraction::build(&basis, &coeffs, 1.0, opts);
+        let mut op = vesicle::SelfInteraction::build(&basis, &coeffs, 1.0);
         group.bench_function(&format!("rebuild_p{p}"), |b| {
-            b.iter(|| op.rebuild(&basis, black_box(&coeffs), 1.0, opts))
+            b.iter(|| op.rebuild(&basis, black_box(&coeffs), 1.0))
         });
         let n = basis.grid_size();
         let f: Vec<f64> = (0..3 * n).map(|i| (i as f64 * 0.1).sin()).collect();

@@ -196,6 +196,18 @@ impl Keys<'_> {
         }
     }
 
+    /// A finite number > 0.
+    fn positive(&mut self, key: &'static str, default: f64) -> Result<f64, String> {
+        let x = self.f64(key, default)?;
+        self.bound(key, x, x.is_finite() && x > 0.0, "a finite number > 0")
+    }
+
+    /// A finite number ≥ 0.
+    fn non_negative(&mut self, key: &'static str, default: f64) -> Result<f64, String> {
+        let x = self.f64(key, default)?;
+        self.bound(key, x, x.is_finite() && x >= 0.0, "a finite number ≥ 0")
+    }
+
     /// An integer of at least `min`.
     fn at_least(&mut self, key: &'static str, default: usize, min: usize) -> Result<usize, String> {
         let n = self.usize(key, default)?;
@@ -261,10 +273,9 @@ fn tail(
         None => Vec3::ZERO,
     };
     let dtc = DtControl::default();
-    let dt = k.f64("dt", dt)?;
     let config = SimConfig {
-        dt: k.bound("dt", dt, dt.is_finite() && dt > 0.0, "a finite number > 0")?,
-        collision_delta: k.f64("collision_delta", collision_delta)?,
+        dt: k.positive("dt", dt)?,
+        collision_delta: k.positive("collision_delta", collision_delta)?,
         shear_rate: k.f64("shear_rate", shear_rate)?,
         gravity,
         dt_control: DtControl {
@@ -284,8 +295,8 @@ fn tail(
 
 fn cell_params(k: &mut Keys, kappa_b: f64, k_area: f64) -> Result<CellParams, String> {
     Ok(CellParams {
-        kappa_b: k.f64("kappa_b", kappa_b)?,
-        k_area: k.f64("k_area", k_area)?,
+        kappa_b: k.non_negative("kappa_b", kappa_b)?,
+        k_area: k.non_negative("k_area", k_area)?,
         ..Default::default()
     })
 }
@@ -443,7 +454,11 @@ fn fill(
 ) -> Result<Vec<Cell>, String> {
     let bcc = packable && k.bool("fill_packed", false)?;
     let fill = if bcc { fill_seeds_packed } else { fill_seeds };
-    let seeds = fill(coarse, k.f64("fill_h", h)?, k.f64("fill_margin", margin)?);
+    let seeds = fill(
+        coarse,
+        k.positive("fill_h", h)?,
+        k.positive("fill_margin", margin)?,
+    );
     if seeds.is_empty() {
         return Err(format!("{}: no cells fit (raise fill_h)", k.sec));
     }
@@ -1000,6 +1015,45 @@ mod tests {
                 "n_cells",
                 Value::Int(0),
                 "an integer ≥ 1",
+            ),
+            // a zero lattice spacing would never finish seeding; a negative
+            // contact threshold or membrane modulus would run silently
+            (
+                "dense_fill",
+                "fill_h",
+                Value::Float(0.0),
+                "a finite number > 0",
+            ),
+            (
+                "dense_fill",
+                "fill_margin",
+                Value::Float(-0.1),
+                "a finite number > 0",
+            ),
+            (
+                "sedimentation",
+                "fill_h",
+                Value::Float(f64::NAN),
+                "a finite number > 0",
+            ),
+            (
+                pair,
+                "collision_delta",
+                Value::Int(-1),
+                "a finite number > 0",
+            ),
+            (
+                pair,
+                "collision_delta",
+                Value::Float(0.0),
+                "a finite number > 0",
+            ),
+            (pair, "kappa_b", Value::Float(-0.01), "a finite number ≥ 0"),
+            (
+                pair,
+                "k_area",
+                Value::Float(f64::INFINITY),
+                "a finite number ≥ 0",
             ),
         ] {
             let mut cfg = Doc::default();

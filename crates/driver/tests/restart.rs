@@ -227,7 +227,7 @@ fn old_version_checkpoint_rejected_with_clear_error() {
         "error should name the unsupported version: {msg}"
     );
     assert!(
-        msg.contains("version 4"),
+        msg.contains("version 5"),
         "error should name the supported version: {msg}"
     );
 

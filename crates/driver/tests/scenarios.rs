@@ -117,15 +117,15 @@ fn sample_config(name: &str) -> Doc {
 /// default shows here as a digest change. The digests hash checkpoint
 /// bytes, so a checkpoint format change moves every one of them.
 const BUILD_DIGESTS: &[(&str, u64, u64)] = &[
-    ("shear_pair", 0xb5e3a6a0a8e44509, 0xb5e3a6a0a8e44509),
-    ("sedimentation", 0xa4568add0b3be673, 0xa4568add0b3be673),
-    ("vessel_flow", 0x8810240735016b1b, 0x8810240735016b1b),
-    ("dense_fill", 0xf2631ed0bcffadca, 0xf2631ed0bcffadca),
-    ("dense_fill_packed", 0x0667d71cf2a5c6b2, 0x0667d71cf2a5c6b2),
-    ("poiseuille_train", 0x0ed66b822a06405a, 0x0ed66b822a06405a),
-    ("random_suspension", 0x5e13c7291bb97c76, 0x5e13c7291bb97c76),
-    ("bifurcation", 0xbb2192fb63933b42, 0xbb2192fb63933b42),
-    ("vessel_ladder", 0xc5b5c71a6a341d36, 0xc5b5c71a6a341d36),
+    ("shear_pair", 0x5ce28b7dea0e6cc8, 0x5ce28b7dea0e6cc8),
+    ("sedimentation", 0x196a775fdf2773cc, 0x196a775fdf2773cc),
+    ("vessel_flow", 0x14b1663ab0d63e68, 0x14b1663ab0d63e68),
+    ("dense_fill", 0x06faa82c1f1e4543, 0x06faa82c1f1e4543),
+    ("dense_fill_packed", 0x9f1359a665c3a731, 0x9f1359a665c3a731),
+    ("poiseuille_train", 0x91318fd48790da3f, 0x91318fd48790da3f),
+    ("random_suspension", 0x048cb49af338783d, 0x048cb49af338783d),
+    ("bifurcation", 0x89ec06323655797d, 0x89ec06323655797d),
+    ("vessel_ladder", 0xef12db64e373de33, 0xef12db64e373de33),
 ];
 
 #[test]
@@ -150,12 +150,12 @@ fn scenario_builds_match_pinned_digests() {
 /// same way: the packed fill, a refined small tube, sphere cells, an
 /// unjittered lattice and the FMM wall backend.
 const BRANCH_DIGESTS: &[(&str, &str, u64)] = &[
-    ("fill_packed", "sedimentation", 0x2d29e49d896263c1),
-    ("wall_refine", "poiseuille_train", 0xa19099f159cdcb38),
-    ("sphere", "vessel_ladder", 0x4613639ee042bb05),
-    ("jitter_0", "random_suspension", 0x6671706619aede54),
-    ("jitter_0", "dense_fill_packed", 0x3bcee972c4f0eae2),
-    ("fmm", "poiseuille_train", 0x6d5f0d301e16811a),
+    ("fill_packed", "sedimentation", 0x38fc2f8c84e39580),
+    ("wall_refine", "poiseuille_train", 0xeb73d83ca391d9fd),
+    ("sphere", "vessel_ladder", 0x0968994e35c79094),
+    ("jitter_0", "random_suspension", 0xaa909bfc50c817f3),
+    ("jitter_0", "dense_fill_packed", 0xd715916f18974099),
+    ("fmm", "poiseuille_train", 0xecb1dd2178ad10a7),
 ];
 
 fn branch_configs() -> Vec<(&'static str, &'static str, Doc)> {

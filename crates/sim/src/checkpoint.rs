@@ -31,8 +31,10 @@ use vesicle::{Cell, StepOptions};
 /// retry at the wrong Δt and diverge from the uninterrupted run; 4 — the
 /// config drops the collision switch, the backoff floor and the retry
 /// shape (the collision stage always runs, the floor is fixed at Δt/16
-/// and whole-step halving is the only retry shape).
-const MAGIC: &[u8; 8] = b"RBCCKPT4";
+/// and whole-step halving is the only retry shape); 5 — each cell drops
+/// the four self-interaction quadrature options (32 bytes; they are
+/// constants of `vesicle::selfop`, cell state version 2).
+const MAGIC: &[u8; 8] = b"RBCCKPT5";
 
 /// A captured simulation state, decoupled from the live [`Simulation`].
 #[derive(Clone, Debug)]
@@ -329,8 +331,8 @@ impl Checkpoint {
     /// Fails if the basis order or the vessel digest disagrees — that means
     /// the scenario was rebuilt differently from the checkpointed run and a
     /// bit-identical continuation is impossible — and, naming the cell, if a
-    /// cell's coefficients, reference weights or self-operator options
-    /// ([`vesicle::SelfOpOptions::validate`]) do not fit the basis.
+    /// cell's coefficients or reference weights do not fit the basis or its
+    /// parameters are out of range ([`vesicle::CellParams::validate`]).
     pub fn restore_into(&self, sim: &mut Simulation) -> Result<(), CodecError> {
         if sim.basis.p != self.basis_p {
             return Err(CodecError(format!(
@@ -353,8 +355,7 @@ impl Checkpoint {
                 )));
             }
             cell.params
-                .selfop
-                .validate(self.basis_p)
+                .validate()
                 .map_err(|e| CodecError(format!("cell {i}: {}", e.0)))?;
         }
         let digest = sim.vessel.as_ref().map(vessel_digest).unwrap_or(0);
@@ -452,9 +453,10 @@ mod tests {
     #[test]
     fn v2_checkpoint_rejected_with_version_error() {
         let sim = two_cell_sim();
-        // the pre-adaptive-dt format, and the format whose config still
-        // carried the collision switch, backoff floor and retry shape
-        for old in [b'2', b'3'] {
+        // the pre-adaptive-dt format, the format whose config still carried
+        // the collision switch, backoff floor and retry shape, and the one
+        // whose cells still carried the self-operator options
+        for old in [b'2', b'3', b'4'] {
             let mut bytes = Checkpoint::capture(&sim, "x").to_bytes();
             bytes[7] = old;
             let err = Checkpoint::from_bytes(&bytes).unwrap_err().to_string();
@@ -463,7 +465,7 @@ mod tests {
                 "error should name the file's version: {err}"
             );
             assert!(
-                err.contains("version 4"),
+                err.contains("version 5"),
                 "error should name the supported version: {err}"
             );
         }
@@ -498,26 +500,44 @@ mod tests {
         );
         let mut short_w = ckpt.cells[0].clone();
         short_w.ref_w.pop();
-        // self-operator options that would panic or exhaust memory at the
-        // first step
-        let mut no_upsample = ckpt.cells[0].clone();
-        no_upsample.params.selfop.upsample = 0;
-        let mut huge_extrap = ckpt.cells[0].clone();
-        huge_extrap.params.selfop.p_extrap = usize::MAX;
-        let mut nan_r = ckpt.cells[0].clone();
-        nan_r.params.selfop.big_r = f64::NAN;
+        // cell parameters out of range
+        let with = |f: fn(&mut CellParams)| {
+            let mut c = ckpt.cells[0].clone();
+            f(&mut c.params);
+            c
+        };
         let mut sim = two_cell_sim();
         for (bad, names) in [
             (order8, "coefficient order 8"),
             (short_w, "reference area"),
-            (no_upsample, "upsample 0"),
-            (huge_extrap, "p_extrap"),
-            (nan_r, "big_r"),
+            (with(|p| p.kappa_b = -1.0), "kappa_b"),
+            (with(|p| p.k_area = f64::NAN), "k_area"),
+            (with(|p| p.mu = 0.0), "mu"),
+            (with(|p| p.mu = f64::INFINITY), "mu"),
         ] {
             let mut c = Checkpoint::capture(&sim, "x");
             c.cells[1] = bad;
             let e = c.restore_into(&mut sim).unwrap_err().0;
             assert!(e.starts_with("cell 1:") && e.contains(names), "{e}");
+        }
+    }
+
+    /// Every proper prefix of a two-cell checkpoint (with a warm-start
+    /// density and frozen flags, so every section is present) is an error,
+    /// never a panic.
+    #[test]
+    fn every_proper_prefix_is_rejected() {
+        let mut sim = two_cell_sim();
+        sim.bie_warm = Some(vec![0.25, -1.5, 3.0]);
+        sim.dt_state.frozen = vec![false, true];
+        let bytes = Checkpoint::capture(&sim, "shear_pair").to_bytes();
+        assert!(Checkpoint::from_bytes(&bytes).is_ok());
+        for len in 0..bytes.len() {
+            assert!(
+                Checkpoint::from_bytes(&bytes[..len]).is_err(),
+                "a {len}-byte prefix of {} decoded",
+                bytes.len()
+            );
         }
     }
 

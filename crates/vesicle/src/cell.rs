@@ -9,8 +9,8 @@
 //! quadrature uses the check-point scheme of `selfop`.
 
 use crate::geometry::{surface_geometry, SurfaceGeometry};
-use crate::selfop::{SelfInteraction, SelfOpOptions};
-use linalg::{gmres, FnOperator, GmresOptions, GmresResult, Vec3};
+use crate::selfop::SelfInteraction;
+use linalg::{gmres, CodecError, FnOperator, GmresOptions, GmresResult, Vec3};
 use sphharm::{Deriv, SphBasis, SphCoeffs};
 
 /// Physical and numerical parameters of a cell.
@@ -22,8 +22,6 @@ pub struct CellParams {
     pub k_area: f64,
     /// Ambient viscosity μ (no viscosity contrast, as in the paper's runs).
     pub mu: f64,
-    /// Self-interaction quadrature options.
-    pub selfop: SelfOpOptions,
 }
 
 impl Default for CellParams {
@@ -32,8 +30,26 @@ impl Default for CellParams {
             kappa_b: 0.01,
             k_area: 1.0,
             mu: 1.0,
-            selfop: SelfOpOptions::default(),
         }
+    }
+}
+
+impl CellParams {
+    /// Checks that `kappa_b` and `k_area` are finite and ≥ 0 and `mu` is
+    /// finite and > 0. The error names the field.
+    pub fn validate(&self) -> Result<(), CodecError> {
+        for (name, v) in [("kappa_b", self.kappa_b), ("k_area", self.k_area)] {
+            if !(v.is_finite() && v >= 0.0) {
+                return Err(CodecError(format!("{name} {v}: must be finite and ≥ 0")));
+            }
+        }
+        if !(self.mu.is_finite() && self.mu > 0.0) {
+            return Err(CodecError(format!(
+                "mu {}: must be finite and > 0",
+                self.mu
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -135,13 +151,13 @@ impl Cell {
 
     /// Builds the self-interaction operator for the current geometry.
     pub fn self_interaction(&self, basis: &SphBasis) -> SelfInteraction {
-        SelfInteraction::build(basis, &self.coeffs, self.params.mu, self.params.selfop)
+        SelfInteraction::build(basis, &self.coeffs, self.params.mu)
     }
 
     /// Re-assembles `op` for the current geometry in place (see
     /// [`SelfInteraction::rebuild`]); bitwise [`Cell::self_interaction`].
     pub fn rebuild_self_interaction(&self, basis: &SphBasis, op: &mut SelfInteraction) {
-        op.rebuild(basis, &self.coeffs, self.params.mu, self.params.selfop);
+        op.rebuild(basis, &self.coeffs, self.params.mu);
     }
 
     /// Membrane force density `f = f_b + f_σ` on the grid.

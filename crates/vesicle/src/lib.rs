@@ -24,7 +24,7 @@ pub use cell::{
     implicit_step, step_health, weighted_div_grad, Cell, CellHealth, CellParams, StepOptions,
 };
 pub use geometry::{surface_geometry, SurfaceGeometry};
-pub use selfop::{upsample_matrix_t, SelfInteraction, SelfOpOptions};
+pub use selfop::{upsample_matrix_t, SelfInteraction};
 pub use shape::{
     biconcave_coeffs, bumpy_sphere_coeffs, rotated_coeffs, shape_from_radial, sphere_coeffs,
 };

@@ -13,80 +13,26 @@
 //! The upsampling factors as `U = B·A` (order-`p` analysis `A`, synthesis
 //! `B` of those coefficients on the fine grid), and the operator is stored
 //! as `K·B`: against the `(p+1)²` coefficients, not the `N_up` fine points
-//! (`crates/vesicle/README.md`).
+//! (`crates/vesicle/README.md`). The quadrature has one configuration, the
+//! module's constants: 2× upsampling and `P_EXTRAP + 1 = 9` check points
+//! from `R = 2h` in steps of `r = h`, `h` the fine grid's mean spacing.
 
 use crate::geometry::{surface_geometry, SurfaceGeometry};
-use linalg::{checkpoint_extrapolation_weights, CodecError, Mat, Vec3};
+use linalg::{checkpoint_extrapolation_weights, Mat, Vec3};
 use parking_lot::Mutex;
 use sphharm::{RingProjection, SphBasis, SphCoeffs};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Parameters of the self-interaction quadrature.
-#[derive(Clone, Copy, Debug)]
-pub struct SelfOpOptions {
-    /// Upsampling factor for the fine grid (2 reproduces the paper's 544 →
-    /// 2,112 points at p = 16).
-    pub upsample: usize,
-    /// Number of check points − 1.
-    pub p_extrap: usize,
-    /// First check distance as a multiple of the mean grid spacing.
-    pub big_r: f64,
-    /// Check spacing as a multiple of the mean grid spacing.
-    pub small_r: f64,
-}
-
-impl Default for SelfOpOptions {
-    fn default() -> Self {
-        SelfOpOptions {
-            upsample: 2,
-            p_extrap: 8,
-            big_r: 2.0,
-            small_r: 1.0,
-        }
-    }
-}
-
-impl SelfOpOptions {
-    /// Largest fine-grid order `p·upsample` a cell may ask for (the paper's
-    /// p = 16 runs at 32; at 128 one operator would already hold ~1.7 GB).
-    pub const MAX_FINE_ORDER: usize = 128;
-    /// Largest extrapolation order `p_extrap`.
-    pub const MAX_P_EXTRAP: usize = 32;
-
-    /// Checks the options for a cell of order `p`: `upsample ≥ 1`,
-    /// `1 ≤ p·upsample ≤` [`Self::MAX_FINE_ORDER`], `p_extrap ≤`
-    /// [`Self::MAX_P_EXTRAP`], `big_r` and `small_r` finite and positive.
-    /// The error names the field.
-    pub fn validate(&self, p: usize) -> Result<(), CodecError> {
-        let fine = p.checked_mul(self.upsample);
-        if self.upsample == 0 {
-            return Err(CodecError("selfop upsample 0: must be at least 1".into()));
-        }
-        if !matches!(fine, Some(1..=Self::MAX_FINE_ORDER)) {
-            return Err(CodecError(format!(
-                "selfop upsample {} at order {p}: the fine order must lie in 1..={}",
-                self.upsample,
-                Self::MAX_FINE_ORDER
-            )));
-        }
-        if self.p_extrap > Self::MAX_P_EXTRAP {
-            return Err(CodecError(format!(
-                "selfop p_extrap {} above {}",
-                self.p_extrap,
-                Self::MAX_P_EXTRAP
-            )));
-        }
-        for (name, v) in [("big_r", self.big_r), ("small_r", self.small_r)] {
-            if !(v.is_finite() && v > 0.0) {
-                return Err(CodecError(format!(
-                    "selfop {name} {v}: must be finite and positive"
-                )));
-            }
-        }
-        Ok(())
-    }
-}
+/// Upsampling factor of the fine grid (the paper's 544 → 2,112 points at
+/// p = 16).
+const UPSAMPLE: usize = 2;
+/// Extrapolation order: `P_EXTRAP + 1` check points per target.
+const P_EXTRAP: usize = 8;
+/// First check distance `R`, as a multiple of the fine grid's mean spacing.
+const BIG_R: f64 = 2.0;
+/// Check spacing `r`, as a multiple of the fine grid's mean spacing.
+const SMALL_R: f64 = 1.0;
 
 /// Process-wide cache of a geometry-independent spectral matrix.
 type MatCache = Mutex<Option<HashMap<(usize, usize), Arc<Mat>>>>;
@@ -158,7 +104,7 @@ struct CheckScheme {
 }
 
 impl CheckScheme {
-    fn new(basis: &SphBasis, bu: &SphBasis, coeffs: &[SphCoeffs; 3], opts: SelfOpOptions) -> Self {
+    fn new(basis: &SphBasis, bu: &SphBasis, coeffs: &[SphCoeffs; 3]) -> Self {
         // fine geometry (positions + quadrature weights)
         let cu: [SphCoeffs; 3] = [
             coeffs[0].resampled(bu.p),
@@ -169,15 +115,13 @@ impl CheckScheme {
         let geo_c = surface_geometry(basis, coeffs);
         // mean grid spacing of the fine grid: sqrt(area / N_up)
         let h = (geo_u.area() / bu.grid_size() as f64).sqrt();
-        let big_r = opts.big_r * h;
-        let small_r = opts.small_r * h;
+        let big_r = BIG_R * h;
+        let small_r = SMALL_R * h;
         CheckScheme {
             geo_c,
             geo_u,
-            t: (0..=opts.p_extrap)
-                .map(|k| big_r + k as f64 * small_r)
-                .collect(),
-            e: checkpoint_extrapolation_weights(big_r, small_r, opts.p_extrap, 0.0),
+            t: (0..=P_EXTRAP).map(|k| big_r + k as f64 * small_r).collect(),
+            e: checkpoint_extrapolation_weights(big_r, small_r, P_EXTRAP, 0.0),
         }
     }
 }
@@ -241,19 +185,14 @@ pub struct SelfInteraction {
 
 impl SelfInteraction {
     /// Builds the operator for a cell with the given position coefficients.
-    pub fn build(
-        basis: &SphBasis,
-        coeffs: &[SphCoeffs; 3],
-        mu: f64,
-        opts: SelfOpOptions,
-    ) -> SelfInteraction {
+    pub fn build(basis: &SphBasis, coeffs: &[SphCoeffs; 3], mu: f64) -> SelfInteraction {
         let mut op = SelfInteraction {
             blocks: Vec::new(),
             analysis_t: analysis_matrix_t(basis.p),
             n: 0,
             nc: 0,
         };
-        op.rebuild(basis, coeffs, mu, opts);
+        op.rebuild(basis, coeffs, mu);
         op
     }
 
@@ -267,15 +206,9 @@ impl SelfInteraction {
     /// sources at a time, and each such piece is projected onto the
     /// coefficients (the adjoint of the synthesis, [`RingProjection`]) as
     /// soon as it is assembled, so `K` itself never exists.
-    pub fn rebuild(
-        &mut self,
-        basis: &SphBasis,
-        coeffs: &[SphCoeffs; 3],
-        mu: f64,
-        opts: SelfOpOptions,
-    ) {
-        let bu = SphBasis::new(basis.p * opts.upsample);
-        let CheckScheme { geo_c, geo_u, t, e } = CheckScheme::new(basis, &bu, coeffs, opts);
+    pub fn rebuild(&mut self, basis: &SphBasis, coeffs: &[SphCoeffs; 3], mu: f64) {
+        let bu = SphBasis::new(basis.p * UPSAMPLE);
+        let CheckScheme { geo_c, geo_u, t, e } = CheckScheme::new(basis, &bu, coeffs);
         let n = basis.grid_size();
         let nc = (basis.p + 1) * (basis.p + 1);
         let p1 = t.len();
@@ -456,10 +389,10 @@ mod tests {
     }
 
     impl RowMajorReference {
-        fn build(basis: &SphBasis, coeffs: &[SphCoeffs; 3], mu: f64, opts: SelfOpOptions) -> Self {
-            let pu = basis.p * opts.upsample;
+        fn build(basis: &SphBasis, coeffs: &[SphCoeffs; 3], mu: f64) -> Self {
+            let pu = basis.p * UPSAMPLE;
             let bu = SphBasis::new(pu);
-            let CheckScheme { geo_c, geo_u, t, e } = CheckScheme::new(basis, &bu, coeffs, opts);
+            let CheckScheme { geo_c, geo_u, t, e } = CheckScheme::new(basis, &bu, coeffs);
             let (n, nu) = (basis.grid_size(), bu.grid_size());
             let mut k_mat = Mat::zeros(3 * n, 3 * nu);
             for i in 0..n {
@@ -637,19 +570,13 @@ mod tests {
     }
 
     /// The operator holds six entries per (target, coefficient) pair,
-    /// `6·N·(p+1)²` doubles, whatever the upsampling factor.
+    /// `6·N·(p+1)²` doubles, not per fine point.
     #[test]
     fn operator_stores_six_entries_per_target_and_coefficient() {
         for (basis, coeffs, mu) in test_cells() {
             let (n, p) = (basis.grid_size(), basis.p);
-            for upsample in [1, 2, 3] {
-                let opts = SelfOpOptions {
-                    upsample,
-                    ..Default::default()
-                };
-                let op = SelfInteraction::build(&basis, &coeffs, mu, opts);
-                assert_eq!(op.blocks.len(), 6 * n * (p + 1) * (p + 1), "p = {p}");
-            }
+            let op = SelfInteraction::build(&basis, &coeffs, mu);
+            assert_eq!(op.blocks.len(), 6 * n * (p + 1) * (p + 1), "p = {p}");
         }
     }
 
@@ -659,9 +586,8 @@ mod tests {
     #[test]
     fn applied_operator_matches_row_major_reference() {
         for (basis, coeffs, mu) in test_cells() {
-            let opts = SelfOpOptions::default();
-            let op = SelfInteraction::build(&basis, &coeffs, mu, opts);
-            let want = RowMajorReference::build(&basis, &coeffs, mu, opts).applied();
+            let op = SelfInteraction::build(&basis, &coeffs, mu);
+            let want = RowMajorReference::build(&basis, &coeffs, mu).applied();
             let got = op.apply_many(&Mat::identity(3 * basis.grid_size()));
             let err = rel_err(got.data(), want.data());
             assert!(err <= 1e-13, "p = {}: relative {err:e}", basis.p);
@@ -676,7 +602,7 @@ mod tests {
     fn apply_many_columns_match_apply_bitwise() {
         for (basis, coeffs, mu) in test_cells().into_iter().take(2) {
             let p = basis.p;
-            let op = SelfInteraction::build(&basis, &coeffs, mu, SelfOpOptions::default());
+            let op = SelfInteraction::build(&basis, &coeffs, mu);
             let n = basis.grid_size();
             for k in 1..=25 {
                 let cols = test_columns(n, k);
@@ -701,26 +627,24 @@ mod tests {
     /// `apply_many`.
     #[test]
     fn operator_rebuilt_in_place_matches_a_fresh_build_bitwise() {
-        let opts = SelfOpOptions::default();
         let basis = SphBasis::new(6);
         let coeffs = biconcave_coeffs(&basis, 1.0, Vec3::new(0.2, -0.1, 0.3));
-        let fresh = SelfInteraction::build(&basis, &coeffs, 0.9, opts);
+        let fresh = SelfInteraction::build(&basis, &coeffs, 0.9);
 
         let mut same_p = SelfInteraction::build(
             &basis,
             &sphere_coeffs(&basis, 1.4, Vec3::new(1.0, 0.0, 0.0)),
             1.0,
-            opts,
         );
         let buffer = same_p.blocks.as_ptr();
-        same_p.rebuild(&basis, &coeffs, 0.9, opts);
+        same_p.rebuild(&basis, &coeffs, 0.9);
         assert_eq!(same_p.blocks.as_ptr(), buffer, "same shape reuses");
 
         let coarse = SphBasis::new(4);
         let mut other_p =
-            SelfInteraction::build(&coarse, &sphere_coeffs(&coarse, 1.0, Vec3::ZERO), 1.0, opts);
+            SelfInteraction::build(&coarse, &sphere_coeffs(&coarse, 1.0, Vec3::ZERO), 1.0);
         let coarse_len = other_p.blocks.len();
-        other_p.rebuild(&basis, &coeffs, 0.9, opts);
+        other_p.rebuild(&basis, &coeffs, 0.9);
         assert_ne!(other_p.blocks.len(), coarse_len, "other shape reallocates");
 
         let n = basis.grid_size();
@@ -773,7 +697,7 @@ mod tests {
         let mu = 0.8;
         let basis = SphBasis::new(p);
         let coeffs = sphere_coeffs(&basis, a, Vec3::ZERO);
-        let op = SelfInteraction::build(&basis, &coeffs, mu, SelfOpOptions::default());
+        let op = SelfInteraction::build(&basis, &coeffs, mu);
         let n = basis.grid_size();
         let u_ref = Vec3::new(0.3, -1.0, 0.5);
         let t = u_ref * (3.0 * mu / (2.0 * a));
@@ -803,7 +727,7 @@ mod tests {
         let p = 8;
         let basis = SphBasis::new(p);
         let coeffs = sphere_coeffs(&basis, 1.0, Vec3::ZERO);
-        let op = SelfInteraction::build(&basis, &coeffs, 1.0, SelfOpOptions::default());
+        let op = SelfInteraction::build(&basis, &coeffs, 1.0);
         let n = basis.grid_size();
         let f1: Vec<f64> = (0..3 * n).map(|i| (i as f64 * 0.17).sin()).collect();
         let f2: Vec<f64> = (0..3 * n).map(|i| (i as f64 * 0.05).cos()).collect();

@@ -7,12 +7,13 @@
 //! cell continues the trajectory bit-identically.
 
 use crate::cell::{Cell, CellParams};
-use crate::selfop::SelfOpOptions;
 use linalg::{ByteReader, ByteWriter, CodecError};
 use sphharm::SphCoeffs;
 
-/// Format tag guarding against layout drift between PRs.
-const CELL_STATE_VERSION: u8 = 1;
+/// Format tag guarding against layout drift. Version history: 1 — the
+/// parameters carried the four self-interaction quadrature options; 2 —
+/// they are constants of `selfop`, and the parameters are `κ_b`, `k_a`, `μ`.
+const CELL_STATE_VERSION: u8 = 2;
 
 fn write_coeffs(w: &mut ByteWriter, c: &SphCoeffs) {
     w.put_usize(c.p);
@@ -46,17 +47,14 @@ impl Cell {
         w.put_f64(p.kappa_b);
         w.put_f64(p.k_area);
         w.put_f64(p.mu);
-        w.put_usize(p.selfop.upsample);
-        w.put_usize(p.selfop.p_extrap);
-        w.put_f64(p.selfop.big_r);
-        w.put_f64(p.selfop.small_r);
     }
 
     /// Reconstructs a cell from bytes written by [`Cell::write_state`].
     ///
     /// Unlike [`Cell::new`] this does **not** recapture the reference
     /// geometry: the stored `ref_w` (the unstretched state the tension
-    /// penalty measures against) is restored verbatim.
+    /// penalty measures against) is restored verbatim. Parameters outside
+    /// their range ([`CellParams::validate`]) are an error naming the field.
     pub fn read_state(r: &mut ByteReader) -> Result<Cell, CodecError> {
         let version = r.get_u8()?;
         if version != CELL_STATE_VERSION {
@@ -70,17 +68,8 @@ impl Cell {
             kappa_b: r.get_f64()?,
             k_area: r.get_f64()?,
             mu: r.get_f64()?,
-            selfop: SelfOpOptions {
-                upsample: r.get_usize()?,
-                p_extrap: r.get_usize()?,
-                big_r: r.get_f64()?,
-                small_r: r.get_f64()?,
-            },
         };
-        // the operator's shape comes from the file: reject what would panic
-        // or exhaust memory at the first step
-        let p = coeffs.iter().map(|c| c.p).max().unwrap_or(0);
-        params.selfop.validate(p)?;
+        params.validate()?;
         Ok(Cell {
             coeffs,
             ref_w,
@@ -103,7 +92,6 @@ mod tests {
             kappa_b: 0.037,
             k_area: 2.5,
             mu: 1.25,
-            ..Default::default()
         };
         let mut cell = Cell::new(
             &basis,
@@ -134,8 +122,9 @@ mod tests {
         let a: Vec<u64> = cell.ref_w.iter().map(|v| v.to_bits()).collect();
         let b: Vec<u64> = back.ref_w.iter().map(|v| v.to_bits()).collect();
         assert_eq!(a, b, "reference area element differs");
-        assert_eq!(back.params.kappa_b, cell.params.kappa_b);
-        assert_eq!(back.params.selfop.p_extrap, cell.params.selfop.p_extrap);
+        assert_eq!(back.params.kappa_b.to_bits(), cell.params.kappa_b.to_bits());
+        assert_eq!(back.params.k_area.to_bits(), cell.params.k_area.to_bits());
+        assert_eq!(back.params.mu.to_bits(), cell.params.mu.to_bits());
     }
 
     #[test]
@@ -162,25 +151,31 @@ mod tests {
             let e = Cell::read_state(&mut ByteReader::new(&bytes)).unwrap_err();
             assert!(e.0.contains("does not match order"), "{e}");
         }
-        // self-operator options that would panic (upsample 0) or exhaust
-        // memory (a huge upsample or p_extrap) at the first step, or give a
-        // meaningless check-point family, are errors that name the field
-        let corrupt = |f: fn(&mut SelfOpOptions)| {
-            let mut o = cell.params.selfop;
-            f(&mut o);
-            o
+        // the version-1 layout (four self-operator fields after mu) is
+        // refused by its version byte
+        let mut w = ByteWriter::new();
+        cell.write_state(&mut w);
+        let mut v1 = w.into_bytes();
+        v1[0] = 1;
+        let e = Cell::read_state(&mut ByteReader::new(&v1)).unwrap_err();
+        assert!(e.0.contains("version 1"), "{e}");
+        // cell parameters out of range are errors that name the field
+        let corrupt = |f: fn(&mut CellParams)| {
+            let mut p = cell.params;
+            f(&mut p);
+            p
         };
-        for (selfop, field) in [
-            (corrupt(|o| o.upsample = 0), "upsample 0"),
-            (corrupt(|o| o.upsample = 22), "upsample 22"),
-            (corrupt(|o| o.upsample = usize::MAX), "upsample"),
-            (corrupt(|o| o.p_extrap = 1 << 40), "p_extrap"),
-            (corrupt(|o| o.big_r = f64::NAN), "big_r"),
-            (corrupt(|o| o.small_r = 0.0), "small_r"),
-            (corrupt(|o| o.small_r = f64::INFINITY), "small_r"),
+        for (params, field) in [
+            (corrupt(|p| p.kappa_b = -0.01), "kappa_b"),
+            (corrupt(|p| p.kappa_b = f64::NAN), "kappa_b"),
+            (corrupt(|p| p.k_area = -1.0), "k_area"),
+            (corrupt(|p| p.k_area = f64::INFINITY), "k_area"),
+            (corrupt(|p| p.mu = 0.0), "mu"),
+            (corrupt(|p| p.mu = -1.0), "mu"),
+            (corrupt(|p| p.mu = f64::NAN), "mu"),
         ] {
             let mut bad_cell = cell.clone();
-            bad_cell.params.selfop = selfop;
+            bad_cell.params = params;
             let mut w = ByteWriter::new();
             bad_cell.write_state(&mut w);
             let bytes = w.into_bytes();

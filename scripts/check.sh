@@ -168,6 +168,19 @@ case "$NEG_LOG" in
     *) echo "ERROR: the failing --assert did not name its expression and observed value"; exit 1 ;;
 esac
 
+echo "== out-of-range key smoke (sedimentation, fill_h = 0, zero steps)"
+# a value of the right type but outside a key's bounds is rejected before
+# the build uses it: a zero lattice spacing would otherwise seed forever
+if BAD_LOG=$(cargo run --release -q -p driver -- sedimentation --set fill_h=0.0 \
+    --steps 0 --no-output 2>&1); then
+    echo "ERROR: fill_h = 0 exited zero"; exit 1
+fi
+echo "$BAD_LOG"
+case "$BAD_LOG" in
+    *'`fill_h` expects a finite number > 0'*) ;;
+    *) echo "ERROR: the rejected fill_h = 0 did not name the key and its bounds"; exit 1 ;;
+esac
+
 echo "== driver smoke run (shear_pair, 2 steps at --threads 2 + checkpoint restart)"
 # the first leg runs the real-parallel step path (--threads 2) so the CI
 # gate exercises multi-worker dispatch end to end; the restart leg runs at
