@@ -14,10 +14,11 @@ use crate::closest::{ClosestHit, NearIndex};
 use crate::fine::FineDiscretization;
 use fmm::{Fmm, FmmOptions};
 use kernels::{direct_eval, Kernel, LaplaceDL, StokesDL};
-use linalg::{gmres, GmresOptions, GmresResult, Interp1d, LinearOperator, Vec3};
+use linalg::{axpy, gmres, GmresOptions, GmresResult, Interp1d, LinearOperator, Vec3};
 use parking_lot::Mutex;
 use patch::{BoundarySurface, SurfaceQuad};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// A double-layer kernel usable by the Nyström solver: packs a density
 /// value, surface normal and quadrature weight into FMM source data.
@@ -194,6 +195,10 @@ pub struct DoubleLayerSolver<K: LayerKernel, KE: Kernel + Clone + Sync + Send> {
     eval_fmm_builds: AtomicU64,
     /// Target-only replans on `eval_fmm` (one per FMM-routed `summation`).
     eval_fmm_replans: AtomicU64,
+    /// `A n`, the image of the nodal normal field: what projecting a warm
+    /// start `φ − c n` does to its image. One apply, on the first warm
+    /// solve handed an image.
+    normal_image: OnceLock<Vec<f64>>,
 }
 
 impl<K: LayerKernel, KE: Kernel + Clone + Sync + Send> DoubleLayerSolver<K, KE> {
@@ -253,6 +258,7 @@ impl<K: LayerKernel, KE: Kernel + Clone + Sync + Send> DoubleLayerSolver<K, KE> 
             eval_fmm: Mutex::new(None),
             eval_fmm_builds: AtomicU64::new(0),
             eval_fmm_replans: AtomicU64::new(0),
+            normal_image: OnceLock::new(),
         }
     }
 
@@ -449,8 +455,8 @@ impl<K: LayerKernel, KE: Kernel + Clone + Sync + Send> DoubleLayerSolver<K, KE> 
     /// Removes the weighted-normal component `c·n`, `c = ∮ n·v dS / ∮ dS`,
     /// from a nodal vector field — the projection that keeps right-hand
     /// sides (and warm-start guesses) compatible with the null space of the
-    /// interior Stokes double-layer operator.
-    fn remove_normal_component(&self, v: &mut [f64]) {
+    /// interior Stokes double-layer operator. Returns `c`.
+    fn remove_normal_component(&self, v: &mut [f64]) -> f64 {
         let nq = self.quad.len();
         let mut flux = 0.0;
         let mut nn = 0.0;
@@ -467,6 +473,22 @@ impl<K: LayerKernel, KE: Kernel + Clone + Sync + Send> DoubleLayerSolver<K, KE> 
             v[m * 3 + 1] -= c * n.y;
             v[m * 3 + 2] -= c * n.z;
         }
+        c
+    }
+
+    /// `A n`, applied on first use and kept.
+    fn normal_image(&self) -> &[f64] {
+        self.normal_image.get_or_init(|| {
+            let n: Vec<f64> = self
+                .quad
+                .normals
+                .iter()
+                .flat_map(|v| v.to_array())
+                .collect();
+            let mut an = vec![0.0; n.len()];
+            self.apply(&n, &mut an);
+            an
+        })
     }
 
     /// Solves `A φ = g` for the boundary condition `g` sampled at the
@@ -477,31 +499,54 @@ impl<K: LayerKernel, KE: Kernel + Clone + Sync + Send> DoubleLayerSolver<K, KE> 
     /// incompatible component is removed from `g` first so GMRES does not
     /// stagnate at the quadrature-error floor.
     pub fn solve(&self, g: &[f64]) -> (Vec<f64>, GmresResult) {
-        self.solve_warm(g, None)
+        self.solve_carried(g, None, None)
     }
 
     /// Like [`Self::solve`], but starting GMRES from `warm` (typically the
-    /// previous time step's density) instead of zero. The guess is
-    /// projected back onto the null-space-compatible subspace first — the
-    /// geometry carrying it forward has moved, so its normal component has
-    /// drifted. A guess of the wrong length (e.g. after a re-discretization)
-    /// is ignored.
+    /// previous time step's density) instead of zero, its image unknown
+    /// (one apply more than [`Self::solve_carried`] with the image).
     pub fn solve_warm(&self, g: &[f64], warm: Option<&[f64]>) -> (Vec<f64>, GmresResult) {
+        self.solve_carried(g, warm, None)
+    }
+
+    /// Solves `A φ = g` from the initial guess `warm` whose image `A·warm`
+    /// is `warm_image` (the previous solve's [`GmresResult::image`]), so
+    /// the solve applies `A` only for its GMRES iterations (and restarts);
+    /// the returned result's image is `A φ` for the next solve.
+    ///
+    /// The guess is projected back onto the null-space-compatible subspace
+    /// first — the geometry carrying it forward has moved, so its normal
+    /// component has drifted — and its image with it: `A(φ − c n) =
+    /// Aφ − c·(A n)`, with `A n` applied once per solver. A guess of the
+    /// wrong length (e.g. after a re-discretization) is ignored, and a
+    /// missing image or one of the wrong length costs the direct apply.
+    pub fn solve_carried(
+        &self,
+        g: &[f64],
+        warm: Option<&[f64]>,
+        warm_image: Option<&[f64]>,
+    ) -> (Vec<f64>, GmresResult) {
+        let complete = self.opts.null_space && self.vd == 3;
         let mut rhs = g.to_vec();
-        if self.opts.null_space && self.vd == 3 {
+        if complete {
             self.remove_normal_component(&mut rhs);
         }
         let mut phi = vec![0.0; self.dim()];
-        if let Some(w) = warm {
-            if w.len() == phi.len() {
-                phi.copy_from_slice(w);
-                if self.opts.null_space && self.vd == 3 {
-                    self.remove_normal_component(&mut phi);
+        let mut image = None;
+        if let Some(w) = warm.filter(|w| w.len() == phi.len()) {
+            phi.copy_from_slice(w);
+            image = warm_image
+                .filter(|a| a.len() == phi.len())
+                .map(<[f64]>::to_vec);
+            if complete {
+                let c = self.remove_normal_component(&mut phi);
+                if let Some(image) = &mut image {
+                    axpy(-c, self.normal_image(), image);
                 }
             }
         }
         let op = SolverOperator { solver: self };
-        let res = gmres(&op, &rhs, &mut phi, &self.opts.gmres);
+        let res = gmres(&op, &rhs, &mut phi, image.as_deref(), &self.opts.gmres);
         (phi, res)
     }
 
@@ -778,5 +823,53 @@ mod tests {
         for (l, v) in out.iter().enumerate() {
             assert!((v - 1.0).abs() < 5e-4, "node {l}: {v}");
         }
+    }
+
+    #[test]
+    fn carried_solve_matches_the_applied_warm_start() {
+        // the warm start's image, projected along with the density, stands
+        // in for the apply GMRES would make: same density to roundoff, and
+        // the returned image is the new density's (the resolution of
+        // `stokes_interior_dirichlet`, where the solve converges)
+        let s = cube_sphere(1.0, Vec3::ZERO, 1, 8);
+        let opts = BieOptions {
+            eta: 2,
+            backend: MatvecBackend::Dense,
+            gmres: GmresOptions {
+                tol: 5e-5,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let solver = DoubleLayerSolver::new(s, StokesDL, StokesEquiv { mu: 1.0 }, opts);
+        let data = |f0: Vec3| -> Vec<f64> {
+            let x0 = Vec3::new(0.0, 2.2, 1.1);
+            let pts = &solver.quad.points;
+            pts.iter()
+                .flat_map(|&y| stokeslet(y, x0, f0, 1.0).to_array())
+                .collect()
+        };
+        let (phi, res) = solver.solve(&data(Vec3::new(1.0, -0.5, 2.0)));
+        let g = data(Vec3::new(1.1, -0.4, 2.0));
+        let (carried, res_c) = solver.solve_carried(&g, Some(&phi), Some(&res.image));
+        let (applied, res_a) = solver.solve_warm(&g, Some(&phi));
+        assert!(res.converged && res_c.converged && res_a.converged);
+        assert_eq!(res_c.iterations, res_a.iterations);
+        let rel = |a: &[f64], b: &[f64]| {
+            let d: f64 = a.iter().zip(b).map(|(x, y)| (x - y).powi(2)).sum();
+            (d / b.iter().map(|y| y * y).sum::<f64>()).sqrt()
+        };
+        assert!(
+            rel(&carried, &applied) < 1e-9,
+            "{}",
+            rel(&carried, &applied)
+        );
+        let mut direct = vec![0.0; solver.dim()];
+        solver.apply(&carried, &mut direct);
+        assert!(
+            rel(&res_c.image, &direct) < 1e-12,
+            "{}",
+            rel(&res_c.image, &direct)
+        );
     }
 }

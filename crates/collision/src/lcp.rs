@@ -97,7 +97,7 @@ pub fn solve_lcp(
         // solve J d = -H
         let rhs: Vec<f64> = h.iter().map(|v| -v).collect();
         let mut d = vec![0.0; m];
-        gmres(&op, &rhs, &mut d, &opts.gmres);
+        gmres(&op, &rhs, &mut d, None, &opts.gmres);
         // backtracking line search on ‖H‖∞
         let mut step = 1.0;
         let mut accepted = false;

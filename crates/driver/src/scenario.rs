@@ -198,8 +198,14 @@ impl Keys<'_> {
 
     /// A finite number > 0.
     fn positive(&mut self, key: &'static str, default: f64) -> Result<f64, String> {
+        self.above(key, default, 0.0)
+    }
+
+    /// A finite number > `min`.
+    fn above(&mut self, key: &'static str, default: f64, min: f64) -> Result<f64, String> {
         let x = self.f64(key, default)?;
-        self.bound(key, x, x.is_finite() && x > 0.0, "a finite number > 0")
+        let expected = format!("a finite number > {min}");
+        self.bound(key, x, x.is_finite() && x > min, &expected)
     }
 
     /// A finite number ≥ 0.
@@ -281,8 +287,10 @@ fn tail(
         dt_control: DtControl {
             enabled: k.bool("dt_adaptive", dtc.enabled)?,
             grow_after: k.usize("dt_grow_after", dtc.grow_after)?,
-            max_stretch: k.f64("dt_max_stretch", dtc.max_stretch)?,
-            max_volume_drift: k.f64("dt_max_vol_drift", dtc.max_volume_drift)?,
+            // an undeformed cell's stretch is 1: a bound at or below it
+            // fails every attempt and freezes every cell
+            max_stretch: k.above("dt_max_stretch", dtc.max_stretch, 1.0)?,
+            max_volume_drift: k.positive("dt_max_vol_drift", dtc.max_volume_drift)?,
         },
         threads: k.usize("threads", 0)?,
         ..Default::default()
@@ -394,7 +402,8 @@ fn tube_vessel(
 /// ROADMAP item 1 is the open item).
 fn bie_options(k: &mut Keys, q: usize, refine: u32) -> Result<bie::BieOptions, String> {
     let refined = refine > 0;
-    let check_r = k.f64("bie_check_r", if refined { 0.15 } else { 0.06 })?;
+    // check_r = 0 puts the check points on the wall
+    let check_r = k.positive("bie_check_r", if refined { 0.15 } else { 0.06 })?;
     let qf = k.usize("bie_qf", if refined { q + 4 } else { 0 })?;
     let qf = k.bound("bie_qf", qf, qf != 1, "0 or an integer ≥ 2")?;
     // matvec/eval FMM tuning. The refined path defaults to order 4: the
@@ -1049,6 +1058,39 @@ mod tests {
                 "a finite number > 0",
             ),
             (pair, "kappa_b", Value::Float(-0.01), "a finite number ≥ 0"),
+            // a stretch bound ≤ 1 or a drift bound ≤ 0 fails every attempt
+            // and freezes every cell; check points at r = 0 sit on the wall
+            (
+                pair,
+                "dt_max_stretch",
+                Value::Float(-1.0),
+                "a finite number > 1",
+            ),
+            (pair, "dt_max_stretch", Value::Int(1), "a finite number > 1"),
+            (
+                pair,
+                "dt_max_stretch",
+                Value::Float(f64::INFINITY),
+                "a finite number > 1",
+            ),
+            (
+                pair,
+                "dt_max_vol_drift",
+                Value::Float(0.0),
+                "a finite number > 0",
+            ),
+            (
+                pair,
+                "dt_max_vol_drift",
+                Value::Float(f64::NAN),
+                "a finite number > 0",
+            ),
+            (
+                "vessel_flow",
+                "bie_check_r",
+                Value::Float(0.0),
+                "a finite number > 0",
+            ),
             (
                 pair,
                 "k_area",

@@ -124,6 +124,17 @@ fn vessel_warm_start_round_trips_bit_identically() {
         .filter(|(a, b)| a.to_bits() != b.to_bits())
         .count();
     assert_eq!(diffs, 0, "{diffs}/{} warm-start words differ", warm.len());
+    // and so does its image, which the next solve starts from
+    let image_bits = |v: Option<&Vec<f64>>| {
+        v.expect("a vessel step leaves the warm density's image")
+            .iter()
+            .map(|x| x.to_bits())
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(
+        image_bits(first.bie_warm_image.as_ref()),
+        image_bits(loaded.bie_warm_image.as_ref())
+    );
 
     // restored run continues bit-identically (the next step's GMRES starts
     // from the same warm iterate as the uninterrupted run's)
@@ -212,6 +223,39 @@ fn refined_fmm_vessel_restart_round_trips_bit_identically() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The image `A·bie_warm` a step hands the next solve comes from GMRES's
+/// Arnoldi relation, not from an apply: after 20 steps of a small wall
+/// scenario it must still match a direct apply of the wall operator to
+/// roundoff (the error of one solve is ~1e-14 relative and must not grow).
+#[test]
+fn carried_wall_image_matches_a_direct_apply_after_20_steps() {
+    let mut cfg = Doc::default();
+    let sec = "poiseuille_train";
+    cfg.set(sec, "order", Value::Int(6));
+    cfg.set(sec, "n_cells", Value::Int(1));
+    cfg.set(sec, "tube_segments", Value::Int(1));
+    cfg.set(sec, "patch_order", Value::Int(6));
+    let mut sim = driver::build(sec, &cfg).unwrap().sim;
+    let mut iterations = 0;
+    for _ in 0..20 {
+        sim.step();
+        iterations += sim.last_stats.bie_iterations;
+    }
+    assert!(iterations >= 20, "the solves must iterate: {iterations}");
+    let warm = sim
+        .bie_warm
+        .as_ref()
+        .expect("a vessel step leaves bie_warm");
+    let image = sim.bie_warm_image.as_ref().expect("and its image");
+    let solver = &sim.vessel.as_ref().unwrap().solver;
+    let mut direct = vec![0.0; warm.len()];
+    solver.apply(warm, &mut direct);
+    let norm = |v: &mut dyn Iterator<Item = f64>| v.map(|x| x * x).sum::<f64>().sqrt();
+    let rel =
+        norm(&mut direct.iter().zip(image).map(|(d, i)| d - i)) / norm(&mut direct.iter().copied());
+    assert!(rel <= 1e-10, "carried image is {rel:e} off a direct apply");
+}
+
 #[test]
 fn old_version_checkpoint_rejected_with_clear_error() {
     let cfg = small_shear_pair_cfg();
@@ -227,7 +271,7 @@ fn old_version_checkpoint_rejected_with_clear_error() {
         "error should name the unsupported version: {msg}"
     );
     assert!(
-        msg.contains("version 5"),
+        msg.contains("version 6"),
         "error should name the supported version: {msg}"
     );
 

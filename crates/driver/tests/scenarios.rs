@@ -117,15 +117,15 @@ fn sample_config(name: &str) -> Doc {
 /// default shows here as a digest change. The digests hash checkpoint
 /// bytes, so a checkpoint format change moves every one of them.
 const BUILD_DIGESTS: &[(&str, u64, u64)] = &[
-    ("shear_pair", 0x5ce28b7dea0e6cc8, 0x5ce28b7dea0e6cc8),
-    ("sedimentation", 0x196a775fdf2773cc, 0x196a775fdf2773cc),
-    ("vessel_flow", 0x14b1663ab0d63e68, 0x14b1663ab0d63e68),
-    ("dense_fill", 0x06faa82c1f1e4543, 0x06faa82c1f1e4543),
-    ("dense_fill_packed", 0x9f1359a665c3a731, 0x9f1359a665c3a731),
-    ("poiseuille_train", 0x91318fd48790da3f, 0x91318fd48790da3f),
-    ("random_suspension", 0x048cb49af338783d, 0x048cb49af338783d),
-    ("bifurcation", 0x89ec06323655797d, 0x89ec06323655797d),
-    ("vessel_ladder", 0xef12db64e373de33, 0xef12db64e373de33),
+    ("shear_pair", 0x6dd006ca1c3381f9, 0x6dd006ca1c3381f9),
+    ("sedimentation", 0xd52a9ef7be822b7f, 0xd52a9ef7be822b7f),
+    ("vessel_flow", 0xc06f352b4c8be84d, 0xc06f352b4c8be84d),
+    ("dense_fill", 0x38f74b5092ab3670, 0x38f74b5092ab3670),
+    ("dense_fill_packed", 0xb71941fa39cc2be0, 0xb71941fa39cc2be0),
+    ("poiseuille_train", 0x353bf4bb10bee7e6, 0x353bf4bb10bee7e6),
+    ("random_suspension", 0xbbad80851d05db2c, 0xbbad80851d05db2c),
+    ("bifurcation", 0xe7cca84f3abee428, 0xe7cca84f3abee428),
+    ("vessel_ladder", 0x850156f9eb1512b2, 0x850156f9eb1512b2),
 ];
 
 #[test]
@@ -150,12 +150,12 @@ fn scenario_builds_match_pinned_digests() {
 /// same way: the packed fill, a refined small tube, sphere cells, an
 /// unjittered lattice and the FMM wall backend.
 const BRANCH_DIGESTS: &[(&str, &str, u64)] = &[
-    ("fill_packed", "sedimentation", 0x38fc2f8c84e39580),
-    ("wall_refine", "poiseuille_train", 0xeb73d83ca391d9fd),
-    ("sphere", "vessel_ladder", 0x0968994e35c79094),
-    ("jitter_0", "random_suspension", 0xaa909bfc50c817f3),
-    ("jitter_0", "dense_fill_packed", 0xd715916f18974099),
-    ("fmm", "poiseuille_train", 0xecb1dd2178ad10a7),
+    ("fill_packed", "sedimentation", 0x99731c29f46ec091),
+    ("wall_refine", "poiseuille_train", 0xb810956f18af075c),
+    ("sphere", "vessel_ladder", 0xaf2ab69d9768c4a3),
+    ("jitter_0", "random_suspension", 0x2ed0c62bb2dc3f02),
+    ("jitter_0", "dense_fill_packed", 0xb42924d97f2d40d4),
+    ("fmm", "poiseuille_train", 0x3307f9f7a3da53c2),
 ];
 
 fn branch_configs() -> Vec<(&'static str, &'static str, Doc)> {

@@ -7,8 +7,25 @@
 //! paper caps iterations at 30 in its scaling runs (§5.1); the cap is a
 //! parameter of [`GmresOptions`]. Like the paper, [`gmres`] runs
 //! unpreconditioned: the paper relies on the second-kind form of the
-//! double-layer equation for fast convergence. Each restart recomputes the
-//! true residual `b − A x`, so warm starts and restarts see the real error.
+//! double-layer equation for fast convergence.
+//!
+//! **The iterate's image.** [`gmres`] carries `A x` alongside `x`, so a
+//! solve applies `A` once per Krylov iteration and otherwise only at a
+//! restart:
+//! - On entry the caller may pass `A x₀` (a warm start whose image it kept
+//!   from the previous solve); a zero guess is known to map to zero. Either
+//!   way the first cycle's residual `b − A x₀` costs no apply. Any other
+//!   guess is applied once, as a restart is.
+//! - Each cycle updates the image through the Arnoldi relation
+//!   `A x = A x₀ + V₍ₖ₊₁₎ H̄ y`, from the unrotated Hessenberg columns and
+//!   the basis already held — no extra apply and no extra vector.
+//! - The returned [`GmresResult::image`] is that `A x`, and the reported
+//!   residual on a stall or cap exit is `‖b − A x‖` computed from it.
+//! - Each restart recomputes the true residual with a direct apply, so
+//!   restarts still see the real error.
+//!
+//! The image agrees with a direct apply to roundoff (~1e-14 relative per
+//! solve), not bitwise.
 
 use crate::mat::{axpy, dot, norm2};
 
@@ -94,11 +111,12 @@ impl Default for GmresOptions {
 }
 
 /// Outcome of a GMRES solve.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct GmresResult {
     /// Total iterations performed.
     pub iterations: usize,
-    /// Final relative residual estimate.
+    /// Final relative residual: the Arnoldi estimate on a tolerance exit,
+    /// `‖b − A x‖ / ‖b‖` from [`Self::image`] otherwise.
     pub rel_residual: f64,
     /// Whether the tolerance was met before hitting the iteration cap.
     pub converged: bool,
@@ -106,14 +124,21 @@ pub struct GmresResult {
     /// ([`GmresOptions::stall_ratio`]): the residual had stopped improving,
     /// so the returned solution is at the attainable floor.
     pub stalled: bool,
+    /// `A x` for the returned `x`, built from the Arnoldi relation (module
+    /// doc): pass it back as the next solve's `ax` when `x` is that solve's
+    /// initial guess.
+    pub image: Vec<f64>,
 }
 
 /// Solves `A x = b` with restarted GMRES, starting from `x` as initial guess
-/// (often zero). `x` is updated in place.
+/// (often zero). `x` is updated in place. `ax` is `A x` for the initial
+/// guess when the caller knows it: the first cycle then skips its apply,
+/// as it does for a guess that is identically zero.
 pub fn gmres<A: LinearOperator + ?Sized>(
     a: &A,
     b: &[f64],
     x: &mut [f64],
+    ax: Option<&[f64]>,
     opts: &GmresOptions,
 ) -> GmresResult {
     let n = a.dim();
@@ -122,12 +147,23 @@ pub fn gmres<A: LinearOperator + ?Sized>(
     let bnorm = norm2(b).max(f64::MIN_POSITIVE);
     let m = opts.restart.max(1);
 
+    // the iterate's image `A x`; `known` while it is current without an
+    // apply (the caller's, or zero's, before the first cycle only)
+    let (mut image, mut known) = match ax {
+        Some(ax) => {
+            assert_eq!(ax.len(), n);
+            (ax.to_vec(), true)
+        }
+        None => (vec![0.0; n], x.iter().all(|&v| v == 0.0)),
+    };
     let mut total_iters = 0usize;
     let mut w = vec![0.0; n];
     // Krylov basis
     let mut basis: Vec<Vec<f64>> = Vec::with_capacity(m + 1);
-    // Hessenberg stored column-wise: h[j] has j+2 entries
+    // Hessenberg stored column-wise: h[j] has j+2 entries; `hcols` is
+    // rotated into the triangular factor, `hraw` keeps H̄ for the image
     let mut hcols: Vec<Vec<f64>> = Vec::with_capacity(m);
+    let mut hraw: Vec<Vec<f64>> = Vec::with_capacity(m);
     let mut cs = vec![0.0; m];
     let mut sn = vec![0.0; m];
     let mut g = vec![0.0; m + 1];
@@ -143,10 +179,13 @@ pub fn gmres<A: LinearOperator + ?Sized>(
     let mut prev_cycle: Option<(f64, usize)> = None;
     'outer: loop {
         // r = b - A x
-        a.apply(x, &mut w);
+        if !known {
+            a.apply(x, &mut image);
+        }
+        known = false;
         let mut r = vec![0.0; n];
         for i in 0..n {
-            r[i] = b[i] - w[i];
+            r[i] = b[i] - image[i];
         }
         let rnorm = norm2(&r);
         rel_res = rnorm / bnorm;
@@ -156,6 +195,7 @@ pub fn gmres<A: LinearOperator + ?Sized>(
                 rel_residual: rel_res,
                 converged: true,
                 stalled: false,
+                image,
             };
         }
         if total_iters >= opts.max_iters {
@@ -174,6 +214,7 @@ pub fn gmres<A: LinearOperator + ?Sized>(
 
         basis.clear();
         hcols.clear();
+        hraw.clear();
         // the windowed check below must only compare estimates from the
         // same cycle: post-restart estimates are re-seeded from the true
         // residual, which can sit above the previous cycle's (monotone,
@@ -202,6 +243,7 @@ pub fn gmres<A: LinearOperator + ?Sized>(
             }
             let hlast = norm2(&w);
             h[j + 1] = hlast;
+            hraw.push(h.clone());
             // apply previous Givens rotations to the new column
             for i in 0..j {
                 let t = cs[i] * h[i] + sn[i] * h[i + 1];
@@ -239,7 +281,7 @@ pub fn gmres<A: LinearOperator + ?Sized>(
             basis.push(vnext);
         }
 
-        // solve the small triangular system and update x
+        // solve the small triangular system and update x and its image
         if k_used > 0 {
             let mut y = vec![0.0; k_used];
             for i in (0..k_used).rev() {
@@ -252,6 +294,16 @@ pub fn gmres<A: LinearOperator + ?Sized>(
             for (j, yj) in y.iter().enumerate() {
                 axpy(*yj, &basis[j], x);
             }
+            // A x += V₍ₖ₊₁₎ H̄ y; the last basis vector's share,
+            // H̄[k, k−1] y[k−1] v_k, is y[k−1] times the last
+            // orthogonalized `w` (whose norm is that H̄ entry)
+            for i in 0..k_used {
+                let zi: f64 = (i.saturating_sub(1)..k_used)
+                    .map(|jj| hraw[jj][i] * y[jj])
+                    .sum();
+                axpy(zi, &basis[i], &mut image);
+            }
+            axpy(y[k_used - 1], &w, &mut image);
         }
 
         if rel_res <= opts.tol {
@@ -260,6 +312,7 @@ pub fn gmres<A: LinearOperator + ?Sized>(
                 rel_residual: rel_res,
                 converged: true,
                 stalled: false,
+                image,
             };
         }
         if stalled || total_iters >= opts.max_iters {
@@ -267,19 +320,15 @@ pub fn gmres<A: LinearOperator + ?Sized>(
         }
     }
 
-    // recompute true residual for the report
-    a.apply(x, &mut w);
-    let mut rn = 0.0;
-    for i in 0..n {
-        let d = b[i] - w[i];
-        rn += d * d;
-    }
+    // the true residual for the report, from the image
+    let rn: f64 = b.iter().zip(&image).map(|(bi, ai)| (bi - ai).powi(2)).sum();
     let rel = rn.sqrt() / bnorm;
     GmresResult {
         iterations: total_iters,
         rel_residual: rel,
         converged: rel <= opts.tol,
         stalled,
+        image,
     }
 }
 
@@ -289,13 +338,14 @@ mod tests {
     use crate::mat::Mat;
     use rand::prelude::*;
     use rand::rngs::StdRng;
+    use std::cell::{Cell, RefCell};
 
     #[test]
     fn solves_identity_in_one_iteration() {
         let a = Mat::identity(10);
         let b: Vec<f64> = (0..10).map(|i| i as f64).collect();
         let mut x = vec![0.0; 10];
-        let res = gmres(&a, &b, &mut x, &GmresOptions::default());
+        let res = gmres(&a, &b, &mut x, None, &GmresOptions::default());
         assert!(res.converged);
         assert!(res.iterations <= 1);
         for (u, v) in x.iter().zip(&b) {
@@ -320,6 +370,7 @@ mod tests {
             &a,
             &b,
             &mut x,
+            None,
             &GmresOptions {
                 tol: 1e-12,
                 ..Default::default()
@@ -348,6 +399,7 @@ mod tests {
             &a,
             &b,
             &mut x,
+            None,
             &GmresOptions {
                 tol: 1e-10,
                 restart: 5,
@@ -376,6 +428,7 @@ mod tests {
             &a,
             &b,
             &mut x,
+            None,
             &GmresOptions {
                 tol: 1e-16,
                 atol: 0.0,
@@ -405,6 +458,7 @@ mod tests {
             &a,
             &b,
             &mut x,
+            None,
             &GmresOptions {
                 tol: 1e-12,
                 ..Default::default()
@@ -437,7 +491,7 @@ mod tests {
             restart: 25,
             stall_ratio: 0.9,
         };
-        let res = gmres(&a, &b, &mut x, &opts);
+        let res = gmres(&a, &b, &mut x, None, &opts);
         assert!(res.stalled, "expected stall, got {res:?}");
         assert!(!res.converged);
         assert!(
@@ -449,7 +503,7 @@ mod tests {
         let mut a2 = Mat::identity(n);
         a2[(0, 0)] = 2.0;
         let mut x2 = vec![0.0; n];
-        let res2 = gmres(&a2, &b, &mut x2, &opts);
+        let res2 = gmres(&a2, &b, &mut x2, None, &opts);
         assert!(res2.converged && !res2.stalled, "{res2:?}");
     }
 
@@ -458,7 +512,7 @@ mod tests {
         let a = Mat::identity(12);
         let b = vec![0.0; 12];
         let mut x = vec![0.0; 12];
-        let res = gmres(&a, &b, &mut x, &GmresOptions::default());
+        let res = gmres(&a, &b, &mut x, None, &GmresOptions::default());
         assert!(res.converged);
         assert_eq!(res.iterations, 0);
         assert!(x.iter().all(|&v| v == 0.0));
@@ -475,7 +529,7 @@ mod tests {
         let xtrue: Vec<f64> = (0..n).map(|i| (i as f64 * 0.4).sin()).collect();
         let b = a.matvec(&xtrue);
         let mut x = xtrue.clone();
-        let res = gmres(&a, &b, &mut x, &GmresOptions::default());
+        let res = gmres(&a, &b, &mut x, None, &GmresOptions::default());
         assert!(res.converged);
         assert_eq!(
             res.iterations, 0,
@@ -496,6 +550,7 @@ mod tests {
             &a,
             &b,
             &mut x,
+            None,
             &GmresOptions {
                 tol: 1e-15,
                 ..Default::default()
@@ -520,10 +575,168 @@ mod tests {
         });
         let b = vec![2.0; 20];
         let mut x = vec![0.0; 20];
-        let res = gmres(&op, &b, &mut x, &GmresOptions::default());
+        let res = gmres(&op, &b, &mut x, None, &GmresOptions::default());
         assert!(res.converged);
         for i in 0..20 {
             assert!((x[i] - 2.0 / d[i]).abs() < 1e-9);
         }
+    }
+
+    /// A diagonally dominant nonsymmetric `n × n` system, a nonzero warm
+    /// start and its image.
+    fn warm_system(seed: u64, n: usize, spread: f64) -> (Mat, Vec<f64>, Vec<f64>, Vec<f64>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut a = Mat::from_fn(n, n, |_, _| rng.random_range(-spread..spread));
+        for i in 0..n {
+            a[(i, i)] += 2.0;
+        }
+        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).sin() + 0.5).collect();
+        let x0: Vec<f64> = (0..n).map(|i| 0.2 * (i as f64 * 0.7).cos()).collect();
+        let mut ax0 = vec![0.0; n];
+        a.apply(&x0, &mut ax0);
+        (a, b, x0, ax0)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn supplied_image_reproduces_the_applied_start_bitwise() {
+        // restart 6 over a ~20-iteration solve: the restart applies must
+        // match too
+        let (a, b, x0, ax0) = warm_system(11, 40, 0.45);
+        let opts = GmresOptions {
+            tol: 1e-12,
+            restart: 6,
+            ..Default::default()
+        };
+        let run = |ax: Option<&[f64]>| {
+            let seen = RefCell::new(Vec::new());
+            let op = FnOperator::new(a.rows(), |v: &[f64], y: &mut [f64]| {
+                seen.borrow_mut().push(bits(v));
+                a.apply(v, y);
+            });
+            let mut x = x0.clone();
+            let res = gmres(&op, &b, &mut x, ax, &opts);
+            (seen.into_inner(), x, res)
+        };
+        let (seen_applied, x_applied, res_applied) = run(None);
+        let (seen_given, x_given, res_given) = run(Some(&ax0));
+        assert!(res_applied.iterations > 2 * opts.restart, "{res_applied:?}");
+        // the only difference is the first apply, to the warm start itself
+        assert_eq!(seen_applied[0], bits(&x0));
+        assert_eq!(seen_applied[1..], seen_given[..]);
+        assert_eq!(bits(&x_applied), bits(&x_given));
+        assert_eq!(bits(&res_applied.image), bits(&res_given.image));
+        assert_eq!(res_applied.iterations, res_given.iterations);
+        assert_eq!(
+            res_applied.rel_residual.to_bits(),
+            res_given.rel_residual.to_bits()
+        );
+    }
+
+    #[test]
+    fn image_matches_a_direct_apply_at_every_exit() {
+        let check = |what: &str, a: &Mat, x: &[f64], res: &GmresResult| {
+            let mut direct = vec![0.0; x.len()];
+            a.apply(x, &mut direct);
+            let diff: Vec<f64> = direct.iter().zip(&res.image).map(|(d, i)| d - i).collect();
+            let rel = norm2(&diff) / norm2(&direct);
+            assert!(rel <= 1e-13, "{what}: image off by {rel:e} ({res:?})");
+        };
+        // tolerance exit, warm start with its image
+        let (a, b, x0, ax0) = warm_system(2, 50, 0.1);
+        let mut x = x0.clone();
+        let res = gmres(&a, &b, &mut x, Some(&ax0), &GmresOptions::default());
+        assert!(res.converged && res.iterations > 0, "{res:?}");
+        check("tolerance", &a, &x, &res);
+        // ≥ 2 restarts, warm start with its image
+        let (a, b, x0, ax0) = warm_system(8, 40, 0.3);
+        let mut x = x0.clone();
+        let opts = GmresOptions {
+            restart: 5,
+            max_iters: 500,
+            ..Default::default()
+        };
+        let res = gmres(&a, &b, &mut x, Some(&ax0), &opts);
+        assert!(
+            res.converged && res.iterations > 2 * opts.restart,
+            "{res:?}"
+        );
+        check("restarts", &a, &x, &res);
+        // cap exit inside the first cycle, zero guess
+        let (a, b, _, _) = warm_system(3, 30, 1.0);
+        let mut x = vec![0.0; 30];
+        let opts = GmresOptions {
+            tol: 1e-16,
+            atol: 0.0,
+            max_iters: 7,
+            ..Default::default()
+        };
+        let res = gmres(&a, &b, &mut x, None, &opts);
+        assert!(
+            !res.converged && !res.stalled && res.iterations == 7,
+            "{res:?}"
+        );
+        check("cap", &a, &x, &res);
+        // stagnation exit on a spread spectrum; the reported residual is
+        // the image's
+        let n = 60;
+        let a = Mat::from_fn(n, n, |i, j| {
+            if i == j {
+                1e-3_f64.powf(1.0 - i as f64 / (n - 1) as f64)
+            } else {
+                0.0
+            }
+        });
+        let b = vec![1.0; n];
+        let mut x = vec![0.0; n];
+        let opts = GmresOptions {
+            tol: 1e-13,
+            atol: 0.0,
+            max_iters: 1000,
+            restart: 25,
+            stall_ratio: 0.95,
+        };
+        let res = gmres(&a, &b, &mut x, None, &opts);
+        assert!(res.stalled, "{res:?}");
+        check("stall", &a, &x, &res);
+        let r: Vec<f64> = b.iter().zip(&res.image).map(|(b, i)| b - i).collect();
+        assert_eq!(res.rel_residual, norm2(&r) / norm2(&b));
+    }
+
+    #[test]
+    fn applies_are_iterations_plus_restarts() {
+        let (a, b, x0, ax0) = warm_system(5, 40, 0.35);
+        let opts = GmresOptions {
+            restart: 4,
+            max_iters: 500,
+            ..Default::default()
+        };
+        let count = |x0: &[f64], ax: Option<&[f64]>| {
+            let applies = Cell::new(0usize);
+            let op = FnOperator::new(a.rows(), |v: &[f64], y: &mut [f64]| {
+                applies.set(applies.get() + 1);
+                a.apply(v, y);
+            });
+            let mut x = x0.to_vec();
+            let res = gmres(&op, &b, &mut x, ax, &opts);
+            assert!(res.converged, "{res:?}");
+            // the last cycle is partial, so it ends on the Arnoldi
+            // estimate: every full cycle before it is one restart
+            assert_ne!(res.iterations % opts.restart, 0, "{res:?}");
+            (
+                applies.get(),
+                res.iterations + res.iterations / opts.restart,
+            )
+        };
+        let (with_image, expected) = count(&x0, Some(&ax0));
+        assert_eq!(with_image, expected);
+        let (zero_guess, expected) = count(&vec![0.0; 40], None);
+        assert_eq!(zero_guess, expected);
+        // without its image a warm start costs the one apply it always did
+        let (applied, expected) = count(&x0, None);
+        assert_eq!(applied, expected + 1);
     }
 }

@@ -33,8 +33,12 @@ use vesicle::{Cell, StepOptions};
 /// shape (the collision stage always runs, the floor is fixed at Δt/16
 /// and whole-step halving is the only retry shape); 5 — each cell drops
 /// the four self-interaction quadrature options (32 bytes; they are
-/// constants of `vesicle::selfop`, cell state version 2).
-const MAGIC: &[u8; 8] = b"RBCCKPT5";
+/// constants of `vesicle::selfop`, cell state version 2); 6 — adds the
+/// warm-start density's image `A·bie_warm` (`bie_warm_image`): a solve
+/// handed the image skips the apply that would recompute it, and the two
+/// agree to roundoff only, so a restart without it would not continue the
+/// uninterrupted run bit-identically.
+const MAGIC: &[u8; 8] = b"RBCCKPT6";
 
 /// A captured simulation state, decoupled from the live [`Simulation`].
 #[derive(Clone, Debug)]
@@ -60,6 +64,10 @@ pub struct Checkpoint {
     /// bit-exactly so a restarted run's first GMRES solve starts from the
     /// same iterate as the uninterrupted run.
     pub bie_warm: Option<Vec<f64>>,
+    /// The image `A·bie_warm` the solve that produced `bie_warm` left
+    /// ([`Simulation::bie_warm_image`]), serialized bit-exactly for the
+    /// same reason.
+    pub bie_warm_image: Option<Vec<f64>>,
     /// Adaptive time-step controller state (current Δt, clean-step
     /// counter, per-cell freeze flags) — part of the trajectory since the
     /// controller's next decision depends on it.
@@ -191,6 +199,7 @@ impl Checkpoint {
             vessel_digest: sim.vessel.as_ref().map(vessel_digest).unwrap_or(0),
             cells: sim.cells.clone(),
             bie_warm: sim.bie_warm.clone(),
+            bie_warm_image: sim.bie_warm_image.clone(),
             dt_state: sim.dt_state.clone(),
         }
     }
@@ -215,12 +224,14 @@ impl Checkpoint {
         for c in &self.cells {
             c.write_state(&mut w);
         }
-        match &self.bie_warm {
-            Some(phi) => {
-                w.put_bool(true);
-                w.put_f64_slice(phi);
+        for v in [&self.bie_warm, &self.bie_warm_image] {
+            match v {
+                Some(v) => {
+                    w.put_bool(true);
+                    w.put_f64_slice(v);
+                }
+                None => w.put_bool(false),
             }
-            None => w.put_bool(false),
         }
         w.put_f64(self.dt_state.dt);
         w.put_usize(self.dt_state.clean_steps);
@@ -272,11 +283,15 @@ impl Checkpoint {
                 Cell::read_state(&mut r).map_err(|e| CodecError(format!("cell {i}: {}", e.0)))?;
             cells.push(cell);
         }
-        let bie_warm = if r.get_bool()? {
-            Some(r.get_f64_vec()?)
-        } else {
-            None
+        let mut optional_vec = || -> Result<Option<Vec<f64>>, CodecError> {
+            Ok(if r.get_bool()? {
+                Some(r.get_f64_vec()?)
+            } else {
+                None
+            })
         };
+        let bie_warm = optional_vec()?;
+        let bie_warm_image = optional_vec()?;
         let dt_state = {
             let dt = r.get_f64()?;
             let clean_steps = r.get_usize()?;
@@ -303,6 +318,7 @@ impl Checkpoint {
             vessel_digest,
             cells,
             bie_warm,
+            bie_warm_image,
             dt_state,
         })
     }
@@ -373,6 +389,7 @@ impl Checkpoint {
         sim.timers = self.timers;
         sim.last_stats = Default::default();
         sim.bie_warm = self.bie_warm.clone();
+        sim.bie_warm_image = self.bie_warm_image.clone();
         sim.dt_state = self.dt_state.clone();
         sim.last_health = Vec::new();
         Ok(())
@@ -454,9 +471,10 @@ mod tests {
     fn v2_checkpoint_rejected_with_version_error() {
         let sim = two_cell_sim();
         // the pre-adaptive-dt format, the format whose config still carried
-        // the collision switch, backoff floor and retry shape, and the one
-        // whose cells still carried the self-operator options
-        for old in [b'2', b'3', b'4'] {
+        // the collision switch, backoff floor and retry shape, the one
+        // whose cells still carried the self-operator options, and the one
+        // without the warm density's image
+        for old in [b'2', b'3', b'4', b'5'] {
             let mut bytes = Checkpoint::capture(&sim, "x").to_bytes();
             bytes[7] = old;
             let err = Checkpoint::from_bytes(&bytes).unwrap_err().to_string();
@@ -465,10 +483,35 @@ mod tests {
                 "error should name the file's version: {err}"
             );
             assert!(
-                err.contains("version 5"),
+                err.contains("version 6"),
                 "error should name the supported version: {err}"
             );
         }
+    }
+
+    #[test]
+    fn warm_density_and_its_image_round_trip_bit_exactly() {
+        let mut sim = two_cell_sim();
+        let warm = vec![0.25, -1.5, 3.0, f64::MIN_POSITIVE];
+        let image = vec![-0.0, 7.5e-300, 1.0 / 3.0, -2.0];
+        sim.bie_warm = Some(warm.clone());
+        sim.bie_warm_image = Some(image.clone());
+        let back = Checkpoint::from_bytes(&Checkpoint::capture(&sim, "x").to_bytes()).unwrap();
+        let bits = |v: &Option<Vec<f64>>| {
+            v.as_ref()
+                .map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+        };
+        assert_eq!(bits(&back.bie_warm), bits(&Some(warm)));
+        assert_eq!(bits(&back.bie_warm_image), bits(&Some(image)));
+        let mut other = two_cell_sim();
+        back.restore_into(&mut other).unwrap();
+        assert_eq!(bits(&other.bie_warm_image), bits(&sim.bie_warm_image));
+        // a density without its image stays without one
+        sim.bie_warm_image = None;
+        let back = Checkpoint::from_bytes(&Checkpoint::capture(&sim, "x").to_bytes()).unwrap();
+        assert!(back.bie_warm.is_some() && back.bie_warm_image.is_none());
+        back.restore_into(&mut other).unwrap();
+        assert!(other.bie_warm_image.is_none());
     }
 
     #[test]
@@ -523,12 +566,13 @@ mod tests {
     }
 
     /// Every proper prefix of a two-cell checkpoint (with a warm-start
-    /// density and frozen flags, so every section is present) is an error,
-    /// never a panic.
+    /// density, its image and frozen flags, so every section is present)
+    /// is an error, never a panic.
     #[test]
     fn every_proper_prefix_is_rejected() {
         let mut sim = two_cell_sim();
         sim.bie_warm = Some(vec![0.25, -1.5, 3.0]);
+        sim.bie_warm_image = Some(vec![1.0, 2.0, -0.5]);
         sim.dt_state.frozen = vec![false, true];
         let bytes = Checkpoint::capture(&sim, "shear_pair").to_bytes();
         assert!(Checkpoint::from_bytes(&bytes).is_ok());

@@ -192,6 +192,13 @@ pub struct Simulation {
     /// Part of the evolving trajectory state: it is serialized by
     /// [`crate::Checkpoint`] so restarts stay bit-identical.
     pub bie_warm: Option<Vec<f64>>,
+    /// `A·bie_warm`, the image the solve that produced `bie_warm` left
+    /// (GMRES's Arnoldi update, not a fresh apply): handed back to the next
+    /// solve so it applies the wall operator only for its iterations.
+    /// Serialized with `bie_warm` (checkpoint v6) so restarts stay
+    /// bit-identical. Whoever writes `bie_warm` writes this too, `None` if
+    /// the image is unknown: the next solve then applies `A` itself.
+    pub bie_warm_image: Option<Vec<f64>>,
     /// Adaptive time-step controller state (current Δt, clean-step
     /// counter, per-cell freeze flags). Evolving trajectory state,
     /// serialized by [`crate::Checkpoint`] (format v4).
@@ -336,6 +343,7 @@ impl Simulation {
             steps: 0,
             last_stats: StepStats::default(),
             bie_warm: None,
+            bie_warm_image: None,
             dt_state: DtState {
                 dt: config.dt,
                 clean_steps: 0,
@@ -585,8 +593,9 @@ impl Simulation {
         if let Some(vessel) = &self.vessel {
             // warm start from the previous step's density (the boundary
             // data changes little between steps, so the previous solution
-            // is a much better initial iterate than zero)
+            // is a much better initial iterate than zero), with its image
             let warm = self.bie_warm.take();
+            let warm_image = self.bie_warm_image.take();
             let ((phi, res), t_bie) = timed(|| {
                 // u_fr on Γ from all cells (this far-field sum is charged to
                 // BIE-FMM below through the solver's own accounting for the
@@ -595,7 +604,10 @@ impl Simulation {
                 let u_fr = self.cell_sum(mu, &pts, &src_f, &vessel.solver.quad.points);
                 // g − u_fr
                 let rhs: Vec<f64> = vessel.bc.iter().zip(&u_fr).map(|(g, u)| g - u).collect();
-                let (phi, res) = vessel.solver.solve_warm(&rhs, warm.as_deref());
+                let (phi, res) =
+                    vessel
+                        .solver
+                        .solve_carried(&rhs, warm.as_deref(), warm_image.as_deref());
                 // u_Γ at all cell points
                 let ug = vessel.solver.eval_at(&phi, &pts);
                 for (bi, ug) in b_cells.iter_mut().zip(ug.chunks_exact(3 * n)) {
@@ -609,6 +621,7 @@ impl Simulation {
             stats.bie_iterations = res.iterations;
             stats.bie_converged = res.converged;
             stats.bie_residual = res.rel_residual;
+            self.bie_warm_image = Some(res.image);
             stats.flux_imbalance = vessel.port_flux_imbalance();
             let (builds, replans) = vessel.solver.take_eval_fmm_counters();
             stats.wall_fmm_builds = builds as usize;

@@ -324,7 +324,7 @@ pub fn implicit_step(
         }
     });
     let mut xplus: Vec<f64> = geo.x.iter().flat_map(|v| [v.x, v.y, v.z]).collect();
-    let res = gmres(&op, &rhs, &mut xplus, &opts.gmres);
+    let res = gmres(&op, &rhs, &mut xplus, None, &opts.gmres);
     let pos: Vec<Vec3> = (0..n)
         .map(|i| Vec3::new(xplus[3 * i], xplus[3 * i + 1], xplus[3 * i + 2]))
         .collect();

@@ -168,18 +168,25 @@ case "$NEG_LOG" in
     *) echo "ERROR: the failing --assert did not name its expression and observed value"; exit 1 ;;
 esac
 
-echo "== out-of-range key smoke (sedimentation, fill_h = 0, zero steps)"
+echo "== out-of-range key smokes (zero steps: fill_h = 0, dt_max_stretch = -1, bie_check_r = 0)"
 # a value of the right type but outside a key's bounds is rejected before
-# the build uses it: a zero lattice spacing would otherwise seed forever
-if BAD_LOG=$(cargo run --release -q -p driver -- sedimentation --set fill_h=0.0 \
-    --steps 0 --no-output 2>&1); then
-    echo "ERROR: fill_h = 0 exited zero"; exit 1
-fi
-echo "$BAD_LOG"
-case "$BAD_LOG" in
-    *'`fill_h` expects a finite number > 0'*) ;;
-    *) echo "ERROR: the rejected fill_h = 0 did not name the key and its bounds"; exit 1 ;;
-esac
+# the build uses it: a zero lattice spacing would otherwise seed forever, a
+# stretch bound at or below an undeformed cell's 1 fails every attempt and
+# freezes every cell, and check points at r = 0 sit on the wall
+for LEG in 'sedimentation|fill_h=0.0|`fill_h` expects a finite number > 0' \
+    'shear_pair|dt_max_stretch=-1|`dt_max_stretch` expects a finite number > 1' \
+    'poiseuille_train|bie_check_r=0|`bie_check_r` expects a finite number > 0'; do
+    IFS='|' read -r SCENARIO SETTING EXPECTED <<< "$LEG"
+    if BAD_LOG=$(cargo run --release -q -p driver -- "$SCENARIO" --set "$SETTING" \
+        --steps 0 --no-output 2>&1); then
+        echo "ERROR: $SCENARIO --set $SETTING exited zero"; exit 1
+    fi
+    echo "$BAD_LOG"
+    case "$BAD_LOG" in
+        *"$EXPECTED"*) ;;
+        *) echo "ERROR: the rejected $SETTING did not name the key and its bounds"; exit 1 ;;
+    esac
+done
 
 echo "== driver smoke run (shear_pair, 2 steps at --threads 2 + checkpoint restart)"
 # the first leg runs the real-parallel step path (--threads 2) so the CI
@@ -194,6 +201,16 @@ cargo run --release -q -p driver -- shear_pair --steps 2 --set order=8 \
 cargo run --release -q -p driver -- shear_pair --steps 1 --set order=8 \
     --out "$SMOKE_OUT" --quiet \
     --restart "$SMOKE_OUT/shear_pair_final.ckpt"
+
+echo "== wall restart smoke (poiseuille_train, 2 steps + checkpoint restart)"
+# a run with a wall checkpoints the boundary solve's warm density and its
+# image A·φ (checkpoint v6); the restart leg reads both back through the
+# CLI and its first solve starts from them
+WALL_OUT=target/driver/check-wall
+rm -rf "$WALL_OUT"
+cargo run --release -q -p driver -- poiseuille_train --steps 2 --out "$WALL_OUT" --quiet
+cargo run --release -q -p driver -- poiseuille_train --steps 1 --out "$WALL_OUT" --quiet \
+    --restart "$WALL_OUT/poiseuille_train_final.ckpt" --assert 'min(gmres_iters) >= 1'
 
 echo "== farm smoke (2-job manifest: crash after job 1, resume, shared-cache assert)"
 # the simulation farm end to end on a tiny two-job manifest: leg 1 runs
