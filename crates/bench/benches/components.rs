@@ -228,6 +228,76 @@ fn bench_candidates(c: &mut Criterion) {
     group.bench_function("self_pairs_4000", |b| {
         b.iter(|| black_box(octree::box_box_candidates_self(&boxes, &grid)))
     });
+
+    // one full `detect_contacts` call on the geometry of
+    // `suspension_contact`: a 3 × 3 × 3 lattice of unit oblate spheroids at
+    // spacing 2.02, jittered and randomly oriented, with space-time start
+    // positions and δ = 0.12 (the lattice of the collision crate's
+    // `grid_matches_brute_force_on_a_spheroid_lattice`)
+    let mut rng = StdRng::seed_from_u64(27);
+    let meshes: Vec<collision::TriMesh> = (0..27)
+        .map(|i| {
+            let jitter = Vec3::new(
+                rng.random_range(-0.006..0.006),
+                rng.random_range(-0.006..0.006),
+                rng.random_range(-0.006..0.006),
+            );
+            let c = Vec3::new((i % 3) as f64, (i / 3 % 3) as f64, (i / 9) as f64) * 2.02 + jitter;
+            let tilt: f64 = rng.random_range(0.0..std::f64::consts::PI);
+            let turn: f64 = rng.random_range(0.0..std::f64::consts::TAU);
+            let rot = |v: Vec3| {
+                let (y, z) = (
+                    v.y * tilt.cos() - v.z * tilt.sin(),
+                    v.y * tilt.sin() + v.z * tilt.cos(),
+                );
+                c + Vec3::new(
+                    v.x * turn.cos() - y * turn.sin(),
+                    v.x * turn.sin() + y * turn.cos(),
+                    z,
+                )
+            };
+            let (nlat, nlon) = (11, 20);
+            let grid: Vec<Vec3> = (0..nlat * nlon)
+                .map(|k| {
+                    let th = std::f64::consts::PI * ((k / nlon) as f64 + 0.5) / nlat as f64;
+                    let ph = std::f64::consts::TAU * (k % nlon) as f64 / nlon as f64;
+                    rot(Vec3::new(
+                        th.sin() * ph.cos(),
+                        th.sin() * ph.sin(),
+                        0.45 * th.cos(),
+                    ))
+                })
+                .collect();
+            let (north, south) = (
+                rot(Vec3::new(0.0, 0.0, 0.45)),
+                rot(Vec3::new(0.0, 0.0, -0.45)),
+            );
+            collision::triangulate_latlon(&grid, nlat, nlon, north, south)
+        })
+        .collect();
+    let start: Vec<Vec<Vec3>> = meshes
+        .iter()
+        .map(|m| {
+            let shift = Vec3::new(
+                rng.random_range(-0.1..0.1),
+                rng.random_range(-0.1..0.1),
+                rng.random_range(-0.1..0.1),
+            );
+            m.verts.iter().map(|&v| v + shift).collect()
+        })
+        .collect();
+    let obj_of: Vec<u32> = (0..27).collect();
+    let opts = collision::DetectOptions::new(0.12);
+    group.bench_function("detect_lattice_27", |b| {
+        b.iter(|| {
+            black_box(collision::detect_contacts(
+                &meshes,
+                Some(&start),
+                &obj_of,
+                opts,
+            ))
+        })
+    });
     group.finish();
 }
 

@@ -3,22 +3,20 @@
 //! 1. Space-time bounding boxes of all meshes are hashed and sorted to find
 //!    candidate mesh pairs (Fig. 3; the same sort-based search as the
 //!    closest-point machinery of §3.3, with `d_ε = 0` for static patches).
-//! 2. A single binned uniform grid over the *triangle* AABBs of every mesh
-//!    that survived step 1 generates vertex–triangle candidates: triangle
-//!    boxes (inflated by δ) are binned into every grid cell they overlap,
-//!    each vertex looks up only its own cell, and candidates are verified
-//!    by the exact closest-point test. With cell size `δ + max(median
-//!    edge, δ)` a
-//!    triangle spans O(1) cells, so candidate generation is
-//!    output-sensitive — the old path rebuilt a hash of *all* triangles of
-//!    a mesh for every candidate mesh pair it appeared in. The old
-//!    exhaustive scan survives behind [`BroadPhase::BruteForce`] as the
-//!    equivalence-test reference.
+//! 2. Each mesh's triangles are tested only against the vertices of its
+//!    *partners* — the meshes it shares a candidate pair with — found
+//!    through a per-partner cell index of a uniform grid (cell size
+//!    `δ + max(median edge, δ)`, so a triangle's δ-inflated box spans O(1)
+//!    cells) after a chunk and a per-triangle box reject; candidates are
+//!    verified by the exact closest-point test. The pair set is by
+//!    construction the exhaustive scan's over the same mesh pairs (the
+//!    equivalence-test reference in this module's tests).
 //!
-//! Determinism: both paths emit the identical pair set, canonically sorted
-//! by `(object pair, vertex mesh, vertex, triangle mesh, triangle)` before
-//! the interference values are accumulated, so `V` and every gradient is
-//! bit-identical across paths, runs, and instances (the restart guarantee).
+//! Determinism: the pair set is canonically sorted by `(object pair,
+//! vertex mesh, vertex, triangle mesh, triangle)` before the interference
+//! values are accumulated, so `V` and every gradient is bit-identical
+//! across narrow phases, runs, thread counts and instances (the restart
+//! guarantee).
 //!
 //! Interference measure (a substitution for the paper's): where \[17\]/\[25\] compute
 //! exact piecewise-linear space-time interference volumes, we use
@@ -92,35 +90,18 @@ impl Contact {
     }
 }
 
-/// Candidate-generation strategy for the vertex–triangle narrow phase.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum BroadPhase {
-    /// One binned grid over all active triangles (output-sensitive; the
-    /// production path).
-    #[default]
-    Grid,
-    /// Exhaustive all-vertex × all-triangle scan per candidate mesh pair —
-    /// O(n·m) per pair, kept only as the equivalence-test reference.
-    BruteForce,
-}
-
 /// Options for contact detection.
 #[derive(Clone, Copy, Debug)]
 pub struct DetectOptions {
     /// Contact activation threshold δ (surfaces closer than this count as
     /// interfering; acts as the minimal separation the NCP enforces).
     pub delta: f64,
-    /// Candidate-generation strategy (grid unless testing).
-    pub broad_phase: BroadPhase,
 }
 
 impl DetectOptions {
-    /// Grid-backed detection with threshold `delta`.
+    /// Detection with threshold `delta`.
     pub fn new(delta: f64) -> DetectOptions {
-        DetectOptions {
-            delta,
-            broad_phase: BroadPhase::Grid,
-        }
+        DetectOptions { delta }
     }
 }
 
@@ -136,55 +117,58 @@ pub fn detect_contacts(
     obj_of: &[u32],
     opts: DetectOptions,
 ) -> Vec<Contact> {
+    let (boxes, mesh_pairs) = candidate_mesh_pairs(meshes, start, obj_of, opts.delta);
+    let raw = grid_pairs(meshes, &boxes, &mesh_pairs, opts.delta);
+    group_contacts(raw, obj_of)
+}
+
+/// Step 1: the space-time box of every mesh and the candidate mesh pairs,
+/// `(a, b)` with `a < b` whose boxes share a grid cell and whose objects
+/// differ.
+fn candidate_mesh_pairs(
+    meshes: &[TriMesh],
+    start: Option<&[Vec<Vec3>]>,
+    obj_of: &[u32],
+    delta: f64,
+) -> (Vec<Aabb>, Vec<(u32, u32)>) {
     assert_eq!(meshes.len(), obj_of.len());
-    // 1. space-time boxes + candidate mesh pairs
     let boxes: Vec<Aabb> = rayon::par::map_indexed(meshes.len(), |i| match start {
-        Some(s) => meshes[i].space_time_box(&s[i], opts.delta),
-        None => meshes[i].bounding_box().inflated(opts.delta),
+        Some(s) => meshes[i].space_time_box(&s[i], delta),
+        None => meshes[i].bounding_box().inflated(delta),
     });
-    let grid = SpatialHash::new(mean_diagonal_spacing(&boxes).max(opts.delta), Vec3::ZERO);
-    let mesh_pairs: Vec<(u32, u32)> = box_box_candidates_self(&boxes, &grid)
+    let grid = SpatialHash::new(mean_diagonal_spacing(&boxes).max(delta), Vec3::ZERO);
+    let mesh_pairs = box_box_candidates_self(&boxes, &grid)
         .into_iter()
         .filter(|&(a, b)| obj_of[a as usize] != obj_of[b as usize])
         .collect();
+    (boxes, mesh_pairs)
+}
 
-    // 2. vertex–triangle pairs among the meshes with candidate partners
-    let mut raw: Vec<ContactPair> = match opts.broad_phase {
-        BroadPhase::Grid => grid_pairs(meshes, &boxes, &mesh_pairs, obj_of, opts.delta),
-        BroadPhase::BruteForce => brute_force_pairs(meshes, &mesh_pairs, opts.delta),
-    };
-
+/// Sorts the vertex–triangle pairs canonically and groups them into one
+/// contact per touching object pair.
+fn group_contacts(mut raw: Vec<ContactPair>, obj_of: &[u32]) -> Vec<Contact> {
     // canonical order: by object pair, then (vert_mesh, vert, tri_mesh,
-    // tri). Both broad phases and any parallel split then accumulate V and
-    // the gradients in the same floating-point order (a pair is emitted
-    // once, so the keys are unique and an unstable sort is deterministic).
+    // tri). Any narrow phase that finds the same pair set, and any parallel
+    // split, then accumulates V and the gradients in the same
+    // floating-point order (a pair is emitted once, so the keys are unique
+    // and an unstable sort is deterministic).
     let pair_objs = |p: &ContactPair| {
         let oa = obj_of[p.vert_mesh as usize];
         let ob = obj_of[p.tri_mesh as usize];
         (oa.min(ob), oa.max(ob))
     };
     raw.sort_unstable_by_key(|p| (pair_objs(p), p.vert_mesh, p.vert, p.tri_mesh, p.tri));
-
-    // group into contacts by scanning runs of equal object pairs
-    let mut contacts: Vec<Contact> = Vec::new();
-    let mut i = 0;
-    while i < raw.len() {
-        let key = pair_objs(&raw[i]);
-        let mut j = i;
-        while j < raw.len() && pair_objs(&raw[j]) == key {
-            j += 1;
-        }
-        let pairs = raw[i..j].to_vec();
-        let value: f64 = pairs.iter().map(|p| p.gap * p.weight).sum();
-        contacts.push(Contact {
-            obj_a: key.0,
-            obj_b: key.1,
-            value,
-            pairs,
-        });
-        i = j;
-    }
-    contacts
+    raw.chunk_by(|p, q| pair_objs(p) == pair_objs(q))
+        .map(|run| {
+            let (obj_a, obj_b) = pair_objs(&run[0]);
+            Contact {
+                obj_a,
+                obj_b,
+                value: run.iter().map(|p| p.gap * p.weight).sum(),
+                pairs: run.to_vec(),
+            }
+        })
+        .collect()
 }
 
 /// Exact narrow test: emits a pair when vertex `vi` of mesh `mv` lies
@@ -223,56 +207,120 @@ fn try_pair(
     }
 }
 
-/// Runs `f(mesh)` for every listed mesh across the worker threads and
-/// concatenates the results in list order, so the output is the same at any
-/// thread count.
-fn per_mesh<T: Send>(meshes: &[u32], f: impl Fn(u32) -> Vec<T> + Sync) -> Vec<T> {
-    let parts = rayon::par::map_indexed(meshes.len(), |i| f(meshes[i]));
-    parts.into_iter().flatten().collect()
+/// Consecutive triangles that share one chunk box in the narrow phase's
+/// first reject: a run of a lat–long mesh's triangles is a strip of its
+/// surface, so the chunk box stays close to its triangles' boxes.
+const CHUNK: usize = 32;
+
+/// A triangle whose box would overlap more than this many grid cells (only
+/// ever a blown-up mesh: a healthy one overlaps a handful) scans the
+/// partner's cell index linearly instead of enumerating cells.
+const CELL_CAP: f64 = 256.0;
+
+/// The rounding margin `1e-9·(δ + s)` of a box whose largest coordinate
+/// magnitude is `s` (at least 1). Every reject in the narrow phase tests
+/// against a box inflated past δ by it: the margin absorbs the rounding of
+/// `lo − δ` and of `try_pair`'s distance, so no pair whose exact test
+/// would pass (d < δ, to within an ulp) can be discarded — only `try_pair`
+/// decides membership.
+fn eps(b: Aabb, delta: f64) -> f64 {
+    let scale = [b.lo, b.hi]
+        .iter()
+        .flat_map(|p| [p.x.abs(), p.y.abs(), p.z.abs()])
+        .fold(1.0, f64::max);
+    1e-9 * (delta + scale)
 }
 
-/// Output-sensitive narrow phase: one uniform grid over every mesh that
-/// appears in a candidate pair. Vertices are binned into their cell (one
-/// entry each); each triangle enumerates the cells its δ-inflated AABB
-/// overlaps and tests the vertices found there.
+/// `b` inflated by `δ + eps(b, δ)`.
+fn margined(b: Aabb, delta: f64) -> Aabb {
+    b.inflated(delta + eps(b, delta))
+}
+
+/// The vertices of one mesh that can be in a pair: `(cell, vertex)`
+/// sorted by grid cell, and their bounding box (empty, and so meeting no
+/// box, when no vertex is indexed).
+struct CellIndex {
+    cells: Vec<((i64, i64, i64), u32)>,
+    bounds: Aabb,
+}
+
+impl CellIndex {
+    /// Calls `f` on every indexed vertex whose cell lies in `x0..=x1`,
+    /// `y0..=y1`, `z0..=z1`; the `z` cells of one `(x, y)` column are
+    /// contiguous in the sorted index, so a column is one binary search.
+    fn for_each_in(
+        &self,
+        (x0, y0, z0): (i64, i64, i64),
+        (x1, y1, z1): (i64, i64, i64),
+        mut f: impl FnMut(u32),
+    ) {
+        for x in x0..=x1 {
+            for y in y0..=y1 {
+                let first = self.cells.partition_point(|e| e.0 < (x, y, z0));
+                for &(cell, v) in &self.cells[first..] {
+                    if cell > (x, y, z1) {
+                        break;
+                    }
+                    f(v);
+                }
+            }
+        }
+    }
+}
+
+/// Output-sensitive narrow phase over the candidate mesh pairs of step 1
+/// (`mesh_pairs`, objects already distinct). A mesh's *partners* are the
+/// meshes it shares a candidate pair with; each mesh's triangles are
+/// tested only against its partners' vertices, so the pair set is exactly
+/// the exhaustive scan's over the same mesh pairs.
 ///
-/// Completeness: a vertex within δ of a triangle lies inside the
-/// triangle's inflated AABB, hence inside one of the cells that box
-/// overlaps. Uniqueness: a vertex occupies exactly one cell, so no
-/// (vertex, triangle) pair is ever emitted twice. Candidates pass a cheap
-/// box-containment reject (which cannot discard a true pair) before the
-/// exact closest-point test, so the result set is identical to
-/// [`BroadPhase::BruteForce`]'s.
+/// 1. **Cell index per mesh.** The vertices of a mesh that lie in one of
+///    its partners' space-time boxes, inflated by [`eps`], binned into a
+///    uniform grid and sorted by cell, with their bounding box. A vertex
+///    is indexed once, so no pair is emitted twice.
+/// 2. **Chunk, then triangle reject.** A chunk of [`CHUNK`] consecutive
+///    triangles keeps the partners whose index box meets its margined
+///    box; each triangle of it, those that meet its own margined box.
+/// 3. **Lookup.** The triangle enumerates the cells of its margined box
+///    clipped to the partner's index box, and every indexed vertex found
+///    there inside the margined box goes to [`try_pair`].
 ///
-/// Before any of that, a triangle whose margined box meets no space-time
-/// box (`boxes`, step 1's) of an active mesh of another object is skipped
-/// outright — most of a suspension's triangles face away from every
-/// neighbour. The skip is conservative: an emitted pair's vertex lies
-/// inside the triangle's margined box (the containment test) and inside
-/// its own mesh's box (which bounds that mesh's vertices), so the two boxes
-/// meet; the closed-interval test sees exactly that, with no rounding in
-/// between.
+/// Completeness: a vertex `try_pair` accepts lies within δ of a point of
+/// the triangle, so inside the triangle mesh's space-time box — which is
+/// inflated by δ only; the pre-filter of step 1 adds [`eps`] on top,
+/// which covers the rounding of that box and of `try_pair`'s distance.
+/// So an emitted pair's vertex is indexed, hence inside the index box
+/// (the exact bounds of the indexed points), and inside the triangle's
+/// margined box (the containment test): the closed-interval tests of
+/// step 2 see the two boxes meet with no rounding in between, a chunk's
+/// margined box contains each of its triangles' (the same construction
+/// over a superset of points, and rounding is monotone), and the vertex's
+/// cell lies in the clipped range.
 ///
-/// Cell size is `δ + max(median edge, δ)` — the median edge length,
-/// floored at δ so over-resolved meshes cannot shrink cells below the
-/// interaction distance: the meshes mix
-/// resolutions (finely upsampled cells against coarse vessel patches, and
-/// occasionally a blown-up mesh mid-transient), and sizing by the max —
-/// or even the mean — edge would collapse the grid into a few enormous
-/// cells whose contents cross all-to-all. With the median, an oversized
-/// triangle simply enumerates more cells (capped below) while the grid
-/// stays matched to the healthy geometry.
+/// Cell size is `δ + max(median edge, δ)`, the median taken over every
+/// fourth triangle's edges and floored at δ so over-resolved meshes cannot
+/// shrink cells below the interaction distance. It sets only the speed:
+/// the meshes mix resolutions (finely upsampled cells against coarse
+/// vessel patches, and occasionally a blown-up mesh mid-transient), and
+/// sizing by the max — or even the mean — edge would collapse the grid
+/// into a few enormous cells whose contents cross all-to-all. With the
+/// median, an oversized triangle simply overlaps more cells (above
+/// [`CELL_CAP`] it scans the partner's index) while the grid stays matched
+/// to the healthy geometry.
 fn grid_pairs(
     meshes: &[TriMesh],
     boxes: &[Aabb],
     mesh_pairs: &[(u32, u32)],
-    obj_of: &[u32],
     delta: f64,
 ) -> Vec<ContactPair> {
-    // meshes with at least one candidate partner
-    let mut active: Vec<u32> = mesh_pairs.iter().flat_map(|&(a, b)| [a, b]).collect();
-    active.sort_unstable();
-    active.dedup();
+    let mut partners: Vec<Vec<u32>> = vec![Vec::new(); meshes.len()];
+    for &(a, b) in mesh_pairs {
+        partners[a as usize].push(b);
+        partners[b as usize].push(a);
+    }
+    let active: Vec<u32> = (0..meshes.len() as u32)
+        .filter(|&m| !partners[m as usize].is_empty())
+        .collect();
     if active.is_empty() {
         return Vec::new();
     }
@@ -290,7 +338,7 @@ fn grid_pairs(
             let c = m.verts[t[2] as usize];
             [(a - b).norm(), (b - c).norm(), (c - a).norm()]
         };
-        m.tris.iter().flat_map(edges).collect()
+        m.tris.iter().step_by(4).flat_map(edges).collect()
     });
     let median_edge = if edges.is_empty() {
         0.0
@@ -301,155 +349,65 @@ fn grid_pairs(
     };
     let grid = SpatialHash::new(delta + median_edge.max(delta), Vec3::ZERO);
 
-    // bin vertices by their *integer cell coordinates* — deliberately not
-    // by wrapped Morton key: the conservative run rejects below derive a
-    // run's AABB from its cell, and a 21-bit key collision would group
-    // far-apart vertices under one box, turning the reject into a false
-    // negative exactly in the blown-up-mesh regime the fallback serves
-    #[derive(Clone, Copy)]
-    struct VertEntry {
-        cell: (i64, i64, i64),
-        mesh: u32,
-        vert: u32,
-    }
-    let mut verts: Vec<VertEntry> = per_mesh(&active, |mi| {
-        let entry = |(vi, &p): (usize, &Vec3)| VertEntry {
-            cell: grid.cell_of(p),
-            mesh: mi,
-            vert: vi as u32,
-        };
-        let verts = &meshes[mi as usize].verts;
-        verts.iter().enumerate().map(entry).collect()
+    // keyed by integer cell coordinates, not a wrapped Morton key, so the
+    // z cells of one (x, y) column are contiguous in sort order
+    let reach: Vec<Aabb> = boxes.iter().map(|&b| b.inflated(eps(b, delta))).collect();
+    let index: Vec<CellIndex> = rayon::par::map_indexed(meshes.len(), |mi| {
+        let near = |p: &Vec3| partners[mi].iter().any(|&o| reach[o as usize].contains(*p));
+        let mut cells: Vec<_> = (meshes[mi].verts.iter().enumerate())
+            .filter(|(_, p)| near(p))
+            .map(|(vi, &p)| (grid.cell_of(p), vi as u32))
+            .collect();
+        cells.sort_unstable();
+        let verts = cells.iter().map(|&(_, v)| meshes[mi].verts[v as usize]);
+        let bounds = Aabb::from_points(verts);
+        CellIndex { cells, bounds }
     });
-    verts.sort_unstable_by_key(|e| (e.cell, e.mesh, e.vert));
-    // run = the vertices of one occupied cell; `cells` looks runs up by
-    // cell for the enumeration path, `runs` keeps them in cell order with
-    // their cell boxes for the capped-triangle fallback below
-    struct CellRun {
-        lo: Vec3,
-        hi: Vec3,
-        start: u32,
-        end: u32,
-    }
-    let mut cells: HashMap<(i64, i64, i64), u32> = HashMap::new();
-    let mut runs: Vec<CellRun> = Vec::new();
-    let mut start = 0;
-    for i in 1..=verts.len() {
-        if i == verts.len() || verts[i].cell != verts[start].cell {
-            cells.insert(verts[start].cell, runs.len() as u32);
-            let cell = verts[start].cell;
-            let lo = grid.origin + Vec3::new(cell.0 as f64, cell.1 as f64, cell.2 as f64) * grid.h;
-            runs.push(CellRun {
-                lo,
-                hi: lo + Vec3::new(grid.h, grid.h, grid.h),
-                start: start as u32,
-                end: i as u32,
-            });
-            start = i;
-        }
-    }
 
-    // a healthy triangle's inflated box overlaps a handful of cells; a
-    // blown-up one could overlap billions, so enumeration is capped and
-    // oversized triangles fall through to a sweep over the occupied-cell
-    // runs, pruned by a box test and a plane-slab test (a stretched
-    // triangle covers a huge box but stays razor-thin, so the slab rejects
-    // nearly every cell). Both rejects are conservative — a vertex within
-    // δ of the triangle can never be discarded — so the result set stays
-    // identical to brute force.
-    const CELL_CAP: f64 = 256.0;
-
-    // per triangle: gather the vertices of every overlapped cell
     per_mesh(&active, |mi| {
         let m = &meshes[mi as usize];
-        let obj = obj_of[mi as usize];
-        let foreign: Vec<Aabb> = active
-            .iter()
-            .filter(|&&o| obj_of[o as usize] != obj)
-            .map(|&o| boxes[o as usize])
-            .collect();
+        let corners = |t: &[u32; 3]| t.map(|v| m.verts[v as usize]);
         let mut out = Vec::new();
-        for (ti, t) in m.tris.iter().enumerate() {
-            let (ta, tb, tc) = (
-                m.verts[t[0] as usize],
-                m.verts[t[1] as usize],
-                m.verts[t[2] as usize],
+        let mut near: Vec<u32> = Vec::new();
+        for (ci, chunk) in m.tris.chunks(CHUNK).enumerate() {
+            let chunk_box = margined(Aabb::from_points(chunk.iter().flat_map(corners)), delta);
+            near.clear();
+            near.extend(
+                partners[mi as usize]
+                    .iter()
+                    .filter(|&&o| index[o as usize].bounds.intersects(chunk_box)),
             );
-            // every broad-phase reject below uses this box, inflated a
-            // hair past δ: the extra margin absorbs the rounding of
-            // `min − δ` and of the reconstructed run boxes, so no pair
-            // whose exact test would pass (d < δ, to within an ulp)
-            // can be discarded — only try_pair decides membership, and
-            // the result set stays identical to brute force
-            let coord_scale = [ta, tb, tc]
-                .iter()
-                .flat_map(|p| [p.x.abs(), p.y.abs(), p.z.abs()])
-                .fold(1.0, f64::max);
-            let eps = 1e-9 * (delta + coord_scale);
-            let b = Aabb::from_points([ta, tb, tc]).inflated(delta + eps);
-            if !foreign.iter().any(|&o| o.intersects(b)) {
+            if near.is_empty() {
                 continue;
             }
-            let (x0, y0, z0) = grid.cell_of(b.lo);
-            let (x1, y1, z1) = grid.cell_of(b.hi);
-            // in f64: a blown-up triangle's box can span enough cells
-            // to overflow any integer product
-            let span = (x1 as f64 - x0 as f64 + 1.0)
-                * (y1 as f64 - y0 as f64 + 1.0)
-                * (z1 as f64 - z0 as f64 + 1.0);
-            let test = |v: &VertEntry, out: &mut Vec<ContactPair>| {
-                if obj_of[v.mesh as usize] == obj {
-                    return;
-                }
-                // cheap reject: outside the margined box ⇒ farther
-                // than δ from the triangle
-                if !b.contains(meshes[v.mesh as usize].verts[v.vert as usize]) {
-                    return;
-                }
-                if let Some(p) = try_pair(meshes, v.mesh, v.vert, mi, ti as u32, delta) {
-                    out.push(p);
-                }
-            };
-            if span <= CELL_CAP {
-                for z in z0..=z1 {
-                    for y in y0..=y1 {
-                        for x in x0..=x1 {
-                            let Some(&ri) = cells.get(&(x, y, z)) else {
-                                continue;
-                            };
-                            let run = &runs[ri as usize];
-                            for v in &verts[run.start as usize..run.end as usize] {
-                                test(v, &mut out);
-                            }
-                        }
-                    }
-                }
-            } else {
-                let n = (tb - ta).cross(tc - ta);
-                let nn = n.norm();
-                for run in &runs {
-                    if run.hi.x < b.lo.x
-                        || run.lo.x > b.hi.x
-                        || run.hi.y < b.lo.y
-                        || run.lo.y > b.hi.y
-                        || run.hi.z < b.lo.z
-                        || run.lo.z > b.hi.z
-                    {
+            for (k, t) in chunk.iter().enumerate() {
+                let ti = (ci * CHUNK + k) as u32;
+                let [ta, tb, tc] = corners(t);
+                let b = margined(Aabb::from_points([ta, tb, tc]), delta);
+                for &o in &near {
+                    let bounds = index[o as usize].bounds;
+                    if !bounds.intersects(b) {
                         continue;
                     }
-                    if nn > 1e-300 {
-                        // slab reject: the whole cell is farther than δ
-                        // (plus the rounding margin) from the plane
-                        let center = (run.lo + run.hi) * 0.5;
-                        let half = 0.5 * grid.h;
-                        let dist = n.dot(center - ta).abs() / nn;
-                        let radius = half * (n.x.abs() + n.y.abs() + n.z.abs()) / nn;
-                        if dist - radius > delta + eps {
-                            continue;
+                    let verts = &meshes[o as usize].verts;
+                    let mut test = |vi: u32| {
+                        // cheap reject: outside the margined box ⇒ farther
+                        // than δ from the triangle
+                        if b.contains(verts[vi as usize]) {
+                            out.extend(try_pair(meshes, o, vi, mi, ti, delta));
                         }
-                    }
-                    for v in &verts[run.start as usize..run.end as usize] {
-                        test(v, &mut out);
+                    };
+                    let lo = grid.cell_of(b.lo.max(bounds.lo));
+                    let hi = grid.cell_of(b.hi.min(bounds.hi));
+                    // in f64: a blown-up triangle's box can span enough
+                    // cells to overflow any integer product
+                    let span = (hi.0 as f64 - lo.0 as f64 + 1.0)
+                        * (hi.1 as f64 - lo.1 as f64 + 1.0)
+                        * (hi.2 as f64 - lo.2 as f64 + 1.0);
+                    if span <= CELL_CAP {
+                        index[o as usize].for_each_in(lo, hi, test);
+                    } else {
+                        index[o as usize].cells.iter().for_each(|&(_, vi)| test(vi));
                     }
                 }
             }
@@ -458,24 +416,12 @@ fn grid_pairs(
     })
 }
 
-/// Reference narrow phase: every vertex of each candidate mesh pair against
-/// every triangle of the partner, both directions.
-fn brute_force_pairs(
-    meshes: &[TriMesh],
-    mesh_pairs: &[(u32, u32)],
-    delta: f64,
-) -> Vec<ContactPair> {
-    let mut out = Vec::new();
-    for &(ma, mb) in mesh_pairs {
-        for (mv, mt) in [(ma, mb), (mb, ma)] {
-            for vi in 0..meshes[mv as usize].verts.len() as u32 {
-                for ti in 0..meshes[mt as usize].tris.len() as u32 {
-                    out.extend(try_pair(meshes, mv, vi, mt, ti, delta));
-                }
-            }
-        }
-    }
-    out
+/// Runs `f(mesh)` for every listed mesh across the worker threads and
+/// concatenates the results in list order, so the output is the same at any
+/// thread count.
+fn per_mesh<T: Send>(meshes: &[u32], f: impl Fn(u32) -> Vec<T> + Sync) -> Vec<T> {
+    let parts = rayon::par::map_indexed(meshes.len(), |i| f(meshes[i]));
+    parts.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
@@ -484,6 +430,38 @@ mod tests {
     use crate::mesh::{triangulate_grid, triangulate_latlon};
     use rand::prelude::*;
     use rand::rngs::StdRng;
+
+    /// Reference narrow phase: every vertex of each candidate mesh pair
+    /// against every triangle of the partner, both directions.
+    fn brute_force_pairs(
+        meshes: &[TriMesh],
+        mesh_pairs: &[(u32, u32)],
+        delta: f64,
+    ) -> Vec<ContactPair> {
+        let mut out = Vec::new();
+        for &(ma, mb) in mesh_pairs {
+            for (mv, mt) in [(ma, mb), (mb, ma)] {
+                for vi in 0..meshes[mv as usize].verts.len() as u32 {
+                    for ti in 0..meshes[mt as usize].tris.len() as u32 {
+                        out.extend(try_pair(meshes, mv, vi, mt, ti, delta));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// [`detect_contacts`] with the exhaustive reference narrow phase, the
+    /// oracle the grid is held to bit for bit.
+    fn brute_force(
+        meshes: &[TriMesh],
+        start: Option<&[Vec<Vec3>]>,
+        obj_of: &[u32],
+        delta: f64,
+    ) -> Vec<Contact> {
+        let (_, mesh_pairs) = candidate_mesh_pairs(meshes, start, obj_of, delta);
+        group_contacts(brute_force_pairs(meshes, &mesh_pairs, delta), obj_of)
+    }
 
     fn flat_square(z: f64, shift: f64) -> TriMesh {
         let m = 5;
@@ -682,24 +660,8 @@ mod tests {
             let meshes = sphere_cluster(&mut rng, n, 1.2);
             let obj_of: Vec<u32> = (0..n as u32).collect();
             let delta = 0.08;
-            let grid = detect_contacts(
-                &meshes,
-                None,
-                &obj_of,
-                DetectOptions {
-                    delta,
-                    broad_phase: BroadPhase::Grid,
-                },
-            );
-            let brute = detect_contacts(
-                &meshes,
-                None,
-                &obj_of,
-                DetectOptions {
-                    delta,
-                    broad_phase: BroadPhase::BruteForce,
-                },
-            );
+            let grid = detect_contacts(&meshes, None, &obj_of, DetectOptions::new(delta));
+            let brute = brute_force(&meshes, None, &obj_of, delta);
             assert!(
                 grid.len() >= 3,
                 "trial {trial}: dense packing produced only {} contacts",
@@ -718,24 +680,8 @@ mod tests {
         let meshes = cluster_with_blown_up_mesh();
         let obj_of: Vec<u32> = (0..meshes.len() as u32).collect();
         let delta = 0.08;
-        let grid = detect_contacts(
-            &meshes,
-            None,
-            &obj_of,
-            DetectOptions {
-                delta,
-                broad_phase: BroadPhase::Grid,
-            },
-        );
-        let brute = detect_contacts(
-            &meshes,
-            None,
-            &obj_of,
-            DetectOptions {
-                delta,
-                broad_phase: BroadPhase::BruteForce,
-            },
-        );
+        let grid = detect_contacts(&meshes, None, &obj_of, DetectOptions::new(delta));
+        let brute = brute_force(&meshes, None, &obj_of, delta);
         assert!(
             brute.iter().any(|c| c.obj_b == 6 || c.obj_a == 6),
             "monster mesh produced no contacts; the fallback path is untested"
@@ -804,12 +750,22 @@ mod tests {
         delta: f64,
     ) -> Vec<Contact> {
         let obj_of: Vec<u32> = (0..meshes.len() as u32).collect();
-        let run = |broad_phase| {
-            detect_contacts(meshes, start, &obj_of, DetectOptions { delta, broad_phase })
-        };
-        let brute = run(BroadPhase::BruteForce);
+        assert_grid_matches_brute_force_for(meshes, start, &obj_of, delta)
+    }
+
+    /// [`assert_grid_matches_brute_force`] with mesh `i` owned by object
+    /// `obj_of[i]`.
+    fn assert_grid_matches_brute_force_for(
+        meshes: &[TriMesh],
+        start: Option<&[Vec<Vec3>]>,
+        obj_of: &[u32],
+        delta: f64,
+    ) -> Vec<Contact> {
+        let brute = brute_force(meshes, start, obj_of, delta);
         for threads in [1, 2, 4] {
-            let grid = rayon::par::with_override(threads, || run(BroadPhase::Grid));
+            let grid = rayon::par::with_override(threads, || {
+                detect_contacts(meshes, start, obj_of, DetectOptions::new(delta))
+            });
             assert_contacts_identical(&grid, &brute);
         }
         brute
@@ -908,6 +864,73 @@ mod tests {
         assert_grid_matches_brute_force(&[flat_square(0.0, 0.0), near_box], None, delta);
     }
 
+    /// The vertex pre-filter's boundary. Mesh A, a triangle in the plane
+    /// x = 1, moved there from x = 0.5, so its δ-inflated space-time box
+    /// ends at x = 1 + δ. Mesh B's vertex 0 sits at x = 1 + δ(1 − 10⁻⁹),
+    /// within δ of A's triangle and just inside that box face; its vertex
+    /// 1 sits at x = 1 + δ(1 + 10⁻⁹), just outside the box and farther
+    /// than δ. Only vertex 0 may pair, and the grid must find it.
+    #[test]
+    fn vertices_at_the_pre_filter_boundary_match_brute_force() {
+        let delta = 0.1;
+        let a = TriMesh::new(
+            vec![
+                Vec3::new(1.0, 0.0, 0.0),
+                Vec3::new(1.0, 1.0, 0.0),
+                Vec3::new(1.0, 0.0, 1.0),
+            ],
+            vec![[0, 1, 2]],
+        );
+        let inside = Vec3::new(1.0 + delta * (1.0 - 1e-9), 0.25, 0.25);
+        let outside = Vec3::new(1.0 + delta * (1.0 + 1e-9), 0.5, 0.25);
+        let b = TriMesh::new(
+            vec![inside, outside, Vec3::new(2.0, 0.25, 0.5)],
+            vec![[0, 1, 2]],
+        );
+        let start = vec![
+            a.verts
+                .iter()
+                .map(|&v| v - Vec3::new(0.5, 0.0, 0.0))
+                .collect(),
+            b.verts.clone(),
+        ];
+        let box_a = a.space_time_box(&start[0], delta);
+        assert!(box_a.contains(inside) && !box_a.contains(outside));
+        assert!(box_a.hi.x - inside.x < 2e-9 * delta);
+        let contacts = assert_grid_matches_brute_force(&[a, b], Some(&start), delta);
+        assert_eq!(contacts.len(), 1, "vertex 0 is within δ of A");
+        let pairs: Vec<_> = (contacts[0].pairs.iter())
+            .map(|p| (p.vert_mesh, p.vert, p.tri_mesh, p.tri))
+            .collect();
+        assert_eq!(pairs, [(1, 0, 0, 0)]);
+    }
+
+    /// Two patches of one object (A and C) whose boxes meet, so (A, C) is
+    /// no candidate pair although A's vertices lie within δ of C's
+    /// triangles; a sheet B of a second object over both, and a sheet D of
+    /// a third object over C only. Every mesh looks up only its partners.
+    #[test]
+    fn meshes_of_one_object_with_meeting_boxes_match_brute_force() {
+        let delta = 0.1;
+        let meshes = [
+            flat_square(0.0, 0.0),
+            flat_square(0.05, 0.5),
+            flat_square(0.03, 0.9),
+            flat_square(0.1, 1.7),
+        ];
+        let obj_of = [0, 1, 0, 2];
+        let boxes: Vec<Aabb> = meshes
+            .iter()
+            .map(|m| m.bounding_box().inflated(delta))
+            .collect();
+        assert!(boxes[0].intersects(boxes[2]) && !boxes[0].intersects(boxes[3]));
+        let (_, mesh_pairs) = candidate_mesh_pairs(&meshes, None, &obj_of, delta);
+        assert!(!mesh_pairs.contains(&(0, 2)));
+        let contacts = assert_grid_matches_brute_force_for(&meshes, None, &obj_of, delta);
+        let touching: Vec<_> = contacts.iter().map(|c| (c.obj_a, c.obj_b)).collect();
+        assert_eq!(touching, [(0, 1), (0, 2)]);
+    }
+
     #[test]
     fn grid_matches_brute_force_with_space_time_boxes_and_shared_objects() {
         // moving sheets + a two-mesh rigid "vessel" sharing one object id
@@ -931,24 +954,8 @@ mod tests {
         }
         let obj_of = [0u32, 0, 1, 2, 3, 4, 5, 6];
         for delta in [0.05, 0.12] {
-            let grid = detect_contacts(
-                &meshes,
-                Some(&starts),
-                &obj_of,
-                DetectOptions {
-                    delta,
-                    broad_phase: BroadPhase::Grid,
-                },
-            );
-            let brute = detect_contacts(
-                &meshes,
-                Some(&starts),
-                &obj_of,
-                DetectOptions {
-                    delta,
-                    broad_phase: BroadPhase::BruteForce,
-                },
-            );
+            let grid = detect_contacts(&meshes, Some(&starts), &obj_of, DetectOptions::new(delta));
+            let brute = brute_force(&meshes, Some(&starts), &obj_of, delta);
             assert!(!grid.is_empty());
             assert_contacts_identical(&grid, &brute);
         }

@@ -6,12 +6,12 @@
 //!
 //! - [`mesh`]: linear triangle-mesh proxies of cells (upsampled lat–long
 //!   grids) and vessel patches (equispaced grids), the unifying step of §4;
-//! - [`detect`]: space-time bounding boxes + a binned uniform grid over
-//!   triangle AABBs for output-sensitive vertex–triangle candidates, and
-//!   the per-object-pair interference measure `V` with gradients (a
+//! - [`detect`]: space-time bounding boxes for candidate mesh pairs, then a
+//!   per-partner uniform-grid cell index for output-sensitive
+//!   vertex–triangle candidates among those pairs only, and the
+//!   per-object-pair interference measure `V` with gradients (a
 //!   simplification of the space-time volume of \[17\]/\[25\], stated in
-//!   [`detect`]'s module docs; the exhaustive reference scan stays
-//!   available behind [`detect::BroadPhase::BruteForce`]);
+//!   [`detect`]'s module docs);
 //! - [`lcp`]: minimum-map Newton over GMRES;
 //! - [`ncp`]: the outer re-linearization loop with the deterministic CSR
 //!   coupling matrix `B`, batched per-mesh mobility applies
@@ -29,7 +29,7 @@ pub mod lcp;
 pub mod mesh;
 pub mod ncp;
 
-pub use detect::{detect_contacts, BroadPhase, Contact, ContactPair, DetectOptions};
+pub use detect::{detect_contacts, Contact, ContactPair, DetectOptions};
 pub use lcp::{solve_lcp, LcpOptions, LcpResult};
 pub use mesh::{
     barycentric, closest_point_on_triangle, triangulate_grid, triangulate_latlon, TriMesh,

@@ -208,6 +208,12 @@ impl Keys<'_> {
         self.bound(key, x, x.is_finite() && x > min, &expected)
     }
 
+    /// A number in `[0, 1)`.
+    fn fraction(&mut self, key: &'static str, default: f64) -> Result<f64, String> {
+        let x = self.f64(key, default)?;
+        self.bound(key, x, (0.0..1.0).contains(&x), "a number in [0, 1)")
+    }
+
     /// A finite number ≥ 0.
     fn non_negative(&mut self, key: &'static str, default: f64) -> Result<f64, String> {
         let x = self.f64(key, default)?;
@@ -422,12 +428,13 @@ fn bie_options(k: &mut Keys, q: usize, refine: u32) -> Result<bie::BieOptions, S
         qf,
         fmm,
         gmres: GmresOptions {
-            tol: k.f64("bie_tol", if refined { 2e-3 } else { 1e-5 })?,
-            max_iters: k.usize("bie_max_iters", 30)?,
+            tol: k.positive("bie_tol", if refined { 2e-3 } else { 1e-5 })?,
+            max_iters: k.at_least("bie_max_iters", 30, 1)?,
             // vessel rhs from near-wall cells carries content beyond the
             // quadrature's resolution, flooring the residual; stop the
             // iteration when it stops improving instead of burning the cap
-            stall_ratio: k.f64("bie_stall", 0.9)?,
+            // (0 disables the check)
+            stall_ratio: k.fraction("bie_stall", 0.9)?,
             // short cycles so the cross-cycle (true-residual) stagnation
             // check engages: the Arnoldi estimate alone cannot see the
             // floor from a warm start
@@ -503,7 +510,7 @@ impl Train {
     /// Reads the train; `spacing` maps the cell radius to its default.
     fn read(k: &mut Keys, n: usize, r: f64, spacing: fn(f64) -> f64) -> Result<Train, String> {
         let n = k.at_least("n_cells", n, 1)?;
-        let r = k.f64("cell_radius", r)?;
+        let r = k.positive("cell_radius", r)?;
         let spacing = k.f64("spacing", spacing(r))?;
         Ok(Train { n, r, spacing })
     }
@@ -563,7 +570,7 @@ fn build_shear_pair(k: &mut Keys) -> Result<Built, String> {
     let params = cell_params(k, 0.02, 2.0)?;
     let sep = k.f64("separation_x", 1.4)?;
     let off = k.f64("offset_z", 0.25)?;
-    let radius = k.f64("cell_radius", 1.0)?;
+    let radius = k.positive("cell_radius", 1.0)?;
     let cell = |c| Cell::new(&basis, biconcave_coeffs(&basis, radius, c), params);
     let cells = vec![
         cell(Vec3::new(-sep, 0.0, off)),
@@ -576,7 +583,7 @@ fn build_shear_pair(k: &mut Keys) -> Result<Built, String> {
 /// (ported from `examples/src/sedimentation.rs`).
 fn build_sedimentation(k: &mut Keys) -> Result<Built, String> {
     let length = k.f64("tube_length", 6.0)?;
-    let radius = k.f64("tube_radius", 1.6)?;
+    let radius = k.positive("tube_radius", 1.6)?;
     let coarse = straight_tube(k, Vec3::new(0.0, 0.0, length), radius, 3, 8)?;
     let vessel = tube_vessel(k, &coarse, 0, 0.0, 10)?;
     let basis = SphBasis::new(k.at_least("order", 8, 1)?);
@@ -594,7 +601,7 @@ fn build_vessel_flow(k: &mut Keys) -> Result<Built, String> {
         amp: k.f64("amp", 0.7)?,
         windings: k.f64("windings", 1.0)?,
     };
-    let radius = k.f64("tube_radius", 1.1)?;
+    let radius = k.positive("tube_radius", 1.1)?;
     let q = k.at_least("patch_order", 8, 2)?;
     let coarse = capsule_tube(&c, radius, k.usize("tube_segments", 5)?, q);
     let peak = k.f64("peak_speed", 1.0)?;
@@ -645,7 +652,7 @@ fn build_dense_fill_packed(k: &mut Keys) -> Result<Built, String> {
     // default 0.88·r leaves ≈ 0.25·r between facing rims — clear of the
     // collision δ at rest, closed by gravity within a few steps
     let train = Train::read(k, 14, 1.0, |r| 0.88 * r)?;
-    let tube_r = k.f64("tube_radius", 1.12 * train.r)?;
+    let tube_r = k.positive("tube_radius", 1.12 * train.r)?;
     let margin = k.f64("end_margin", 0.55 * train.r)?;
     let length = 2.0 * margin + train.spacing * (train.n - 1) as f64;
     let segments = ((length / 2.0).ceil() as usize).max(2);
@@ -670,7 +677,7 @@ fn build_dense_fill_packed(k: &mut Keys) -> Result<Built, String> {
 /// parabolic (Poiseuille) inflow — the axisymmetric margination baseline.
 fn build_poiseuille_train(k: &mut Keys) -> Result<Built, String> {
     let length = k.f64("tube_length", 8.0)?;
-    let tube_r = k.f64("tube_radius", 1.2)?;
+    let tube_r = k.positive("tube_radius", 1.2)?;
     let coarse = straight_tube(k, Vec3::new(length, 0.0, 0.0), tube_r, 4, 8)?;
     let peak = k.f64("peak_speed", 1.5)?;
     let vessel = tube_vessel(k, &coarse, 0, peak, 10)?;
@@ -785,10 +792,10 @@ fn build_bifurcation(k: &mut Keys) -> Result<Built, String> {
 /// it explicitly.
 fn build_vessel_ladder(k: &mut Keys) -> Result<Built, String> {
     let length = k.f64("tube_length", 6.0)?;
-    let tube_r = k.f64("tube_radius", 0.8)?;
-    if !(tube_r > 0.0 && length > 2.0 * tube_r) {
+    let tube_r = k.positive("tube_radius", 0.8)?;
+    if length.is_nan() || length <= 2.0 * tube_r {
         return Err(format!(
-            "vessel_ladder: need tube_length > 2·tube_radius > 0, got \
+            "vessel_ladder: need tube_length > 2·tube_radius, got \
              length {length}, radius {tube_r}"
         ));
     }
@@ -830,7 +837,7 @@ fn build_random_suspension(k: &mut Keys) -> Result<Built, String> {
             "random_suspension: jitter must be ≥ 0, got {amount}"
         ));
     }
-    let cell_r = k.f64("cell_radius", 1.0)?;
+    let cell_r = k.positive("cell_radius", 1.0)?;
     if amount * 2.0 + 2.0 * cell_r > spacing {
         return Err(format!(
             "random_suspension: spacing {spacing} too small for cell_radius {cell_r} + jitter {amount}"
@@ -1096,6 +1103,82 @@ mod tests {
                 "k_area",
                 Value::Float(f64::INFINITY),
                 "a finite number ≥ 0",
+            ),
+            // a wall solve of no iterations, a tolerance ≤ 0, or a stall
+            // ratio that never fires (≥ 1) or fires at the first restart
+            // (< 0) would run silently
+            (
+                "poiseuille_train",
+                "bie_max_iters",
+                Value::Int(0),
+                "an integer ≥ 1",
+            ),
+            (
+                "vessel_flow",
+                "bie_tol",
+                Value::Float(-1.0),
+                "a finite number > 0",
+            ),
+            (
+                "vessel_flow",
+                "bie_stall",
+                Value::Float(1.5),
+                "a number in [0, 1)",
+            ),
+            (
+                "vessel_flow",
+                "bie_stall",
+                Value::Float(-0.1),
+                "a number in [0, 1)",
+            ),
+            // a cell or tube of radius ≤ 0 has no surface
+            (
+                pair,
+                "cell_radius",
+                Value::Float(0.0),
+                "a finite number > 0",
+            ),
+            (
+                "poiseuille_train",
+                "cell_radius",
+                Value::Float(-0.5),
+                "a finite number > 0",
+            ),
+            (
+                "random_suspension",
+                "cell_radius",
+                Value::Float(f64::NAN),
+                "a finite number > 0",
+            ),
+            (
+                "vessel_flow",
+                "tube_radius",
+                Value::Float(-1.0),
+                "a finite number > 0",
+            ),
+            (
+                "sedimentation",
+                "tube_radius",
+                Value::Float(0.0),
+                "a finite number > 0",
+            ),
+            (
+                "dense_fill_packed",
+                "tube_radius",
+                Value::Float(-1.0),
+                "a finite number > 0",
+            ),
+            (
+                "poiseuille_train",
+                "tube_radius",
+                Value::Float(0.0),
+                "a finite number > 0",
+            ),
+            (
+                "vessel_ladder",
+                "tube_radius",
+                Value::Float(-0.8),
+                "a finite number > 0",
             ),
         ] {
             let mut cfg = Doc::default();

@@ -168,14 +168,16 @@ case "$NEG_LOG" in
     *) echo "ERROR: the failing --assert did not name its expression and observed value"; exit 1 ;;
 esac
 
-echo "== out-of-range key smokes (zero steps: fill_h = 0, dt_max_stretch = -1, bie_check_r = 0)"
+echo "== out-of-range key smokes (zero steps: fill_h = 0, dt_max_stretch = -1, bie_check_r = 0, bie_max_iters = 0)"
 # a value of the right type but outside a key's bounds is rejected before
 # the build uses it: a zero lattice spacing would otherwise seed forever, a
 # stretch bound at or below an undeformed cell's 1 fails every attempt and
-# freezes every cell, and check points at r = 0 sit on the wall
+# freezes every cell, check points at r = 0 sit on the wall, and a wall
+# solve capped at zero iterations never runs
 for LEG in 'sedimentation|fill_h=0.0|`fill_h` expects a finite number > 0' \
     'shear_pair|dt_max_stretch=-1|`dt_max_stretch` expects a finite number > 1' \
-    'poiseuille_train|bie_check_r=0|`bie_check_r` expects a finite number > 0'; do
+    'poiseuille_train|bie_check_r=0|`bie_check_r` expects a finite number > 0' \
+    'poiseuille_train|bie_max_iters=0|`bie_max_iters` expects an integer ≥ 1'; do
     IFS='|' read -r SCENARIO SETTING EXPECTED <<< "$LEG"
     if BAD_LOG=$(cargo run --release -q -p driver -- "$SCENARIO" --set "$SETTING" \
         --steps 0 --no-output 2>&1); then
