@@ -31,10 +31,10 @@ struct CaseResult {
 }
 
 /// Steps scenario `name` through a [`PhysioSink`] (junction point enables
-/// the branch-split columns) and collects the rows.
+/// the branch split) and collects the rows.
 fn run_case(name: &str, cfg: &Doc, steps: usize, junction: Option<Vec3>) -> CaseResult {
     let mut session = Session::build(name, cfg).unwrap_or_else(|e| panic!("build {name}: {e}"));
-    let mut sink = PhysioSink::new(Vec::new(), junction, 16);
+    let mut sink = PhysioSink::new(junction, 16);
     sink.on_start(&session.sim)
         .unwrap_or_else(|e| panic!("{name}: {e}"));
     let mut flux_imbalance = Vec::with_capacity(steps);

@@ -1,26 +1,9 @@
-//! Shared helpers for the FMM microbench (`fmm_bench`, `benches/`) and
-//! the accuracy studies (`tube_accuracy`, the convergence and quadrature
-//! bins). Step timing lives in the standalone `benchmark/` package.
+//! Shared helpers for the accuracy studies (`tube_accuracy`, the
+//! convergence and quadrature bins) and the seed FMM engine that
+//! `tests/seed_agreement.rs` checks the production engine against. Timing
+//! lives in the standalone `benchmark/` package.
 
 pub mod seed_fmm;
-
-use linalg::Vec3;
-use rand::rngs::StdRng;
-
-/// Uniform random cloud in `[-1, 1]³` — the shared point sampler of the
-/// N-body benches (`benches/components.rs`, `bin/fmm_bench.rs`).
-pub fn cloud(rng: &mut StdRng, n: usize) -> Vec<Vec3> {
-    use rand::Rng;
-    (0..n)
-        .map(|_| {
-            Vec3::new(
-                rng.random_range(-1.0..1.0),
-                rng.random_range(-1.0..1.0),
-                rng.random_range(-1.0..1.0),
-            )
-        })
-        .collect()
-}
 
 /// Least-squares slope of log(y) against log(x) (convergence order).
 pub fn fitted_order(x: &[f64], y: &[f64]) -> f64 {

@@ -1,6 +1,6 @@
-//! Faithful port of the *seed* FMM evaluation engine, kept as the baseline
-//! the perf numbers in `BENCH_fmm.json` and `crates/fmm/README.md` are
-//! measured against.
+//! Faithful port of the *seed* FMM evaluation engine, kept as the oracle
+//! `tests/seed_agreement.rs` checks the production engine against (and
+//! the baseline of the historical perf table in `crates/fmm/README.md`).
 //!
 //! This is the pre-arena implementation: a fresh `Vec<f64>` per octree
 //! node per pass, per-level `collect` of `(node, Vec)` pairs, one
@@ -9,8 +9,7 @@
 //! calls, and scalar `eval_acc` loops for S2M/P2L/P2P/L2T/M2T. The
 //! production engine (`fmm::Fmm`) replaces all of that with level-major
 //! arenas, orbit-batched GEMM M2L, precomputed scale tables/surfaces, and
-//! vectorized `eval_block` kernels — `cargo run --release -p bench --bin
-//! fmm_bench` prints both and their ratio.
+//! vectorized `eval_block` kernels.
 
 use fmm::{
     cached_operators, cube_surface, kernel_matrix, FmmOperators, FmmOptions, RAD_INNER, RAD_OUTER,

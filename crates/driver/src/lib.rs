@@ -26,9 +26,9 @@
 //! - [`batch`]: the simulation farm — `sim-driver batch <manifest.toml>`
 //!   schedules many scenario jobs over the persistent worker pool with
 //!   shared immutable caches and a checkpoint-resumable queue;
-//! - [`physio`]: the physiology observer — [`PhysioSink`] streams
+//! - [`physio`]: the physiology observer — [`PhysioSink`] keeps
 //!   apparent viscosity, cell-free layer, and branch hematocrit split
-//!   (from [`sim::physio`]) as one CSV row per step.
+//!   (from [`sim::physio`]) as one row per step.
 //!
 //! The `sim-driver` binary is the CLI front end:
 //!
@@ -51,7 +51,7 @@ pub mod toml;
 
 pub use assert::{Assert, FarmAssert, RunAssert};
 pub use batch::{run_farm, FarmOptions, FarmReport, JobOutcome, JobSpec, JobStatus, Manifest};
-pub use physio::{PhysioRow, PhysioSink, PHYSIO_CSV_HEADER};
+pub use physio::{PhysioRow, PhysioSink};
 pub use scenario::{build, registry, Built, ScenarioSpec};
 pub use session::{
     final_checkpoint_path, CacheTelemetry, CheckpointSink, ConsoleSink, CsvSink, RunOptions,

@@ -1,15 +1,13 @@
 //! Physiology observables as a pluggable [`StepSink`]: apparent viscosity,
-//! cell-free layer, and branch hematocrit split, streamed as one CSV row
-//! per step.
+//! cell-free layer, and branch hematocrit split, kept as one row per step.
 //!
 //! The observables themselves live in [`sim::physio`]; this sink does the
 //! run-loop plumbing they need — it keeps the previous step's cell surface
 //! points so the membrane drag power's finite-difference velocity is
-//! well-defined, skips the power on steps that recycled cells (an
-//! outlet→inlet teleport is not a physical velocity), and renders
-//! branch splits as `;`-joined per-outlet fractions. `bench --bin
+//! well-defined, and skips the power on steps that recycled cells (an
+//! outlet→inlet teleport is not a physical velocity). `bench --bin
 //! physiology` and the regression tests both consume the in-memory
-//! [`PhysioRow`]s; the CSV stream is for plotting.
+//! [`PhysioRow`]s.
 
 use crate::session::{StepRow, StepSink};
 use linalg::Vec3;
@@ -17,11 +15,7 @@ use sim::{
     apparent_viscosity, branch_hematocrit, cell_free_layer, membrane_drag_power, tube_dimensions,
     BranchSplit, Simulation,
 };
-use std::io::{self, Write};
-
-/// Column header of the physiology CSV (one row per step).
-pub const PHYSIO_CSV_HEADER: &str =
-    "step,drag_power,apparent_viscosity,cell_free_layer,hematocrit_split,flux_split\n";
+use std::io;
 
 /// One step's physiology record. Fields are `None` where the observable
 /// is undefined for the run's vessel (e.g. apparent viscosity needs a
@@ -44,12 +38,10 @@ pub struct PhysioRow {
     pub split: Option<BranchSplit>,
 }
 
-/// Streams per-step physiology rows to a CSV writer and keeps them in
-/// memory for assertions and benches.
-pub struct PhysioSink<W: Write> {
-    out: W,
+/// Keeps per-step physiology rows in memory for assertions and benches.
+pub struct PhysioSink {
     /// Junction point for [`sim::branch_hematocrit`]; `None` skips the
-    /// branch-split columns (straight-tube runs).
+    /// branch split (straight-tube runs).
     junction: Option<Vec3>,
     /// Axial bins for [`sim::cell_free_layer`].
     bins: usize,
@@ -62,24 +54,12 @@ fn snapshot(sim: &Simulation) -> Vec<Vec<Vec3>> {
     sim.cells.iter().map(|c| c.geometry(&sim.basis).x).collect()
 }
 
-fn opt(v: Option<f64>) -> String {
-    v.map(|x| format!("{x:.6e}")).unwrap_or_default()
-}
-
-fn fracs(v: &[f64]) -> String {
-    v.iter()
-        .map(|f| format!("{f:.4}"))
-        .collect::<Vec<_>>()
-        .join(";")
-}
-
-impl<W: Write> PhysioSink<W> {
-    /// A sink writing CSV rows to `out`. Pass the network's junction
-    /// point to enable the branch-split columns; `bins` controls the
-    /// cell-free-layer axial resolution (16 is plenty for smoke runs).
-    pub fn new(out: W, junction: Option<Vec3>, bins: usize) -> PhysioSink<W> {
+impl PhysioSink {
+    /// A sink with no rows yet. Pass the network's junction point to
+    /// enable the branch split; `bins` controls the cell-free-layer axial
+    /// resolution (16 is plenty for smoke runs).
+    pub fn new(junction: Option<Vec3>, bins: usize) -> PhysioSink {
         PhysioSink {
-            out,
             junction,
             bins: bins.max(1),
             prev_x: Vec::new(),
@@ -87,8 +67,7 @@ impl<W: Write> PhysioSink<W> {
         }
     }
 
-    /// Computes one row from the current state (without writing CSV) —
-    /// the shared core of `on_step`.
+    /// Computes one row from the current state — the core of `on_step`.
     fn observe(&mut self, sim: &Simulation, row: &StepRow) -> PhysioRow {
         let dt = row.stats.dt_effective;
         // a recycle teleports cells outlet → inlet; the finite-difference
@@ -117,33 +96,16 @@ impl<W: Write> PhysioSink<W> {
     }
 }
 
-impl<W: Write> StepSink for PhysioSink<W> {
+impl StepSink for PhysioSink {
     fn on_start(&mut self, sim: &Simulation) -> io::Result<()> {
         self.prev_x = snapshot(sim);
-        self.out.write_all(PHYSIO_CSV_HEADER.as_bytes())
+        Ok(())
     }
 
     fn on_step(&mut self, sim: &Simulation, row: &StepRow) -> io::Result<()> {
         let r = self.observe(sim, row);
-        let (h, q) = match &r.split {
-            Some(s) => (fracs(&s.hematocrit_frac), fracs(&s.flux_frac)),
-            None => (String::new(), String::new()),
-        };
-        let line = format!(
-            "{},{},{},{},{},{}\n",
-            r.step,
-            opt(r.drag_power),
-            opt(r.apparent_viscosity),
-            opt(r.cell_free_layer),
-            h,
-            q
-        );
         self.rows.push(r);
-        self.out.write_all(line.as_bytes())
-    }
-
-    fn on_finish(&mut self, _sim: &Simulation) -> io::Result<()> {
-        self.out.flush()
+        Ok(())
     }
 }
 
@@ -165,31 +127,26 @@ mod tests {
         let mut cfg = smoke_cfg("vessel_ladder");
         cfg.set("vessel_ladder", "recycle", Value::Bool(false));
         let mut s = Session::build("vessel_ladder", &cfg).unwrap();
-        let mut buf = Vec::new();
+        let mut sink = PhysioSink::new(None, 16);
         {
-            let mut sink = PhysioSink::new(&mut buf, None, 16);
             let mut sinks: Vec<&mut dyn StepSink> = vec![&mut sink];
             s.drive(2, &mut sinks).unwrap();
-            assert_eq!(sink.rows.len(), 2);
-            for r in &sink.rows {
-                let mu = r.apparent_viscosity.expect("2-port tube has μ_app");
-                assert!(mu.is_finite(), "{mu}");
-                let cfl = r.cell_free_layer.expect("cells are in the tube");
-                assert!(cfl > 0.0 && cfl < 0.8, "implausible CFL {cfl}");
-                assert!(r.split.is_none(), "straight tube has no junction");
-            }
         }
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.starts_with(PHYSIO_CSV_HEADER), "{text}");
-        assert_eq!(text.lines().count(), 3, "{text}");
+        assert_eq!(sink.rows.len(), 2);
+        for r in &sink.rows {
+            let mu = r.apparent_viscosity.expect("2-port tube has μ_app");
+            assert!(mu.is_finite(), "{mu}");
+            let cfl = r.cell_free_layer.expect("cells are in the tube");
+            assert!(cfl > 0.0 && cfl < 0.8, "implausible CFL {cfl}");
+            assert!(r.split.is_none(), "straight tube has no junction");
+        }
     }
 
     #[test]
     fn bifurcation_run_emits_branch_split_rows() {
         let cfg = smoke_cfg("bifurcation");
         let mut s = Session::build("bifurcation", &cfg).unwrap();
-        let mut buf = Vec::new();
-        let mut sink = PhysioSink::new(&mut buf, Some(linalg::Vec3::ZERO), 16);
+        let mut sink = PhysioSink::new(Some(linalg::Vec3::ZERO), 16);
         {
             let mut sinks: Vec<&mut dyn StepSink> = vec![&mut sink];
             s.drive(1, &mut sinks).unwrap();
@@ -211,10 +168,10 @@ mod tests {
 
     #[test]
     fn recycle_steps_skip_the_drag_power() {
-        // fabricate a recycled row: the sink must blank the power columns
+        // fabricate a recycled row: the sink must blank the power fields
         let cfg = smoke_cfg("vessel_ladder");
         let mut s = Session::build("vessel_ladder", &cfg).unwrap();
-        let mut sink = PhysioSink::new(Vec::new(), None, 16);
+        let mut sink = PhysioSink::new(None, 16);
         sink.on_start(&s.sim).unwrap();
         let mut row = s.step().unwrap();
         row.recycled = 1;

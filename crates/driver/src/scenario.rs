@@ -582,7 +582,7 @@ fn build_shear_pair(k: &mut Keys) -> Result<Built, String> {
 /// A closed vertical capsule filled with cells settling under gravity
 /// (ported from `examples/src/sedimentation.rs`).
 fn build_sedimentation(k: &mut Keys) -> Result<Built, String> {
-    let length = k.f64("tube_length", 6.0)?;
+    let length = k.positive("tube_length", 6.0)?;
     let radius = k.positive("tube_radius", 1.6)?;
     let coarse = straight_tube(k, Vec3::new(0.0, 0.0, length), radius, 3, 8)?;
     let vessel = tube_vessel(k, &coarse, 0, 0.0, 10)?;
@@ -676,7 +676,7 @@ fn build_dense_fill_packed(k: &mut Keys) -> Result<Built, String> {
 /// A single-file train of biconcave cells in a straight tube, advected by
 /// parabolic (Poiseuille) inflow — the axisymmetric margination baseline.
 fn build_poiseuille_train(k: &mut Keys) -> Result<Built, String> {
-    let length = k.f64("tube_length", 8.0)?;
+    let length = k.positive("tube_length", 8.0)?;
     let tube_r = k.positive("tube_radius", 1.2)?;
     let coarse = straight_tube(k, Vec3::new(length, 0.0, 0.0), tube_r, 4, 8)?;
     let peak = k.f64("peak_speed", 1.5)?;
@@ -1178,6 +1178,19 @@ mod tests {
                 "vessel_ladder",
                 "tube_radius",
                 Value::Float(-0.8),
+                "a finite number > 0",
+            ),
+            // a capsule of length ≤ 0 has no cylinder
+            (
+                "sedimentation",
+                "tube_length",
+                Value::Float(-1.0),
+                "a finite number > 0",
+            ),
+            (
+                "poiseuille_train",
+                "tube_length",
+                Value::Float(0.0),
                 "a finite number > 0",
             ),
         ] {

@@ -191,7 +191,7 @@ fn physio_rows(
     junction: Option<linalg::Vec3>,
 ) -> Vec<driver::PhysioRow> {
     let mut built = driver::build(name, cfg).unwrap();
-    let mut sink = PhysioSink::new(Vec::new(), junction, 16);
+    let mut sink = PhysioSink::new(junction, 16);
     sink.on_start(&built.sim).unwrap();
     for _ in 0..steps {
         let t = built.sim.step();

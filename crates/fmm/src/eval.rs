@@ -29,8 +29,7 @@ use octree::{MortonKey, Octree, TreeOptions, MAX_DEPTH, NONE};
 use parking_lot::Mutex;
 use rayon::par;
 use std::cell::RefCell;
-use std::sync::{Arc, OnceLock};
-use std::time::Instant;
+use std::sync::Arc;
 
 /// Tuning parameters of the FMM.
 #[derive(Clone, Copy, Debug)]
@@ -236,14 +235,6 @@ fn fill_surface(unit: &[Vec3], center: Vec3, radius: f64, out: &mut Vec<Vec3>) {
 
 thread_local! {
     static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
-}
-
-/// Whether `FMM_TIMERS=1` is set (perf diagnostics on stderr: the plan's
-/// per-level statistics at build, the per-pass and per-level times at every
-/// evaluate). Read once per process.
-fn timers_enabled() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("FMM_TIMERS").is_some_and(|v| v == "1"))
 }
 
 /// A configured FMM over fixed source/target geometry.
@@ -489,25 +480,11 @@ impl<KS: Kernel, KE: Kernel> Fmm<KS, KE> {
             ar.data[pos * self.sd..(pos + 1) * self.sd].copy_from_slice(&src_data[o..o + self.sd]);
         }
 
-        // pass timers, printed with FMM_TIMERS=1 (perf diagnostics)
-        let timers = timers_enabled();
-        let t0 = Instant::now();
         self.upward(&ar.data, &mut ar.up);
-        let t1 = Instant::now();
         self.downward(&ar.data, &ar.up, &mut ar.dn, &mut ar.check, &mut ar.stage);
-        let t2 = Instant::now();
         self.leaf_eval(&ar.data, &ar.up, &ar.dn, &mut ar.out_sorted);
         if !self.virt.is_empty() {
             self.virtual_eval(&ar.data, &ar.up, &ar.dn, &mut ar.virt_out);
-        }
-        if timers {
-            let t3 = Instant::now();
-            eprintln!(
-                "fmm timers: upward {:.2} ms, downward {:.2} ms, leaves {:.2} ms",
-                (t1 - t0).as_secs_f64() * 1e3,
-                (t2 - t1).as_secs_f64() * 1e3,
-                (t3 - t2).as_secs_f64() * 1e3,
-            );
         }
 
         // scatter back to the original target order
@@ -613,7 +590,6 @@ impl<KS: Kernel, KE: Kernel> Fmm<KS, KE> {
         let plan = &self.plan;
         let nodes = &self.tree.nodes;
         let (nd_eq, nd_chk) = (plan.nd_eq, plan.nd_chk);
-        let timers = timers_enabled();
         for level in 0..plan.levels.len() {
             let lp = &plan.levels[level];
             let level_nodes = &self.tree.levels[level];
@@ -621,9 +597,7 @@ impl<KS: Kernel, KE: Kernel> Fmm<KS, KE> {
             let check = &mut check[..nlev * nd_chk];
             check.fill(0.0);
 
-            let t0 = Instant::now();
             self.m2l_level(lp, up, check, stage);
-            let t1 = Instant::now();
 
             // P2L from the X list: direct source evaluation at the
             // downward check surface
@@ -653,7 +627,6 @@ impl<KS: Kernel, KE: Kernel> Fmm<KS, KE> {
                     }
                 });
             });
-            let t2 = Instant::now();
 
             // dc2de solve + L2L from the parent, writing dn in place
             let dstart = plan.level_ofs[level] * nd_eq;
@@ -687,14 +660,6 @@ impl<KS: Kernel, KE: Kernel> Fmm<KS, KE> {
                     );
                 }
             });
-            if timers {
-                eprintln!(
-                    "fmm timers: level {level}: m2l {:.2} ms, p2l {:.2} ms, dc2de+l2l {:.2} ms",
-                    (t1 - t0).as_secs_f64() * 1e3,
-                    (t2 - t1).as_secs_f64() * 1e3,
-                    t2.elapsed().as_secs_f64() * 1e3,
-                );
-            }
         }
     }
 
@@ -1120,19 +1085,6 @@ fn build_plan(tree: &Octree, ops: &FmmOperators) -> EvalPlan {
         }
     }
 
-    if timers_enabled() {
-        for (l, lp) in levels.iter().enumerate() {
-            let pairs: usize = lp.groups.iter().map(|g| g.trg_rows.len()).sum();
-            eprintln!(
-                "fmm plan: level {l}: {} nodes, {} m2l orbits, {} pairs, {} items, {} x-rows",
-                tree.levels[l].len(),
-                lp.groups.len(),
-                pairs,
-                lp.items.len(),
-                lp.x_rows.len()
-            );
-        }
-    }
     EvalPlan {
         nd_eq,
         nd_chk,

@@ -82,72 +82,57 @@ impl Vessel {
         let quad = &solver.quad;
         let surface = &solver.surface;
 
-        // identify ports from cap patches
-        let mut ports: Vec<Port> = Vec::new();
-        for pid in port_ids(surface) {
-            let (is_inlet, patches): (bool, Vec<usize>) = {
-                let mut inlet = false;
-                let idx: Vec<usize> = surface
-                    .kinds
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, k)| match k {
-                        PatchKind::Inlet(p) if *p == pid => {
-                            inlet = true;
-                            Some(i)
-                        }
-                        PatchKind::Outlet(p) if *p == pid => Some(i),
-                        _ => None,
-                    })
-                    .collect();
-                (inlet, idx)
-            };
-            // area-weighted center and mean normal over the cap
-            let mut center = Vec3::ZERO;
-            let mut normal = Vec3::ZERO;
-            let mut area = 0.0;
-            for l in 0..quad.len() {
-                if patches.contains(&(quad.patch_of[l] as usize)) {
-                    let w = quad.weights[l];
-                    center += quad.points[l] * w;
-                    normal += quad.normals[l] * w;
-                    area += w;
-                }
-            }
-            center /= area;
-            // outward cap normal points out of the fluid; inward = −n
-            let inward = -normal.normalized();
-            let radius = (area / std::f64::consts::PI).sqrt();
-            ports.push(Port {
-                id: pid,
-                is_inlet,
-                center,
-                inward,
-                radius,
-                flux: 0.0,
-            });
-        }
+        // identify ports from cap patches: `port_of[l]` is the index into
+        // `ports` of node `l`'s port (ports in ascending id order), `None`
+        // on the wall
+        let ids = port_ids(surface);
+        let port_of: Vec<Option<usize>> = quad
+            .patch_of
+            .iter()
+            .map(|&pi| match surface.kinds[pi as usize] {
+                PatchKind::Inlet(p) | PatchKind::Outlet(p) => ids.binary_search(&p).ok(),
+                PatchKind::Wall => None,
+            })
+            .collect();
+        let on_ports = || {
+            port_of
+                .iter()
+                .enumerate()
+                .filter_map(|(l, i)| i.map(|i| (l, i)))
+        };
 
-        // replace the area-based radius estimate by the true rim (axis)
-        // radius: the largest node distance from the port axis. The
-        // profile below vanishes exactly there, i.e. at the outermost cap
-        // node rather than beyond the seam (the area estimate overshoots
-        // on curved caps — √2·r for a hemisphere — leaving an O(1) value
-        // jump against the no-slip wall; see the constructor docs).
-        for port in &mut ports {
-            let mut rim = 0.0f64;
-            for l in 0..quad.len() {
-                let on_port = match surface.kinds[quad.patch_of[l] as usize] {
-                    PatchKind::Inlet(p) | PatchKind::Outlet(p) => p == port.id,
-                    PatchKind::Wall => false,
-                };
-                if on_port {
-                    let d = quad.points[l] - port.center;
-                    let ax = d - port.inward * d.dot(port.inward);
-                    rim = rim.max(ax.norm());
-                }
-            }
-            port.radius = rim;
+        // area-weighted center and mean normal over each cap
+        let mut center = vec![Vec3::ZERO; ids.len()];
+        let mut normal = vec![Vec3::ZERO; ids.len()];
+        let mut area = vec![0.0; ids.len()];
+        for (l, i) in on_ports() {
+            let w = quad.weights[l];
+            center[i] += quad.points[l] * w;
+            normal[i] += quad.normals[l] * w;
+            area[i] += w;
+        }
+        let mut ports: Vec<Port> = ids
+            .iter()
+            .enumerate()
+            .map(|(i, &pid)| Port {
+                id: pid,
+                is_inlet: surface.kinds.contains(&PatchKind::Inlet(pid)),
+                center: center[i] / area[i],
+                // outward cap normal points out of the fluid; inward = −n
+                inward: -normal[i].normalized(),
+                radius: 0.0,
+                flux: 0.0,
+            })
+            .collect();
+
+        // the rim (axis) radius: the largest node distance from the port
+        // axis, so the profile below vanishes exactly at the outermost cap
+        // node, at the seam with the no-slip wall (see the constructor docs)
+        for (l, i) in on_ports() {
+            let port = &mut ports[i];
+            let d = quad.points[l] - port.center;
+            let ax = d - port.inward * d.dot(port.inward);
+            port.radius = port.radius.max(ax.norm());
         }
 
         // mollified quartic boundary condition on ports (equal flux to the
@@ -156,40 +141,29 @@ impl Vessel {
         let mut bc = vec![0.0; quad.len() * 3];
         let mut influx = 0.0;
         let mut outflux = 0.0;
-        for l in 0..quad.len() {
-            let k = surface.kinds[quad.patch_of[l] as usize];
-            let port = match k {
-                PatchKind::Inlet(p) | PatchKind::Outlet(p) => {
-                    ports.iter().find(|q| q.id == p).copied()
-                }
-                PatchKind::Wall => None,
-            };
-            if let Some(port) = port {
-                let d = quad.points[l] - port.center;
-                let ax = d - port.inward * d.dot(port.inward);
-                let rho = ax.norm() / port.radius;
-                let s = (1.0 - rho * rho).max(0.0);
-                let profile = 1.5 * s * s;
-                let u = port.inward * (peak_speed * profile);
-                bc[l * 3] = u.x;
-                bc[l * 3 + 1] = u.y;
-                bc[l * 3 + 2] = u.z;
-                let fl = u.dot(quad.normals[l]) * quad.weights[l];
-                if port.is_inlet {
-                    influx += fl;
-                } else {
-                    outflux += fl;
-                }
+        for (l, i) in on_ports() {
+            let port = &ports[i];
+            let d = quad.points[l] - port.center;
+            let ax = d - port.inward * d.dot(port.inward);
+            let rho = ax.norm() / port.radius;
+            let s = (1.0 - rho * rho).max(0.0);
+            let profile = 1.5 * s * s;
+            let u = port.inward * (peak_speed * profile);
+            bc[l * 3] = u.x;
+            bc[l * 3 + 1] = u.y;
+            bc[l * 3 + 2] = u.z;
+            let fl = u.dot(quad.normals[l]) * quad.weights[l];
+            if port.is_inlet {
+                influx += fl;
+            } else {
+                outflux += fl;
             }
         }
         if outflux.abs() > 1e-300 {
             // rescale outlet velocities for exact discrete zero net flux
             let scale = -influx / outflux;
-            for l in 0..quad.len() {
-                if matches!(
-                    surface.kinds[quad.patch_of[l] as usize],
-                    PatchKind::Outlet(_)
-                ) {
+            for (l, i) in on_ports() {
+                if !ports[i].is_inlet {
                     bc[l * 3] *= scale;
                     bc[l * 3 + 1] *= scale;
                     bc[l * 3 + 2] *= scale;
@@ -199,19 +173,9 @@ impl Vessel {
 
         // record each port's prescribed discrete flux (positive into the
         // domain; n is outward, hence the sign flip)
-        for port in &mut ports {
-            let mut f = 0.0;
-            for l in 0..quad.len() {
-                let on_port = match surface.kinds[quad.patch_of[l] as usize] {
-                    PatchKind::Inlet(p) | PatchKind::Outlet(p) => p == port.id,
-                    PatchKind::Wall => false,
-                };
-                if on_port {
-                    let u = Vec3::new(bc[l * 3], bc[l * 3 + 1], bc[l * 3 + 2]);
-                    f -= u.dot(quad.normals[l]) * quad.weights[l];
-                }
-            }
-            port.flux = f;
+        for (l, i) in on_ports() {
+            let u = Vec3::new(bc[l * 3], bc[l * 3 + 1], bc[l * 3 + 2]);
+            ports[i].flux -= u.dot(quad.normals[l]) * quad.weights[l];
         }
 
         let meshes = build_meshes(&solver.surface, col_m);

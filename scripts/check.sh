@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI-style gate: format, lint, build, test, and a short FMM smoke bench.
+# CI-style gate: format, lint, build, test, and end-to-end smokes.
 # Run from the repository root:  ./scripts/check.sh
 # Skip the slow pieces with:     CHECK_FAST=1 ./scripts/check.sh
 set -euo pipefail
@@ -61,14 +61,12 @@ if [ "${CHECK_FAST:-0}" != "1" ]; then
         echo "       (if tests were intentionally consolidated, lower scripts/test_floor.txt in the same PR)"
         exit 1
     fi
-    echo "== criterion benches (compile only)"
-    # no other step builds crates/bench/benches: an API change in a layer
-    # crate must not leave them broken
-    cargo check --release --offline --benches -p bench
 fi
 
-echo "== fmm smoke bench (order 4, ~2 s)"
-cargo run --release -p bench --bin fmm_bench -- --quick
+echo "== fmm seed agreement (production FMM vs the seed engine's 316 per-offset M2L matrices)"
+# the only check of the orbit M2L tables against matrices built straight
+# from the kernel; run here too so it holds under CHECK_FAST=1
+cargo test --release -q -p bench --test seed_agreement
 
 echo "== sample configs (every registry scenario built from scenarios/<name>.toml)"
 # each registry scenario must build, zero steps, from its sample config
@@ -168,16 +166,18 @@ case "$NEG_LOG" in
     *) echo "ERROR: the failing --assert did not name its expression and observed value"; exit 1 ;;
 esac
 
-echo "== out-of-range key smokes (zero steps: fill_h = 0, dt_max_stretch = -1, bie_check_r = 0, bie_max_iters = 0)"
+echo "== out-of-range key smokes (zero steps: fill_h = 0, dt_max_stretch = -1, bie_check_r = 0, bie_max_iters = 0, tube_length = -1)"
 # a value of the right type but outside a key's bounds is rejected before
 # the build uses it: a zero lattice spacing would otherwise seed forever, a
 # stretch bound at or below an undeformed cell's 1 fails every attempt and
-# freezes every cell, check points at r = 0 sit on the wall, and a wall
-# solve capped at zero iterations never runs
+# freezes every cell, check points at r = 0 sit on the wall, a wall
+# solve capped at zero iterations never runs, and a capsule of negative
+# length has no cylinder
 for LEG in 'sedimentation|fill_h=0.0|`fill_h` expects a finite number > 0' \
     'shear_pair|dt_max_stretch=-1|`dt_max_stretch` expects a finite number > 1' \
     'poiseuille_train|bie_check_r=0|`bie_check_r` expects a finite number > 0' \
-    'poiseuille_train|bie_max_iters=0|`bie_max_iters` expects an integer ≥ 1'; do
+    'poiseuille_train|bie_max_iters=0|`bie_max_iters` expects an integer ≥ 1' \
+    'sedimentation|tube_length=-1|`tube_length` expects a finite number > 0'; do
     IFS='|' read -r SCENARIO SETTING EXPECTED <<< "$LEG"
     if BAD_LOG=$(cargo run --release -q -p driver -- "$SCENARIO" --set "$SETTING" \
         --steps 0 --no-output 2>&1); then
