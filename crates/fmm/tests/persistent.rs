@@ -198,3 +198,76 @@ fn out_of_cube_targets_are_exact() {
         );
     }
 }
+
+/// FNV-1a over the output bits of one evaluation.
+fn bits_hash(v: &[f64]) -> u64 {
+    let bytes: Vec<u8> = v.iter().flat_map(|x| x.to_bits().to_le_bytes()).collect();
+    linalg::fnv1a64(&bytes)
+}
+
+/// Output-bit hashes of three evaluations over one tube wall: a
+/// `Fmm::new` build (every target in a leaf), a `Fmm::frozen` build whose
+/// targets mix near-wall (leaf), lumen (virtual) and out-of-cube points,
+/// and a `set_targets` replan of that plan onto a second such set.
+fn three_evaluation_hashes<KS, KE>(sk: KS, ek: KE, sd: usize) -> [u64; 3]
+where
+    KS: kernels::Kernel + Copy,
+    KE: kernels::Kernel + Copy,
+{
+    let mut rng = StdRng::seed_from_u64(36);
+    let src = tube_surface(&mut rng, 1500, 1.0, 4.0);
+    let data: Vec<f64> = (0..src.len() * sd)
+        .map(|_| rng.random_range(-1.0..1.0))
+        .collect();
+    let mixed = |rng: &mut StdRng, n: usize| {
+        let mut trg = lumen_targets(rng, n, 1.0, 4.0);
+        trg.extend(tube_surface(rng, n, 0.995, 3.9));
+        trg.push(Vec3::new(0.0, 0.0, 9.0));
+        trg.push(Vec3::new(6.0, -5.0, 0.0));
+        trg
+    };
+    let (ta, tb) = (mixed(&mut rng, 200), mixed(&mut rng, 150));
+
+    // the mixed sets really reach all three target kinds
+    let mut tree = octree::Octree::build(
+        &src,
+        &[],
+        octree::TreeOptions {
+            leaf_capacity: OPTS.leaf_capacity,
+            max_depth: OPTS.max_depth,
+        },
+    );
+    for trg in [&ta, &tb] {
+        let ret = tree.retarget(trg);
+        assert!(!tree.trg_order.is_empty() && !ret.virt.is_empty() && ret.outside.len() == 2);
+    }
+
+    let leaf_only = Fmm::new(sk, ek, &src, &ta[..ta.len() - 2], OPTS).evaluate(&data);
+    let mut frozen = Fmm::frozen(sk, ek, &src, &ta, OPTS);
+    let first = frozen.evaluate(&data);
+    let replanned = frozen.evaluate_at(&data, &tb);
+    [
+        bits_hash(&leaf_only),
+        bits_hash(&first),
+        bits_hash(&replanned),
+    ]
+}
+
+/// The FMM's output bits, pinned: any change to the evaluation order of
+/// a target's contributions, to the tree, the plan or the operators
+/// shows here, where the tolerance-based tests above would pass it.
+#[test]
+fn evaluation_bits_are_pinned() {
+    let laplace = three_evaluation_hashes(LaplaceSL, LaplaceSL, 1);
+    let stokes = three_evaluation_hashes(StokesDL, StokesEquiv { mu: 1.0 }, 6);
+    assert_eq!(
+        laplace,
+        [0x80e9186969dd5a75, 0x87ec883d416128d6, 0x96c8f0b492335777],
+        "LaplaceSL"
+    );
+    assert_eq!(
+        stokes,
+        [0x76180a87803174d0, 0x0a279ac8848a608e, 0xdd18d5c5daee111b],
+        "StokesDL/StokesEquiv"
+    );
+}

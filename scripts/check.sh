@@ -63,10 +63,12 @@ if [ "${CHECK_FAST:-0}" != "1" ]; then
     fi
 fi
 
-echo "== fmm seed agreement (production FMM vs the seed engine's 316 per-offset M2L matrices)"
+echo "== fmm oracles (seed agreement vs the seed engine's 316 per-offset M2L matrices; pinned output bits)"
 # the only check of the orbit M2L tables against matrices built straight
-# from the kernel; run here too so it holds under CHECK_FAST=1
+# from the kernel, and the only pin of the FMM's output bits against
+# committed hashes; run here too so both hold under CHECK_FAST=1
 cargo test --release -q -p bench --test seed_agreement
+cargo test --release -q -p fmm --test persistent evaluation_bits_are_pinned
 
 echo "== sample configs (every registry scenario built from scenarios/<name>.toml)"
 # each registry scenario must build, zero steps, from its sample config
