@@ -7,6 +7,14 @@
 //! with a new density on fixed geometry, exactly the access pattern the
 //! paper's BIE-solve loop has against PVFMM.
 //!
+//! Targets are evaluated in *target groups*: every in-cube target belongs
+//! to the deepest node covering it (its owner) and takes L2T from the
+//! owner's downward equivalent plus P2P/M2T over the owner's near field.
+//! A leaf owns the targets in its cube, with its own U and W lists; on a
+//! source-only [`Fmm::frozen`] tree a target in a pruned region is owned
+//! by an internal node, which also sweeps its own subtree. One routine
+//! evaluates both kinds of group into one output arena.
+//!
 //! Evaluation is arena-based: all equivalent densities live in flat
 //! level-major `Vec<f64>` buffers allocated once in [`Fmm::new`] and
 //! reused across calls, and every per-node kernel sum goes through the
@@ -25,7 +33,7 @@ use crate::ops::{
 use crate::surface::{cube_surface, RAD_INNER, RAD_OUTER};
 use kernels::Kernel;
 use linalg::{gemm_acc, Vec3};
-use octree::{MortonKey, Octree, TreeOptions, MAX_DEPTH, NONE};
+use octree::{MortonKey, Octree, Retarget, TreeOptions, MAX_DEPTH, NONE};
 use parking_lot::Mutex;
 use rayon::par;
 use std::cell::RefCell;
@@ -37,10 +45,12 @@ pub struct FmmOptions {
     /// Equivalent-surface order (points per cube edge). 4 ≈ 3–4 digits,
     /// 6 ≈ 5–6 digits, 8 ≈ 8 digits for the kernels used here.
     pub order: usize,
-    /// Octree leaf capacity (sources + targets). The default balances the
-    /// two halves of an order-4 evaluation on a surface cloud — P2P per
-    /// leaf grows with capacity², M2L per leaf with `n_surf²` — see "Leaf
-    /// size" in `crates/fmm/README.md` for the sweep behind it.
+    /// Octree leaf capacity: sources + targets for [`Fmm::new`], sources
+    /// only for [`Fmm::frozen`], whose tree ignores the targets. The
+    /// default balances the two halves of an order-4 evaluation on a
+    /// surface cloud — P2P per leaf grows with capacity², M2L per leaf
+    /// with `n_surf²` — see "Leaf size" in `crates/fmm/README.md` for the
+    /// sweep behind it.
     pub leaf_capacity: usize,
     /// Octree depth cap.
     pub max_depth: u32,
@@ -158,11 +168,6 @@ struct EvalPlan {
     /// Whether the node or any ancestor receives (⇒ its downward
     /// equivalent can be nonzero).
     has_dn: Vec<bool>,
-    /// Leaves with at least one target, in `out_ranges` order.
-    leaves: Vec<u32>,
-    /// Disjoint `[start, end)` ranges of the Morton-ordered output buffer,
-    /// one per entry of `leaves`.
-    out_ranges: Vec<(usize, usize)>,
     /// Maximum node count over levels (sizes the check arena).
     max_level_len: usize,
 }
@@ -183,35 +188,30 @@ struct Arenas {
     /// a batch (at most [`M2L_BATCH`] slots, fewer on a tree whose levels
     /// all hold fewer items).
     stage: Vec<f64>,
-    /// Results for leaf-resident targets, in Morton target order.
-    out_sorted: Vec<f64>,
-    /// Results for virtual targets, grouped per [`VirtGroup`].
-    virt_out: Vec<f64>,
+    /// Results at the bound targets, in `Fmm::trg_pts` order.
+    out: Vec<f64>,
 }
 
-/// Targets of one internal "virtual leaf" owner on a frozen source tree.
-///
-/// A source-only tree prunes source-free regions, so a target placed there
-/// by [`Fmm::set_targets`] has an *internal* deepest covering node. Its
-/// potential is assembled exactly like a leaf's — L2T from the owner's
-/// downward equivalent, P2P over adjacent leaves, M2T from the W-style
-/// near list — plus a recursive sweep over the owner's own subtree (the
-/// part a real leaf covers via its own U-list entry).
-struct VirtGroup {
-    /// Internal node that covers every target of the group.
+/// The targets of one owner node: a contiguous run of `Fmm::trg_pts`
+/// (the range at the same index of `Fmm::group_ranges`).
+struct TargetGroup {
+    /// Deepest node covering every target of the group.
     owner: u32,
+    /// Near field of an internal owner; `None` for a leaf, whose own
+    /// `u_list` / `w_list` serve.
+    near: Option<Box<NearField>>,
+}
+
+/// An internal owner's near field: a source-only tree prunes source-free
+/// regions, so a target there has an internal deepest covering node.
+struct NearField {
     /// Adjacent leaves (exact P2P), excluding the owner.
     u_list: Vec<u32>,
     /// Non-adjacent subtrees with adjacent parents (multipole at target).
     w_list: Vec<u32>,
-    /// Original target indices, Morton-ordered.
-    idx: Vec<u32>,
-    /// Target points, aligned with `idx`.
-    pts: Vec<Vec3>,
-    /// Deep Morton codes, aligned with `idx` (sorted ascending).
+    /// Deep Morton codes of the group's targets (sorted ascending), which
+    /// [`Fmm::near_rec`] splits into runs over the owner's subtree.
     codes: Vec<u64>,
-    /// `[start, end)` range of the group in the `virt_out` arena.
-    out_range: (usize, usize),
 }
 
 /// Per-worker scratch (check values during S2M, the gather block of the
@@ -245,18 +245,22 @@ pub struct Fmm<KS: Kernel, KE: Kernel> {
     tree: Octree,
     /// Source points in Morton order.
     src_pts: Vec<Vec3>,
-    /// Target points in Morton order.
+    /// In-cube target points, group by group, Morton-ordered within a
+    /// group: leaf targets in the tree's target order, then the targets
+    /// of internal owners.
     trg_pts: Vec<Vec3>,
+    /// Original index of each entry of `trg_pts`.
+    trg_idx: Vec<u32>,
     n_trg: usize,
     sd: usize,
     td: usize,
     plan: EvalPlan,
     arenas: Mutex<Arenas>,
-    /// Virtual-target groups of the current target set (empty unless the
-    /// tree was frozen on sources only and targets fell in pruned regions).
-    virt: Vec<VirtGroup>,
-    /// `[start, end)` ranges into `virt_out`, aligned with `virt`.
-    virt_ranges: Vec<(usize, usize)>,
+    /// Target groups of the current target set.
+    groups: Vec<TargetGroup>,
+    /// `[start, end)` range of each group in the `out` arena
+    /// (`td` entries per target), aligned with `groups`.
+    group_ranges: Vec<(usize, usize)>,
     /// Original indices of targets outside the root cube…
     outside_idx: Vec<u32>,
     /// …and their points, evaluated by exact direct summation.
@@ -332,8 +336,9 @@ impl<KS: Kernel, KE: Kernel> Fmm<KS, KE> {
         fmm
     }
 
-    /// Shared tail of the constructors: permutes points, lays out the plan
-    /// and arenas over an already-built tree.
+    /// Shared tail of the constructors: permutes the sources, lays out the
+    /// plan and arenas over an already-built tree, and binds `trg` — the
+    /// targets the tree was built with, all inside its leaves.
     fn from_tree(
         src_kernel: KS,
         eq_kernel: KE,
@@ -343,7 +348,6 @@ impl<KS: Kernel, KE: Kernel> Fmm<KS, KE> {
         tree: Octree,
     ) -> Self {
         let src_pts: Vec<Vec3> = tree.src_order.iter().map(|&i| src[i as usize]).collect();
-        let trg_pts: Vec<Vec3> = tree.trg_order.iter().map(|&i| trg[i as usize]).collect();
         let sd = src_kernel.src_dim();
         let td = src_kernel.trg_dim();
         let plan = build_plan(&tree, &ops);
@@ -355,99 +359,84 @@ impl<KS: Kernel, KE: Kernel> Fmm<KS, KE> {
             dn: vec![0.0; plan.level_ofs[plan.levels.len()] * plan.nd_eq],
             check: vec![0.0; plan.max_level_len * plan.nd_chk],
             stage: vec![0.0; stage_slots * M2L_BLOCK * plan.nd_chk],
-            out_sorted: vec![0.0; trg.len() * td],
-            virt_out: Vec::new(),
+            out: Vec::new(),
         });
-        Fmm {
+        let mut fmm = Fmm {
             src_kernel,
             eq_kernel,
             ops,
             tree,
             src_pts,
-            trg_pts,
-            n_trg: trg.len(),
+            trg_pts: Vec::new(),
+            trg_idx: Vec::new(),
+            n_trg: 0,
             sd,
             td,
             plan,
             arenas,
-            virt: Vec::new(),
-            virt_ranges: Vec::new(),
+            groups: Vec::new(),
+            group_ranges: Vec::new(),
             outside_idx: Vec::new(),
             outside_pts: Vec::new(),
-        }
+        };
+        fmm.bind_targets(trg, Retarget::default());
+        fmm
     }
 
     /// Re-bins a new target set onto the frozen source tree: a target-only
     /// replan. The tree structure, interaction lists, operator tables,
     /// upward/downward arenas, and the whole source side are untouched;
-    /// only the per-leaf output ranges, the virtual-target groups, and the
-    /// output arenas are refreshed.
+    /// only the target groups and the output arena are refreshed.
     ///
-    /// Targets in pruned (source-free) regions are grouped under their
-    /// internal covering node and evaluated through the virtual-leaf path;
-    /// targets outside the root cube are evaluated by direct summation.
+    /// A target in a leaf joins that leaf's group; a target in a pruned
+    /// (source-free) region joins the group of its internal covering node;
+    /// a target outside the root cube is evaluated by direct summation.
     pub fn set_targets(&mut self, trg: &[Vec3]) {
         let ret = self.tree.retarget(trg);
-        self.trg_pts = self
-            .tree
-            .trg_order
-            .iter()
-            .map(|&i| trg[i as usize])
-            .collect();
-        self.n_trg = trg.len();
-        let td = self.td;
+        self.bind_targets(trg, ret);
+    }
 
-        // refresh the leaf output ranges (the only target-dependent plan
-        // state; `has_dn`/`receives`/`has_src` are all source-side)
-        self.plan.leaves.clear();
-        self.plan.out_ranges.clear();
+    /// Binds `trg` as target groups: one per leaf holding targets (its
+    /// `trg_range` of the tree's target order), then one per internal
+    /// owner in `ret.virt` (sorted by owner, so each owner's targets are
+    /// contiguous), and sets aside `ret.outside`.
+    fn bind_targets(&mut self, trg: &[Vec3], ret: Retarget) {
+        let td = self.td;
+        self.trg_idx.clone_from(&self.tree.trg_order);
+        self.groups.clear();
+        self.group_ranges.clear();
         for li in self.tree.leaves() {
             let node = &self.tree.nodes[li as usize];
             if node.ntrg() > 0 {
-                self.plan.leaves.push(li);
-                self.plan.out_ranges.push((
-                    node.trg_range.0 as usize * td,
-                    node.trg_range.1 as usize * td,
-                ));
+                self.groups.push(TargetGroup {
+                    owner: li,
+                    near: None,
+                });
+                let (t0, t1) = node.trg_range;
+                self.group_ranges.push((t0 as usize * td, t1 as usize * td));
             }
         }
-
-        // group virtual targets by owner (ret.virt is sorted by owner)
-        self.virt.clear();
-        self.virt_ranges.clear();
-        let mut ofs = 0usize;
-        let mut i = 0usize;
-        while i < ret.virt.len() {
-            let owner = ret.virt[i].0;
-            let mut j = i;
-            while j < ret.virt.len() && ret.virt[j].0 == owner {
-                j += 1;
-            }
+        for run in ret.virt.chunk_by(|a, b| a.0 == b.0) {
+            let owner = run[0].0;
             let (u_list, w_list) = self.tree.near_lists(owner);
-            let idx: Vec<u32> = ret.virt[i..j].iter().map(|&(_, _, t)| t).collect();
-            let codes: Vec<u64> = ret.virt[i..j].iter().map(|&(_, c, _)| c).collect();
-            let pts: Vec<Vec3> = idx.iter().map(|&t| trg[t as usize]).collect();
-            let nt = j - i;
-            let out_range = (ofs * td, (ofs + nt) * td);
-            self.virt.push(VirtGroup {
+            let codes = run.iter().map(|&(_, c, _)| c).collect();
+            let t0 = self.trg_idx.len();
+            self.trg_idx.extend(run.iter().map(|&(_, _, t)| t));
+            self.groups.push(TargetGroup {
                 owner,
-                u_list,
-                w_list,
-                idx,
-                pts,
-                codes,
-                out_range,
+                near: Some(Box::new(NearField {
+                    u_list,
+                    w_list,
+                    codes,
+                })),
             });
-            self.virt_ranges.push(out_range);
-            ofs += nt;
-            i = j;
+            self.group_ranges.push((t0 * td, self.trg_idx.len() * td));
         }
+        self.trg_pts = self.trg_idx.iter().map(|&t| trg[t as usize]).collect();
+        self.n_trg = trg.len();
         self.outside_idx = ret.outside;
         self.outside_pts = self.outside_idx.iter().map(|&t| trg[t as usize]).collect();
-
-        let mut ar = self.arenas.lock();
-        ar.out_sorted.resize(self.tree.trg_order.len() * td, 0.0);
-        ar.virt_out.resize(ofs * td, 0.0);
+        self.arenas.lock().out.resize(self.trg_idx.len() * td, 0.0);
     }
 
     /// [`Fmm::set_targets`] followed by [`Fmm::evaluate`]: evaluates the
@@ -455,11 +444,6 @@ impl<KS: Kernel, KE: Kernel> Fmm<KS, KE> {
     pub fn evaluate_at(&mut self, src_data: &[f64], trg: &[Vec3]) -> Vec<f64> {
         self.set_targets(trg);
         self.evaluate(src_data)
-    }
-
-    /// The underlying octree (e.g. for statistics).
-    pub fn tree(&self) -> &Octree {
-        &self.tree
     }
 
     /// Evaluates the potential of `src_data` (original source ordering,
@@ -482,23 +466,13 @@ impl<KS: Kernel, KE: Kernel> Fmm<KS, KE> {
 
         self.upward(&ar.data, &mut ar.up);
         self.downward(&ar.data, &ar.up, &mut ar.dn, &mut ar.check, &mut ar.stage);
-        self.leaf_eval(&ar.data, &ar.up, &ar.dn, &mut ar.out_sorted);
-        if !self.virt.is_empty() {
-            self.virtual_eval(&ar.data, &ar.up, &ar.dn, &mut ar.virt_out);
-        }
+        self.group_eval(&ar.data, &ar.up, &ar.dn, &mut ar.out);
 
         // scatter back to the original target order
         let mut out = vec![0.0; self.n_trg * self.td];
-        for (pos, &orig) in self.tree.trg_order.iter().enumerate() {
+        for (pos, &orig) in self.trg_idx.iter().enumerate() {
             let o = orig as usize * self.td;
-            out[o..o + self.td].copy_from_slice(&ar.out_sorted[pos * self.td..(pos + 1) * self.td]);
-        }
-        for g in &self.virt {
-            for (k, &orig) in g.idx.iter().enumerate() {
-                let o = orig as usize * self.td;
-                let s = g.out_range.0 + k * self.td;
-                out[o..o + self.td].copy_from_slice(&ar.virt_out[s..s + self.td]);
-            }
+            out[o..o + self.td].copy_from_slice(&ar.out[pos * self.td..(pos + 1) * self.td]);
         }
         if !self.outside_idx.is_empty() {
             // out-of-cube targets: exact direct summation over all sources
@@ -721,139 +695,89 @@ impl<KS: Kernel, KE: Kernel> Fmm<KS, KE> {
         }
     }
 
-    /// Leaf evaluation: P2P over U lists, L2T from the own downward
-    /// equivalent, M2T from W-list multipoles — all through `eval_block`,
-    /// in parallel over leaves (disjoint target ranges).
-    fn leaf_eval(&self, data: &[f64], up: &[f64], dn: &[f64], out_sorted: &mut [f64]) {
+    /// Target evaluation, in parallel over groups (disjoint output
+    /// ranges): P2P over the owner's U list, L2T from the owner's downward
+    /// equivalent (valid anywhere inside the owner's cube), M2T from its W
+    /// list, then [`Fmm::near_rec`] over the owner's children — none for a
+    /// leaf, whose own U list already holds it.
+    fn group_eval(&self, data: &[f64], up: &[f64], dn: &[f64], out: &mut [f64]) {
         let plan = &self.plan;
-        let nodes = &self.tree.nodes;
-        let nd_eq = plan.nd_eq;
-        let sdim = self.ops.sdim;
-        out_sorted.fill(0.0);
-        par::for_each_disjoint_range(out_sorted, &plan.out_ranges, |i, out| {
-            let li = plan.leaves[i] as usize;
-            let node = &nodes[li];
-            let (t0, t1) = (node.trg_range.0 as usize, node.trg_range.1 as usize);
-            let trgs = &self.trg_pts[t0..t1];
-
-            // P2P over the U list
-            for &u in &node.u_list {
-                let un = &nodes[u as usize];
-                let (a, b) = (un.src_range.0 as usize, un.src_range.1 as usize);
-                if a == b {
-                    continue;
-                }
-                self.src_kernel.eval_block(
-                    trgs,
-                    &self.src_pts[a..b],
-                    &data[a * self.sd..b * self.sd],
-                    out,
-                );
+        out.fill(0.0);
+        par::for_each_disjoint_range(out, &self.group_ranges, |i, out| {
+            let g = &self.groups[i];
+            let owner = &self.tree.nodes[g.owner as usize];
+            let (r0, r1) = self.group_ranges[i];
+            let trgs = &self.trg_pts[r0 / self.td..r1 / self.td];
+            let (u_list, w_list, codes) = match &g.near {
+                Some(n) => (&n.u_list, &n.w_list, &n.codes[..]),
+                None => (&owner.u_list, &owner.w_list, &[][..]),
+            };
+            for &u in u_list {
+                self.p2p(u, data, trgs, out);
             }
-
             SCRATCH.with(|s| {
                 let s = &mut *s.borrow_mut();
-                // L2T: own downward equivalent density on the outer surface
-                if plan.has_dn[li] {
-                    let slot = plan.slot[li] as usize;
-                    let lp = &plan.levels[node.key.level as usize];
-                    let h = self.tree.node_half(plan.leaves[i]);
-                    let center = self.tree.node_center(plan.leaves[i]);
-                    fill_surface(&plan.unit_surf, center, RAD_OUTER * h, &mut s.surf);
-                    let row = &dn[slot * nd_eq..(slot + 1) * nd_eq];
-                    let dens = scaled_density(row, &lp.dens_scale, sdim, &mut s.dens);
-                    self.eq_kernel.eval_block(trgs, &s.surf, dens, out);
+                if plan.has_dn[g.owner as usize] {
+                    self.surface_eval(g.owner, RAD_OUTER, dn, trgs, out, s);
                 }
-                // M2T: W-list multipoles evaluated directly at the targets
-                for &w in &node.w_list {
-                    if !plan.has_src[w as usize] {
-                        continue;
+                // W members are non-adjacent to the owner, so at least
+                // three half-widths from any target inside it
+                for &w in w_list {
+                    if plan.has_src[w as usize] {
+                        self.surface_eval(w, RAD_INNER, up, trgs, out, s);
                     }
-                    let slot = plan.slot[w as usize] as usize;
-                    let lp = &plan.levels[nodes[w as usize].key.level as usize];
-                    let h = self.tree.node_half(w);
-                    let center = self.tree.node_center(w);
-                    fill_surface(&plan.unit_surf, center, RAD_INNER * h, &mut s.surf);
-                    let row = &up[slot * nd_eq..(slot + 1) * nd_eq];
-                    let dens = scaled_density(row, &lp.dens_scale, sdim, &mut s.dens);
-                    self.eq_kernel.eval_block(trgs, &s.surf, dens, out);
+                }
+                for &c in &owner.children {
+                    if c != NONE {
+                        self.near_rec(trgs, codes, c, 0, trgs.len(), data, up, out, s);
+                    }
                 }
             });
         });
     }
 
-    /// Evaluation at virtual targets: exactly the leaf contribution paths
-    /// with the internal owner playing the leaf's role — L2T from the
-    /// owner's downward equivalent, P2P over its adjacent leaves, M2T from
-    /// its W-style list — plus [`Fmm::near_rec`] over the owner's own
-    /// subtree (the sources a real leaf covers via its self U-list entry).
-    fn virtual_eval(&self, data: &[f64], up: &[f64], dn: &[f64], virt_out: &mut [f64]) {
+    /// Exact P2P: the sources of leaf `leaf` at `trgs`.
+    fn p2p(&self, leaf: u32, data: &[f64], trgs: &[Vec3], out: &mut [f64]) {
+        let node = &self.tree.nodes[leaf as usize];
+        let (a, b) = (node.src_range.0 as usize, node.src_range.1 as usize);
+        if a < b {
+            self.src_kernel.eval_block(
+                trgs,
+                &self.src_pts[a..b],
+                &data[a * self.sd..b * self.sd],
+                out,
+            );
+        }
+    }
+
+    /// Evaluates node `ni`'s equivalent density (its row of `arena`) on
+    /// its surface of radius `rad · h` at `trgs`: L2T with the downward
+    /// arena and [`RAD_OUTER`], M2T with the upward arena and
+    /// [`RAD_INNER`].
+    fn surface_eval(
+        &self,
+        ni: u32,
+        rad: f64,
+        arena: &[f64],
+        trgs: &[Vec3],
+        out: &mut [f64],
+        s: &mut Scratch,
+    ) {
         let plan = &self.plan;
-        let nodes = &self.tree.nodes;
         let nd_eq = plan.nd_eq;
-        let sdim = self.ops.sdim;
-        virt_out.fill(0.0);
-        par::for_each_disjoint_range(virt_out, &self.virt_ranges, |i, out| {
-            let g = &self.virt[i];
-            let trgs = &g.pts[..];
-
-            // P2P over adjacent leaves
-            for &u in &g.u_list {
-                let un = &nodes[u as usize];
-                let (a, b) = (un.src_range.0 as usize, un.src_range.1 as usize);
-                if a == b {
-                    continue;
-                }
-                self.src_kernel.eval_block(
-                    trgs,
-                    &self.src_pts[a..b],
-                    &data[a * self.sd..b * self.sd],
-                    out,
-                );
-            }
-
-            SCRATCH.with(|s| {
-                let s = &mut *s.borrow_mut();
-                // L2T: the owner's downward equivalent is valid anywhere
-                // inside the owner's cube
-                let oi = g.owner as usize;
-                if plan.has_dn[oi] {
-                    let slot = plan.slot[oi] as usize;
-                    let lp = &plan.levels[nodes[oi].key.level as usize];
-                    let h = self.tree.node_half(g.owner);
-                    let center = self.tree.node_center(g.owner);
-                    fill_surface(&plan.unit_surf, center, RAD_OUTER * h, &mut s.surf);
-                    let row = &dn[slot * nd_eq..(slot + 1) * nd_eq];
-                    let dens = scaled_density(row, &lp.dens_scale, sdim, &mut s.dens);
-                    self.eq_kernel.eval_block(trgs, &s.surf, dens, out);
-                }
-                // M2T: W-style multipoles (non-adjacent to the owner, so
-                // at least three half-widths from any interior target)
-                for &w in &g.w_list {
-                    if !plan.has_src[w as usize] {
-                        continue;
-                    }
-                    let slot = plan.slot[w as usize] as usize;
-                    let lp = &plan.levels[nodes[w as usize].key.level as usize];
-                    let h = self.tree.node_half(w);
-                    let center = self.tree.node_center(w);
-                    fill_surface(&plan.unit_surf, center, RAD_INNER * h, &mut s.surf);
-                    let row = &up[slot * nd_eq..(slot + 1) * nd_eq];
-                    let dens = scaled_density(row, &lp.dens_scale, sdim, &mut s.dens);
-                    self.eq_kernel.eval_block(trgs, &s.surf, dens, out);
-                }
-                // sources inside the owner's own subtree
-                for &c in &nodes[oi].children {
-                    if c != NONE {
-                        self.near_rec(g, c, 0, g.pts.len(), data, up, out, s);
-                    }
-                }
-            });
-        });
+        let slot = plan.slot[ni as usize] as usize;
+        let lp = &plan.levels[self.tree.nodes[ni as usize].key.level as usize];
+        let h = self.tree.node_half(ni);
+        let center = self.tree.node_center(ni);
+        fill_surface(&plan.unit_surf, center, rad * h, &mut s.surf);
+        let row = &arena[slot * nd_eq..(slot + 1) * nd_eq];
+        let dens = scaled_density(row, &lp.dens_scale, self.ops.sdim, &mut s.dens);
+        self.eq_kernel.eval_block(trgs, &s.surf, dens, out);
     }
 
     /// Recursive near-field sweep of subtree `m` against the Morton-sorted
-    /// target run `[lo, hi)` of group `g`.
+    /// target run `[lo, hi)` of one group (`trgs`, with deep codes
+    /// `codes`).
     ///
     /// Targets are partitioned into runs sharing their (virtual) cell at
     /// `m`'s level. A run whose cell is not adjacent to `m` takes `m`'s
@@ -863,7 +787,8 @@ impl<KS: Kernel, KE: Kernel> Fmm<KS, KE> {
     #[allow(clippy::too_many_arguments)]
     fn near_rec(
         &self,
-        g: &VirtGroup,
+        trgs: &[Vec3],
+        codes: &[u64],
         m: u32,
         lo: usize,
         hi: usize,
@@ -872,49 +797,29 @@ impl<KS: Kernel, KE: Kernel> Fmm<KS, KE> {
         out: &mut [f64],
         s: &mut Scratch,
     ) {
-        let plan = &self.plan;
         let mnode = &self.tree.nodes[m as usize];
         let level = mnode.key.level;
-        let (nd_eq, sdim, td) = (plan.nd_eq, self.ops.sdim, self.td);
+        let td = self.td;
         let mut a = lo;
         while a < hi {
             let cell = MortonKey {
                 level: MAX_DEPTH,
-                code: g.codes[a],
+                code: codes[a],
             }
             .ancestor_at(level);
             let ub = cell.code + (1u64 << (3 * (MAX_DEPTH - level) as u64).min(63));
-            let b = a + g.codes[a..hi].partition_point(|&c| c < ub);
+            let b = a + codes[a..hi].partition_point(|&c| c < ub);
+            let (run, run_out) = (&trgs[a..b], &mut out[a * td..b * td]);
             if !mnode.key.is_adjacent(cell) {
-                if plan.has_src[m as usize] {
-                    let slot = plan.slot[m as usize] as usize;
-                    let lp = &plan.levels[level as usize];
-                    let h = self.tree.node_half(m);
-                    let center = self.tree.node_center(m);
-                    fill_surface(&plan.unit_surf, center, RAD_INNER * h, &mut s.surf);
-                    let row = &up[slot * nd_eq..(slot + 1) * nd_eq];
-                    let dens = scaled_density(row, &lp.dens_scale, sdim, &mut s.dens);
-                    self.eq_kernel.eval_block(
-                        &g.pts[a..b],
-                        &s.surf,
-                        dens,
-                        &mut out[a * td..b * td],
-                    );
+                if self.plan.has_src[m as usize] {
+                    self.surface_eval(m, RAD_INNER, up, run, run_out, s);
                 }
             } else if mnode.is_leaf {
-                let (sa, sb) = (mnode.src_range.0 as usize, mnode.src_range.1 as usize);
-                if sa < sb {
-                    self.src_kernel.eval_block(
-                        &g.pts[a..b],
-                        &self.src_pts[sa..sb],
-                        &data[sa * self.sd..sb * self.sd],
-                        &mut out[a * td..b * td],
-                    );
-                }
+                self.p2p(m, data, run, run_out);
             } else {
                 for &c in &mnode.children {
                     if c != NONE {
-                        self.near_rec(g, c, a, b, data, up, out, s);
+                        self.near_rec(trgs, codes, c, a, b, data, up, out, s);
                     }
                 }
             }
@@ -945,8 +850,8 @@ fn scaled_density<'a>(
 }
 
 /// Builds the geometry-dependent evaluation plan: arena slots, per-level
-/// scale tables, auxiliary surfaces, source/receive flags, M2L orbit
-/// buckets, and leaf output ranges.
+/// scale tables, auxiliary surfaces, source/receive flags, and M2L orbit
+/// buckets — source- and tree-side state only.
 fn build_plan(tree: &Octree, ops: &FmmOperators) -> EvalPlan {
     let nodes = &tree.nodes;
     let n_levels = tree.levels.len();
@@ -1070,21 +975,6 @@ fn build_plan(tree: &Octree, ops: &FmmOperators) -> EvalPlan {
         })
         .collect();
 
-    // leaves with targets and their (disjoint) Morton-ordered out ranges
-    let td = ops.vdim;
-    let mut leaves = Vec::new();
-    let mut out_ranges = Vec::new();
-    for li in tree.leaves() {
-        let node = &nodes[li as usize];
-        if node.ntrg() > 0 {
-            leaves.push(li);
-            out_ranges.push((
-                node.trg_range.0 as usize * td,
-                node.trg_range.1 as usize * td,
-            ));
-        }
-    }
-
     EvalPlan {
         nd_eq,
         nd_chk,
@@ -1095,8 +985,6 @@ fn build_plan(tree: &Octree, ops: &FmmOperators) -> EvalPlan {
         has_src,
         receives,
         has_dn,
-        leaves,
-        out_ranges,
         max_level_len,
     }
 }

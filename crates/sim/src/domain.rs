@@ -145,10 +145,7 @@ impl Vessel {
             let port = &ports[i];
             let d = quad.points[l] - port.center;
             let ax = d - port.inward * d.dot(port.inward);
-            let rho = ax.norm() / port.radius;
-            let s = (1.0 - rho * rho).max(0.0);
-            let profile = 1.5 * s * s;
-            let u = port.inward * (peak_speed * profile);
+            let u = port.inward * (peak_speed * quartic(ax.norm() / port.radius));
             bc[l * 3] = u.x;
             bc[l * 3 + 1] = u.y;
             bc[l * 3 + 2] = u.z;
@@ -212,6 +209,14 @@ impl Vessel {
     pub fn port_fluxes(&self) -> Vec<f64> {
         self.ports.iter().map(|p| p.flux).collect()
     }
+}
+
+/// Quartic rim-smooth port profile at normalized radius `rho` (see
+/// [`Vessel::new`] for its analytic flux properties on flat and
+/// hemispherical caps).
+pub(crate) fn quartic(rho: f64) -> f64 {
+    let s = (1.0 - rho * rho).max(0.0);
+    1.5 * s * s
 }
 
 /// Collision triangle meshes from `col_m × col_m` samples per patch.
@@ -303,27 +308,23 @@ mod tests {
     /// flux as the parabolic profile it replaced.
     #[test]
     fn port_profile_is_rim_smooth_and_flux_preserving() {
-        let prof = |rho: f64| {
-            let s: f64 = (1.0 - rho * rho).max(0.0);
-            1.5 * s * s
-        };
         // zero value and zero slope at the rim (the parabola had slope −2)
-        assert_eq!(prof(1.0), 0.0);
+        assert_eq!(quartic(1.0), 0.0);
         let h = 1e-6;
-        let rim_slope = (prof(1.0) - prof(1.0 - h)) / h;
+        let rim_slope = (quartic(1.0) - quartic(1.0 - h)) / h;
         assert!(rim_slope.abs() < 1e-4, "rim slope {rim_slope}");
         // disk mean equals the parabolic profile's 1/2 (flux preserved at
-        // equal peak speed): mean = ∫₀¹ 2ρ·prof(ρ) dρ
+        // equal peak speed): mean = ∫₀¹ 2ρ·quartic(ρ) dρ
         let n = 200_000;
         let mut mean = 0.0;
         for i in 0..n {
             let rho = (i as f64 + 0.5) / n as f64;
-            mean += 2.0 * rho * prof(rho) / n as f64;
+            mean += 2.0 * rho * quartic(rho) / n as f64;
         }
         assert!((mean - 0.5).abs() < 1e-6, "disk mean {mean}");
         // ...and the *same* flux over a hemispherical cap, where ρ = sin θ
         // and the axis-projected area element is cos θ · r² sin θ dθ dφ:
-        // flux/(π r² · peak) = 2·∫₀^{π/2} prof(sin θ) cos θ sin θ dθ = 1/2,
+        // flux/(π r² · peak) = 2·∫₀^{π/2} quartic(sin θ) cos θ sin θ dθ = 1/2,
         // identical to the flat disk — the 3/2 normalization is exact on
         // both cap shapes, which is what lets the network BCs prescribe
         // port fluxes on hemispherical caps without shape corrections
@@ -331,7 +332,7 @@ mod tests {
         let dth = std::f64::consts::FRAC_PI_2 / n as f64;
         for i in 0..n {
             let th = (i as f64 + 0.5) * dth;
-            hemi += 2.0 * prof(th.sin()) * th.cos() * th.sin() * dth;
+            hemi += 2.0 * quartic(th.sin()) * th.cos() * th.sin() * dth;
         }
         assert!((hemi - 0.5).abs() < 1e-6, "hemisphere mean {hemi}");
         // and the built vessel's inlet peak reflects the 3/2 rescale: the

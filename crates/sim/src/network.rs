@@ -21,7 +21,7 @@
 //!   to raw quadrature flux — so the recorded imbalance stays at rounding
 //!   level no matter how coarse the cap quadrature is.
 
-use crate::domain::{build_meshes, interior_volume, Port, Vessel};
+use crate::domain::{build_meshes, interior_volume, quartic, Port, Vessel};
 use bie::{BieOptions, DoubleLayerSolver};
 use kernels::{StokesDL, StokesEquiv};
 use linalg::Vec3;
@@ -95,13 +95,6 @@ impl NetworkSpec {
         }
         Ok(())
     }
-}
-
-/// Quartic rim-smooth port profile (see [`Vessel::new`] for its analytic
-/// flux properties on flat and hemispherical caps).
-fn quartic(rho: f64) -> f64 {
-    let s = (1.0 - rho * rho).max(0.0);
-    1.5 * s * s
 }
 
 /// Builds a [`Vessel`] from a network manifest: composed branched surface,
