@@ -13,7 +13,7 @@
 //! - per-matvec dense vs FMM timings (the data behind
 //!   `bie::MatvecBackend::FMM_CROSSOVER_PATCHES`).
 //!
-//! `cargo run --release -p bench --bin tube_accuracy [--crossover]`
+//! `cargo run --release -p bie --example tube_accuracy [-- --crossover]`
 //! (`--crossover` adds the dense-vs-FMM per-matvec timing sweep, which
 //! costs a few extra dense applications at the refined levels.)
 

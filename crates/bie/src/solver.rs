@@ -808,20 +808,32 @@ mod tests {
     #[test]
     fn constant_density_maps_to_constant() {
         // Gauss identity at the operator level: for φ ≡ c the interior
-        // limit of Dφ is exactly c (jump c/2 + PV value c/2)
-        let opts = BieOptions {
-            eta: 2,
-            check_r: 0.15,
-            backend: MatvecBackend::Dense,
-            null_space: false,
-            ..Default::default()
+        // limit of Dφ is exactly c (jump c/2 + PV value c/2). Its error
+        // max|A·1 − 1| strictly falls with the §3.1 quadrature parameters:
+        // the fine-discretization depth η (measured 4.21e-1, 2.48e-2,
+        // 4.75e-5 at η = 0, 1, 2) and the check distance R = r =
+        // check_r · L̂ (1.67e-3, 4.75e-5, 1.58e-6 at check_r = 0.10, 0.15,
+        // 0.25), both at p = 8
+        let error = |eta: u32, check_r: f64| {
+            let opts = BieOptions {
+                eta,
+                check_r,
+                backend: MatvecBackend::Dense,
+                null_space: false,
+                ..Default::default()
+            };
+            let solver = laplace_solver(1, 8, opts);
+            let phi = vec![1.0; solver.dim()];
+            let mut out = vec![0.0; solver.dim()];
+            solver.apply(&phi, &mut out);
+            out.iter().map(|v| (v - 1.0).abs()).fold(0.0, f64::max)
         };
-        let solver = laplace_solver(1, 8, opts);
-        let phi = vec![1.0; solver.dim()];
-        let mut out = vec![0.0; solver.dim()];
-        solver.apply(&phi, &mut out);
-        for (l, v) in out.iter().enumerate() {
-            assert!((v - 1.0).abs() < 5e-4, "node {l}: {v}");
+        let base = error(2, 0.15);
+        assert!(base < 5e-4, "max|A·1 − 1| = {base:.3e}");
+        let by_eta = [error(0, 0.15), error(1, 0.15), base];
+        let by_check_r = [error(2, 0.10), base, error(2, 0.25)];
+        for errors in [by_eta, by_check_r] {
+            assert!(errors.windows(2).all(|w| w[1] < w[0]), "{errors:?}");
         }
     }
 

@@ -130,7 +130,7 @@ fn refined_tube_stokes_error_below_threshold_with_fmm() {
     // the acceptance number of the wall-resolution work: wall_refine = 2
     // with the FMM backend takes the analytic tube below 0.1 relative
     // (the coarse registry layout sits at O(1); see also
-    // `bench --bin tube_accuracy` for the registry-scale version)
+    // `examples/tube_accuracy.rs` for the registry-scale version)
     let q = 6;
     let refine = 2;
     let solver = DoubleLayerSolver::new(

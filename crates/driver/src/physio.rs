@@ -5,9 +5,8 @@
 //! run-loop plumbing they need — it keeps the previous step's cell surface
 //! points so the membrane drag power's finite-difference velocity is
 //! well-defined, and skips the power on steps that recycled cells (an
-//! outlet→inlet teleport is not a physical velocity). `bench --bin
-//! physiology` and the regression tests both consume the in-memory
-//! [`PhysioRow`]s.
+//! outlet→inlet teleport is not a physical velocity). The regression
+//! tests consume the in-memory [`PhysioRow`]s.
 
 use crate::session::{StepRow, StepSink};
 use linalg::Vec3;
@@ -38,7 +37,7 @@ pub struct PhysioRow {
     pub split: Option<BranchSplit>,
 }
 
-/// Keeps per-step physiology rows in memory for assertions and benches.
+/// Keeps per-step physiology rows in memory for assertions.
 pub struct PhysioSink {
     /// Junction point for [`sim::branch_hematocrit`]; `None` skips the
     /// branch split (straight-tube runs).

@@ -326,7 +326,7 @@ fn straight_tube(
     q: usize,
 ) -> Result<BoundarySurface, String> {
     let line = StraightLine { a: Vec3::ZERO, b };
-    let segments = k.usize("tube_segments", segments)?;
+    let segments = k.at_least("tube_segments", segments, 1)?;
     let q = k.at_least("patch_order", q, 2)?;
     Ok(capsule_tube(&line, radius, segments, q))
 }
@@ -356,7 +356,7 @@ fn tube_vessel(
     // one immutable refined copy instead of re-fitting 4^levels patches
     let surface = refined_surface(coarse, refine);
     let opts = bie_options(k, coarse.q, refine)?;
-    let col_m = match k.usize("col_m", col_m)? {
+    let col_m = match k.at_least("col_m", col_m, 2)? {
         c if refine == 0 => c,
         c => (c >> refine).max(3),
     };
@@ -390,8 +390,8 @@ fn tube_vessel(
 /// `check_r = 0.15` (`R ≈ 1.3 h_fine` at `qf = q = 8`), flooring the
 /// analytic-tube error near 2e-2; the refined defaults therefore also
 /// raise the fine order to `bie_qf = q + 4`, which halves `h_fine`
-/// (`R ≈ 2.1 h_fine`) and buys another ~10× (measured in
-/// `bench --bin tube_accuracy`). `bie_tol` tightens with it: the
+/// (`R ≈ 2.1 h_fine`) and buys another ~10× (measured by `bie`'s
+/// example `tube_accuracy`). `bie_tol` tightens with it: the
 /// unrefined solves floor near 2e-2 relative (the stall check is what
 /// stops them, not the nominal `1e-5`), while the refined configuration
 /// reaches ~1e-3 on *resolvable* boundary data — its `2e-3` default is
@@ -603,7 +603,7 @@ fn build_vessel_flow(k: &mut Keys) -> Result<Built, String> {
     };
     let radius = k.positive("tube_radius", 1.1)?;
     let q = k.at_least("patch_order", 8, 2)?;
-    let coarse = capsule_tube(&c, radius, k.usize("tube_segments", 5)?, q);
+    let coarse = capsule_tube(&c, radius, k.at_least("tube_segments", 5, 1)?, q);
     let peak = k.f64("peak_speed", 1.0)?;
     let vessel = tube_vessel(k, &coarse, 1, peak, 10)?;
     let basis = SphBasis::new(k.at_least("order", 8, 1)?);
@@ -765,7 +765,7 @@ fn build_bifurcation(k: &mut Keys) -> Result<Built, String> {
         q: k.at_least("patch_order", 8, 2)?,
     };
     let opts = bie_options(k, spec.q, 0)?;
-    let vessel = vessel_from_network(&spec, 1.0, opts, k.usize("col_m", 6)?)
+    let vessel = vessel_from_network(&spec, 1.0, opts, k.at_least("col_m", 6, 2)?)
         .map_err(|e| format!("bifurcation: {e}"))?;
     let basis = SphBasis::new(k.at_least("order", 6, 1)?);
     let train = Train::read(k, 2, 0.15, |r| 3.0 * r)?;
@@ -785,8 +785,8 @@ fn build_bifurcation(k: &mut Keys) -> Result<Built, String> {
 /// One rung of the tube-diameter ladder behind the apparent-viscosity
 /// (Fåhræus–Lindqvist) sweep: a straight capsule tube carrying a *fixed
 /// volumetric flux* `flux` regardless of `tube_radius`, so runs at
-/// different diameters are directly comparable (the physiology bench
-/// varies `tube_radius` only). The quartic port profile of
+/// different diameters are directly comparable (a sweep varies
+/// `tube_radius` only). The quartic port profile of
 /// [`sim::Vessel::new`] has flux `peak · π r² / 2`, so the inflow peak is
 /// derived as `2·flux / (π·tube_radius²)` unless `peak_speed` overrides
 /// it explicitly.
@@ -816,7 +816,7 @@ fn build_vessel_ladder(k: &mut Keys) -> Result<Built, String> {
     // sphere's bending force is a spatially constant normal field whose
     // work vanishes under the volume-conserving motion the stepper
     // enforces, so sphere rungs measure the genuine drag excess from
-    // step 1 (the physiology regression tests and bench run this mode).
+    // step 1 (the physiology regression tests run this mode).
     let shapes: [Shape; 2] = [biconcave_coeffs, sphere_coeffs];
     let shape = shapes[k.choice("shape", &["biconcave", "sphere"])?];
     let cells = train.centred(k, &basis, length, tube_r, shape)?;
@@ -1193,6 +1193,30 @@ mod tests {
                 Value::Float(0.0),
                 "a finite number > 0",
             ),
+            // a capsule of no segments is two unjoined caps, an open
+            // surface; a collision grid of one sample per side has no
+            // triangles (and zero samples never finishes triangulating)
+            (
+                "poiseuille_train",
+                "tube_segments",
+                Value::Int(0),
+                "an integer ≥ 1",
+            ),
+            (
+                "sedimentation",
+                "tube_segments",
+                Value::Int(0),
+                "an integer ≥ 1",
+            ),
+            (
+                "vessel_flow",
+                "tube_segments",
+                Value::Int(0),
+                "an integer ≥ 1",
+            ),
+            ("poiseuille_train", "col_m", Value::Int(1), "an integer ≥ 2"),
+            ("vessel_flow", "col_m", Value::Int(1), "an integer ≥ 2"),
+            ("bifurcation", "col_m", Value::Int(1), "an integer ≥ 2"),
         ] {
             let mut cfg = Doc::default();
             cfg.set(scenario, key, value.clone());

@@ -6,11 +6,11 @@
 //! against a *different* flux split is rejected instead of silently
 //! continuing on the wrong boundary condition.
 //!
-//! The physiology regression tests live here too: the tube-diameter
-//! ladder must show confined apparent viscosity rising as the tube
-//! narrows at fixed flux, a positive cell-free layer widening with the
-//! lumen, and the bifurcation's branch split must track the prescribed
-//! flux split.
+//! The physiology regression tests live here too: every rung of the
+//! tube-diameter ladder must dissipate more than cell-free Poiseuille at
+//! fixed flux, with a positive cell-free layer widening with the lumen,
+//! and the bifurcation's branch split must track the prescribed flux
+//! split.
 
 use driver::{Doc, PhysioSink, StepSink, Value};
 use sim::{Checkpoint, Simulation};
@@ -210,9 +210,9 @@ fn physio_rows(
 /// loaded tube must dissipate *more* than cell-free Poiseuille at equal
 /// flux on every rung (`μ_app/μ > 1`, drag power > 0), and the cell-free
 /// layer must widen with the lumen at fixed cell size. The μ-vs-diameter
-/// *curve* itself is a steady-state quantity the bench measures over
-/// longer horizons; at smoke horizons the honest pins are its sign and
-/// the CFL's geometric monotonicity.
+/// *curve* itself is a steady-state quantity that needs longer horizons
+/// than a test should spend; at smoke horizons the honest pins are its
+/// sign and the CFL's geometric monotonicity.
 #[test]
 fn ladder_viscosity_sign_and_cfl_widen_with_lumen() {
     let narrow = physio_rows("vessel_ladder", &ladder_cfg(0.7, 3), 2, None);

@@ -12,22 +12,6 @@ fn scenarios_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
 }
 
-/// TOML files in `scenarios/` that are deliberately not named after one
-/// registry scenario (multi-section configs for other harnesses).
-const NON_SCENARIO_CONFIGS: &[&str] = &["physiology"];
-
-#[test]
-fn every_non_scenario_exception_exists() {
-    for stem in NON_SCENARIO_CONFIGS {
-        let path = scenarios_dir().join(format!("{stem}.toml"));
-        assert!(
-            path.is_file(),
-            "NON_SCENARIO_CONFIGS lists `{stem}`, but {} does not exist",
-            path.display()
-        );
-    }
-}
-
 #[test]
 fn every_registry_scenario_has_a_parseable_toml() {
     for spec in registry() {
@@ -69,9 +53,6 @@ fn every_scenario_toml_names_a_registry_scenario() {
         let text = std::fs::read_to_string(&path).expect("readable config");
         let doc =
             Doc::parse(&text).unwrap_or_else(|e| panic!("{} does not parse: {e}", path.display()));
-        if NON_SCENARIO_CONFIGS.contains(&stem.as_str()) {
-            continue;
-        }
         // farm manifests validate through their own parser (which checks
         // every job's scenario against the registry) instead of by name
         if doc.get("farm", "jobs").is_some() {

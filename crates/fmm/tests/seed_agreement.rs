@@ -1,5 +1,5 @@
 //! The production FMM (`fmm::Fmm`) against the pre-arena seed engine
-//! (`bench::seed_fmm::SeedFmm`) on identical inputs.
+//! (`seed_fmm::SeedFmm`, beside this file) on identical inputs.
 //!
 //! The seed engine builds its own 316 per-offset M2L matrices straight from
 //! the kernel, so agreement also checks the production engine's orbit
@@ -9,12 +9,14 @@
 //! per-interaction matvecs), so they agree to roundoff amplified by the
 //! pseudo-inverse conditioning, not to machine epsilon.
 
-use bench::seed_fmm::SeedFmm;
+mod seed_fmm;
+
 use fmm::{Fmm, FmmOptions};
 use kernels::{Kernel, LaplaceSL, StokesDL, StokesEquiv, StokesSL};
 use linalg::Vec3;
 use rand::prelude::*;
 use rand::rngs::StdRng;
+use seed_fmm::SeedFmm;
 
 /// Uniform random cloud in `[-1, 1]³`.
 fn cloud(rng: &mut StdRng, n: usize) -> Vec<Vec3> {

@@ -1,5 +1,5 @@
 //! Faithful port of the *seed* FMM evaluation engine, kept as the oracle
-//! `tests/seed_agreement.rs` checks the production engine against (and
+//! `seed_agreement.rs` checks the production engine against (and
 //! the baseline of the historical perf table in `crates/fmm/README.md`).
 //!
 //! This is the pre-arena implementation: a fresh `Vec<f64>` per octree

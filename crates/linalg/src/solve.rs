@@ -83,27 +83,19 @@ impl Lu {
         x
     }
 
-    /// Solves `A X = B` column by column.
-    pub fn solve_mat(&self, b: &Mat) -> Mat {
-        let n = self.lu.rows();
-        assert_eq!(b.rows(), n);
-        let mut x = Mat::zeros(n, b.cols());
-        let mut col = vec![0.0; n];
-        for j in 0..b.cols() {
-            for i in 0..n {
-                col[i] = b[(i, j)];
-            }
-            let sol = self.solve(&col);
-            for i in 0..n {
-                x[(i, j)] = sol[i];
-            }
-        }
-        x
-    }
-
-    /// Matrix inverse (column-by-column solve against the identity).
+    /// Matrix inverse: one solve per column of the identity.
     pub fn inverse(&self) -> Mat {
-        self.solve_mat(&Mat::identity(self.lu.rows()))
+        let n = self.lu.rows();
+        let mut inv = Mat::zeros(n, n);
+        let mut e = vec![0.0; n];
+        for j in 0..n {
+            e[j] = 1.0;
+            for (i, v) in self.solve(&e).into_iter().enumerate() {
+                inv[(i, j)] = v;
+            }
+            e[j] = 0.0;
+        }
+        inv
     }
 }
 

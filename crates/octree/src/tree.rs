@@ -9,8 +9,8 @@
 //! 3. enforce the 2:1 balance condition (adjacent leaves differ by at most
 //!    one level) by splitting coarse leaves, which keeps the FMM interaction
 //!    lists bounded;
-//! 4. build the classic adaptive-FMM interaction lists (colleagues, U, V,
-//!    W, X) for every node.
+//! 4. build the classic adaptive-FMM interaction lists (U, V, W, X) for
+//!    every node.
 //!
 //! Every node stores contiguous ranges into the Morton-sorted permutations
 //! of the input points, so per-leaf point access is allocation-free.
@@ -55,8 +55,6 @@ pub struct Node {
     pub src_range: (u32, u32),
     /// Range into [`Octree::trg_order`] of targets inside this node.
     pub trg_range: (u32, u32),
-    /// Same-level adjacent nodes that exist in the tree.
-    pub colleagues: Vec<u32>,
     /// U list (leaves only): adjacent leaves of any level, including self.
     pub u_list: Vec<u32>,
     /// V list: children of the parent's colleagues not adjacent to this node.
@@ -78,7 +76,6 @@ impl Node {
             is_leaf: true,
             src_range: (0, 0),
             trg_range: (0, 0),
-            colleagues: Vec::new(),
             u_list: Vec::new(),
             v_list: Vec::new(),
             w_list: Vec::new(),
@@ -375,17 +372,11 @@ impl Octree {
             self.key_to_node.insert(n.key, i as u32);
         }
 
-        // colleagues + V lists (any node)
-        let cols_v: Vec<(Vec<u32>, Vec<u32>)> = (0..self.nodes.len())
+        // V lists (any node): children of the parent's colleagues not
+        // adjacent to the node
+        let v_lists: Vec<Vec<u32>> = (0..self.nodes.len())
             .map(|i| {
                 let node = &self.nodes[i];
-                let mut colleagues = Vec::new();
-                for nb in node.key.neighbors() {
-                    if let Some(j) = self.node_by_key(nb) {
-                        colleagues.push(j);
-                    }
-                }
-                // V list: children of parent's colleagues not adjacent to me
                 let mut v = Vec::new();
                 if node.parent != NONE {
                     let parent = &self.nodes[node.parent as usize];
@@ -399,12 +390,11 @@ impl Octree {
                         }
                     }
                 }
-                (colleagues, v)
+                v
             })
             .collect();
-        for (i, (c, v)) in cols_v.into_iter().enumerate() {
-            self.nodes[i].colleagues = c;
-            self.nodes[i].v_list = v;
+        for (node, v) in self.nodes.iter_mut().zip(v_lists) {
+            node.v_list = v;
         }
 
         // U and W lists for leaves

@@ -5,8 +5,8 @@
 //! are judged by (Fåhræus–Lindqvist apparent viscosity vs. tube diameter,
 //! plasma skimming at bifurcations). Each observable is computed from the
 //! live trajectory state with *documented, honest* definitions — they are
-//! diagnostics for regression pinning and the `physiology` bench, not
-//! claims of quantitative agreement with in-vivo correlations:
+//! diagnostics for regression pinning, not claims of quantitative
+//! agreement with in-vivo correlations:
 //!
 //! - [`membrane_drag_power`]: the rate of work the flow spends deforming
 //!   and dragging the suspended cells, from the membrane traction and

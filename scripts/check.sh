@@ -44,7 +44,7 @@ cargo build --release --workspace
 echo "== cargo doc (warning-free gate, library crates)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
     -p linalg -p kernels -p octree -p sphharm -p patch -p collision \
-    -p fmm -p vesicle -p bie -p sim -p bench -p driver
+    -p fmm -p vesicle -p bie -p sim -p driver
 
 if [ "${CHECK_FAST:-0}" != "1" ]; then
     echo "== cargo test -q"
@@ -63,11 +63,12 @@ if [ "${CHECK_FAST:-0}" != "1" ]; then
     fi
 fi
 
-echo "== fmm oracles (seed agreement vs the seed engine's 316 per-offset M2L matrices; pinned output bits)"
+echo "== fmm oracles (fmm/tests: seed agreement vs the seed engine's 316 per-offset M2L matrices; pinned output bits)"
 # the only check of the orbit M2L tables against matrices built straight
-# from the kernel, and the only pin of the FMM's output bits against
-# committed hashes; run here too so both hold under CHECK_FAST=1
-cargo test --release -q -p bench --test seed_agreement
+# from the kernel (the seed engine lives beside the test, in
+# crates/fmm/tests/seed_fmm), and the only pin of the FMM's output bits
+# against committed hashes; run here too so both hold under CHECK_FAST=1
+cargo test --release -q -p fmm --test seed_agreement
 cargo test --release -q -p fmm --test persistent evaluation_bits_are_pinned
 
 echo "== sample configs (every registry scenario built from scenarios/<name>.toml)"
@@ -168,18 +169,21 @@ case "$NEG_LOG" in
     *) echo "ERROR: the failing --assert did not name its expression and observed value"; exit 1 ;;
 esac
 
-echo "== out-of-range key smokes (zero steps: fill_h = 0, dt_max_stretch = -1, bie_check_r = 0, bie_max_iters = 0, tube_length = -1)"
+echo "== out-of-range key smokes (zero steps: fill_h = 0, dt_max_stretch = -1, bie_check_r = 0, bie_max_iters = 0, tube_length = -1, tube_segments = 0, col_m = 1)"
 # a value of the right type but outside a key's bounds is rejected before
 # the build uses it: a zero lattice spacing would otherwise seed forever, a
 # stretch bound at or below an undeformed cell's 1 fails every attempt and
 # freezes every cell, check points at r = 0 sit on the wall, a wall
-# solve capped at zero iterations never runs, and a capsule of negative
-# length has no cylinder
+# solve capped at zero iterations never runs, a capsule of negative
+# length has no cylinder, a capsule of no segments is two unjoined caps,
+# and a wall collision grid of one sample per side has no triangles
 for LEG in 'sedimentation|fill_h=0.0|`fill_h` expects a finite number > 0' \
     'shear_pair|dt_max_stretch=-1|`dt_max_stretch` expects a finite number > 1' \
     'poiseuille_train|bie_check_r=0|`bie_check_r` expects a finite number > 0' \
     'poiseuille_train|bie_max_iters=0|`bie_max_iters` expects an integer ≥ 1' \
-    'sedimentation|tube_length=-1|`tube_length` expects a finite number > 0'; do
+    'sedimentation|tube_length=-1|`tube_length` expects a finite number > 0' \
+    'poiseuille_train|tube_segments=0|`tube_segments` expects an integer ≥ 1' \
+    'poiseuille_train|col_m=1|`col_m` expects an integer ≥ 2'; do
     IFS='|' read -r SCENARIO SETTING EXPECTED <<< "$LEG"
     if BAD_LOG=$(cargo run --release -q -p driver -- "$SCENARIO" --set "$SETTING" \
         --steps 0 --no-output 2>&1); then
