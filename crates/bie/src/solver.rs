@@ -81,8 +81,9 @@ impl MatvecBackend {
     /// Patch count from which `Auto` routes the GMRES matvec through the
     /// FMM. The per-matvec crossover on the registry-scale capsule tube is
     /// tabulated in `crates/bie/README.md` ("Matvec backends & when FMM
-    /// wins"): with the current FMM leaves, dense and FMM tie at ~88
-    /// patches. The constant stays at 128 so the unrefined registry
+    /// wins"): with the current FMM leaves and the AVX-512 pair kernels,
+    /// dense and FMM tie at ~88 patches (0.97 s against 0.95 s per matvec
+    /// on one thread; the pair kernels made both cheaper, dense more). The constant stays at 128 so the unrefined registry
     /// vessels (14–96 patches) stay dense (and bit-identical to the
     /// pre-backend code); every refined vessel (≥ 4× the patches per
     /// level) goes FMM.

@@ -9,6 +9,8 @@
 
 use crate::{laplace, stokes};
 use linalg::Vec3;
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+use std::arch::x86_64::*;
 
 /// How one per-point component of a kernel's source data or target value
 /// transforms when space is mapped by an [`AxisMap`].
@@ -98,8 +100,11 @@ pub trait Kernel: Sync {
     /// (`trg_dim` per target). Semantically identical to looping
     /// [`Kernel::eval_acc`]; the hot kernels override it with tiled
     /// structure-of-arrays inner loops that hoist the kernel constants and
-    /// autovectorize (this is the P2P/S2M/P2L/L2T/M2T workhorse of the
-    /// FMM).
+    /// run as SIMD lanes (this is the P2P/S2M/P2L/L2T/M2T workhorse of the
+    /// FMM). On AVX-512 targets [`StokesDL`] and [`StokesEquiv`] take
+    /// `1/|r|` from a refined reciprocal-square-root estimate instead of a
+    /// square root and a division: within 4 ulp of it per pair, so their
+    /// blocks agree with `eval_acc` to roundoff, not bit for bit.
     fn eval_block(&self, trgs: &[Vec3], srcs: &[Vec3], data: &[f64], out: &mut [f64]) {
         let sd = self.src_dim();
         let td = self.trg_dim();
@@ -116,14 +121,49 @@ pub trait Kernel: Sync {
 
 /// Source-tile width of the vectorized `eval_block` implementations: the
 /// per-tile SoA buffers (≤ 7 lanes of `TILE` f64) stay in registers / L1
-/// and give LLVM fixed-trip-count inner loops to vectorize.
+/// and give fixed-trip-count inner loops. Where the target has AVX-512,
+/// the Stokes double-layer and equivalent kernels run each tile as
+/// `TILE / LANES` explicit 8-lane groups (`rsqrt8`); elsewhere, and for
+/// the other kernels, LLVM autovectorizes the lane loops.
 pub(crate) const TILE: usize = 32;
 
 /// SIMD accumulator width: contributions are summed into `LANES` partial
 /// accumulators and reduced once per (target, tile). A plain scalar
 /// accumulator would be a strict-FP reduction, which LLVM refuses to
-/// vectorize; explicit lanes sidestep that without fast-math.
+/// vectorize; explicit lanes sidestep that without fast-math. One AVX-512
+/// register of f64.
 pub(crate) const LANES: usize = 8;
+
+/// `1/√r²` in eight lanes, exactly `0` where `r² == 0` (the
+/// self-interaction guard): the hardware estimate `_mm512_rsqrt14_pd`
+/// (relative error < 2⁻¹⁴) refined by two Newton steps
+/// `y ← y·(1.5 − ½r²·y²)`, 14 → 28 → 56 bits, as PVFMM's P2P kernels do
+/// instead of a square root and a division. Within 4 ulp of
+/// `1.0 / r2.sqrt()` over `r²` in [1e-12, 1e12] (unit test
+/// `rsqrt8_is_within_4_ulp_and_zero_at_the_origin`).
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+#[target_feature(enable = "avx512f")]
+#[inline]
+pub(crate) fn rsqrt8(r2: __m512d) -> __m512d {
+    let half_r2 = _mm512_mul_pd(_mm512_set1_pd(0.5), r2);
+    let newton = |y: __m512d| {
+        let t = _mm512_fnmadd_pd(half_r2, _mm512_mul_pd(y, y), _mm512_set1_pd(1.5));
+        _mm512_mul_pd(y, t)
+    };
+    let y = newton(newton(_mm512_rsqrt14_pd(r2)));
+    _mm512_maskz_mov_pd(_mm512_cmpneq_pd_mask(r2, _mm512_setzero_pd()), y)
+}
+
+/// Lanes `g·LANES ..< (g + 1)·LANES` of a tile buffer as one register.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+#[target_feature(enable = "avx512f")]
+#[inline]
+pub(crate) fn lanes8(a: &[f64; TILE], g: usize) -> __m512d {
+    let s = &a[g * LANES..(g + 1) * LANES];
+    // SAFETY: `s` is a bounds-checked run of LANES = 8 initialised f64,
+    // exactly the 64 bytes an unaligned 512-bit load reads.
+    unsafe { _mm512_loadu_pd(s.as_ptr()) }
+}
 
 /// Copies a tile of source points into SoA lanes. Tail lanes keep stale
 /// coordinates — callers zero the tail of the *data* lanes instead, which
@@ -638,6 +678,47 @@ mod tests {
         check_declared_symmetry(&StokesSL { mu: 0.7 }, "stokes_sl");
         check_declared_symmetry(&StokesDL, "stokes_dl");
         check_declared_symmetry(&StokesEquiv { mu: 1.3 }, "stokes_equiv");
+    }
+
+    /// `rsqrt8` against `1.0 / r2.sqrt()` over `r²` log-spaced in
+    /// [1e-12, 1e12]: within 4 ulp relative (measured 1.67 ulp; with one
+    /// Newton step instead of two, 2.3e7), and exactly 0 at `r² = 0`; a
+    /// target on its only source gets exactly nothing from either AVX-512
+    /// kernel.
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+    #[test]
+    fn rsqrt8_is_within_4_ulp_and_zero_at_the_origin() {
+        let rsqrt_tile = |r2: &[f64; TILE]| {
+            let mut y = [0.0; TILE];
+            for g in 0..TILE / LANES {
+                // SAFETY: avx512f is enabled for the whole build (the
+                // test's cfg); the store writes LANES f64 inside `y`.
+                unsafe { _mm512_storeu_pd(y[g * LANES..].as_mut_ptr(), rsqrt8(lanes8(r2, g))) };
+            }
+            y
+        };
+        let n = 1000 * TILE;
+        let mut worst = 0.0f64;
+        for k0 in (0..n).step_by(TILE) {
+            let r2: [f64; TILE] =
+                std::array::from_fn(|l| 1e-12 * 1e24f64.powf((k0 + l) as f64 / (n - 1) as f64));
+            for (y, r2) in rsqrt_tile(&r2).iter().zip(r2) {
+                let exact = 1.0 / r2.sqrt();
+                worst = worst.max(((y - exact) / exact).abs() / f64::EPSILON);
+            }
+        }
+        assert!(worst <= 4.0, "rsqrt8 is {worst} ulp from 1/sqrt");
+        let mut r2 = [1.0; TILE];
+        r2[3] = 0.0;
+        let y = rsqrt_tile(&r2);
+        assert_eq!(y[3].to_bits(), 0, "rsqrt8(0) = {}", y[3]);
+        assert_eq!(y[2], 1.0);
+
+        let p = Vec3::new(0.3, -0.2, 0.7);
+        let mut out = [0.0; 3];
+        StokesDL.eval_block(&[p], &[p], &[1.0, -2.0, 0.5, 0.0, 0.6, 0.8], &mut out);
+        StokesEquiv { mu: 1.3 }.eval_block(&[p], &[p], &[1.0, -2.0, 0.5, 0.7], &mut out);
+        assert_eq!(out, [0.0; 3]);
     }
 
     #[test]

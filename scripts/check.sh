@@ -71,6 +71,15 @@ echo "== fmm oracles (fmm/tests: seed agreement vs the seed engine's 316 per-off
 cargo test --release -q -p fmm --test seed_agreement
 cargo test --release -q -p fmm --test persistent evaluation_bits_are_pinned
 
+echo "== portable kernels (x86-64-v3: no AVX-512 Stokes bodies, the committed portable bit pin)"
+# RUSTFLAGS replaces .cargo/config.toml's target-cpu=native, so on an
+# AVX-512 host this still builds and checks the loops every other CPU runs;
+# its own target directory keeps the native build's artifacts intact
+PORTABLE=(env RUSTFLAGS="-C target-cpu=x86-64-v3" cargo test --release -q --target-dir target/portable)
+"${PORTABLE[@]}" -p kernels
+"${PORTABLE[@]}" -p fmm --test persistent evaluation_bits_are_pinned
+"${PORTABLE[@]}" -p fmm --test seed_agreement
+
 echo "== sample configs (every registry scenario built from scenarios/<name>.toml)"
 # each registry scenario must build, zero steps, from its sample config
 # through the CLI: a scenario reads its section strictly (an unknown or
