@@ -81,12 +81,13 @@ impl MatvecBackend {
     /// Patch count from which `Auto` routes the GMRES matvec through the
     /// FMM. The per-matvec crossover on the registry-scale capsule tube is
     /// tabulated in `crates/bie/README.md` ("Matvec backends & when FMM
-    /// wins"): with the current FMM leaves and the AVX-512 pair kernels,
-    /// dense and FMM tie at ~88 patches (0.97 s against 0.95 s per matvec
-    /// on one thread; the pair kernels made both cheaper, dense more). The constant stays at 128 so the unrefined registry
-    /// vessels (14–96 patches) stay dense (and bit-identical to the
-    /// pre-backend code); every refined vessel (≥ 4× the patches per
-    /// level) goes FMM.
+    /// wins"): with the FMM's translations run as level-wide GEMMs, dense
+    /// and FMM tie between 22 and 88 patches (0.07 s dense against 0.09 s
+    /// FMM at 22, 0.9–1.1 s against 0.57 s at 88, per matvec on one
+    /// thread; about 40 patches by interpolation). The constant stays at
+    /// 128 so the unrefined registry vessels (14–96 patches) stay dense
+    /// (and bit-identical to the pre-backend code); every refined vessel
+    /// (≥ 4× the patches per level) goes FMM.
     pub const FMM_CROSSOVER_PATCHES: usize = 128;
 
     /// Resolves the backend choice for a surface with `num_patches`

@@ -18,21 +18,25 @@
 //! Evaluation is arena-based: all equivalent densities live in flat
 //! level-major `Vec<f64>` buffers allocated once in [`Fmm::new`] and
 //! reused across calls, and every per-node kernel sum goes through the
-//! vectorized [`Kernel::eval_block`] path. The M2L stage — the dominant
-//! far-field cost — is batched level by level: interactions are grouped at
-//! setup into the 16 orbits of translation offsets (one stored operator
-//! each) and cut into 64-pair blocks, and a level's blocks run as one
-//! parallel pass of dense GEMMs over source densities gathered through
-//! each pair's signed permutation (`linalg::gemm_acc`) instead of one
-//! HashMap lookup + matvec per interaction. See `crates/fmm/README.md` for
-//! the layout and the before/after numbers.
+//! vectorized [`Kernel::eval_block`] path. Every translation runs as
+//! level-wide dense GEMMs (`linalg::gemm_acc`) rather than one matvec per
+//! node or interaction. The M2L stage — the dominant far-field cost —
+//! groups a level's interactions at setup into the 16 orbits of
+//! translation offsets (one stored operator each) and cuts them into
+//! 64-pair blocks over source densities gathered through each pair's
+//! signed permutation. The per-node translations (uc2ue, M2M, dc2de, L2L)
+//! gather a level's input rows by operator into 64-row bands, multiply
+//! each band into zeroed staging rows, and then assemble every node's row
+//! from its staged rows in the order the per-node passes used, so the
+//! output bits are those of one matvec per node. See
+//! `crates/fmm/README.md` for the layout and the before/after numbers.
 
 use crate::ops::{
     cached_operators, gather_signed, m2l_class, scatter_add_signed, FmmOperators, M2L_ORBITS,
 };
 use crate::surface::{cube_surface, RAD_INNER, RAD_OUTER};
 use kernels::Kernel;
-use linalg::{gemm_acc, Vec3};
+use linalg::{gemm_acc, Mat, Vec3};
 use octree::{MortonKey, Octree, Retarget, TreeOptions, MAX_DEPTH, NONE};
 use parking_lot::Mutex;
 use rayon::par;
@@ -66,10 +70,11 @@ impl Default for FmmOptions {
     }
 }
 
-/// Pairs-per-block of the batched M2L dispatch: a block's gathered source
-/// densities and check results must fit in L2 alongside one stream of the
-/// translation operator.
-const M2L_BLOCK: usize = 64;
+/// Rows per `gemm_acc` call of every batched translation — pairs per M2L
+/// block, staged rows per uc2ue / M2M / dc2de / L2L band: a block's
+/// gathered input rows and its results must fit in L2 alongside one stream
+/// of the operator.
+const BLOCK: usize = 64;
 
 /// Work items per parallel M2L region. A constant, never the thread count:
 /// it fixes the staging layout, and the staged rows are added into the
@@ -94,7 +99,7 @@ struct M2lGroup {
     src_slots: Vec<u32>,
 }
 
-/// One unit of M2L work: `len ≤ M2L_BLOCK` consecutive pairs of one group,
+/// One unit of M2L work: `len ≤ BLOCK` consecutive pairs of one group,
 /// i.e. one signed gather + one `gemm_acc` call + one signed scatter.
 struct M2lItem {
     /// Index into [`LevelPlan::groups`].
@@ -104,20 +109,94 @@ struct M2lItem {
     len: u32,
 }
 
-/// Cuts every group into [`M2L_BLOCK`]-pair items, groups in order and
+/// Cuts every group into [`BLOCK`]-pair items, groups in order and
 /// blocks in order within a group.
 fn m2l_items(groups: &[M2lGroup]) -> Vec<M2lItem> {
     let mut items = Vec::new();
     for (gi, g) in groups.iter().enumerate() {
-        for start in (0..g.trg_rows.len()).step_by(M2L_BLOCK) {
+        for start in (0..g.trg_rows.len()).step_by(BLOCK) {
             items.push(M2lItem {
                 group: gi as u32,
                 start: start as u32,
-                len: (g.trg_rows.len() - start).min(M2L_BLOCK) as u32,
+                len: (g.trg_rows.len() - start).min(BLOCK) as u32,
             });
         }
     }
     items
+}
+
+/// One level's per-node translation — uc2ue, M2M, dc2de or L2L — laid
+/// out as level-wide GEMMs: staged row `r` is input row `src[r]` times the
+/// transposed operator of its band. Staged rows are grouped by operator
+/// (octant) and ascend in level row within one, and the bands cut each
+/// operator's run into [`BLOCK`]-row pieces.
+///
+/// Each band is one `gemm_acc` with `alpha = 1` into zeroed rows, which
+/// gives every staged row the sequential dot of a per-node matvec, bit for
+/// bit, whatever the band sizes or the thread count.
+struct Translation {
+    /// Input row of each staged row: a check-arena row (uc2ue, dc2de) or
+    /// an `up` / `dn` arena slot (M2M, L2L).
+    src: Vec<u32>,
+    /// `(operator, first staged row, end)` of each band.
+    bands: Vec<(u8, usize, usize)>,
+    /// Staged row of each row of the keyed level (the level's own for
+    /// uc2ue, dc2de and L2L, the children's for M2M), `NONE` where a row
+    /// takes no translation.
+    at: Vec<u32>,
+}
+
+impl Translation {
+    /// Lays out `(operator, keyed row, input row)` entries over a keyed
+    /// level of `nlev` rows.
+    fn new(mut entries: Vec<(u8, u32, u32)>, nlev: usize) -> Translation {
+        entries.sort_unstable();
+        let mut at = vec![NONE; nlev];
+        let mut bands: Vec<(u8, usize, usize)> = Vec::new();
+        for (r, &(op, row, _)) in entries.iter().enumerate() {
+            at[row as usize] = r as u32;
+            match bands.last_mut() {
+                Some((o, s, e)) if *o == op && *e - *s < BLOCK => *e += 1,
+                _ => bands.push((op, r, r + 1)),
+            }
+        }
+        Translation {
+            src: entries.iter().map(|e| e.2).collect(),
+            bands,
+            at,
+        }
+    }
+
+    /// Number of staged rows.
+    fn len(&self) -> usize {
+        self.src.len()
+    }
+
+    /// Stages every row: `out[r] = input[src[r]] · ops_t[op]`, the bands
+    /// in parallel, each gathering its input rows and running one GEMM.
+    fn stage(&self, ops_t: &[Mat], input: &[f64], out: &mut [f64]) {
+        let (k, n) = (ops_t[0].rows(), ops_t[0].cols());
+        let ranges: Vec<(usize, usize)> = self.bands.iter().map(|b| (b.1 * n, b.2 * n)).collect();
+        par::for_each_disjoint_range(out, &ranges, |bi, y| {
+            let (op, s, e) = self.bands[bi];
+            SCRATCH.with(|sc| {
+                let sc = &mut *sc.borrow_mut();
+                sc.sblk.resize(BLOCK * k, 0.0);
+                for (row, &r) in sc.sblk.chunks_mut(k).zip(&self.src[s..e]) {
+                    let r = r as usize;
+                    row.copy_from_slice(&input[r * k..(r + 1) * k]);
+                }
+                y.fill(0.0);
+                gemm_acc(e - s, n, k, 1.0, &sc.sblk, ops_t[op as usize].data(), y);
+            });
+        });
+    }
+
+    /// The staged row (of width `n`) of keyed row `row`, if it takes one.
+    fn staged<'a>(&self, row: usize, out: &'a [f64], n: usize) -> Option<&'a [f64]> {
+        let r = self.at[row];
+        (r != NONE).then(|| &out[r as usize * n..(r as usize + 1) * n])
+    }
 }
 
 /// Per-level portion of the evaluation plan. Node ids in slot order are
@@ -131,6 +210,17 @@ struct LevelPlan {
     x_rows: Vec<u32>,
     /// …and the node ids they belong to, aligned with `x_rows`.
     x_nodes: Vec<u32>,
+    /// S2M's uc2ue solves: the level's leaves with sources, from their
+    /// check rows.
+    s2m: Translation,
+    /// M2M into this level: the deeper level's nodes with sources, from
+    /// their `up` slots, operator = octant in the parent.
+    m2m: Translation,
+    /// dc2de solves: the level's receiving nodes, from their check rows.
+    dc2de: Translation,
+    /// L2L into this level: nodes whose parent has a downward equivalent,
+    /// from the parent's `dn` slot, operator = octant.
+    l2l: Translation,
     /// `h_level^{-deg}`: scale of the uc2ue / dc2de pseudo-inverse solves.
     scale_inv: f64,
     /// `h_level^{+deg}`: scale of the M2L translation.
@@ -163,8 +253,6 @@ struct EvalPlan {
     /// equivalent can be nonzero). Replaces the seed's per-interaction
     /// zero-scan of the source density.
     has_src: Vec<bool>,
-    /// Whether the node receives V- or X-list contributions.
-    receives: Vec<bool>,
     /// Whether the node or any ancestor receives (⇒ its downward
     /// equivalent can be nonzero).
     has_dn: Vec<bool>,
@@ -181,12 +269,13 @@ struct Arenas {
     up: Vec<f64>,
     /// Downward equivalent densities, same layout.
     dn: Vec<f64>,
-    /// Downward check values of the level currently being processed
-    /// (`max_level_len · nd_chk`).
+    /// Check values of the level currently being processed, one row per
+    /// node (`max_level_len · nd_chk`): upward at S2M, downward at M2L/P2L.
     check: Vec<f64>,
-    /// M2L staging: one `M2L_BLOCK · nd_chk` result slot per work item of
-    /// a batch (at most [`M2L_BATCH`] slots, fewer on a tree whose levels
-    /// all hold fewer items).
+    /// Staging of the level-wide GEMMs: one `BLOCK · nd_chk` result slot
+    /// per M2L work item of a batch (at most [`M2L_BATCH`] slots, fewer on
+    /// a tree whose levels all hold fewer items), or one level's staged
+    /// translation rows, whichever is larger.
     stage: Vec<f64>,
     /// Results at the bound targets, in `Fmm::trg_pts` order.
     out: Vec<f64>,
@@ -214,12 +303,11 @@ struct NearField {
     codes: Vec<u64>,
 }
 
-/// Per-worker scratch (check values during S2M, the gather block of the
-/// batched M2L, scaled densities at L2T/M2T). Thread-local so the passes
-/// allocate nothing per node in steady state.
+/// Per-worker scratch (the gathered input rows of a GEMM block or band,
+/// scaled densities at L2T/M2T). Thread-local so the passes allocate
+/// nothing per node in steady state.
 #[derive(Default)]
 struct Scratch {
-    check: Vec<f64>,
     sblk: Vec<f64>,
     dens: Vec<f64>,
     surf: Vec<Vec3>,
@@ -353,12 +441,18 @@ impl<KS: Kernel, KE: Kernel> Fmm<KS, KE> {
         let plan = build_plan(&tree, &ops);
         let widest = plan.levels.iter().map(|lp| lp.items.len()).max();
         let stage_slots = widest.map_or(0, |n| n.min(M2L_BATCH));
+        let staged_rows = plan
+            .levels
+            .iter()
+            .map(|lp| (lp.s2m.len() + lp.m2m.len()).max(lp.dc2de.len() + lp.l2l.len()));
+        let stage_len =
+            (stage_slots * BLOCK * plan.nd_chk).max(staged_rows.max().unwrap_or(0) * plan.nd_eq);
         let arenas = Mutex::new(Arenas {
             data: vec![0.0; src.len() * sd],
             up: vec![0.0; plan.level_ofs[plan.levels.len()] * plan.nd_eq],
             dn: vec![0.0; plan.level_ofs[plan.levels.len()] * plan.nd_eq],
             check: vec![0.0; plan.max_level_len * plan.nd_chk],
-            stage: vec![0.0; stage_slots * M2L_BLOCK * plan.nd_chk],
+            stage: vec![0.0; stage_len],
             out: Vec::new(),
         });
         let mut fmm = Fmm {
@@ -464,7 +558,7 @@ impl<KS: Kernel, KE: Kernel> Fmm<KS, KE> {
             ar.data[pos * self.sd..(pos + 1) * self.sd].copy_from_slice(&src_data[o..o + self.sd]);
         }
 
-        self.upward(&ar.data, &mut ar.up);
+        self.upward(&ar.data, &mut ar.up, &mut ar.check, &mut ar.stage);
         self.downward(&ar.data, &ar.up, &mut ar.dn, &mut ar.check, &mut ar.stage);
         self.group_eval(&ar.data, &ar.up, &ar.dn, &mut ar.out);
 
@@ -487,62 +581,61 @@ impl<KS: Kernel, KE: Kernel> Fmm<KS, KE> {
         out
     }
 
-    /// Upward pass: S2M at source leaves (via `eval_block` on the
-    /// precomputed check surfaces), M2M up the tree. Writes the level-major
-    /// `up` arena in place, finest level first.
-    fn upward(&self, data: &[f64], up: &mut [f64]) {
+    /// Upward pass, finest level first, writing the level-major `up` arena
+    /// in place: S2M check values of the level's source leaves (via
+    /// `eval_block` on their check surfaces) into the check arena, the
+    /// level's uc2ue solves and its M2M translations from the deeper level
+    /// staged as level-wide GEMMs, then every node's row from its staged
+    /// rows — a leaf's solve scaled by `h^{-deg}`, an internal node's
+    /// children summed in octant order.
+    fn upward(&self, data: &[f64], up: &mut [f64], check: &mut [f64], stage: &mut [f64]) {
         let plan = &self.plan;
         let nodes = &self.tree.nodes;
         let (nd_eq, nd_chk) = (plan.nd_eq, plan.nd_chk);
         for level in (0..plan.levels.len()).rev() {
             let lp = &plan.levels[level];
             let level_nodes = &self.tree.levels[level];
-            let start = plan.level_ofs[level] * nd_eq;
-            let end = plan.level_ofs[level + 1] * nd_eq;
-            let (head, deeper) = up.split_at_mut(end);
-            let cur = &mut head[start..];
-            let deeper = &*deeper;
+            par::for_each_row_block(check, nd_chk, &lp.s2m.src, 1, |r, view| {
+                let id = level_nodes[lp.s2m.src[r] as usize];
+                let node = &nodes[id as usize];
+                let (a, b) = (node.src_range.0 as usize, node.src_range.1 as usize);
+                let row = view.row(0);
+                row.fill(0.0);
+                SCRATCH.with(|s| {
+                    let s = &mut *s.borrow_mut();
+                    let (h, center) = (self.tree.node_half(id), self.tree.node_center(id));
+                    fill_surface(&plan.unit_surf, center, RAD_OUTER * h, &mut s.surf);
+                    self.src_kernel.eval_block(
+                        &s.surf,
+                        &self.src_pts[a..b],
+                        &data[a * self.sd..b * self.sd],
+                        row,
+                    );
+                });
+            });
+            let (s2m, m2m) = stage.split_at_mut(lp.s2m.len() * nd_eq);
+            lp.s2m
+                .stage(std::slice::from_ref(&self.ops.uc2ue_t), check, s2m);
+            lp.m2m.stage(&self.ops.m2m_t, up, m2m);
+            let (s2m, m2m) = (&*s2m, &*m2m);
             let deeper_base = plan.level_ofs[level + 1];
+            let cur = &mut up[plan.level_ofs[level] * nd_eq..deeper_base * nd_eq];
             par::chunks_mut(cur, nd_eq, |i, equiv| {
-                let ni = level_nodes[i] as usize;
-                if !plan.has_src[ni] {
-                    equiv.fill(0.0);
+                if let Some(solved) = lp.s2m.staged(i, s2m, nd_eq) {
+                    for (v, x) in equiv.iter_mut().zip(solved) {
+                        *v = x * lp.scale_inv;
+                    }
                     return;
                 }
-                let node = &nodes[ni];
-                if node.is_leaf {
-                    // S2M: sources -> upward check surface -> density
-                    let h = self.tree.node_half(level_nodes[i]);
-                    let center = self.tree.node_center(level_nodes[i]);
-                    let (a, b) = (node.src_range.0 as usize, node.src_range.1 as usize);
-                    SCRATCH.with(|s| {
-                        let s = &mut *s.borrow_mut();
-                        fill_surface(&plan.unit_surf, center, RAD_OUTER * h, &mut s.surf);
-                        s.check.resize(nd_chk, 0.0);
-                        let check = &mut s.check[..nd_chk];
-                        check.fill(0.0);
-                        self.src_kernel.eval_block(
-                            &s.surf,
-                            &self.src_pts[a..b],
-                            &data[a * self.sd..b * self.sd],
-                            check,
-                        );
-                        self.ops.uc2ue.matvec_into(check, equiv);
-                    });
-                    for v in equiv.iter_mut() {
-                        *v *= lp.scale_inv;
+                equiv.fill(0.0);
+                for &c in &nodes[level_nodes[i] as usize].children {
+                    if c == NONE {
+                        continue;
                     }
-                } else {
-                    // M2M from children (already computed: deeper level)
-                    equiv.fill(0.0);
-                    for (o, &c) in node.children.iter().enumerate() {
-                        if c != NONE && plan.has_src[c as usize] {
-                            let cs = plan.slot[c as usize] as usize - deeper_base;
-                            self.ops.m2m[o].matvec_acc(
-                                &deeper[cs * nd_eq..(cs + 1) * nd_eq],
-                                1.0,
-                                equiv,
-                            );
+                    let row = plan.slot[c as usize] as usize - deeper_base;
+                    if let Some(moved) = lp.m2m.staged(row, m2m, nd_eq) {
+                        for (v, x) in equiv.iter_mut().zip(moved) {
+                            *v += x;
                         }
                     }
                 }
@@ -550,9 +643,11 @@ impl<KS: Kernel, KE: Kernel> Fmm<KS, KE> {
         }
     }
 
-    /// Downward pass, level by level from the root: the level's batched
-    /// M2L, P2L from X lists, then the dc2de solve fused with L2L from the
-    /// parent.
+    /// Downward pass, level by level from the root: the level's check
+    /// values ([`Fmm::level_check`]), its dc2de solves and its L2L
+    /// translations from the parents staged as level-wide GEMMs, then
+    /// every node's `dn` row: its solve scaled by `h^{-deg}` (zero when it
+    /// receives nothing) plus its parent's translation.
     fn downward(
         &self,
         data: &[f64],
@@ -562,79 +657,82 @@ impl<KS: Kernel, KE: Kernel> Fmm<KS, KE> {
         stage: &mut [f64],
     ) {
         let plan = &self.plan;
-        let nodes = &self.tree.nodes;
-        let (nd_eq, nd_chk) = (plan.nd_eq, plan.nd_chk);
+        let nd_eq = plan.nd_eq;
         for level in 0..plan.levels.len() {
             let lp = &plan.levels[level];
-            let level_nodes = &self.tree.levels[level];
-            let nlev = level_nodes.len();
-            let check = &mut check[..nlev * nd_chk];
-            check.fill(0.0);
-
-            self.m2l_level(lp, up, check, stage);
-
-            // P2L from the X list: direct source evaluation at the
-            // downward check surface
-            par::for_each_row_block(check, nd_chk, &lp.x_rows, 1, |start, view| {
-                let id = lp.x_nodes[start];
-                let ni = id as usize;
-                let h = self.tree.node_half(id);
-                let center = self.tree.node_center(id);
-                let row = view.row(0);
-                SCRATCH.with(|s| {
-                    let s = &mut *s.borrow_mut();
-                    fill_surface(&plan.unit_surf, center, RAD_INNER * h, &mut s.surf);
-                    for &x in &nodes[ni].x_list {
-                        let (a, b) = (
-                            nodes[x as usize].src_range.0 as usize,
-                            nodes[x as usize].src_range.1 as usize,
-                        );
-                        if a == b {
-                            continue;
-                        }
-                        self.src_kernel.eval_block(
-                            &s.surf,
-                            &self.src_pts[a..b],
-                            &data[a * self.sd..b * self.sd],
-                            row,
-                        );
-                    }
-                });
-            });
-
-            // dc2de solve + L2L from the parent, writing dn in place
-            let dstart = plan.level_ofs[level] * nd_eq;
-            let (shallower, rest) = dn.split_at_mut(dstart);
-            let cur = &mut rest[..nlev * nd_eq];
-            let check = &*check;
+            self.level_check(level, data, up, check, stage);
+            let (dc2de, l2l) = stage.split_at_mut(lp.dc2de.len() * nd_eq);
+            lp.dc2de
+                .stage(std::slice::from_ref(&self.ops.dc2de_t), check, dc2de);
+            lp.l2l.stage(&self.ops.l2l_t, dn, l2l);
+            let (dc2de, l2l) = (&*dc2de, &*l2l);
+            let cur = &mut dn[plan.level_ofs[level] * nd_eq..plan.level_ofs[level + 1] * nd_eq];
             par::chunks_mut(cur, nd_eq, |i, equiv| {
-                let ni = level_nodes[i] as usize;
-                if !plan.has_dn[ni] {
-                    equiv.fill(0.0);
-                    return;
-                }
-                if plan.receives[ni] {
-                    self.ops
-                        .dc2de
-                        .matvec_into(&check[i * nd_chk..(i + 1) * nd_chk], equiv);
-                    for v in equiv.iter_mut() {
-                        *v *= lp.scale_inv;
+                match lp.dc2de.staged(i, dc2de, nd_eq) {
+                    Some(solved) => {
+                        for (v, x) in equiv.iter_mut().zip(solved) {
+                            *v = x * lp.scale_inv;
+                        }
                     }
-                } else {
-                    equiv.fill(0.0);
+                    None => equiv.fill(0.0),
                 }
-                let node = &nodes[ni];
-                if node.parent != NONE && plan.has_dn[node.parent as usize] {
-                    let ps = plan.slot[node.parent as usize] as usize;
-                    let oct = node.key.child_index();
-                    self.ops.l2l[oct].matvec_acc(
-                        &shallower[ps * nd_eq..(ps + 1) * nd_eq],
-                        1.0,
-                        equiv,
-                    );
+                if let Some(moved) = lp.l2l.staged(i, l2l, nd_eq) {
+                    for (v, x) in equiv.iter_mut().zip(moved) {
+                        *v += x;
+                    }
                 }
             });
         }
+    }
+
+    /// The downward check values of one level, into the first rows of
+    /// `check` (zeroed first): the level's batched M2L, then P2L from X
+    /// lists.
+    fn level_check(
+        &self,
+        level: usize,
+        data: &[f64],
+        up: &[f64],
+        check: &mut [f64],
+        stage: &mut [f64],
+    ) {
+        let plan = &self.plan;
+        let nodes = &self.tree.nodes;
+        let lp = &plan.levels[level];
+        let nd_chk = plan.nd_chk;
+        let check = &mut check[..self.tree.levels[level].len() * nd_chk];
+        check.fill(0.0);
+
+        self.m2l_level(lp, up, check, stage);
+
+        // P2L from the X list: direct source evaluation at the downward
+        // check surface
+        par::for_each_row_block(check, nd_chk, &lp.x_rows, 1, |start, view| {
+            let id = lp.x_nodes[start];
+            let ni = id as usize;
+            let h = self.tree.node_half(id);
+            let center = self.tree.node_center(id);
+            let row = view.row(0);
+            SCRATCH.with(|s| {
+                let s = &mut *s.borrow_mut();
+                fill_surface(&plan.unit_surf, center, RAD_INNER * h, &mut s.surf);
+                for &x in &nodes[ni].x_list {
+                    let (a, b) = (
+                        nodes[x as usize].src_range.0 as usize,
+                        nodes[x as usize].src_range.1 as usize,
+                    );
+                    if a == b {
+                        continue;
+                    }
+                    self.src_kernel.eval_block(
+                        &s.surf,
+                        &self.src_pts[a..b],
+                        &data[a * self.sd..b * self.sd],
+                        row,
+                    );
+                }
+            });
+        });
     }
 
     /// M2L of one level into its (zeroed) check rows. [`M2L_BATCH`] work
@@ -652,7 +750,7 @@ impl<KS: Kernel, KE: Kernel> Fmm<KS, KE> {
                 .as_ref()
                 .expect("V-list offset outside precomputed M2L set")
         };
-        let slot_len = M2L_BLOCK * nd_chk;
+        let slot_len = BLOCK * nd_chk;
         for batch in lp.items.chunks(M2L_BATCH) {
             par::chunks_mut(&mut stage[..batch.len() * slot_len], slot_len, |k, y| {
                 let it = &batch[k];
@@ -662,7 +760,7 @@ impl<KS: Kernel, KE: Kernel> Fmm<KS, KE> {
                 let b = it.len as usize;
                 SCRATCH.with(|s| {
                     let s = &mut *s.borrow_mut();
-                    s.sblk.resize(M2L_BLOCK * nd_eq, 0.0);
+                    s.sblk.resize(BLOCK * nd_eq, 0.0);
                     // gather source densities as block rows, in the
                     // orbit representative's point and component order
                     let rows = s.sblk.chunks_mut(nd_eq);
@@ -953,21 +1051,47 @@ fn build_plan(tree: &Octree, ops: &FmmOperators) -> EvalPlan {
                 });
             }
 
-            let mut x_rows = Vec::new();
-            let mut x_nodes = Vec::new();
+            // X-list rows and the per-node translations, keyed by level
+            // row (M2M by the child's row in the deeper level)
+            let (mut x_rows, mut x_nodes) = (Vec::new(), Vec::new());
+            let (mut s2m, mut m2m, mut dc2de, mut l2l) =
+                (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+            let deeper_base = level_ofs[level + 1] as u32;
             for (row, &ni) in level_nodes.iter().enumerate() {
-                let node = &nodes[ni as usize];
+                let (r, node) = (row as u32, &nodes[ni as usize]);
                 if node.x_list.iter().any(|&x| nodes[x as usize].nsrc() > 0) {
-                    x_rows.push(row as u32);
+                    x_rows.push(r);
                     x_nodes.push(ni);
                 }
+                if node.is_leaf && has_src[ni as usize] {
+                    s2m.push((0, r, r));
+                }
+                for (o, &c) in node.children.iter().enumerate() {
+                    if c != NONE && has_src[c as usize] {
+                        let cs = slot[c as usize];
+                        m2m.push((o as u8, cs - deeper_base, cs));
+                    }
+                }
+                if receives[ni as usize] {
+                    dc2de.push((0, r, r));
+                }
+                if node.parent != NONE && has_dn[node.parent as usize] {
+                    let oct = node.key.child_index() as u8;
+                    l2l.push((oct, r, slot[node.parent as usize]));
+                }
             }
+            let nlev = level_nodes.len();
+            let n_deeper = tree.levels.get(level + 1).map_or(0, |l| l.len());
 
             LevelPlan {
                 items: m2l_items(&groups),
                 groups,
                 x_rows,
                 x_nodes,
+                s2m: Translation::new(s2m, nlev),
+                m2m: Translation::new(m2m, n_deeper),
+                dc2de: Translation::new(dc2de, nlev),
+                l2l: Translation::new(l2l, nlev),
                 scale_inv: h.powf(-ops.deg),
                 scale_m2l: h.powf(ops.deg),
                 dens_scale,
@@ -983,7 +1107,6 @@ fn build_plan(tree: &Octree, ops: &FmmOperators) -> EvalPlan {
         levels,
         unit_surf: cube_surface(ops.p, Vec3::ZERO, 1.0),
         has_src,
-        receives,
         has_dn,
         max_level_len,
     }
@@ -1275,7 +1398,7 @@ mod tests {
 
         let staged = |fmm: &Fmm<StokesDL, StokesEquiv>, level: usize| {
             let n = fmm.tree.levels[level].len();
-            let mut stage = vec![0.0; M2L_BATCH * M2L_BLOCK * nd_chk];
+            let mut stage = vec![0.0; M2L_BATCH * BLOCK * nd_chk];
             let mut staged = vec![0.0; n * nd_chk];
             fmm.m2l_level(&fmm.plan.levels[level], &up, &mut staged, &mut stage);
             staged
@@ -1357,6 +1480,171 @@ mod tests {
                 );
             });
         }
+    }
+
+    /// `y[j] = Σ_l x[l]·op_t[(l, j)]` summed in `l` order from zero, or
+    /// `y[j] += 1·Σ…` with `acc`: the rounding of the per-node passes'
+    /// matvecs through the untransposed operator (`y = A·x` and
+    /// `y += 1·(A·x)`).
+    fn matvec_seq(op_t: &Mat, x: &[f64], y: &mut [f64], acc: bool) {
+        for (j, yj) in y.iter_mut().enumerate() {
+            let mut sum = 0.0;
+            for (l, xl) in x.iter().enumerate() {
+                sum += op_t[(l, j)] * xl;
+            }
+            *yj = if acc { *yj + 1.0 * sum } else { sum };
+        }
+    }
+
+    /// Per-node oracle of [`Fmm::upward`]: one uc2ue matvec per source
+    /// leaf, scaled, and one M2M matvec per child with sources, added in
+    /// octant order.
+    fn upward_per_node<KS: Kernel, KE: Kernel>(fmm: &Fmm<KS, KE>, data: &[f64]) -> Vec<f64> {
+        let (plan, ops, tree) = (&fmm.plan, &fmm.ops, &fmm.tree);
+        let (nd_eq, nd_chk) = (plan.nd_eq, plan.nd_chk);
+        let mut up = vec![0.0; plan.level_ofs[plan.levels.len()] * nd_eq];
+        for level in (0..plan.levels.len()).rev() {
+            for &id in &tree.levels[level] {
+                let (ni, node) = (id as usize, &tree.nodes[id as usize]);
+                if !plan.has_src[ni] {
+                    continue;
+                }
+                let mut equiv = vec![0.0; nd_eq];
+                if node.is_leaf {
+                    let (a, b) = (node.src_range.0 as usize, node.src_range.1 as usize);
+                    let surf =
+                        cube_surface(ops.p, tree.node_center(id), RAD_OUTER * tree.node_half(id));
+                    let mut check = vec![0.0; nd_chk];
+                    let (pts, dat) = (&fmm.src_pts[a..b], &data[a * fmm.sd..b * fmm.sd]);
+                    fmm.src_kernel.eval_block(&surf, pts, dat, &mut check);
+                    matvec_seq(&ops.uc2ue_t, &check, &mut equiv, false);
+                    for v in equiv.iter_mut() {
+                        *v *= plan.levels[level].scale_inv;
+                    }
+                } else {
+                    for (o, &c) in node.children.iter().enumerate() {
+                        if c != NONE && plan.has_src[c as usize] {
+                            let cs = plan.slot[c as usize] as usize * nd_eq;
+                            matvec_seq(&ops.m2m_t[o], &up[cs..cs + nd_eq], &mut equiv, true);
+                        }
+                    }
+                }
+                let s = plan.slot[ni] as usize * nd_eq;
+                up[s..s + nd_eq].copy_from_slice(&equiv);
+            }
+        }
+        up
+    }
+
+    /// Per-node oracle of [`Fmm::downward`]: one dc2de matvec per
+    /// receiving node, scaled, plus one L2L matvec from a parent with a
+    /// downward equivalent.
+    fn downward_per_node<KS: Kernel, KE: Kernel>(
+        fmm: &Fmm<KS, KE>,
+        data: &[f64],
+        up: &[f64],
+    ) -> Vec<f64> {
+        let (plan, ops, tree) = (&fmm.plan, &fmm.ops, &fmm.tree);
+        let (nd_eq, nd_chk) = (plan.nd_eq, plan.nd_chk);
+        let mut dn = vec![0.0; plan.level_ofs[plan.levels.len()] * nd_eq];
+        let mut check = vec![0.0; plan.max_level_len * nd_chk];
+        let mut stage = vec![0.0; fmm.arenas.lock().stage.len()];
+        let receives = |node: &octree::Node| {
+            node.v_list.iter().any(|&v| plan.has_src[v as usize])
+                || node
+                    .x_list
+                    .iter()
+                    .any(|&x| tree.nodes[x as usize].nsrc() > 0)
+        };
+        for level in 0..plan.levels.len() {
+            fmm.level_check(level, data, up, &mut check, &mut stage);
+            for (i, &id) in tree.levels[level].iter().enumerate() {
+                let (ni, node) = (id as usize, &tree.nodes[id as usize]);
+                if !plan.has_dn[ni] {
+                    continue;
+                }
+                let mut equiv = vec![0.0; nd_eq];
+                if receives(node) {
+                    let row = &check[i * nd_chk..(i + 1) * nd_chk];
+                    matvec_seq(&ops.dc2de_t, row, &mut equiv, false);
+                    for v in equiv.iter_mut() {
+                        *v *= plan.levels[level].scale_inv;
+                    }
+                }
+                if node.parent != NONE && plan.has_dn[node.parent as usize] {
+                    let ps = plan.slot[node.parent as usize] as usize * nd_eq;
+                    let l2l = &ops.l2l_t[node.key.child_index()];
+                    matvec_seq(l2l, &dn[ps..ps + nd_eq], &mut equiv, true);
+                }
+                let s = plan.slot[ni] as usize * nd_eq;
+                dn[s..s + nd_eq].copy_from_slice(&equiv);
+            }
+        }
+        dn
+    }
+
+    /// The level-wide translation GEMMs give the `up` and `dn` arenas of
+    /// the per-node passes bit for bit, on 1, 2 and 4 threads, on an
+    /// adaptive tree: leaves on several levels, parents with empty or
+    /// source-free octants, nodes that take L2L without receiving and
+    /// nodes with no downward equivalent at all.
+    #[test]
+    fn batched_translations_match_per_node_passes_bitwise() {
+        fn check<KS: Kernel, KE: Kernel>(fmm: Fmm<KS, KE>, dens: &[f64]) {
+            let (plan, tree) = (&fmm.plan, &fmm.tree);
+            let leaf_levels: std::collections::BTreeSet<u32> = (tree.nodes.iter())
+                .filter(|n| n.is_leaf && n.nsrc() > 0)
+                .map(|n| n.key.level)
+                .collect();
+            assert!(leaf_levels.len() >= 3, "leaf levels {leaf_levels:?}");
+            let partial = tree.nodes.iter().enumerate().any(|(ni, n)| {
+                !n.is_leaf
+                    && plan.has_src[ni]
+                    && n.children
+                        .iter()
+                        .any(|&c| c == NONE || !plan.has_src[c as usize])
+            });
+            assert!(partial, "no parent with an empty or source-free octant");
+            let levels = plan.levels.iter();
+            assert!(levels.clone().any(|lp| lp.l2l.len() > lp.dc2de.len()));
+            assert!(plan.has_dn.iter().any(|&d| !d));
+            assert!(levels.map(|lp| lp.m2m.bands.len()).sum::<usize>() >= 8);
+
+            let reference = fmm.evaluate(dens);
+            let data = fmm.arenas.lock().data.clone();
+            let up = upward_per_node(&fmm, &data);
+            let dn = downward_per_node(&fmm, &data, &up);
+            for threads in [1, 2, 4] {
+                par::with_override(threads, || {
+                    assert_eq!(bits(&fmm.evaluate(dens)), bits(&reference));
+                    let ar = fmm.arenas.lock();
+                    assert_eq!(bits(&ar.up), bits(&up), "up, {threads} threads");
+                    assert_eq!(bits(&ar.dn), bits(&dn), "dn, {threads} threads");
+                });
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut src = cloud(&mut rng, 500, 0.03, Vec3::new(0.6, 0.6, 0.6));
+        src.extend(cloud(&mut rng, 500, 0.03, Vec3::new(-0.6, -0.5, -0.6)));
+        src.extend(cloud(&mut rng, 400, 1.0, Vec3::ZERO));
+        let trg = cloud(&mut rng, 300, 1.0, Vec3::ZERO);
+        let opts = FmmOptions {
+            order: 4,
+            leaf_capacity: 30,
+            max_depth: 10,
+        };
+        let q: Vec<f64> = (0..src.len())
+            .map(|_| rng.random_range(-1.0..1.0))
+            .collect();
+        check(Fmm::new(LaplaceSL, LaplaceSL, &src, &trg, opts), &q);
+        let mut dl = Vec::with_capacity(src.len() * 6);
+        for p in &src {
+            dl.extend((0..3).map(|_| rng.random_range(-1.0..1.0)));
+            let n = (*p + Vec3::new(0.1, 0.2, 0.3)).normalized();
+            dl.extend([n.x, n.y, n.z]);
+        }
+        let fmm = Fmm::new(StokesDL, StokesEquiv { mu: 1.0 }, &src, &trg, opts);
+        check(fmm, &dl);
     }
 
     #[test]

@@ -6,12 +6,17 @@
 //! kernels. A process-wide cache keeps them across FMM instances — the
 //! octree changes every time step of a simulation, the operators never do.
 //!
+//! Every matrix is stored once, **transposed** (`_t`: input length × output
+//! length), the orientation the evaluation's level-wide GEMMs read: a
+//! block of input rows (check values or equivalent densities, one node per
+//! row) times the transposed operator gives the block of output rows.
+//!
 //! Contents:
-//! - `uc2ue`: pseudo-inverse mapping upward-check values to upward
+//! - `uc2ue_t`: pseudo-inverse mapping upward-check values to upward
 //!   equivalent densities (regularized SVD, the ill-conditioned first-kind
 //!   solve at the heart of KIFMM);
-//! - `dc2de`: the downward counterpart;
-//! - `m2m[o]`/`l2l[o]`: per-octant composed translation matrices
+//! - `dc2de_t`: the downward counterpart;
+//! - `m2m_t[o]`/`l2l_t[o]`: per-octant composed translation matrices
 //!   (scale-invariant, so one set serves all levels);
 //! - `m2l_orbits_t[o]`: one dense check-value translation matrix per
 //!   *orbit* of the 316 well-separated same-level offsets under the 48
@@ -198,14 +203,18 @@ pub struct FmmOperators {
     pub n_surf: usize,
     /// Homogeneity degree of the equivalent kernel.
     pub deg: f64,
-    /// Upward check values → upward equivalent density (unit scale).
-    pub uc2ue: Mat,
-    /// Downward check values → downward equivalent density (unit scale).
-    pub dc2de: Mat,
-    /// Composed child-equivalent → parent-equivalent, per child octant.
-    pub m2m: Vec<Mat>,
-    /// Composed parent-equivalent → child-equivalent, per child octant.
-    pub l2l: Vec<Mat>,
+    /// Upward check values → upward equivalent density (unit scale),
+    /// transposed (`nd_chk × nd_eq`).
+    pub uc2ue_t: Mat,
+    /// Downward check values → downward equivalent density (unit scale),
+    /// transposed (`nd_chk × nd_eq`).
+    pub dc2de_t: Mat,
+    /// Composed child-equivalent → parent-equivalent, per child octant,
+    /// transposed (`nd_eq × nd_eq`).
+    pub m2m_t: Vec<Mat>,
+    /// Composed parent-equivalent → child-equivalent, per child octant,
+    /// transposed (`nd_eq × nd_eq`).
+    pub l2l_t: Vec<Mat>,
     /// **Transposed** source-equivalent → target-check translation
     /// operators of the [`M2L_ORBITS`] orbit representatives. Stored
     /// transposed (`nd_eq × nd_chk`) so the batched level-wise M2L pass can
@@ -326,18 +335,18 @@ impl FmmOperators {
         // composed M2M / L2L per octant; both are invariant under global
         // rescaling (kernel factor s^deg in K cancels s^{-deg} in the
         // pseudo-inverse), so one set serves every level.
-        let m2m: Vec<Mat> = par::map_indexed(8, |o| {
+        let m2m_t: Vec<Mat> = par::map_indexed(8, |o| {
             let cc = child_center(o);
             let ceq = cube_surface(p, cc, RAD_INNER * child_scale);
             let k = kernel_matrix_scaled(eq_kernel, &ceq, &uc, child_scale);
-            uc2ue.matmul(&k)
+            uc2ue.matmul(&k).transpose()
         });
-        let l2l: Vec<Mat> = par::map_indexed(8, |o| {
+        let l2l_t: Vec<Mat> = par::map_indexed(8, |o| {
             let cc = child_center(o);
             let cchk = cube_surface(p, cc, RAD_INNER * child_scale);
             let k = kernel_matrix(eq_kernel, de, &cchk);
             // compose with the child's own pseudo-inverse at half scale
-            child_dc2de[o].matmul(&k)
+            child_dc2de[o].matmul(&k).transpose()
         });
 
         // M2L: same-level boxes with center offsets 2·(dx,dy,dz),
@@ -361,10 +370,10 @@ impl FmmOperators {
             vdim,
             n_surf,
             deg,
-            uc2ue,
-            dc2de,
-            m2m,
-            l2l,
+            uc2ue_t: uc2ue.transpose(),
+            dc2de_t: dc2de.transpose(),
+            m2m_t,
+            l2l_t,
             m2l_orbits_t,
             m2l_classes,
             scale_exps: eq_kernel.src_scale_exponents(),
@@ -479,10 +488,10 @@ mod tests {
     /// Bytes held by an operator set: every matrix and every M2L class
     /// table.
     fn bytes(ops: &FmmOperators) -> usize {
-        let mats = [&ops.uc2ue, &ops.dc2de]
+        let mats = [&ops.uc2ue_t, &ops.dc2de_t]
             .into_iter()
-            .chain(&ops.m2m)
-            .chain(&ops.l2l)
+            .chain(&ops.m2m_t)
+            .chain(&ops.l2l_t)
             .chain(&ops.m2l_orbits_t);
         let tables = ops.m2l_classes.iter().flatten();
         mats.map(|m| m.data().len() * 8).sum::<usize>()
@@ -530,7 +539,7 @@ mod tests {
         let uc = cube_surface(p, Vec3::ZERO, RAD_OUTER);
         let mut check = vec![0.0; uc.len()];
         direct_eval_serial(&kernel, &srcs, &data, &uc, &mut check);
-        let equiv = ops.uc2ue.matvec(&check);
+        let equiv = ops.uc2ue_t.matvec_t(&check);
         // far targets (outside 3h): equivalent field must match the true
         // field to ~1e-6 of the cancellation-free field scale Σ|q| / 4πr.
         // (Normalizing by the signed field value is hostage to random
@@ -577,7 +586,7 @@ mod tests {
         let uc = cube_surface(p, Vec3::ZERO, RAD_OUTER);
         let mut check = vec![0.0; uc.len() * 3];
         direct_eval_serial(&kernel, &srcs, &data, &uc, &mut check);
-        let equiv = ops.uc2ue.matvec(&check);
+        let equiv = ops.uc2ue_t.matvec_t(&check);
         let ue = cube_surface(p, Vec3::ZERO, RAD_INNER);
         let trg = vec![Vec3::new(4.0, 2.0, -3.0)];
         let mut truth = vec![0.0; 3];
@@ -613,13 +622,13 @@ mod tests {
         // child pinv = unit pinv scaled by (1/2)^{-deg} = 2^{deg}... apply
         // via the scale rule D = h^{-deg} · pinv_unit · V with h = 0.5
         let child_equiv = {
-            let mut d = ops.uc2ue.matvec(&check);
+            let mut d = ops.uc2ue_t.matvec_t(&check);
             let s = 0.5_f64.powf(-ops.deg);
             d.iter_mut().for_each(|v| *v *= s);
             d
         };
         // M2M to parent
-        let parent_equiv = ops.m2m[octant].matvec(&child_equiv);
+        let parent_equiv = ops.m2m_t[octant].matvec_t(&child_equiv);
         // compare far fields
         let ue = cube_surface(p, Vec3::ZERO, RAD_INNER);
         let trg = vec![Vec3::new(0.0, 7.0, 0.0)];

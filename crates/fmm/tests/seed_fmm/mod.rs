@@ -154,7 +154,7 @@ impl<KS: Kernel, KE: Kernel> SeedFmm<KS, KE> {
                                 }
                             }
                             let scale = h.powf(-deg);
-                            let mut d = self.ops.uc2ue.matvec(&check);
+                            let mut d = self.ops.uc2ue_t.matvec_t(&check);
                             d.iter_mut().for_each(|v| *v *= scale);
                             equiv = d;
                         }
@@ -162,7 +162,11 @@ impl<KS: Kernel, KE: Kernel> SeedFmm<KS, KE> {
                         // M2M from children (already computed: deeper level)
                         for (o, &c) in node.children.iter().enumerate() {
                             if c != NONE && !up_equiv[c as usize].is_empty() {
-                                self.ops.m2m[o].matvec_acc(&up_equiv[c as usize], 1.0, &mut equiv);
+                                linalg::axpy(
+                                    1.0,
+                                    &self.ops.m2m_t[o].matvec_t(&up_equiv[c as usize]),
+                                    &mut equiv,
+                                );
                             }
                         }
                     }
@@ -206,7 +210,7 @@ impl<KS: Kernel, KE: Kernel> SeedFmm<KS, KE> {
                                 .m2l
                                 .get(&off)
                                 .expect("V-list offset outside precomputed M2L set");
-                            m.matvec_acc(src_equiv, kscale, &mut check);
+                            linalg::axpy(kscale, &m.matvec(src_equiv), &mut check);
                             any = true;
                         }
                     }
@@ -239,7 +243,7 @@ impl<KS: Kernel, KE: Kernel> SeedFmm<KS, KE> {
 
                     let mut equiv = if any {
                         let scale = h.powf(-deg);
-                        let mut d = self.ops.dc2de.matvec(&check);
+                        let mut d = self.ops.dc2de_t.matvec_t(&check);
                         d.iter_mut().for_each(|v| *v *= scale);
                         d
                     } else {
@@ -254,7 +258,7 @@ impl<KS: Kernel, KE: Kernel> SeedFmm<KS, KE> {
                                 equiv = vec![0.0; nd_eq];
                             }
                             let oct = node.key.child_index();
-                            self.ops.l2l[oct].matvec_acc(pd, 1.0, &mut equiv);
+                            linalg::axpy(1.0, &self.ops.l2l_t[oct].matvec_t(pd), &mut equiv);
                         }
                     }
                     (ni, equiv)

@@ -126,20 +126,6 @@ impl Mat {
         }
     }
 
-    /// Accumulating matrix–vector product `y += alpha * A x`.
-    pub fn matvec_acc(&self, x: &[f64], alpha: f64, y: &mut [f64]) {
-        assert_eq!(x.len(), self.cols);
-        assert_eq!(y.len(), self.rows);
-        for (i, yi) in y.iter_mut().enumerate() {
-            let row = self.row(i);
-            let mut acc = 0.0;
-            for (a, b) in row.iter().zip(x.iter()) {
-                acc += a * b;
-            }
-            *yi += alpha * acc;
-        }
-    }
-
     /// Transposed matrix–vector product `y = Aᵀ x`.
     pub fn matvec_t(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.rows, "matvec_t: dimension mismatch");
@@ -222,12 +208,30 @@ impl IndexMut<(usize, usize)> for Mat {
 
 /// Row-major GEMM on raw buffers: `C[m×n] += alpha · A[m×k] · B[k×n]`.
 ///
-/// Register-tiled microkernel: `MR × NR` accumulator blocks (4 rows × 24
-/// columns = 12 SIMD vectors at AVX-512 width) held across the full `k`
-/// loop, with edge cleanup in plain axpy form. This is the workhorse
-/// behind [`Mat::matmul`] and the FMM's batched M2L
-/// dispatch, where `A` is a block of gathered equivalent densities and `B`
-/// a translation operator.
+/// Register-tiled: the main band — the first `m − m % 4` rows and the
+/// first `n − n % 8` columns — runs in tiles whose accumulators are held
+/// across the full `k` loop, in 24-wide column strips and then 8-wide
+/// ones. The rest (the right `n % 8` columns of the band, the bottom
+/// `m % 4` rows at full width) runs in plain axpy form. This is the
+/// workhorse behind [`Mat::matmul`] and every FMM translation, where `A`
+/// is a block of gathered densities or check values and `B` a transposed
+/// operator.
+///
+/// **Bit contract.** Every output element takes one of two rounding
+/// sequences, chosen by its position alone, never by the tile shape, the
+/// loop order or the build:
+/// - a *tile* element: `acc = 0; acc += A[i,l]·B[l,j]` for `l = 0..k` in
+///   order, then `C[i,j] += alpha·acc`;
+/// - an *edge* element: `C[i,j] += (alpha·A[i,l])·B[l,j]` for `l = 0..k`
+///   in order, skipping the `l` whose `alpha·A[i,l]` is zero.
+///
+/// Each product and each sum is rounded on its own (no FMA). So with
+/// `alpha = 1` into a zeroed `C` and a finite `B`, both sequences give
+/// every element the sequential dot `Σ_l A[i,l]·B[l,j]` bit for bit, and
+/// splitting the rows of such a product into bands of any sizes changes
+/// no bit. On AVX-512 builds the band runs an explicit microkernel (8×24
+/// and 4×24 tiles, then 8×8 and 4×8), elsewhere 4×24 and 4×8 tiles as
+/// portable loops; the two give the same bits.
 ///
 /// # Panics
 /// Panics if a buffer is smaller than its `m`/`n`/`k` shape implies.
@@ -238,31 +242,127 @@ pub fn gemm_acc(m: usize, n: usize, k: usize, alpha: f64, a: &[f64], b: &[f64], 
     if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
         return;
     }
-    const MR: usize = 4;
-    let m_main = m - m % MR;
-    // j-outer ordering: one k×NR strip of B stays cache-resident while
-    // every row block of A streams against it. 24-wide tiles first, then
-    // 8-wide tiles for the remainder, then a scalar-ish edge.
-    let mut j0 = 0;
-    while j0 + 24 <= n {
-        gemm_tile::<MR, 24>(m_main, j0, n, k, alpha, a, b, c);
-        j0 += 24;
+    let m_main = m - m % 4;
+    let n_main = n - n % 8;
+    // j-outer ordering: one k×W strip of B stays cache-resident while
+    // every row block of A streams against it.
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+    // SAFETY: the asserts above bound every tile inside A, B and C.
+    unsafe {
+        avx512::band(m_main, n, k, alpha, a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
     }
-    while j0 + 8 <= n {
-        gemm_tile::<MR, 8>(m_main, j0, n, k, alpha, a, b, c);
-        j0 += 8;
+    #[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
+    {
+        let mut j0 = 0;
+        while j0 + 24 <= n {
+            gemm_tile::<4, 24>(m_main, j0, n, k, alpha, a, b, c);
+            j0 += 24;
+        }
+        while j0 + 8 <= n {
+            gemm_tile::<4, 8>(m_main, j0, n, k, alpha, a, b, c);
+            j0 += 8;
+        }
     }
     // right edge (n % 8 columns) for the main row band
-    if j0 < n {
-        gemm_edge(0..m_main, j0, n, k, alpha, a, b, c);
+    if n_main < n {
+        gemm_edge(0..m_main, n_main, n, k, alpha, a, b, c);
     }
-    // bottom edge (m % MR rows), full width
+    // bottom edge (m % 4 rows), full width
     if m_main < m {
         gemm_edge(m_main..m, 0, n, k, alpha, a, b, c);
     }
 }
 
-/// One `MR × W` register-tiled column strip of [`gemm_acc`].
+/// The explicit AVX-512 microkernel of [`gemm_acc`]'s main band: each
+/// accumulator a 512-bit register, `_mm512_mul_pd` then `_mm512_add_pd`
+/// (never FMA), so every tile element rounds exactly as the portable
+/// loops' `acc += a·b` and `c += alpha·acc`.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+mod avx512 {
+    use std::arch::x86_64::*;
+
+    /// Every tile of the `m_main × (n − n % 8)` band: 24-wide column
+    /// strips then 8-wide ones, each as 8-row tiles plus one 4-row tile
+    /// when `m_main % 8 = 4`.
+    ///
+    /// # Safety
+    /// `a`, `b`, `c` must hold `m_main·k`, `k·n` and `m_main·n` elements,
+    /// and `m_main` must be a multiple of 4.
+    #[inline]
+    pub(super) unsafe fn band(
+        m_main: usize,
+        n: usize,
+        k: usize,
+        alpha: f64,
+        a: *const f64,
+        b: *const f64,
+        c: *mut f64,
+    ) {
+        let m8 = m_main - m_main % 8;
+        let mut j0 = 0;
+        while j0 + 24 <= n {
+            for i0 in (0..m8).step_by(8) {
+                tile::<8, 3>(i0, j0, n, k, alpha, a, b, c);
+            }
+            if m8 < m_main {
+                tile::<4, 3>(m8, j0, n, k, alpha, a, b, c);
+            }
+            j0 += 24;
+        }
+        while j0 + 8 <= n {
+            for i0 in (0..m8).step_by(8) {
+                tile::<8, 1>(i0, j0, n, k, alpha, a, b, c);
+            }
+            if m8 < m_main {
+                tile::<4, 1>(m8, j0, n, k, alpha, a, b, c);
+            }
+            j0 += 8;
+        }
+    }
+
+    /// One `MR × 8·NV` tile at rows `i0..`, columns `j0..`: `MR · NV`
+    /// accumulator registers held across the `k` loop (24 for 8×24).
+    ///
+    /// # Safety
+    /// The tile must lie inside `A` (`·×k`), `B` (`k×n`) and `C` (`·×n`).
+    #[allow(clippy::too_many_arguments)] // BLAS-shaped signature
+    #[inline(always)]
+    unsafe fn tile<const MR: usize, const NV: usize>(
+        i0: usize,
+        j0: usize,
+        n: usize,
+        k: usize,
+        alpha: f64,
+        a: *const f64,
+        b: *const f64,
+        c: *mut f64,
+    ) {
+        let mut acc = [[_mm512_setzero_pd(); NV]; MR];
+        let a0 = a.add(i0 * k);
+        for kk in 0..k {
+            let bp = b.add(kk * n + j0);
+            let bv: [__m512d; NV] = std::array::from_fn(|v| _mm512_loadu_pd(bp.add(8 * v)));
+            for (i, acci) in acc.iter_mut().enumerate() {
+                let ai = _mm512_set1_pd(*a0.add(i * k + kk));
+                for (accv, &bv) in acci.iter_mut().zip(&bv) {
+                    *accv = _mm512_add_pd(*accv, _mm512_mul_pd(ai, bv));
+                }
+            }
+        }
+        let al = _mm512_set1_pd(alpha);
+        for (i, acci) in acc.iter().enumerate() {
+            let cp = c.add((i0 + i) * n + j0);
+            for (v, &accv) in acci.iter().enumerate() {
+                let cv = _mm512_loadu_pd(cp.add(8 * v));
+                _mm512_storeu_pd(cp.add(8 * v), _mm512_add_pd(cv, _mm512_mul_pd(al, accv)));
+            }
+        }
+    }
+}
+
+/// One `MR × W` register-tiled column strip of [`gemm_acc`]'s portable
+/// main band.
+#[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
 #[allow(clippy::too_many_arguments)] // BLAS-shaped signature
 #[inline]
 fn gemm_tile<const MR: usize, const W: usize>(
@@ -469,12 +569,113 @@ mod tests {
         }
     }
 
+    /// [`gemm_acc`]'s bit contract stated as plain scalar loops: a tile
+    /// element of the main band sums `A·B` into its own accumulator and
+    /// adds `alpha` times that; an edge element adds `(alpha·A)·B` term by
+    /// term, zero terms skipped.
+    fn gemm_tile_edge_reference(
+        (m, n, k): (usize, usize, usize),
+        alpha: f64,
+        a: &[f64],
+        b: &[f64],
+        c: &mut [f64],
+    ) {
+        let (m_main, n_main) = (m - m % 4, n - n % 8);
+        for i in 0..m {
+            for j in 0..n {
+                let cij = &mut c[i * n + j];
+                if i < m_main && j < n_main {
+                    let mut acc = 0.0;
+                    for l in 0..k {
+                        acc += a[i * k + l] * b[l * n + j];
+                    }
+                    *cij += alpha * acc;
+                } else {
+                    for l in 0..k {
+                        let ail = alpha * a[i * k + l];
+                        if ail != 0.0 {
+                            *cij += ail * b[l * n + j];
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// An `m × k` block with `0.0` and `−0.0` entries among its values.
+    fn signed_zero_block(m: usize, k: usize) -> Vec<f64> {
+        (0..m * k)
+            .map(|e| match e % 11 {
+                0 => 0.0,
+                5 => -0.0,
+                _ => (e as f64 * 0.37).sin(),
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every shape of the grid — row counts on and off the 4- and 8-row
+    /// tiles, column counts on and off the 8- and 24-wide strips, the FMM
+    /// translation depths — into a pre-filled `C` with `alpha` 1 and 0.37
+    /// gives the bits of the scalar tile/edge reference, on this build's
+    /// microkernel.
     #[test]
-    fn matvec_acc_accumulates() {
-        let a = Mat::identity(3);
-        let x = vec![1.0, 2.0, 3.0];
-        let mut y = vec![1.0; 3];
-        a.matvec_acc(&x, 2.0, &mut y);
-        assert_eq!(y, vec![3.0, 5.0, 7.0]);
+    fn gemm_acc_is_the_tile_edge_split_bitwise() {
+        let ms = (1..=13).chain([64]);
+        for m in ms {
+            for n in [1, 7, 8, 9, 23, 24, 25, 56, 168, 224] {
+                for k in [1, 5, 168, 224] {
+                    let a = signed_zero_block(m, k);
+                    let b: Vec<f64> = (0..k * n).map(|e| (e as f64 * 0.11).cos()).collect();
+                    let c0: Vec<f64> = (0..m * n).map(|e| (e as f64 * 0.7).sin() * 3.0).collect();
+                    for alpha in [1.0, 0.37] {
+                        let (mut got, mut want) = (c0.clone(), c0.clone());
+                        gemm_acc(m, n, k, alpha, &a, &b, &mut got);
+                        gemm_tile_edge_reference((m, n, k), alpha, &a, &b, &mut want);
+                        assert_eq!(bits(&got), bits(&want), "m {m} n {n} k {k} alpha {alpha}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// With `alpha = 1` into a zeroed `C`, any split of the rows into
+    /// bands — so any mix of tile rows and edge rows — gives the same bits
+    /// as the whole product and as the sequential dot of each row: the
+    /// property the FMM's batched translations rely on.
+    #[test]
+    fn unit_alpha_products_are_row_band_invariant_bitwise() {
+        let (m, k) = (29, 224);
+        for n in [7, 56, 168, 224] {
+            let a = signed_zero_block(m, k);
+            let b: Vec<f64> = (0..k * n)
+                .map(|e| (e as f64 * 0.013).cos() * 1e-2)
+                .collect();
+            let mut whole = vec![0.0; m * n];
+            gemm_acc(m, n, k, 1.0, &a, &b, &mut whole);
+            let bt = Mat::from_vec(k, n, b.clone()).transpose();
+            for i in 0..m {
+                let dot = bt.matvec(&a[i * k..(i + 1) * k]);
+                assert_eq!(
+                    bits(&whole[i * n..(i + 1) * n]),
+                    bits(&dot),
+                    "n {n} row {i}"
+                );
+            }
+            for bands in [&[1, 3, 4, 5, 8, 8][..], &[2, 9, 13, 5], &[12, 17], &[29]] {
+                assert_eq!(bands.iter().sum::<usize>(), m);
+                let mut split = vec![0.0; m * n];
+                let mut i0 = 0;
+                for &rows in bands {
+                    let (ab, cb) = (&a[i0 * k..], &mut split[i0 * n..]);
+                    gemm_acc(rows, n, k, 1.0, ab, &b, cb);
+                    i0 += rows;
+                }
+                assert_eq!(bits(&split), bits(&whole), "n {n} bands {bands:?}");
+            }
+        }
     }
 }

@@ -71,11 +71,14 @@ echo "== fmm oracles (fmm/tests: seed agreement vs the seed engine's 316 per-off
 cargo test --release -q -p fmm --test seed_agreement
 cargo test --release -q -p fmm --test persistent evaluation_bits_are_pinned
 
-echo "== portable kernels (x86-64-v3: no AVX-512 Stokes bodies, the committed portable bit pin)"
+echo "== portable kernels (x86-64-v3: no AVX-512 Stokes bodies or gemm microkernel, the committed portable bit pin)"
 # RUSTFLAGS replaces .cargo/config.toml's target-cpu=native, so on an
-# AVX-512 host this still builds and checks the loops every other CPU runs;
-# its own target directory keeps the native build's artifacts intact
+# AVX-512 host this still builds and checks the loops every other CPU runs
+# (the kernels' pair loops, linalg's portable gemm tiles against the
+# tile/edge bit pin); its own target directory keeps the native build's
+# artifacts intact
 PORTABLE=(env RUSTFLAGS="-C target-cpu=x86-64-v3" cargo test --release -q --target-dir target/portable)
+"${PORTABLE[@]}" -p linalg
 "${PORTABLE[@]}" -p kernels
 "${PORTABLE[@]}" -p fmm --test persistent evaluation_bits_are_pinned
 "${PORTABLE[@]}" -p fmm --test seed_agreement
