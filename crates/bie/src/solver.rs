@@ -3,22 +3,26 @@
 //! check-point extrapolation, solved matrix-free with GMRES.
 //!
 //! The dense operator is never assembled (§3): each GMRES iteration
-//! upsamples the density to the fine discretization, evaluates the layer
-//! potential at all check points (FMM or direct summation), and
-//! extrapolates back to the on-surface targets. Because the check points
-//! lie on the *fluid* side of Γ, the extrapolated value is the interior
-//! limit, which already contains the `+φ/2` jump — so the discrete operator
-//! is exactly the left-hand side of Eq. (2.5)/(3.5).
+//! upsamples the density to the fine discretization and extrapolates the
+//! layer potential at the check points of every node back to the node.
+//! The FMM backend evaluates it at all check points and then extrapolates;
+//! the dense backend runs one fused kernel per node
+//! ([`LayerKernel::eval_lines`]) that sums the extrapolated value directly
+//! and never forms a check-point value. Because the check points lie on
+//! the *fluid* side of Γ, the extrapolated value is the interior limit,
+//! which already contains the `+φ/2` jump — so the discrete operator is
+//! exactly the left-hand side of Eq. (2.5)/(3.5).
 
 use crate::closest::{ClosestHit, NearIndex};
 use crate::fine::FineDiscretization;
 use fmm::{Fmm, FmmOptions};
-use kernels::{direct_eval, Kernel, LaplaceDL, StokesDL};
+use kernels::{direct_eval, CheckLines, Kernel, LaplaceDL, StokesDL};
 use linalg::{axpy, gmres, GmresOptions, GmresResult, Interp1d, LinearOperator, Vec3};
 use parking_lot::Mutex;
 use patch::{BoundarySurface, SurfaceQuad};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
+use std::time::Instant;
 
 /// A double-layer kernel usable by the Nyström solver: packs a density
 /// value, surface normal and quadrature weight into FMM source data.
@@ -28,6 +32,12 @@ pub trait LayerKernel: Kernel + Clone + Sync + Send {
     /// Packs `weight · density` and the normal into the kernel's source
     /// data layout (`src_dim` entries).
     fn pack(&self, density: &[f64], normal: Vec3, weight: f64, out: &mut [f64]);
+    /// Accumulates into `out` (`value_dim` per line) the layer potential
+    /// of the packed sources at each line's check points, combined by the
+    /// line's weights: [`kernels::direct_eval`] at `lines.points()`
+    /// followed by `lines.combine`, fused so that no check-point value is
+    /// formed (the dense matvec and the near targets of `eval_at`).
+    fn eval_lines(&self, lines: &CheckLines, srcs: &[Vec3], data: &[f64], out: &mut [f64]);
 }
 
 impl LayerKernel for StokesDL {
@@ -42,6 +52,9 @@ impl LayerKernel for StokesDL {
         out[4] = normal.y;
         out[5] = normal.z;
     }
+    fn eval_lines(&self, lines: &CheckLines, srcs: &[Vec3], data: &[f64], out: &mut [f64]) {
+        kernels::stresslet_lines_block(lines, srcs, data, out);
+    }
 }
 
 impl LayerKernel for LaplaceDL {
@@ -54,11 +67,14 @@ impl LayerKernel for LaplaceDL {
         out[2] = normal.y;
         out[3] = normal.z;
     }
+    fn eval_lines(&self, lines: &CheckLines, srcs: &[Vec3], data: &[f64], out: &mut [f64]) {
+        kernels::laplace_dl_lines_block(lines, srcs, data, out);
+    }
 }
 
-/// Which engine evaluates the fine-source → check-point layer potential —
-/// the matvec inside every GMRES iteration, and the far-field part of
-/// [`DoubleLayerSolver::eval_at`].
+/// Which engine evaluates the fine-source layer potential at the check
+/// points — the matvec inside every GMRES iteration — and at the targets
+/// of [`DoubleLayerSolver::eval_at`].
 ///
 /// The dense path is O(N_fine · N_check); both factors grow linearly with
 /// the patch count `P`, so its cost is O(P²) and wall refinement
@@ -71,7 +87,9 @@ pub enum MatvecBackend {
     /// Choose by patch count: FMM from
     /// [`MatvecBackend::FMM_CROSSOVER_PATCHES`] patches up, dense below.
     Auto,
-    /// Direct summation through the vectorized [`kernels::direct_eval`].
+    /// Direct summation: the fused check-line kernel
+    /// [`LayerKernel::eval_lines`] at the nodes and near targets,
+    /// [`kernels::direct_eval`] at far targets.
     Dense,
     /// The kernel-independent [`fmm::Fmm`].
     Fmm,
@@ -81,13 +99,15 @@ impl MatvecBackend {
     /// Patch count from which `Auto` routes the GMRES matvec through the
     /// FMM. The per-matvec crossover on the registry-scale capsule tube is
     /// tabulated in `crates/bie/README.md` ("Matvec backends & when FMM
-    /// wins"): with the FMM's translations run as level-wide GEMMs, dense
-    /// and FMM tie between 22 and 88 patches (0.07 s dense against 0.09 s
-    /// FMM at 22, 0.9–1.1 s against 0.57 s at 88, per matvec on one
-    /// thread; about 40 patches by interpolation). The constant stays at
-    /// 128 so the unrefined registry vessels (14–96 patches) stay dense
-    /// (and bit-identical to the pre-backend code); every refined vessel
-    /// (≥ 4× the patches per level) goes FMM.
+    /// wins"): with the dense matvec on the fused check-line kernel and the
+    /// FMM's translations run as level-wide GEMMs, dense and FMM tie
+    /// between 22 and 88 patches (0.03 s dense against 0.08 s FMM at 22,
+    /// 0.5–0.75 s against 0.38 s at 88, per matvec on one thread; about
+    /// 50–60 patches by interpolation). The constant stays at 128: no
+    /// benchmark workload has an unrefined wall between 40 and 128
+    /// patches to measure a move on, the unrefined registry vessels
+    /// (14–96 patches) stay dense, and every refined vessel (≥ 4× the
+    /// patches per level) goes FMM.
     pub const FMM_CROSSOVER_PATCHES: usize = 128;
 
     /// Resolves the backend choice for a surface with `num_patches`
@@ -147,14 +167,13 @@ impl Default for BieOptions {
 }
 
 /// Scratch buffers recycled across GMRES matvecs ([`DoubleLayerSolver::apply`]
-/// is called dozens of times per solve; reallocating the fine density, the
-/// packed source data, and the check-point values every application showed
-/// up in the BIE-solve timer).
+/// is called dozens of times per solve; reallocating the fine density and
+/// the packed source data every application showed up in the BIE-solve
+/// timer).
 #[derive(Default)]
 struct ApplyScratch {
     fine: Vec<f64>,
     src: Vec<f64>,
-    vals: Vec<f64>,
 }
 
 /// The Nyström double-layer solver on a fixed boundary surface.
@@ -172,11 +191,11 @@ pub struct DoubleLayerSolver<K: LayerKernel, KE: Kernel + Clone + Sync + Send> {
     /// Options in effect.
     pub opts: BieOptions,
     vd: usize,
-    /// Check points for the on-surface (singular) targets, `p+1` per node.
-    check_pts: Vec<Vec3>,
-    /// Extrapolation weights to `t = 0` (shared by all nodes: the check
-    /// nodes are an affine family in `L̂`).
-    extrap_w: Vec<f64>,
+    /// Check-point spacing `R = r = check_r · L̂` of each node's line.
+    check_h: Vec<f64>,
+    /// Extrapolation weights to `t = 0`, `p + 1` per node (the same for
+    /// every node: the check nodes are an affine family in `L̂`).
+    check_w: Vec<f64>,
     /// FMM with fixed geometry (fine sources → check targets), reused every
     /// GMRES iteration; `None` when running direct summation.
     solve_fmm: Option<Fmm<K, KE>>,
@@ -204,8 +223,9 @@ pub struct DoubleLayerSolver<K: LayerKernel, KE: Kernel + Clone + Sync + Send> {
 }
 
 impl<K: LayerKernel, KE: Kernel + Clone + Sync + Send> DoubleLayerSolver<K, KE> {
-    /// Builds the solver: coarse/fine discretizations, check points, and
-    /// the (static-geometry) FMM for the GMRES matvec.
+    /// Builds the solver: coarse/fine discretizations, the nodes' check
+    /// lines, and (FMM backend) the static-geometry FMM for the GMRES
+    /// matvec.
     pub fn new(surface: BoundarySurface, kernel: K, eq_kernel: KE, opts: BieOptions) -> Self {
         let quad = surface.quadrature();
         let qf = if opts.qf == 0 { surface.q } else { opts.qf };
@@ -215,15 +235,9 @@ impl<K: LayerKernel, KE: Kernel + Clone + Sync + Send> DoubleLayerSolver<K, KE> 
 
         // check points: y − (R + i r) n, i = 0..=p (into the fluid), with
         // R = r = check_r · L̂
-        let p1 = opts.p_extrap + 1;
-        let mut check_pts = Vec::with_capacity(quad.len() * p1);
-        for l in 0..quad.len() {
-            let r = opts.check_r * quad.patch_size(quad.patch_of[l] as usize);
-            for i in 0..p1 {
-                let t = r + i as f64 * r;
-                check_pts.push(quad.points[l] - quad.normals[l] * t);
-            }
-        }
+        let check_h: Vec<f64> = (0..quad.len())
+            .map(|l| opts.check_r * quad.patch_size(quad.patch_of[l] as usize))
+            .collect();
         // extrapolation weights to t = 0 on the canonical node family
         let extrap_w = linalg::checkpoint_extrapolation_weights(
             opts.check_r,
@@ -231,13 +245,20 @@ impl<K: LayerKernel, KE: Kernel + Clone + Sync + Send> DoubleLayerSolver<K, KE> 
             opts.p_extrap,
             0.0,
         );
+        let check_w = extrap_w.repeat(quad.len());
 
         let solve_fmm = if opts.backend.use_fmm(surface.num_patches()) {
+            let lines = CheckLines {
+                base: &quad.points,
+                normal: &quad.normals,
+                spacing: &check_h,
+                weights: &check_w,
+            };
             Some(Fmm::new(
                 kernel.clone(),
                 eq_kernel.clone(),
                 &fine.points,
-                &check_pts,
+                &lines.points(),
                 opts.fmm,
             ))
         } else {
@@ -252,8 +273,8 @@ impl<K: LayerKernel, KE: Kernel + Clone + Sync + Send> DoubleLayerSolver<K, KE> 
             eq_kernel,
             opts,
             vd,
-            check_pts,
-            extrap_w,
+            check_h,
+            check_w,
             solve_fmm,
             scratch: Mutex::new(ApplyScratch::default()),
             fmm_nanos: AtomicU64::new(0),
@@ -315,29 +336,74 @@ impl<K: LayerKernel, KE: Kernel + Clone + Sync + Send> DoubleLayerSolver<K, KE> 
         });
     }
 
-    /// Evaluates the layer potential of packed sources at arbitrary
-    /// targets, choosing FMM or direct summation by problem size.
+    /// The nodes' check lines: node `l`'s runs from `y_l` against its
+    /// normal, with the check spacing of its patch and the extrapolation
+    /// weights to `t = 0`.
+    fn node_lines(&self) -> CheckLines<'_> {
+        CheckLines {
+            base: &self.quad.points,
+            normal: &self.quad.normals,
+            spacing: &self.check_h,
+            weights: &self.check_w,
+        }
+    }
+
+    /// Adds the time since `t0` to the far-field summation timer.
+    fn add_fmm_time(&self, t0: Instant) {
+        self.fmm_nanos
+            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    }
+
+    /// [`LayerKernel::eval_lines`] of packed fine sources over `lines`
+    /// into `out` (overwritten), in parallel over blocks of lines.
+    fn sum_lines(&self, lines: &CheckLines, src: &[f64], out: &mut [f64]) {
+        let vd = self.vd;
+        out.fill(0.0);
+        // one dispatch per 32 lines: four groups of eight lanes
+        const BLK: usize = 32;
+        rayon::par::chunks_mut(out, BLK * vd, |b, chunk| {
+            let lines = lines.slice(b * BLK, b * BLK + chunk.len() / vd);
+            self.kernel
+                .eval_lines(&lines, &self.fine.points, src, chunk);
+        });
+    }
+
+    /// Evaluates the layer potential of packed sources at the `far`
+    /// targets and combined along the near targets' check `lines`, into
+    /// `far_out` and `near_out`, choosing FMM or direct summation by
+    /// problem size.
     ///
-    /// The FMM path runs on a *persistent* [`Fmm::frozen`] plan: the tree,
-    /// interaction lists, and operators are built once over the static
-    /// fine sources (lazily, on the first FMM-routed call) and each call
-    /// only replans the moving targets — the per-step throwaway build this
-    /// replaced dominated the refined-vessel step time.
-    fn summation(&self, src_data: &[f64], targets: &[Vec3]) -> Vec<f64> {
-        let t0 = std::time::Instant::now();
+    /// The FMM path evaluates at the far targets and every check point on
+    /// a *persistent* [`Fmm::frozen`] plan: the tree, interaction lists,
+    /// and operators are built once over the static fine sources (lazily,
+    /// on the first FMM-routed call) and each call only replans the moving
+    /// targets — the per-step throwaway build this replaced dominated the
+    /// refined-vessel step time. The dense path sums directly at the far
+    /// targets and runs the fused line kernel for the near ones.
+    fn summation(
+        &self,
+        src_data: &[f64],
+        far: &[Vec3],
+        lines: &CheckLines,
+        far_out: &mut [f64],
+        near_out: &mut [f64],
+    ) {
+        let t0 = Instant::now();
+        let n_points = far.len() + lines.len() * lines.points_per_line();
         // `Auto` resolves by patch count like the solve matvec, but only
-        // once the target set is big enough for the FMM to beat direct
-        // summation (small unrefined problems stay dense — and
-        // bit-identical to the pre-backend code)
+        // once the point set is big enough for the FMM to beat direct
+        // summation (small unrefined problems stay dense)
         let use_fmm = match self.opts.backend {
             MatvecBackend::Dense => false,
             MatvecBackend::Fmm => true,
             MatvecBackend::Auto => {
                 self.opts.backend.use_fmm(self.surface.num_patches())
-                    && targets.len() * self.kernel.trg_dim() > 2000
+                    && n_points * self.kernel.trg_dim() > 2000
             }
         };
-        let out = if use_fmm {
+        if use_fmm {
+            let mut points = far.to_vec();
+            points.extend(lines.points());
             let mut guard = self.eval_fmm.lock();
             if guard.is_none() {
                 *guard = Some(Fmm::frozen(
@@ -350,18 +416,20 @@ impl<K: LayerKernel, KE: Kernel + Clone + Sync + Send> DoubleLayerSolver<K, KE> 
                 self.eval_fmm_builds.fetch_add(1, Ordering::Relaxed);
             }
             self.eval_fmm_replans.fetch_add(1, Ordering::Relaxed);
-            guard
+            let vals = guard
                 .as_mut()
                 .expect("eval_fmm just built")
-                .evaluate_at(src_data, targets)
+                .evaluate_at(src_data, &points);
+            self.add_fmm_time(t0);
+            let (far_vals, check_vals) = vals.split_at(far_out.len());
+            far_out.copy_from_slice(far_vals);
+            lines.combine(check_vals, self.vd, near_out);
         } else {
-            let mut out = vec![0.0; targets.len() * self.kernel.trg_dim()];
-            direct_eval(&self.kernel, &self.fine.points, src_data, targets, &mut out);
-            out
-        };
-        self.fmm_nanos
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        out
+            far_out.fill(0.0);
+            direct_eval(&self.kernel, &self.fine.points, src_data, far, far_out);
+            self.sum_lines(lines, src_data, near_out);
+            self.add_fmm_time(t0);
+        }
     }
 
     /// Returns and resets the persistent-eval-FMM activity counters
@@ -377,7 +445,13 @@ impl<K: LayerKernel, KE: Kernel + Clone + Sync + Send> DoubleLayerSolver<K, KE> 
     }
 
     /// Applies the discrete boundary operator `A = (1/2 I + D)|_interior
-    /// (+ N)` to a density (matrix-free GMRES matvec).
+    /// (+ N)` to a density (matrix-free GMRES matvec): the upsampled
+    /// density's layer potential, extrapolated along each node's check
+    /// line to the node. The dense backend sums the extrapolated value
+    /// directly with the fused kernel [`LayerKernel::eval_lines`] and forms
+    /// no check-point value; the FMM backend evaluates at all check points
+    /// and combines them. Either way the sum is timed as "BIE-FMM"
+    /// ([`Self::take_fmm_nanos`]).
     pub fn apply(&self, phi: &[f64], out: &mut [f64]) {
         let vd = self.vd;
         let nq = self.quad.len();
@@ -394,47 +468,25 @@ impl<K: LayerKernel, KE: Kernel + Clone + Sync + Send> DoubleLayerSolver<K, KE> 
             self.surface.q,
             &mut scratch.fine,
         );
-        // 2. pack and evaluate at all check points
+        // 2. pack, then extrapolate the layer potential along every node's
+        // check line to the node (the interior limit, which includes the
+        // jump): the FMM evaluates at all check points and the values are
+        // combined; the dense path runs the fused line kernel
         self.pack_sources_into(&scratch.fine, &mut scratch.src);
-        let t0 = std::time::Instant::now();
-        let fmm_vals;
-        let vals: &[f64] = match &self.solve_fmm {
+        let lines = self.node_lines();
+        let t0 = Instant::now();
+        match &self.solve_fmm {
             Some(f) => {
-                fmm_vals = f.evaluate(&scratch.src);
-                &fmm_vals
+                let vals = f.evaluate(&scratch.src);
+                self.add_fmm_time(t0);
+                lines.combine(&vals, vd, out);
             }
             None => {
-                scratch.vals.clear();
-                scratch.vals.resize(self.check_pts.len() * vd, 0.0);
-                direct_eval(
-                    &self.kernel,
-                    &self.fine.points,
-                    &scratch.src,
-                    &self.check_pts,
-                    &mut scratch.vals,
-                );
-                &scratch.vals
+                self.sum_lines(&lines, &scratch.src, out);
+                self.add_fmm_time(t0);
             }
-        };
-        self.fmm_nanos
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        // 3. extrapolate to the surface (interior limit includes the jump)
-        let p1 = self.opts.p_extrap + 1;
-        // batch work items: one dispatch per 256 surface nodes
-        const BLK: usize = 256;
-        rayon::par::chunks_mut(out, BLK * vd, |b, chunk| {
-            for (r, o) in chunk.chunks_mut(vd).enumerate() {
-                let l = b * BLK + r;
-                for c in 0..vd {
-                    let mut acc = 0.0;
-                    for i in 0..p1 {
-                        acc += self.extrap_w[i] * vals[(l * p1 + i) * vd + c];
-                    }
-                    o[c] = acc;
-                }
-            }
-        });
-        // 4. null-space completion N φ = n(x) · (1/|Γ|) ∫ n·φ dS
+        }
+        // 3. null-space completion N φ = n(x) · (1/|Γ|) ∫ n·φ dS
         // (normalized by the surface area so its spectral weight matches
         // the O(1) eigenvalues of 1/2 I + D)
         if self.opts.null_space && vd == 3 {
@@ -568,13 +620,6 @@ impl<K: LayerKernel, KE: Kernel + Clone + Sync + Send> DoubleLayerSolver<K, KE> 
 
         // the near zone: within 1·L̂ of some patch
         let hits = self.near.closest_points(&self.surface, targets, 1.0);
-        // assemble the combined target list: far targets first, then p+1
-        // check points per near target
-        let p1 = self.opts.p_extrap + 1;
-        let check_distances = |hit: &ClosestHit| {
-            let r = self.opts.check_r * self.quad.patch_size(hit.patch as usize);
-            (r, r)
-        };
         let mut far_idx = Vec::new();
         let mut near: Vec<(usize, ClosestHit)> = Vec::new();
         for (i, h) in hits.iter().enumerate() {
@@ -583,41 +628,37 @@ impl<K: LayerKernel, KE: Kernel + Clone + Sync + Send> DoubleLayerSolver<K, KE> 
                 None => far_idx.push(i),
             }
         }
-        let mut eval_pts: Vec<Vec3> = far_idx.iter().map(|&i| targets[i]).collect();
-        for (_, hit) in &near {
-            let (big_r, r) = check_distances(hit);
-            for k in 0..p1 {
-                let t = big_r + k as f64 * r;
-                eval_pts.push(hit.point - hit.normal * t);
-            }
+        // a near target interpolates along the check line off its closest
+        // point, at its own signed distance t_x along the inward line y − t n
+        let p1 = self.opts.p_extrap + 1;
+        let base: Vec<Vec3> = near.iter().map(|(_, hit)| hit.point).collect();
+        let normal: Vec<Vec3> = near.iter().map(|(_, hit)| hit.normal).collect();
+        let spacing: Vec<f64> = near
+            .iter()
+            .map(|(_, hit)| self.opts.check_r * self.quad.patch_size(hit.patch as usize))
+            .collect();
+        let mut weights = Vec::with_capacity(near.len() * p1);
+        for (&(i, hit), &r) in near.iter().zip(&spacing) {
+            let t_x = (hit.point - targets[i]).dot(hit.normal);
+            let nodes: Vec<f64> = (0..p1).map(|m| r + m as f64 * r).collect();
+            weights.extend(Interp1d::new(nodes).weights_at(t_x));
         }
-        let vals = self.summation(&src, &eval_pts);
+        let lines = CheckLines {
+            base: &base,
+            normal: &normal,
+            spacing: &spacing,
+            weights: &weights,
+        };
+        let far_pts: Vec<Vec3> = far_idx.iter().map(|&i| targets[i]).collect();
+        let mut far_vals = vec![0.0; far_pts.len() * vd];
+        let mut near_vals = vec![0.0; near.len() * vd];
+        self.summation(&src, &far_pts, &lines, &mut far_vals, &mut near_vals);
 
         let mut out = vec![0.0; targets.len() * vd];
-        for (slot, &i) in far_idx.iter().enumerate() {
-            out[i * vd..(i + 1) * vd].copy_from_slice(&vals[slot * vd..(slot + 1) * vd]);
-        }
-        let base = far_idx.len();
-        // one slot per near target, committed in index order; the serial
-        // scatter below then runs in that fixed order
-        let per_near: Vec<(usize, Vec<f64>)> = rayon::par::map_indexed(near.len(), |k| {
-            let (i, hit) = near[k];
-            let (big_r, r) = check_distances(&hit);
-            // signed distance along the inward line y − t n
-            let t_x = (hit.point - targets[i]).dot(hit.normal);
-            let nodes: Vec<f64> = (0..p1).map(|m| big_r + m as f64 * r).collect();
-            let w = Interp1d::new(nodes).weights_at(t_x);
-            let mut o = vec![0.0; vd];
-            for m in 0..p1 {
-                let v = &vals[(base + k * p1 + m) * vd..(base + k * p1 + m + 1) * vd];
-                for c in 0..vd {
-                    o[c] += w[m] * v[c];
-                }
-            }
-            (i, o)
-        });
-        for (i, o) in per_near {
-            out[i * vd..(i + 1) * vd].copy_from_slice(&o);
+        let far_slots = far_idx.iter().zip(far_vals.chunks(vd));
+        let near_slots = near.iter().map(|(i, _)| i).zip(near_vals.chunks(vd));
+        for (&i, v) in far_slots.chain(near_slots) {
+            out[i * vd..(i + 1) * vd].copy_from_slice(v);
         }
         out
     }

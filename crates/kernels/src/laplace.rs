@@ -6,6 +6,7 @@
 //! boundary solver of the paper is advertised as a general elliptic-PDE
 //! solver, and these kernels exercise that generality.
 
+use crate::traits::CheckLines;
 use linalg::Vec3;
 
 /// Laplace single-layer kernel `G(x,y) q = q / (4π |x−y|)`.
@@ -102,6 +103,54 @@ pub fn laplace_dl_block(trgs: &[Vec3], srcs: &[Vec3], data: &[f64], out: &mut [f
                 }
             }
             out[i] += c * acc.iter().sum::<f64>();
+        }
+    }
+}
+
+/// The Laplace double-layer sum of the sources (`[q, nx, ny, nz]` each)
+/// at every check point of `lines`, combined by the line weights:
+/// `out[i] += Σ_k w_ik Σ_j K(x_i − t_ik n_i, y_j) q_j`, fused as
+/// [`crate::stresslet_lines_block`] (per (line, source) `d·d`, `d·n_i`,
+/// `d·n_j` and `n_i·n_j` once; per check point `r²`, `1/|r|` and
+/// `r·n_j = d·n_j − t n_i·n_j`). Lane loops with the exact `1/√r²` on
+/// every build, as [`laplace_dl_block`]: only the solver's Laplace tests
+/// run it.
+pub fn laplace_dl_lines_block(lines: &CheckLines, srcs: &[Vec3], data: &[f64], out: &mut [f64]) {
+    use crate::traits::{LineLanes, LANES};
+    debug_assert_eq!(data.len(), srcs.len() * 4);
+    debug_assert_eq!(out.len(), lines.len());
+    let c = -1.0 / (4.0 * std::f64::consts::PI);
+    let mut lanes = LineLanes::new(lines.points_per_line());
+    for first in (0..lines.len()).step_by(LANES) {
+        let m = lanes.load(lines, first);
+        let (x, n) = (&lanes.x, &lanes.n);
+        let mut acc = [0.0; LANES];
+        let (mut dd, mut dn) = ([0.0; LANES], [0.0; LANES]);
+        let (mut dnj, mut nnj) = ([0.0; LANES], [0.0; LANES]);
+        for (y, dj) in srcs.iter().zip(data.chunks_exact(4)) {
+            let nj = &dj[1..];
+            for l in 0..LANES {
+                let d = [x[0][l] - y.x, x[1][l] - y.y, x[2][l] - y.z];
+                let nl = [n[0][l], n[1][l], n[2][l]];
+                dd[l] = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
+                dn[l] = d[0] * nl[0] + d[1] * nl[1] + d[2] * nl[2];
+                dnj[l] = d[0] * nj[0] + d[1] * nj[1] + d[2] * nj[2];
+                nnj[l] = nl[0] * nj[0] + nl[1] * nj[1] + nl[2] * nj[2];
+            }
+            let mut a = [0.0; LANES];
+            for (t, w) in lanes.t.iter().zip(&lanes.w) {
+                for l in 0..LANES {
+                    let r2 = dd[l] - 2.0 * t[l] * dn[l] + t[l] * t[l];
+                    let rinv = if r2 > 0.0 { 1.0 / r2.sqrt() } else { 0.0 };
+                    a[l] += w[l] * (dnj[l] - t[l] * nnj[l]) * (rinv * rinv * rinv);
+                }
+            }
+            for l in 0..LANES {
+                acc[l] += dj[0] * a[l];
+            }
+        }
+        for l in 0..m {
+            out[first + l] += c * acc[l];
         }
     }
 }

@@ -13,12 +13,14 @@ pub mod laplace;
 pub mod stokes;
 pub mod traits;
 
-pub use laplace::{laplace_dl, laplace_dl_block, laplace_sl, laplace_sl_block};
+pub use laplace::{
+    laplace_dl, laplace_dl_block, laplace_dl_lines_block, laplace_sl, laplace_sl_block,
+};
 pub use stokes::{
     stokes_equiv_block, stokeslet, stokeslet_block, stokeslet_matrix, stokeslet_pressure,
-    stresslet, stresslet_block,
+    stresslet, stresslet_block, stresslet_lines_block,
 };
 pub use traits::{
-    direct_eval, direct_eval_serial, AxisMap, Component, Kernel, LaplaceDL, LaplaceSL, StokesDL,
-    StokesEquiv, StokesSL, VECTOR,
+    direct_eval, direct_eval_serial, AxisMap, CheckLines, Component, Kernel, LaplaceDL, LaplaceSL,
+    StokesDL, StokesEquiv, StokesSL, VECTOR,
 };

@@ -11,6 +11,7 @@
 //!   `c/2` in the principal-value sense on `Γ`, and `0` outside. Hence the
 //!   interior-limit operator is `(1/2) I + D_PV`, matching Eq. (2.5).
 
+use crate::traits::CheckLines;
 use linalg::Vec3;
 
 /// Stokes single-layer (Stokeslet) velocity kernel.
@@ -122,8 +123,9 @@ pub fn stokeslet_block(trgs: &[Vec3], srcs: &[Vec3], data: &[f64], mu: f64, out:
 }
 
 /// Batched stresslet (`[φx, φy, φz, nx, ny, nz]` per source), same
-/// convention as [`stresslet`]: the dense wall matvec and the FMM's S2M,
-/// P2L and P2P.
+/// convention as [`stresslet`]: the FMM's S2M, P2L and P2P, and the far
+/// targets of a dense-backend `eval_at` (the dense wall matvec runs
+/// [`stresslet_lines_block`]).
 ///
 /// Tiled SoA loops as [`stokeslet_block`]. Where the build targets
 /// AVX-512 each target meets a tile as four 8-lane groups with FMA dot
@@ -196,6 +198,161 @@ pub fn stresslet_block(trgs: &[Vec3], srcs: &[Vec3], data: &[f64], out: &mut [f6
             out[i * 3 + 2] += c * sum[2];
         }
     }
+}
+
+/// The stresslet sum of the sources (`[φx, φy, φz, nx, ny, nz]` each) at
+/// every check point of `lines`, combined by the line weights:
+/// `out[3i..3i+3] += Σ_k w_ik Σ_j D(x_i − t_ik n_i, y_j) φ_j`, without
+/// forming a check-point value (the dense wall matvec and the near
+/// targets of `eval_at`).
+///
+/// Eight lines sit in the lanes and the sources are broadcast. Per
+/// (line, source) `d = x_i − y_j` and the dot products `d·d`, `d·n_i`,
+/// `d·n_j`, `d·φ_j`, `n_i·n_j`, `n_i·φ_j` are formed once; per check
+/// point only `r² = d·d − 2t d·n_i + t²`, `1/|r|`, `r·n_j = d·n_j − t
+/// n_i·n_j` and `r·φ_j = d·φ_j − t n_i·φ_j` remain, and with
+/// `r_k = d − t_k n_i` the weighted sum of `r_k s_k` is `d·A − n_i·B`,
+/// `A = Σ_k w_k s_k`, `B = Σ_k w_k t_k s_k`. A check point on a source
+/// (`r²` ≤ 0 after rounding) adds exactly nothing. Where the build
+/// targets AVX-512 the lanes are one register and `1/|r|` comes from
+/// `rsqrt8`; elsewhere lane loops take the exact `1/√r²`.
+pub fn stresslet_lines_block(lines: &CheckLines, srcs: &[Vec3], data: &[f64], out: &mut [f64]) {
+    use crate::traits::{LineLanes, LANES};
+    debug_assert_eq!(data.len(), srcs.len() * 6);
+    debug_assert_eq!(out.len(), lines.len() * 3);
+    let c = -3.0 / (4.0 * std::f64::consts::PI);
+    let mut lanes = LineLanes::new(lines.points_per_line());
+    for first in (0..lines.len()).step_by(LANES) {
+        let m = lanes.load(lines, first);
+        #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+        // SAFETY: compiled only where avx512f is enabled for the whole
+        // build, so the CPU running this has it.
+        let sum = unsafe { stresslet_lines_lanes8(&lanes, srcs, data) };
+        #[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
+        let sum = stresslet_lines_lanes(&lanes, srcs, data);
+        for l in 0..m {
+            for k in 0..3 {
+                out[(first + l) * 3 + k] += c * sum[k][l];
+            }
+        }
+    }
+}
+
+/// [`stresslet_lines_lanes8`] where the build does not target AVX-512:
+/// the same operations with the exact `1/√r²`, each step a loop over the
+/// lanes (per source the dot products, per check point the kernel), so
+/// the inner loops run over the lanes and can vectorize.
+#[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
+fn stresslet_lines_lanes(
+    lanes: &crate::traits::LineLanes,
+    srcs: &[Vec3],
+    data: &[f64],
+) -> [[f64; crate::traits::LANES]; 3] {
+    use crate::traits::LANES;
+    let (x, n) = (&lanes.x, &lanes.n);
+    let mut acc = [[0.0; LANES]; 3];
+    let mut acc_b = [0.0; LANES];
+    let mut d = [[0.0; LANES]; 3];
+    let (mut dd, mut dn, mut dnj) = ([0.0; LANES], [0.0; LANES], [0.0; LANES]);
+    let (mut dp, mut nnj, mut np) = ([0.0; LANES], [0.0; LANES], [0.0; LANES]);
+    for (y, dj) in srcs.iter().zip(data.chunks_exact(6)) {
+        let (phi, nj) = (&dj[..3], &dj[3..]);
+        for l in 0..LANES {
+            let dl = [x[0][l] - y.x, x[1][l] - y.y, x[2][l] - y.z];
+            let nl = [n[0][l], n[1][l], n[2][l]];
+            for c in 0..3 {
+                d[c][l] = dl[c];
+            }
+            dd[l] = dl[0] * dl[0] + dl[1] * dl[1] + dl[2] * dl[2];
+            dn[l] = dl[0] * nl[0] + dl[1] * nl[1] + dl[2] * nl[2];
+            dnj[l] = dl[0] * nj[0] + dl[1] * nj[1] + dl[2] * nj[2];
+            dp[l] = dl[0] * phi[0] + dl[1] * phi[1] + dl[2] * phi[2];
+            nnj[l] = nl[0] * nj[0] + nl[1] * nj[1] + nl[2] * nj[2];
+            np[l] = nl[0] * phi[0] + nl[1] * phi[1] + nl[2] * phi[2];
+        }
+        let (mut a, mut b) = ([0.0; LANES], [0.0; LANES]);
+        for ((t, w), wt) in lanes.t.iter().zip(&lanes.w).zip(&lanes.wt) {
+            for l in 0..LANES {
+                let r2 = dd[l] - 2.0 * t[l] * dn[l] + t[l] * t[l];
+                let rinv = if r2 > 0.0 { 1.0 / r2.sqrt() } else { 0.0 };
+                let rinv2 = rinv * rinv;
+                let s = (dnj[l] - t[l] * nnj[l]) * (dp[l] - t[l] * np[l]) * (rinv2 * rinv2 * rinv);
+                a[l] += w[l] * s;
+                b[l] += wt[l] * s;
+            }
+        }
+        for l in 0..LANES {
+            for c in 0..3 {
+                acc[c][l] += d[c][l] * a[l];
+            }
+            acc_b[l] += b[l];
+        }
+    }
+    let mut sum = [[0.0; LANES]; 3];
+    for c in 0..3 {
+        for l in 0..LANES {
+            sum[c][l] = acc[c][l] - n[c][l] * acc_b[l];
+        }
+    }
+    sum
+}
+
+/// The sum of [`stresslet_lines_block`] over all sources for one group
+/// of lines, before its `−3/(4π)`: lanes are lines, FMA dot products,
+/// `1/|r|` from `rsqrt8`.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn stresslet_lines_lanes8(
+    lanes: &crate::traits::LineLanes,
+    srcs: &[Vec3],
+    data: &[f64],
+) -> [[f64; crate::traits::LANES]; 3] {
+    use crate::traits::{load8, rsqrt8, LANES};
+    use std::arch::x86_64::*;
+    let x = lanes.x.map(|a| load8(&a));
+    let n = lanes.n.map(|a| load8(&a));
+    let two = _mm512_set1_pd(2.0);
+    let mut acc = [_mm512_setzero_pd(); 3];
+    let mut acc_b = _mm512_setzero_pd();
+    for (y, dj) in srcs.iter().zip(data.chunks_exact(6)) {
+        let d = [
+            _mm512_sub_pd(x[0], _mm512_set1_pd(y.x)),
+            _mm512_sub_pd(x[1], _mm512_set1_pd(y.y)),
+            _mm512_sub_pd(x[2], _mm512_set1_pd(y.z)),
+        ];
+        let phi = [dj[0], dj[1], dj[2]].map(|v| _mm512_set1_pd(v));
+        let nj = [dj[3], dj[4], dj[5]].map(|v| _mm512_set1_pd(v));
+        let (dd, dn) = (dot8(d, d), dot8(d, n));
+        let (dnj, dp) = (dot8(d, nj), dot8(d, phi));
+        let (nnj, np) = (dot8(n, nj), dot8(n, phi));
+        let mut a = _mm512_setzero_pd();
+        let mut b = _mm512_setzero_pd();
+        for ((t, w), wt) in lanes.t.iter().zip(&lanes.w).zip(&lanes.wt) {
+            let t = load8(t);
+            // r² = t·(t − 2 d·n) + d·d
+            let r2 = _mm512_fmadd_pd(t, _mm512_fnmadd_pd(two, dn, t), dd);
+            let rinv = rsqrt8(r2);
+            let rinv2 = _mm512_mul_pd(rinv, rinv);
+            let rinv5 = _mm512_mul_pd(_mm512_mul_pd(rinv2, rinv2), rinv);
+            let rn = _mm512_fnmadd_pd(t, nnj, dnj);
+            let rp = _mm512_fnmadd_pd(t, np, dp);
+            let s = _mm512_mul_pd(_mm512_mul_pd(rn, rp), rinv5);
+            a = _mm512_fmadd_pd(load8(w), s, a);
+            b = _mm512_fmadd_pd(load8(wt), s, b);
+        }
+        for k in 0..3 {
+            acc[k] = _mm512_fmadd_pd(d[k], a, acc[k]);
+        }
+        acc_b = _mm512_add_pd(acc_b, b);
+    }
+    let mut sum = [[0.0; LANES]; 3];
+    for k in 0..3 {
+        let u = _mm512_fnmadd_pd(n[k], acc_b, acc[k]);
+        // SAFETY: the store writes LANES = 8 f64, all of `sum[k]`.
+        unsafe { _mm512_storeu_pd(sum[k].as_mut_ptr(), u) };
+    }
+    sum
 }
 
 /// Batched augmented Stokes equivalent kernel (`[fx, fy, fz, q]` per

@@ -134,13 +134,15 @@ pub(crate) const TILE: usize = 32;
 /// register of f64.
 pub(crate) const LANES: usize = 8;
 
-/// `1/√r²` in eight lanes, exactly `0` where `r² == 0` (the
-/// self-interaction guard): the hardware estimate `_mm512_rsqrt14_pd`
-/// (relative error < 2⁻¹⁴) refined by two Newton steps
-/// `y ← y·(1.5 − ½r²·y²)`, 14 → 28 → 56 bits, as PVFMM's P2P kernels do
-/// instead of a square root and a division. Within 4 ulp of
+/// `1/√r²` in eight lanes, exactly `0` where `r² ≤ 0` (the
+/// self-interaction guard; a NaN stays NaN): the hardware estimate
+/// `_mm512_rsqrt14_pd` (relative error < 2⁻¹⁴) refined by two Newton
+/// steps `y ← y·(1.5 − ½r²·y²)`, 14 → 28 → 56 bits, as PVFMM's P2P
+/// kernels do instead of a square root and a division. Within 4 ulp of
 /// `1.0 / r2.sqrt()` over `r²` in [1e-12, 1e12] (unit test
-/// `rsqrt8_is_within_4_ulp_and_zero_at_the_origin`).
+/// `rsqrt8_is_within_4_ulp_and_zero_at_the_origin`). A negative `r²`
+/// only arises in the fused check-line kernels, whose expanded `r²` can
+/// round below zero where a check point sits on a source.
 #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
 #[target_feature(enable = "avx512f")]
 #[inline]
@@ -151,7 +153,133 @@ pub(crate) fn rsqrt8(r2: __m512d) -> __m512d {
         _mm512_mul_pd(y, t)
     };
     let y = newton(newton(_mm512_rsqrt14_pd(r2)));
-    _mm512_maskz_mov_pd(_mm512_cmpneq_pd_mask(r2, _mm512_setzero_pd()), y)
+    _mm512_maskz_mov_pd(_mm512_cmpnle_pd_mask(r2, _mm512_setzero_pd()), y)
+}
+
+/// Lines of check points off surface points, each with the weights that
+/// combine its points' values into one value: extrapolation to the
+/// surface (§3.1) or interpolation to a target on the line.
+///
+/// Line `i` holds the `p + 1` check points `base[i] − t_k·normal[i]`,
+/// `t_k = h + k·h` with `h = spacing[i]`, `k = 0..=p`, weighted by
+/// `weights[i·(p + 1) + k]`. Normals must be unit vectors: the fused
+/// kernels ([`crate::stresslet_lines_block`],
+/// [`crate::laplace_dl_lines_block`]) expand `|base − t n − y|²` as
+/// `d·d − 2t d·n + t²` with `d = base − y`.
+#[derive(Clone, Copy, Debug)]
+pub struct CheckLines<'a> {
+    /// The point each line starts from (a surface point).
+    pub base: &'a [Vec3],
+    /// The unit direction each line runs against (`−normal` is the line).
+    pub normal: &'a [Vec3],
+    /// The spacing `h` of each line's check points, also the first one's
+    /// distance from its base.
+    pub spacing: &'a [f64],
+    /// `p + 1` weights per line, line-major.
+    pub weights: &'a [f64],
+}
+
+impl<'a> CheckLines<'a> {
+    /// Number of lines.
+    pub fn len(&self) -> usize {
+        self.base.len()
+    }
+
+    /// Whether there are no lines.
+    pub fn is_empty(&self) -> bool {
+        self.base.is_empty()
+    }
+
+    /// Check points per line, `p + 1`.
+    pub fn points_per_line(&self) -> usize {
+        self.weights.len() / self.len().max(1)
+    }
+
+    /// Lines `a..b`.
+    pub fn slice(&self, a: usize, b: usize) -> CheckLines<'a> {
+        let p1 = self.points_per_line();
+        CheckLines {
+            base: &self.base[a..b],
+            normal: &self.normal[a..b],
+            spacing: &self.spacing[a..b],
+            weights: &self.weights[a * p1..b * p1],
+        }
+    }
+
+    /// Every line's check points, line-major (`p + 1` per line).
+    pub fn points(&self) -> Vec<Vec3> {
+        let p1 = self.points_per_line();
+        let mut pts = Vec::with_capacity(self.len() * p1);
+        for ((&x, &n), &h) in self.base.iter().zip(self.normal).zip(self.spacing) {
+            pts.extend((0..p1).map(|k| x - n * (h + k as f64 * h)));
+        }
+        pts
+    }
+
+    /// Combines values at [`Self::points`] (`vd` per point) by the line
+    /// weights: `out[i·vd + c] = Σ_k w_ik · vals[(i·(p + 1) + k)·vd + c]`.
+    pub fn combine(&self, vals: &[f64], vd: usize, out: &mut [f64]) {
+        let p1 = self.points_per_line();
+        for (i, (o, w)) in out.chunks_mut(vd).zip(self.weights.chunks(p1)).enumerate() {
+            for (c, o) in o.iter_mut().enumerate() {
+                let mut acc = 0.0;
+                for (k, w) in w.iter().enumerate() {
+                    acc += w * vals[(i * p1 + k) * vd + c];
+                }
+                *o = acc;
+            }
+        }
+    }
+}
+
+/// `LANES` check lines in SoA lanes, the target side of the fused
+/// check-line kernels: base points, normals, and per check point `t_k`,
+/// `w_k` and `w_k·t_k`. Lanes past the last line repeat it with zero
+/// weights, so they add nothing.
+pub(crate) struct LineLanes {
+    pub x: [[f64; LANES]; 3],
+    pub n: [[f64; LANES]; 3],
+    pub t: Vec<[f64; LANES]>,
+    pub w: Vec<[f64; LANES]>,
+    pub wt: Vec<[f64; LANES]>,
+}
+
+impl LineLanes {
+    pub fn new(p1: usize) -> LineLanes {
+        LineLanes {
+            x: [[0.0; LANES]; 3],
+            n: [[0.0; LANES]; 3],
+            t: vec![[0.0; LANES]; p1],
+            w: vec![[0.0; LANES]; p1],
+            wt: vec![[0.0; LANES]; p1],
+        }
+    }
+
+    /// Loads lines `first..` (at most `LANES`); returns how many.
+    pub fn load(&mut self, lines: &CheckLines, first: usize) -> usize {
+        let p1 = self.t.len();
+        let m = (lines.len() - first).min(LANES);
+        for l in 0..LANES {
+            let i = first + l.min(m - 1);
+            let (x, n, h) = (lines.base[i], lines.normal[i], lines.spacing[i]);
+            for (c, (xc, nc)) in [(x.x, n.x), (x.y, n.y), (x.z, n.z)].into_iter().enumerate() {
+                self.x[c][l] = xc;
+                self.n[c][l] = nc;
+            }
+            for k in 0..p1 {
+                let t = h + k as f64 * h;
+                let w = if l < m {
+                    lines.weights[i * p1 + k]
+                } else {
+                    0.0
+                };
+                self.t[k][l] = t;
+                self.w[k][l] = w;
+                self.wt[k][l] = w * t;
+            }
+        }
+        m
+    }
 }
 
 /// Lanes `g·LANES ..< (g + 1)·LANES` of a tile buffer as one register.
@@ -163,6 +291,16 @@ pub(crate) fn lanes8(a: &[f64; TILE], g: usize) -> __m512d {
     // SAFETY: `s` is a bounds-checked run of LANES = 8 initialised f64,
     // exactly the 64 bytes an unaligned 512-bit load reads.
     unsafe { _mm512_loadu_pd(s.as_ptr()) }
+}
+
+/// One lane array as one register.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+#[target_feature(enable = "avx512f")]
+#[inline]
+pub(crate) fn load8(a: &[f64; LANES]) -> __m512d {
+    // SAFETY: `a` is LANES = 8 initialised f64, exactly the 64 bytes an
+    // unaligned 512-bit load reads.
+    unsafe { _mm512_loadu_pd(a.as_ptr()) }
 }
 
 /// Copies a tile of source points into SoA lanes. Tail lanes keep stale
@@ -719,6 +857,166 @@ mod tests {
         StokesDL.eval_block(&[p], &[p], &[1.0, -2.0, 0.5, 0.0, 0.6, 0.8], &mut out);
         StokesEquiv { mu: 1.3 }.eval_block(&[p], &[p], &[1.0, -2.0, 0.5, 0.7], &mut out);
         assert_eq!(out, [0.0; 3]);
+    }
+
+    /// A fused check-line block: lines, sources, source data, output.
+    type LinesBlock = fn(&CheckLines, &[Vec3], &[f64], &mut [f64]);
+
+    /// The check-point composition the fused blocks replace: `eval_acc`
+    /// at every check point, then the line weights.
+    fn composed<K: Kernel>(k: &K, lines: &CheckLines, srcs: &[Vec3], data: &[f64]) -> Vec<f64> {
+        let pts = lines.points();
+        let mut vals = vec![0.0; pts.len() * k.trg_dim()];
+        eval_pairwise(k, &pts, srcs, data, &mut vals);
+        let mut out = vec![0.0; lines.len() * k.trg_dim()];
+        lines.combine(&vals, k.trg_dim(), &mut out);
+        out
+    }
+
+    fn rel_dist(a: &[f64], b: &[f64]) -> f64 {
+        let d: f64 = a.iter().zip(b).map(|(x, y)| (x - y).powi(2)).sum();
+        (d / b.iter().map(|y| y * y).sum::<f64>()).sqrt()
+    }
+
+    /// Random points on the unit sphere (each its own outward normal).
+    fn sphere_points(rng: &mut StdRng, n: usize) -> Vec<Vec3> {
+        random_points(rng, n)
+            .into_iter()
+            .map(|v| (v + Vec3::new(0.0, 0.0, 1e-3)).normalized())
+            .collect()
+    }
+
+    /// Both fused blocks against the composition, on the geometry they
+    /// serve (sources on a surface, lines into it from surface points),
+    /// at line counts that are not lane multiples and `p + 1` ∈ {4, 6, 9}:
+    /// within 1e-13 relative (2-norm), and accumulated into `out`.
+    #[test]
+    fn lines_blocks_match_the_check_point_composition() {
+        check_lines_block(&StokesDL, stokes::stresslet_lines_block, "stokes_dl");
+        check_lines_block(&LaplaceDL, laplace::laplace_dl_lines_block, "laplace_dl");
+    }
+
+    fn check_lines_block<K: Kernel>(kernel: &K, block: LinesBlock, name: &str) {
+        let mut rng = StdRng::seed_from_u64(73);
+        let (sd, td) = (kernel.src_dim(), kernel.trg_dim());
+        for (nl, ns, p1) in [(1usize, 40usize, 4usize), (13, 77, 6), (35, 130, 9)] {
+            let srcs = sphere_points(&mut rng, ns);
+            let data: Vec<f64> = (0..ns * sd).map(|_| rng.random_range(-1.0..1.0)).collect();
+            let base = sphere_points(&mut rng, nl);
+            let spacing: Vec<f64> = (0..nl).map(|_| rng.random_range(0.02..0.1)).collect();
+            let weights: Vec<f64> = (0..nl * p1).map(|_| rng.random_range(-2.0..2.0)).collect();
+            let lines = CheckLines {
+                base: &base,
+                normal: &base,
+                spacing: &spacing,
+                weights: &weights,
+            };
+            let want = composed(kernel, &lines, &srcs, &data);
+            let mut got = vec![0.5; nl * td];
+            block(&lines, &srcs, &data, &mut got);
+            got.iter_mut().for_each(|v| *v -= 0.5);
+            let rel = rel_dist(&got, &want);
+            assert!(
+                rel <= 1e-13,
+                "{name} ({nl} lines, {ns} sources, p + 1 = {p1}): {rel:.2e}"
+            );
+        }
+    }
+
+    /// A check point exactly on a source (`r² = 0`): that pair adds
+    /// exactly nothing, and the rest matches the composition.
+    #[test]
+    fn a_check_point_on_a_source_adds_nothing() {
+        let mut rng = StdRng::seed_from_u64(74);
+        // line from the origin along −z, h = 0.25: check point 1 at
+        // (0, 0, −0.5), where source 0 sits
+        let (base, normal, spacing) = ([Vec3::ZERO], [Vec3::new(0.0, 0.0, 1.0)], [0.25]);
+        let mut srcs = random_points(&mut rng, 20);
+        srcs[0] = Vec3::new(0.0, 0.0, -0.5);
+        for (name, block, sd) in [
+            ("stokes_dl", stokes::stresslet_lines_block as LinesBlock, 6),
+            ("laplace_dl", laplace::laplace_dl_lines_block, 4),
+        ] {
+            let data: Vec<f64> = (0..20 * sd).map(|_| rng.random_range(-1.0..1.0)).collect();
+            let td = if sd == 6 { 3 } else { 1 };
+            let only_k1 = [0.0, 1.0, 0.0, 0.0];
+            let lines = CheckLines {
+                base: &base,
+                normal: &normal,
+                spacing: &spacing,
+                weights: &only_k1,
+            };
+            let mut out = vec![0.0; td];
+            block(&lines, &srcs[..1], &data[..sd], &mut out);
+            assert!(out.iter().all(|v| *v == 0.0), "{name}: {out:?}");
+
+            let weights = [0.7, -1.3, 2.1, 0.4];
+            let lines = CheckLines {
+                base: &base,
+                normal: &normal,
+                spacing: &spacing,
+                weights: &weights,
+            };
+            let mut got = vec![0.0; td];
+            block(&lines, &srcs, &data, &mut got);
+            let want = if sd == 6 {
+                composed(&StokesDL, &lines, &srcs, &data)
+            } else {
+                composed(&LaplaceDL, &lines, &srcs, &data)
+            };
+            assert!(got.iter().all(|v| v.is_finite()), "{name}: {got:?}");
+            assert!(
+                rel_dist(&got, &want) <= 1e-13,
+                "{name}: {got:?} vs {want:?}"
+            );
+        }
+    }
+
+    /// The expanded `r² = d·d − 2t d·n + t²` rounds below zero where a
+    /// check point sits on a source and the normal is one ulp longer
+    /// than unit (here it is exactly `−2⁻⁵¹` on both the AVX-512 and the
+    /// lane-loop bodies): the pair adds exactly nothing, and nothing is
+    /// NaN.
+    #[test]
+    fn an_expanded_r2_below_zero_adds_nothing() {
+        let eps = f64::EPSILON;
+        let n = Vec3::new(0.0, 0.0, 1.0 + eps);
+        let (base, normal, spacing) = ([Vec3::ZERO], [n], [1.0]);
+        let src = [Vec3::ZERO - n];
+        for (name, block, data) in [
+            (
+                "stokes_dl",
+                stokes::stresslet_lines_block as LinesBlock,
+                &[1.0, -2.0, 0.5, 0.0, 0.6, 0.8][..],
+            ),
+            (
+                "laplace_dl",
+                laplace::laplace_dl_lines_block,
+                &[1.0, 0.0, 0.6, 0.8][..],
+            ),
+        ] {
+            let td = if data.len() == 6 { 3 } else { 1 };
+            let only_k0 = [1.0, 0.0, 0.0];
+            let lines = CheckLines {
+                base: &base,
+                normal: &normal,
+                spacing: &spacing,
+                weights: &only_k0,
+            };
+            let mut out = vec![0.0; td];
+            block(&lines, &src, data, &mut out);
+            assert!(out.iter().all(|v| *v == 0.0), "{name}: {out:?}");
+            let all = [1.0, 1.0, 1.0];
+            let lines = CheckLines {
+                base: &base,
+                normal: &normal,
+                spacing: &spacing,
+                weights: &all,
+            };
+            block(&lines, &src, data, &mut out);
+            assert!(out.iter().all(|v| v.is_finite()), "{name}: {out:?}");
+            assert!(out.iter().any(|v| *v != 0.0), "{name}: {out:?}");
+        }
     }
 
     #[test]

@@ -150,7 +150,10 @@ fn stokeslet_lanes(
         let rinv = 1.0 / r2.sqrt();
         let rinv3 = rinv / r2;
         // coincident points contribute a zero block (a select, so the lane
-        // loop vectorizes)
+        // loop stays branch-free). The native build runs it as two 4-lane
+        // groups of packed `vsqrtpd` / `vdivpd`, and those bound `rebuild`:
+        // an 8-lane AVX-512 body of the same operations is slower (see
+        // "Assembly" in `crates/vesicle/README.md`)
         let (rinv, rinv3) = if r2 == 0.0 { (0.0, 0.0) } else { (rinv, rinv3) };
         acc[0][l] += c * (rinv + rx * rx * rinv3) * w;
         acc[1][l] += c * (0.0 + rx * ry * rinv3) * w;

@@ -75,11 +75,13 @@ echo "== portable kernels (x86-64-v3: no AVX-512 Stokes bodies or gemm microkern
 # RUSTFLAGS replaces .cargo/config.toml's target-cpu=native, so on an
 # AVX-512 host this still builds and checks the loops every other CPU runs
 # (the kernels' pair loops, linalg's portable gemm tiles against the
-# tile/edge bit pin); its own target directory keeps the native build's
-# artifacts intact
+# tile/edge bit pin, the lane-loop check-line kernels of the dense wall
+# matvec against the check-point composition); its own target directory
+# keeps the native build's artifacts intact
 PORTABLE=(env RUSTFLAGS="-C target-cpu=x86-64-v3" cargo test --release -q --target-dir target/portable)
 "${PORTABLE[@]}" -p linalg
 "${PORTABLE[@]}" -p kernels
+"${PORTABLE[@]}" -p bie --test check_lines
 "${PORTABLE[@]}" -p fmm --test persistent evaluation_bits_are_pinned
 "${PORTABLE[@]}" -p fmm --test seed_agreement
 
